@@ -158,7 +158,7 @@ def cmd_poincare(args) -> None:
 
 
 def cmd_relaxation(args) -> None:
-    spec = relaxation.RelaxationSpec(args.c, args.eps[0], args.r[0])
+    spec = relaxation.RelaxationSpec(args.c, args.eps, args.r)
     res = relaxation.run_analysis(spec)
     row = {
         "c": args.c,
@@ -301,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("relaxation", help="slow-forcing run: census, loop area, distance to the singular curve")
     common(p)
-    p.add_argument("--eps", type=_parse_grid, required=True)
-    p.add_argument("--r", type=_parse_grid, required=True)
+    p.add_argument("--eps", type=float, required=True, help="one eps value (sweep takes a grid)")
+    p.add_argument("--r", type=float, required=True, help="one exponent r (sweep takes a grid)")
     p.set_defaults(func=cmd_relaxation)
 
     p = sub.add_parser("threshold", help="regime-change exponent r for each eps")

@@ -15,13 +15,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq  # noqa: F401  perfbench/tracing.py wraps relaxation.brentq by name
+from scipy.spatial import cKDTree
 
 from . import dynamics
-from .model import DomainError, diagnostics, g_eval, x1 as model_x1, x2 as model_x2
+from .model import DomainError, diagnostics, g_eval
 from .signals import TrigSum
 
 TWO_PI = 2.0 * math.pi
+CLOSURE_TOL = 1e-6  # largest |x(T) - x(0)| run_analysis accepts for the loop of a fixed point
+_BLOCK = 256  # points per vectorised pass of the pruned Hausdorff search
 
 
 @dataclass(frozen=True)
@@ -71,11 +74,13 @@ class LoopResult:
     n_fixed_points: int
     regime: str  # "bistable" | "relaxation" | "boundary"
     solutions: tuple[dynamics.PeriodicSolution, ...]
+    closure_gap: float  # |x(T) - x(0)| of the integrated loop, before it is closed
 
     def to_dict(self) -> dict:
         return {
             "area": self.area,
             "hausdorff_to_gamma": self.hausdorff_to_gamma,
+            "closure_gap": self.closure_gap,
             "n_fixed_points": self.n_fixed_points,
             "regime": self.regime,
             "solutions": [s.to_dict() for s in self.solutions],
@@ -123,34 +128,25 @@ def crossing_times(spec: RelaxationSpec) -> tuple[float, float, float]:
     return tbar_minus, t_minus, t_plus
 
 
-def _upper_root(c: float, lam: float) -> float:
-    """Root of lam = -g(x) on [x2, inf); the bracket is widened by a hair so
-    the branch endpoint lam = lam1 (root exactly at x2) stays inside."""
-    lo = model_x2(c) * (1.0 - 1e-12)
-    hi = max(2.0 * lo, 4.0)
-    while -g_eval(c, hi) < lam:
-        hi *= 2.0
-    return float(brentq(lambda x: -g_eval(c, x) - lam, lo, hi, xtol=1e-13))
-
-
-def _lower_root(c: float, lam: float) -> float:
-    """Root of lam = -g(x) on [0, x1], bracket widened as above for lam = lam2."""
-    return float(brentq(lambda x: -g_eval(c, x) - lam, 0.0, model_x1(c) * (1.0 + 1e-12), xtol=1e-13))
-
-
 def gamma_curve(c: float, n_points: int = 2048) -> GammaCurve:
-    """The singular hysteresis curve; every branch point satisfies
-    |lam + g(x)| < 1e-9."""
+    """The singular hysteresis curve, sampled uniformly in the state: every
+    branch point is (-g(x), x), so lam + g(x) = 0 holds to rounding.
+
+    Cleared of its denominator, lam = -g(x) is the cubic
+    x^3 - lam x^2 + (1 + 2c) x - lam = 0.  At a saddle-node it has a double
+    root, so by Vieta the third root, where the other branch ends, is
+    lam / (double root)^2.  The lower branch runs over x in [lam1/x2^2, x1]
+    (lam1 -> lam2), the upper branch over [lam2/x1^2, x2] descending
+    (lam2 -> lam1); n_points each, then the closing point."""
     if c <= 4.0:
         raise DomainError(f"gamma_curve requires c > 4, got c = {c}")
     diag = diagnostics(c)
-    lams = np.linspace(diag.lam1, diag.lam2, n_points)
-    lower = np.array([[lam, _lower_root(c, lam)] for lam in lams])
-    upper = np.array([[lam, _upper_root(c, lam)] for lam in lams[::-1]])
+    lower = np.linspace(diag.lam1 / diag.x2 ** 2, diag.x1, n_points)
+    upper = np.linspace(diag.lam2 / diag.x1 ** 2, diag.x2, n_points)
     # the vertical jumps are the segments joining the branch endpoints:
-    # (lam2, x1) -> (lam2, upper root of lam2) and (lam1, x2) -> start point
-    polyline = np.vstack([lower, upper, lower[:1]])
-    return GammaCurve(polyline)
+    # (lam2, x1) -> (lam2, lam2/x1^2) and (lam1, x2) -> the start point
+    x = np.concatenate([lower, upper, lower[:1]])
+    return GammaCurve(np.column_stack([-g_eval(c, x), x]))
 
 
 def loop_area(points: np.ndarray) -> float:
@@ -161,34 +157,79 @@ def loop_area(points: np.ndarray) -> float:
     return float(0.5 * abs(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1])))
 
 
-def _directed_hausdorff(a: np.ndarray, b: np.ndarray, chunk: int = 512) -> float:
-    """max over points of a of the min distance to the polyline b."""
-    p, q = b[:-1], b[1:]
-    d = q - p
+def _segment_distance(pts, p, d, dd):
+    """Distance from pts to the segments p -> p + d (dd = |d|^2, floored away
+    from 0) by clipped projection; broadcasts over the leading axes."""
+    w = pts - p
+    t = np.clip(np.sum(w * d, axis=-1) / dd, 0.0, 1.0)
+    proj = p + t[..., None] * d
+    return np.sqrt(np.sum((pts - proj) ** 2, axis=-1))
+
+
+def _directed_pruned(a: np.ndarray, b: np.ndarray, pad: float) -> float:
+    """max over the points of a of the min distance to the polyline b.
+
+    The nearest vertex of b, at distance d_v, bounds a point's distance from
+    above.  A segment of length L can only come closer if one of its
+    endpoints lies within d_v + L/2, so each point is tested against the
+    segments touching the vertices in that ball (with L the longest short
+    segment) plus, by brute force, the few long ones.  Points are taken in
+    decreasing d_v, and once d_v cannot exceed the running maximum the rest
+    are skipped (Taha & Hanbury, IEEE TPAMI 2015).  ``pad`` covers the
+    rounding of the computed distances, so the same segments win as in a
+    test of every segment and the result is the same float."""
+    p, d = b[:-1], b[1:] - b[:-1]
     dd = np.maximum(np.sum(d * d, axis=1), 1e-300)
+    m = len(p)
+    by_length = np.argsort(dd)[::-1]
+    length = np.sqrt(dd[by_length])
+    # brute-forcing the k longest segments costs k tests per point, and the
+    # ball then widens by about length[k] / spacing vertices: minimise the sum
+    spacing = max(float(np.median(length)), np.finfo(float).tiny)
+    k = int(np.argmin(np.arange(m) + length / spacing))
+    long = by_length[:k]
+    reach = 0.5 * length[k] + pad
+    tree = cKDTree(b)
+    d_v = tree.query(a)[0]
+    order = np.argsort(d_v)[::-1]
     worst = 0.0
-    for i in range(0, len(a), chunk):
-        w = a[i : i + chunk, None, :] - p[None, :, :]
-        t = np.clip(np.sum(w * d[None, :, :], axis=2) / dd[None, :], 0.0, 1.0)
-        proj = p[None, :, :] + t[:, :, None] * d[None, :, :]
-        dist = np.sqrt(np.sum((a[i : i + chunk, None, :] - proj) ** 2, axis=2))
-        worst = max(worst, float(np.max(np.min(dist, axis=1))))
+    for start in range(0, len(order), _BLOCK):
+        idx = order[start : start + _BLOCK]
+        idx = idx[d_v[idx] + pad > worst]
+        if idx.size == 0:
+            break
+        balls = tree.query_ball_point(a[idx], d_v[idx] + reach)
+        vert = np.concatenate(balls).astype(np.intp)
+        # the two segments touching each vertex: the one ending and the one starting there
+        seg = np.column_stack([np.maximum(vert - 1, 0), np.minimum(vert, m - 1)]).ravel()
+        counts = 2 * np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
+        pts = np.repeat(a[idx], counts, axis=0)
+        near = np.minimum.reduceat(_segment_distance(pts, p[seg], d[seg], dd[seg]), np.cumsum(counts) - counts)
+        if k:
+            near = np.minimum(near, np.min(_segment_distance(a[idx, None, :], p[long], d[long], dd[long]), axis=1))
+        worst = max(worst, float(np.max(near)))
     return worst
 
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetric Hausdorff distance between two polylines."""
+    """Symmetric Hausdorff distance between the vertices of each polyline and
+    the other polyline.  Exact: the same float as testing every vertex
+    against every segment, but a KD-tree on the vertices prunes the segments
+    each vertex is tested against (see ``_directed_pruned``)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("polylines must be non-empty")
-    return max(_directed_hausdorff(a, b), _directed_hausdorff(b, a))
+    if len(a) < 2 or len(b) < 2:
+        raise ValueError("polylines need at least two points")
+    # computed distances are off by a few ulps of the coordinate scale
+    pad = 1e-12 * (1.0 + max(np.max(np.abs(a)), np.max(np.abs(b))))
+    return max(_directed_pruned(a, b, pad), _directed_pruned(b, a, pad))
 
 
 def run_analysis(spec: RelaxationSpec, n_loop: int = 4096, gamma_points: int = 2048) -> LoopResult:
     """Census of periodic solutions plus the hysteresis loop of the top
     attractive one: its (forcing, state) polygon, area, and Hausdorff
-    distance to the singular curve."""
+    distance to the singular curve.  Raises RuntimeError when the integrated
+    loop misses its start by more than CLOSURE_TOL."""
     ode = dynamics.OdeSpec(spec.c, 0.0, spec.signal())
     sols = tuple(dynamics.find_periodic_solutions(ode, spec.period))
     n = len(sols)
@@ -200,8 +241,13 @@ def run_analysis(spec: RelaxationSpec, n_loop: int = 4096, gamma_points: int = 2
         regime = "boundary"
     top = max((s for s in sols if s.kind == "attractive"), key=lambda s: s.fixed_point)
     traj = dynamics.integrate(ode, 0.0, top.fixed_point, spec.period, n_samples=n_loop + 1)
+    closure_gap = float(abs(traj.values[-1] - traj.values[0]))
+    if closure_gap > CLOSURE_TOL:
+        raise RuntimeError(
+            f"loop does not close: |x(T) - x(0)| = {closure_gap:.3g} > {CLOSURE_TOL:g}"
+        )
     loop = np.column_stack([y_eps(spec, traj.times), traj.values])
-    loop[-1] = loop[0]  # close the polygon (|x(T) - x(0)| below fixed-point tol)
+    loop[-1] = loop[0]  # close the polygon; the gap is reported, not hidden
     gamma = gamma_curve(spec.c, gamma_points)
     return LoopResult(
         loop=loop,
@@ -210,6 +256,7 @@ def run_analysis(spec: RelaxationSpec, n_loop: int = 4096, gamma_points: int = 2
         n_fixed_points=n,
         regime=regime,
         solutions=sols,
+        closure_gap=closure_gap,
     )
 
 

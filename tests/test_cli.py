@@ -170,6 +170,12 @@ class TestRelaxation:
         assert rows[0]["regime"] == "relaxation"
         assert float(rows[0]["area"]) > 0.0
 
+    @pytest.mark.parametrize("eps, r", [("0.05,0.02", "0.6"), ("0.05", "0.6,1.6")])
+    def test_grid_rejected(self, capsys, eps, r):
+        # one cell only: a comma list is an error, not its first value
+        assert cli.main(["relaxation", "--c", "5", "--eps", eps, "--r", r]) == 2
+        capsys.readouterr()
+
 
 class TestThreshold:
     def test_runs(self, capsys):

@@ -7,6 +7,32 @@ from bistab import relaxation, signals
 from bistab.model import DomainError, diagnostics, g_eval
 
 
+def brute_directed_hausdorff(a, b, chunk=512):
+    """Reference: every point of a against every segment of b."""
+    p, q = b[:-1], b[1:]
+    d = q - p
+    dd = np.maximum(np.sum(d * d, axis=1), 1e-300)
+    worst = 0.0
+    for i in range(0, len(a), chunk):
+        w = a[i : i + chunk, None, :] - p[None, :, :]
+        t = np.clip(np.sum(w * d[None, :, :], axis=2) / dd[None, :], 0.0, 1.0)
+        proj = p[None, :, :] + t[:, :, None] * d[None, :, :]
+        dist = np.sqrt(np.sum((a[i : i + chunk, None, :] - proj) ** 2, axis=2))
+        worst = max(worst, float(np.max(np.min(dist, axis=1))))
+    return worst
+
+
+def brute_hausdorff(a, b):
+    return max(brute_directed_hausdorff(a, b), brute_directed_hausdorff(b, a))
+
+
+def random_polyline(rng, n, n_long=0):
+    """A random walk of n points; n_long of its steps are 50 times longer."""
+    steps = rng.normal(size=(n - 1, 2))
+    steps[rng.choice(n - 1, size=n_long, replace=False)] *= 50.0
+    return np.vstack([np.zeros((1, 2)), np.cumsum(steps, axis=0)]) + rng.normal(size=2)
+
+
 class TestSpec:
     def test_signal_form(self):
         spec = relaxation.RelaxationSpec(5.0, 0.01, 1.0)
@@ -89,6 +115,10 @@ class TestGammaCurve:
         assert p[127, 0] == pytest.approx(diag.lam2)
         assert p[128, 0] == pytest.approx(diag.lam2)
         assert p[128, 1] - p[127, 1] > 1.0  # upward jump
+        # the closed-form branch ends lam / (double root)^2 sit on the fold values
+        assert p[0, 0] == pytest.approx(diag.lam1)
+        assert p[0, 1] == pytest.approx(diag.lam1 / diag.x2 ** 2)
+        assert p[128, 1] == pytest.approx(diag.lam2 / diag.x1 ** 2)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -119,6 +149,15 @@ class TestGeometry:
         assert relaxation.hausdorff_distance(a, b) == pytest.approx(
             relaxation.hausdorff_distance(b, a)
         )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hausdorff_exact_against_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            n, m = rng.integers(2, 300, size=2)
+            a = random_polyline(rng, n, n_long=min(3, n - 1))
+            b = random_polyline(rng, m, n_long=min(3, m - 1) * int(rng.integers(2)))
+            assert relaxation.hausdorff_distance(a, b) == brute_hausdorff(a, b)
 
     def test_hausdorff_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -156,6 +195,15 @@ class TestRunAnalysis:
         np.testing.assert_allclose(res.loop[0], res.loop[-1])
         assert res.area > 0.0
         assert res.hausdorff_to_gamma > 0.0
+        gamma = relaxation.gamma_curve(5.0, 512).polyline
+        assert res.hausdorff_to_gamma == brute_hausdorff(res.loop, gamma)
+        assert 0.0 <= res.closure_gap <= relaxation.CLOSURE_TOL
+        assert res.to_dict()["closure_gap"] == res.closure_gap
+
+    def test_closure_gap_above_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(relaxation, "CLOSURE_TOL", -1.0)
+        with pytest.raises(RuntimeError, match="does not close"):
+            relaxation.run_analysis(relaxation.RelaxationSpec(5.0, 0.05, 0.6), n_loop=256, gamma_points=64)
 
 
 class TestThreshold:
