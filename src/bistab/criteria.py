@@ -11,6 +11,7 @@ and borderline cases are deferred to the ``dynamics`` module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .model import C_BAND_MAX, DomainError, ScalarDiagnostics, diagnostics
@@ -206,6 +207,8 @@ def classify(
     bistability interval to a closed one; when None it is derived as "the
     signal is periodic and non-constant".
     """
+    if not (math.isfinite(c) and math.isfinite(lam)):
+        raise ValueError(f"classify requires finite c and lambda, got c = {c}, lambda = {lam}")
     if c <= 0.0:
         raise DomainError(f"classify requires c > 0, got c = {c}")
     b = bounds(signal)

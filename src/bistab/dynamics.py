@@ -47,6 +47,7 @@ FP_TOL = 1e-9
 DEDUP_TOL = 1e-6
 NONHYP_TOL = 1e-4  # |multiplier - 1| below this => non-hyperbolic
 SEPARATION_TOL = 1e-4  # state separation defining "two distinct solutions"
+CENSUS_SEEDS = 2048  # grid of the count-only census and of the fold solves
 
 RHS_KINDS = ("full", "concave-linear", "linear-convex")
 
@@ -61,16 +62,21 @@ class OdeSpec:
     lam: float
     signal: sig.SignalSpec
     rhs_kind: str = "full"
+    # the signal as a callable of t, compiled once here rather than on every rhs call
+    _signal_at: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not (math.isfinite(self.c) and math.isfinite(self.lam)):
+            raise ValueError(f"OdeSpec requires finite c and lambda, got c = {self.c}, lambda = {self.lam}")
         if self.rhs_kind not in RHS_KINDS:
             raise ValueError(f"rhs_kind must be one of {RHS_KINDS}, got {self.rhs_kind!r}")
         if self.rhs_kind != "full" and self.c <= 4.0:
             raise DomainError(f"rhs_kind {self.rhs_kind!r} requires c > 4, got c = {self.c}")
+        object.__setattr__(self, "_signal_at", sig.compile_signal(self.signal))
 
     def rhs(self, t, x):
         """dx/dt; x may be an array of states advanced in parallel."""
-        drive = self.lam + sig.eval(self.signal, t)
+        drive = self.lam + self._signal_at(t)
         if self.rhs_kind == "full":
             return drive + gbar_eval(self.c, x)
         halved = mg_minus if self.rhs_kind == "concave-linear" else mg_plus
@@ -128,20 +134,30 @@ def _escape_event(t, y):
     return ESCAPE_BOUND - float(np.max(np.abs(y)))
 
 
+def _state_escape_event(t, y):
+    """_escape_event on the states of the augmented system only: a large log
+    multiplier is not an escape."""
+    return _escape_event(t, y[: y.size // 2])
+
+
 _escape_event.terminal = True
+_state_escape_event.terminal = True
 
 
-def _solve(spec: OdeSpec, t0, y0, t1, abstol, reltol, rhs=None, dense=False, t_eval=None):
+def _solve(spec: OdeSpec, t0, y0, t1, abstol, reltol, augmented=False, dense=False, t_eval=None):
+    """solve_ivp of the states y0; ``augmented`` integrates each state's log
+    multiplier alongside (from 0), after the states in the solution."""
+    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     sol = solve_ivp(
-        rhs if rhs is not None else (lambda t, y: np.atleast_1d(spec.rhs(t, y))),
+        _augmented_rhs(spec) if augmented else (lambda t, y: np.atleast_1d(spec.rhs(t, y))),
         (t0, t1),
-        np.atleast_1d(np.asarray(y0, dtype=float)),
+        np.concatenate([y0, np.zeros_like(y0)]) if augmented else y0,
         method="RK45",
         atol=abstol,
         rtol=reltol,
         dense_output=dense,
         t_eval=t_eval,
-        events=_escape_event,
+        events=_state_escape_event if augmented else _escape_event,
         max_step=abs(t1 - t0) / 16.0,
     )
     if sol.status == 1:
@@ -165,9 +181,13 @@ def integrate(
     """Trajectory from (t0, x0) to t1; t1 < t0 integrates backward.
 
     The returned times are always increasing (a backward run is reversed).
+    The state is integrated together with the multiplier integrand, as in
+    ``poincare_map_log``, so the solver takes the period map's steps: one
+    period from a fixed point refined on that map returns to it to rounding,
+    not merely to the integration tolerance.
     """
     t_eval = np.linspace(t0, t1, n_samples) if n_samples else None
-    sol = _solve(spec, t0, x0, t1, abstol, reltol, dense=t_eval is None, t_eval=t_eval)
+    sol = _solve(spec, t0, x0, t1, abstol, reltol, augmented=True, dense=t_eval is None, t_eval=t_eval)
     times, values = sol.t, sol.y[0]
     if t1 < t0:
         times, values = times[::-1], values[::-1]
@@ -190,7 +210,7 @@ def poincare_map_log(spec: OdeSpec, T: float, x0: float, backward: bool = False)
     x(0) and the same forward-oriented integral taken along the backward arc.
     """
     t0, t1 = (T, 0.0) if backward else (0.0, T)
-    sol = _solve(spec, t0, [x0, 0.0], t1, ABSTOL, RELTOL, rhs=_augmented_rhs(spec))
+    sol = _solve(spec, t0, x0, t1, ABSTOL, RELTOL, augmented=True)
     xT, L = float(sol.y[0, -1]), float(sol.y[1, -1])
     return xT, (-L if backward else L)
 
@@ -273,10 +293,15 @@ def _displacement_grid(spec: OdeSpec, T: float, xs: np.ndarray) -> np.ndarray:
     return sol.y[:, -1] - xs
 
 
+def _seed_grid(spec: OdeSpec, n: int) -> np.ndarray:
+    """n evenly spaced census seeds over the scan interval."""
+    lo, hi = _scan_interval(spec)
+    return np.linspace(lo, hi, n)
+
+
 def _brackets(spec: OdeSpec, T: float, n: int) -> list[tuple[float, float, bool]]:
     """(xa, xb, attractive_crossing) for every sign change of the displacement."""
-    lo, hi = _scan_interval(spec)
-    xs = np.linspace(lo, hi, n)
+    xs = _seed_grid(spec, n)
     d = _displacement_grid(spec, T, xs)
     out = []
     for i in range(n - 1):
@@ -330,15 +355,8 @@ def find_periodic_solutions(spec: OdeSpec, T: float, n_samples: int = 512) -> li
             continue
         # sample/measure repulsive orbits backward: forward integration falls
         # off them before one period when the multiplier is extreme
-        sol = _solve(
-            spec,
-            0.0 if attractive else T,
-            [x0, 0.0],
-            T if attractive else 0.0,
-            ABSTOL,
-            RELTOL,
-            rhs=_augmented_rhs(spec),
-        )
+        t0, t1 = (0.0, T) if attractive else (T, 0.0)
+        sol = _solve(spec, t0, x0, t1, ABSTOL, RELTOL, augmented=True)
         ts, xs, L = sol.t, sol.y[0], float(sol.y[1, -1])
         if not attractive:
             ts, xs, L = ts[::-1], xs[::-1], -L
@@ -377,7 +395,7 @@ def finite_time_exponent(spec: OdeSpec, traj: Trajectory) -> float:
     return float(np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(traj.times)) / span)
 
 
-def count_separated_solutions(spec: OdeSpec, T: float, n: int = 2048) -> int:
+def count_separated_solutions(spec: OdeSpec, T: float, n: int = CENSUS_SEEDS) -> int:
     """Number of pairwise separated (> SEPARATION_TOL) period-map crossings.
 
     Count-only fast path: no refinement or multipliers, one vectorized scan.
@@ -407,13 +425,19 @@ def estimate_lambda_pm(
     c: float, signal: sig.SignalSpec, tol: float = 1e-5
 ) -> tuple[float, float, dict]:
     """Bifurcation values (lambda_minus, lambda_plus) of the comparison
-    equations, by bisection on "the census finds >= 2 separated solutions".
+    equations, as roots in lambda of the extremum of the displacement.
 
-    The concave-linear equation has two bounded solutions exactly above its
-    bifurcation value and the linear-convex one exactly below; the seed
-    brackets come from the closed-form sandwich around lam1 and lam2.  The
-    returned metadata notes that for non-constant inputs the period-map
-    predicate is a surrogate of the shift-family definition (equivalent for
+    The concave-linear rhs is concave in the state, so its period map P is
+    concave and d = P(x) - x has a single maximum; the linear-convex one is
+    the mirror case, d convex with a single minimum.  P increases in lambda,
+    so d.max() (concave-linear) and -d.min() (linear-convex), taken on the
+    census grid, are monotone in lambda and positive exactly where the
+    census finds two separated solutions: above lambda_minus and below
+    lambda_plus.  brentq solves each to xtol = tol inside the closed-form
+    sandwich bracket around lam1 and lam2; a trajectory that escapes counts
+    as "no two solutions".  The metadata reports the number of grid scans
+    per value and notes that for non-constant inputs the period-map
+    condition is a surrogate of the shift-family definition (equivalent for
     periodic inputs).
     """
     if c <= 4.0:
@@ -422,37 +446,41 @@ def estimate_lambda_pm(
     b = sig.bounds(signal)
     h1 = lam2(c) - lam1(c)
     margin = max(h1, 10.0 * tol)
+    scans = {}
 
-    def bisect(center: float, rhs_kind: str, two_above: bool) -> float:
+    def fold(center: float, rhs_kind: str) -> float:
+        # the extremum of d, signed to be positive where two solutions exist
+        sign = 1.0 if rhs_kind == "concave-linear" else -1.0
+        values = {}  # brentq starts by evaluating the two bracket ends again
+
+        def extremum(lam: float) -> float:
+            if lam not in values:
+                spec = OdeSpec(c, lam, signal, rhs_kind)
+                xs = _seed_grid(spec, CENSUS_SEEDS)
+                try:
+                    values[lam] = float(np.max(sign * _displacement_grid(spec, T, xs)))
+                except FiniteEscapeError:
+                    # a seed ran off to infinity: "no two solutions", on the scale of the grid
+                    values[lam] = -(xs[-1] - xs[0])
+            return values[lam]
+
         lo, hi = center - b.sup - margin, center - b.inf + margin
-        spec_at = lambda lam: OdeSpec(c, lam, signal, rhs_kind)
-
-        def predicate(lam: float) -> bool:
-            try:
-                return count_separated_solutions(spec_at(lam), T) >= 2
-            except FiniteEscapeError:
-                return False
-
-        p_lo, p_hi = predicate(lo), predicate(hi)
-        if p_lo == p_hi:
+        f_lo, f_hi = extremum(lo), extremum(hi)
+        if (f_lo > 0.0) == (f_hi > 0.0):
             raise RuntimeError(
                 f"bracket [{lo:.6g}, {hi:.6g}] does not straddle the {rhs_kind} bifurcation"
             )
-        # two_above: predicate False below the bifurcation value, True above
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if predicate(mid) == two_above:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+        root = float(brentq(extremum, lo, hi, xtol=tol))
+        scans[rhs_kind] = len(values)
+        return root
 
-    lam_minus = bisect(lam1(c), "concave-linear", two_above=True)
-    lam_plus = bisect(lam2(c), "linear-convex", two_above=False)
+    lam_minus = fold(lam1(c), "concave-linear")
+    lam_plus = fold(lam2(c), "linear-convex")
     meta = {
         "tol": tol,
         "period": T,
-        "note": "period-map predicate is a surrogate of the shift-family "
+        "scans": {"lambda_minus": scans["concave-linear"], "lambda_plus": scans["linear-convex"]},
+        "note": "period-map condition is a surrogate of the shift-family "
         "definition; exact for constant and periodic inputs",
     }
     return lam_minus, lam_plus, meta

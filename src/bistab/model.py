@@ -46,10 +46,20 @@ def g_derivs(c, x):
 
 
 def gbar_eval(c, x):
-    """C^2 extension of g: equals g for x >= 0, -(1+2c)x - x^3 for x < 0."""
+    """C^2 extension of g: equals g for x >= 0, -(1+2c)x - x^3 for x < 0.
+
+    The cubic (a libm ``pow`` per entry, the costly part) is evaluated only
+    on the entries where x < 0; scans and the full flow stay at x >= 0.
+    Scalars go through the same array arithmetic, so every entry is the same
+    float either way."""
     x = np.asarray(x, dtype=float)
-    out = np.where(x >= 0.0, -x - 2.0 * c * x / (1.0 + x * x), -(1.0 + 2.0 * c) * x - x ** 3)
-    return out if out.ndim else float(out)
+    xs = np.atleast_1d(x)
+    out = -xs - 2.0 * c * xs / (1.0 + xs * xs)
+    neg = xs < 0.0
+    if neg.any():
+        xn = xs[neg]
+        out[neg] = -(1.0 + 2.0 * c) * xn - xn ** 3
+    return out.reshape(x.shape) if x.ndim else float(out[0])
 
 
 def gbar_deriv(c, x):

@@ -34,6 +34,8 @@ class RelaxationSpec:
     r: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.c, self.eps, self.r)):
+            raise ValueError(f"RelaxationSpec requires finite c, eps and r, got {self}")
         if self.c <= 4.0:
             raise DomainError(f"RelaxationSpec requires c > 4, got c = {self.c}")
         if not 0.0 < self.eps < 1.0:

@@ -27,9 +27,17 @@ _GRID_PER_PERIOD = 4096
 _QUAD_TAIL_TOL = 1e-12
 
 
+def _require_finite(what: str, values) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{what} must be finite")
+
+
 @dataclass(frozen=True)
 class Constant:
     a0: float
+
+    def __post_init__(self):
+        _require_finite("Constant a0", (self.a0,))
 
 
 @dataclass(frozen=True)
@@ -46,6 +54,7 @@ class TrigSum:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple((float(a), float(th), float(ph)) for a, th, ph in self.terms))
+        _require_finite("TrigSum a0 and terms", (self.a0, *(v for term in self.terms for v in term)))
         if any(th <= 0.0 for _, th, _ in self.terms):
             raise ValueError("TrigSum frequencies must be strictly positive")
 
@@ -63,6 +72,7 @@ class FourierCesaro:
     def __post_init__(self):
         object.__setattr__(self, "a_coeffs", tuple(float(v) for v in self.a_coeffs))
         object.__setattr__(self, "b_coeffs", tuple(float(v) for v in self.b_coeffs))
+        _require_finite("FourierCesaro a0 and coefficients", (self.a0, *self.a_coeffs, *self.b_coeffs))
         if self.n_terms < 2:
             raise ValueError("FourierCesaro needs n_terms >= 2")
 
@@ -79,6 +89,7 @@ class SampledPeriodic:
     def __post_init__(self):
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        _require_finite("SampledPeriodic period, times and values", (self.period, *self.times, *self.values))
         if self.period <= 0.0:
             raise ValueError("period must be positive")
         if len(self.times) < 4 or len(self.times) != len(self.values):
@@ -134,21 +145,58 @@ def _as_trig(signal: SignalSpec) -> tuple[float, tuple[tuple[float, float, float
     return None
 
 
-def eval(signal: SignalSpec, t):
-    """Value y(t); t may be a scalar or an array."""
-    t = np.asarray(t, dtype=float)
-    trig = _as_trig(signal)
-    if trig is not None:
-        a0, terms = trig
-        out = np.full(t.shape, a0)
-        for a, th, ph in terms:
+class _TrigEval:
+    """a0 + sum a cos(th t + ph) over fixed terms.  A float t is summed term
+    by term with math.cos in the array path's order, so both give the same
+    float without the array overhead."""
+
+    __slots__ = ("a0", "terms")
+
+    def __init__(self, a0: float, terms: tuple[tuple[float, float, float], ...]):
+        self.a0, self.terms = a0, terms
+
+    def __call__(self, t):
+        if isinstance(t, float):
+            out = self.a0
+            for a, th, ph in self.terms:
+                out = out + a * math.cos(th * t + ph)
+            return float(out)
+        t = np.asarray(t, dtype=float)
+        out = np.full(t.shape, self.a0)
+        for a, th, ph in self.terms:
             out = out + a * np.cos(th * t + ph)
         return out if out.ndim else float(out)
+
+
+class _SampledEval:
+    """Periodic linear interpolation through fixed nodes."""
+
+    __slots__ = ("period", "ts", "vs")
+
+    def __init__(self, signal: SampledPeriodic):
+        self.period = signal.period
+        self.ts = np.asarray(signal.times + (signal.times[0] + signal.period,))
+        self.vs = np.asarray(signal.values + (signal.values[0],))
+
+    def __call__(self, t):
+        out = np.interp(np.mod(t, self.period), self.ts, self.vs, period=self.period)
+        return out if np.ndim(out) else float(out)
+
+
+def compile_signal(signal: SignalSpec):
+    """y as a callable of t alone.  Everything that does not depend on t (the
+    Cesaro weights, the cosine terms, the interpolation nodes) is computed
+    here, once, instead of on every evaluation."""
+    trig = _as_trig(signal)
+    if trig is not None:
+        return _TrigEval(*trig)
     assert isinstance(signal, SampledPeriodic)
-    ts = np.asarray(signal.times + (signal.times[0] + signal.period,))
-    vs = np.asarray(signal.values + (signal.values[0],))
-    out = np.interp(np.mod(t, signal.period), ts, vs, period=signal.period)
-    return out if out.ndim else float(out)
+    return _SampledEval(signal)
+
+
+def eval(signal: SignalSpec, t):
+    """Value y(t); t may be a scalar or an array."""
+    return compile_signal(signal)(t)
 
 
 def fundamental_period(signal: SignalSpec, max_lcm: int = 100_000) -> float | None:

@@ -149,6 +149,12 @@ class TestClassify:
         with pytest.raises(DomainError):
             criteria.classify(-1.0, 1.0, signals.Constant(0.0))
 
+    @pytest.mark.parametrize("c,lam", [(math.nan, 6.0), (math.inf, 6.0), (5.0, math.nan), (5.0, math.inf)])
+    def test_rejects_non_finite(self, c, lam):
+        # nan compares false everywhere, so no rule may be allowed to "hold" on it
+        with pytest.raises(ValueError, match="finite"):
+            criteria.classify(c, lam, signals.Constant(0.0))
+
     def test_monotone_in_lambda_inside_interval(self):
         diag = diagnostics(5.0)
         y = sine(0.04)

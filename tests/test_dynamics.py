@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,14 @@ class TestIntegrate:
         with pytest.raises(dynamics.FiniteEscapeError):
             dynamics.integrate(spec, 0.0, -1.0, 100.0)
 
+    def test_large_log_multiplier_is_not_an_escape(self, monkeypatch):
+        # the multiplier integrand runs alongside x; only x may trigger the escape bound
+        monkeypatch.setattr(dynamics, "ESCAPE_BOUND", 50.0)
+        spec = dynamics.OdeSpec(5.0, 0.0, ZERO)  # x -> 0, log multiplier ~ -11 t
+        traj = dynamics.integrate(spec, 0.0, 1.0, 10.0)
+        assert abs(traj.values[-1]) < 1e-8
+        assert dynamics.poincare_map_log(spec, 10.0, 1.0)[1] < -50.0
+
     def test_csv_rows(self):
         spec = dynamics.OdeSpec(5.0, 6.0, ZERO)
         rows = list(dynamics.integrate(spec, 0.0, 1.0, 1.0, n_samples=5).to_csv_rows())
@@ -76,6 +85,11 @@ class TestOdeSpecValidation:
     def test_recentered_kinds_need_supercritical_c(self):
         with pytest.raises(model.DomainError):
             dynamics.OdeSpec(4.0, 1.0, ZERO, rhs_kind="linear-convex")
+
+    @pytest.mark.parametrize("c,lam", [(math.nan, 1.0), (5.0, math.inf), (-math.inf, 1.0), (5.0, math.nan)])
+    def test_rejects_non_finite(self, c, lam):
+        with pytest.raises(ValueError, match="finite"):
+            dynamics.OdeSpec(c, lam, ZERO)
 
 
 class TestPoincareMap:
@@ -204,3 +218,78 @@ class TestBifurcationEstimates:
     def test_rejects_subcritical(self):
         with pytest.raises(model.DomainError):
             dynamics.estimate_lambda_pm(4.0, ZERO)
+
+
+def bisect_lambda_pm(c, signal, tol):
+    """Oracle: bisection on "the census finds >= 2 separated solutions" over
+    the closed-form sandwich bracket (an escaping trajectory counts as
+    fewer).  Returns (lambda_minus, lambda_plus, census calls per side)."""
+    T = dynamics._signal_period(signal)
+    b = signals.bounds(signal)
+    margin = max(model.lam2(c) - model.lam1(c), 10.0 * tol)
+    calls = {}
+
+    def bisect(center, rhs_kind, two_above):
+        lo, hi = center - b.sup - margin, center - b.inf + margin
+        calls[rhs_kind] = 0
+
+        def predicate(lam):
+            calls[rhs_kind] += 1
+            try:
+                return dynamics.count_separated_solutions(dynamics.OdeSpec(c, lam, signal, rhs_kind), T) >= 2
+            except dynamics.FiniteEscapeError:
+                return False
+
+        if predicate(lo) == predicate(hi):
+            raise RuntimeError(f"bracket [{lo:.6g}, {hi:.6g}] does not straddle the {rhs_kind} bifurcation")
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if predicate(mid) == two_above:
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
+
+    lam_minus = bisect(model.lam1(c), "concave-linear", two_above=True)
+    lam_plus = bisect(model.lam2(c), "linear-convex", two_above=False)
+    return lam_minus, lam_plus, calls
+
+
+FOLD_SIGNALS = {
+    "constant": signals.Constant(0.02),
+    "trig": signals.TrigSum(0.0, ((0.03, 1.0, 0.4),)),
+    "cesaro": signals.FourierCesaro(0.005, (0.02, -0.01), (0.015,), 6),
+}
+
+
+class TestFoldSolveAgainstBisection:
+    @pytest.mark.parametrize("c", [5.0, 8.0])
+    @pytest.mark.parametrize("name", list(FOLD_SIGNALS))
+    def test_matches_bisection(self, c, name):
+        tol = 1e-5
+        lam_minus, lam_plus, meta = dynamics.estimate_lambda_pm(c, FOLD_SIGNALS[name], tol=tol)
+        want_minus, want_plus, calls = bisect_lambda_pm(c, FOLD_SIGNALS[name], tol)
+        assert abs(lam_minus - want_minus) <= tol
+        assert abs(lam_plus - want_plus) <= tol
+        # fewer period-map scans than the bisection needs
+        assert 2 <= meta["scans"]["lambda_minus"] < calls["concave-linear"]
+        assert 2 <= meta["scans"]["lambda_plus"] < calls["linear-convex"]
+
+    def test_escaping_bracket_end(self):
+        # slow forcing: at the upper end of the linear-convex bracket a seed
+        # runs off to infinity within one period (11.6)
+        c, tol = 8.0, 1e-5
+        y = signals.TrigSum(0.0, ((0.03, 0.54, 0.0),))
+        T = dynamics._signal_period(y)
+        hi = model.lam2(c) - signals.bounds(y).inf + (model.lam2(c) - model.lam1(c))
+        with pytest.raises(dynamics.FiniteEscapeError):
+            dynamics.count_separated_solutions(dynamics.OdeSpec(c, hi, y, "linear-convex"), T)
+        try:
+            want = bisect_lambda_pm(c, y, tol)
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError, match=re.escape(str(exc))):
+                dynamics.estimate_lambda_pm(c, y, tol=tol)
+            return
+        lam_minus, lam_plus, _ = dynamics.estimate_lambda_pm(c, y, tol=tol)
+        assert abs(lam_minus - want[0]) <= tol
+        assert abs(lam_plus - want[1]) <= tol

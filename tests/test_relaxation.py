@@ -55,6 +55,11 @@ class TestSpec:
         with pytest.raises(ValueError):
             relaxation.RelaxationSpec(5.0, 0.01, -0.5)
 
+    @pytest.mark.parametrize("c,eps,r", [(math.nan, 0.01, 1.0), (5.0, math.nan, 1.0), (5.0, 0.01, math.inf)])
+    def test_rejects_non_finite(self, c, eps, r):
+        with pytest.raises(ValueError, match="finite"):
+            relaxation.RelaxationSpec(c, eps, r)
+
 
 class TestForcing:
     def test_values(self):
@@ -199,6 +204,16 @@ class TestRunAnalysis:
         assert res.hausdorff_to_gamma == brute_hausdorff(res.loop, gamma)
         assert 0.0 <= res.closure_gap <= relaxation.CLOSURE_TOL
         assert res.to_dict()["closure_gap"] == res.closure_gap
+
+    def test_long_period_loop_closes(self):
+        # T = 305: re-integrating the plain flow from the refined fixed point
+        # used to miss it by 1.6e-5 here, because its steps differ from those
+        # of the augmented period map the point was refined on
+        spec = relaxation.RelaxationSpec(5.0, 0.020599074825660604, 1.1858362259781592)
+        res = relaxation.run_analysis(spec)
+        assert res.regime == "relaxation" and res.n_fixed_points == 1
+        assert res.closure_gap <= relaxation.CLOSURE_TOL
+        assert res.loop[0, 1] == res.solutions[0].fixed_point
 
     def test_closure_gap_above_tolerance_raises(self, monkeypatch):
         monkeypatch.setattr(relaxation, "CLOSURE_TOL", -1.0)

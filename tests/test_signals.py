@@ -61,6 +61,39 @@ class TestValidation:
             signals.FourierCesaro(0.0, (1.0,), (), 1)
 
 
+class TestFiniteValidation:
+    @pytest.mark.parametrize("a0", [math.nan, math.inf, -math.inf])
+    def test_constant(self, a0):
+        with pytest.raises(ValueError, match="finite"):
+            signals.Constant(a0)
+
+    @pytest.mark.parametrize(
+        "a0,term", [(math.nan, (1.0, 1.0, 0.0)), (0.0, (math.inf, 1.0, 0.0)), (0.0, (1.0, math.inf, 0.0)),
+                    (0.0, (1.0, math.nan, 0.0)), (0.0, (1.0, 1.0, -math.inf))])
+    def test_trig_sum(self, a0, term):
+        with pytest.raises(ValueError, match="finite"):
+            signals.TrigSum(a0, (term,))
+
+    @pytest.mark.parametrize(
+        "a0,a,b", [(math.inf, (1.0,), ()), (0.0, (math.nan,), ()), (0.0, (1.0,), (math.inf,))])
+    def test_fourier_cesaro(self, a0, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            signals.FourierCesaro(a0, a, b, 4)
+
+    @pytest.mark.parametrize(
+        "period,times,values", [(math.inf, (0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 0.0, -1.0)),
+                                (math.nan, (0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 0.0, -1.0)),
+                                (4.0, (0.0, 1.0, math.nan, 3.0), (0.0, 1.0, 0.0, -1.0)),
+                                (4.0, (0.0, 1.0, 2.0, 3.0), (0.0, math.inf, 0.0, -1.0))])
+    def test_sampled_periodic(self, period, times, values):
+        with pytest.raises(ValueError, match="finite"):
+            signals.SampledPeriodic(period, times, values)
+
+    def test_json_document_with_non_finite_value_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            signals.signal_from_json({"type": "constant", "a0": float("nan")})
+
+
 class TestPeriod:
     def test_single_term(self):
         assert signals.fundamental_period(single(theta=2.0)) == pytest.approx(math.pi)
