@@ -53,6 +53,7 @@ from .dynamics import (
     integrate,
     poincare_map,
     poincare_multiplier_fd,
+    signal_period,
 )
 from .relaxation import (
     GammaCurve,

@@ -67,16 +67,6 @@ def _emit(args, config: dict, rows: list[dict], fieldnames: list[str]) -> None:
             out.close()
 
 
-def _signal_period_or_one(signal: signals.SignalSpec) -> float:
-    period = signals.fundamental_period(signal)
-    if period is not None:
-        return period
-    b = signals.bounds(signal)
-    if b.sup == b.inf:
-        return 1.0
-    raise ValidationError("signal must be constant or periodic for this command")
-
-
 def cmd_diagnostics(args) -> None:
     d = diagnostics(args.c).to_dict()
     _emit(args, {"command": "diagnostics", "c": args.c}, [d], list(d))
@@ -136,7 +126,7 @@ def cmd_bifurcation(args) -> None:
 
 def cmd_poincare(args) -> None:
     signal = _load_signal(args.signal)
-    T = _signal_period_or_one(signal)
+    T = dynamics.signal_period(signal)
     spec = dynamics.OdeSpec(args.c, args.lam, signal)
     sols = dynamics.find_periodic_solutions(spec, T)
     rows = [

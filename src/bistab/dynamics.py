@@ -38,6 +38,7 @@ from .model import (
     mg_minus_deriv,
     mg_plus,
     mg_plus_deriv,
+    x2,
 )
 
 ABSTOL = 1e-10
@@ -48,6 +49,8 @@ DEDUP_TOL = 1e-6
 NONHYP_TOL = 1e-4  # |multiplier - 1| below this => non-hyperbolic
 SEPARATION_TOL = 1e-4  # state separation defining "two distinct solutions"
 CENSUS_SEEDS = 2048  # grid of the count-only census and of the fold solves
+# the full census starts at the first and doubles up to the second grid size
+STABLE_SEEDS = (512, 8192)
 
 RHS_KINDS = ("full", "concave-linear", "linear-convex")
 
@@ -264,20 +267,24 @@ def poincare_multiplier_fd(
     return total
 
 
-def _scan_interval(spec: OdeSpec) -> tuple[float, float]:
-    """Scan interval for the fixed-point census.
+def _scan_interval(spec: OdeSpec) -> tuple[float, float] | None:
+    """Scan interval for the fixed-point census, or None when it is empty.
 
     The ceiling rho satisfies gbar(rho) = -max(lam2, lam + sup y) - 1, so
     every bounded solution in the analyzed regimes lies below it; for the
     recentered comparison equations the interval is shifted by -sqrt(3).
+    For c <= 4 and lam + sup y <= -1 there is no ceiling above 0: x' <= -1
+    on all of x >= 0, so no solution there is bounded.
     """
     target = -(spec.lam + sig.bounds(spec.signal).sup) - 1.0
+    if spec.c <= 4.0 and target >= 0.0:
+        return None
     if spec.c > 4.0:
         target = min(target, -lam2(spec.c) - 1.0)
     # below: the smallest state the ceiling can exceed.  For c > 4 that is x2
     # (the decreasing tail of gbar starts there); for c <= 4 gbar decreases on
     # the whole half-line, so the root may sit anywhere above 0.
-    lo_x = 0.0 if spec.c <= 4.0 else math.sqrt(spec.c - 1.0 + math.sqrt(spec.c * (spec.c - 4.0)))
+    lo_x = 0.0 if spec.c <= 4.0 else x2(spec.c)
     hi = max(lo_x + 1.0, 2.0)
     while gbar_eval(spec.c, hi) > target:
         hi *= 2.0
@@ -293,15 +300,12 @@ def _displacement_grid(spec: OdeSpec, T: float, xs: np.ndarray) -> np.ndarray:
     return sol.y[:, -1] - xs
 
 
-def _seed_grid(spec: OdeSpec, n: int) -> np.ndarray:
-    """n evenly spaced census seeds over the scan interval."""
-    lo, hi = _scan_interval(spec)
-    return np.linspace(lo, hi, n)
-
-
 def _brackets(spec: OdeSpec, T: float, n: int) -> list[tuple[float, float, bool]]:
     """(xa, xb, attractive_crossing) for every sign change of the displacement."""
-    xs = _seed_grid(spec, n)
+    interval = _scan_interval(spec)
+    if interval is None:
+        return []
+    xs = np.linspace(*interval, n)
     d = _displacement_grid(spec, T, xs)
     out = []
     for i in range(n - 1):
@@ -313,9 +317,10 @@ def _brackets(spec: OdeSpec, T: float, n: int) -> list[tuple[float, float, bool]
     return out
 
 
-def _stable_brackets(spec: OdeSpec, T: float, n0: int = 512, n_max: int = 8192):
+def _stable_brackets(spec: OdeSpec, T: float):
     """Grid scan doubled until the crossing count stabilizes twice in a row."""
-    n, streak = n0, 0
+    n, n_max = STABLE_SEEDS
+    streak = 0
     brk = _brackets(spec, T, n)
     while streak < 2 and n < n_max:
         n *= 2
@@ -342,7 +347,7 @@ def _refine_fixed_point(spec: OdeSpec, T: float, xa: float, xb: float, attractiv
     return float(brentq(lambda s: poincare_map_log(spec, T, s)[0] - s, xa, xb, xtol=FP_TOL))
 
 
-def find_periodic_solutions(spec: OdeSpec, T: float, n_samples: int = 512) -> list[PeriodicSolution]:
+def find_periodic_solutions(spec: OdeSpec, T: float) -> list[PeriodicSolution]:
     """All T-periodic solutions found by the census over the scan interval.
 
     Requires the input to be constant or T-periodic.  Each solution carries
@@ -395,12 +400,12 @@ def finite_time_exponent(spec: OdeSpec, traj: Trajectory) -> float:
     return float(np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(traj.times)) / span)
 
 
-def count_separated_solutions(spec: OdeSpec, T: float, n: int = CENSUS_SEEDS) -> int:
+def count_separated_solutions(spec: OdeSpec, T: float) -> int:
     """Number of pairwise separated (> SEPARATION_TOL) period-map crossings.
 
     Count-only fast path: no refinement or multipliers, one vectorized scan.
     """
-    mids = sorted(0.5 * (xa + xb) for xa, xb, _ in _brackets(spec, T, n))
+    mids = sorted(0.5 * (xa + xb) for xa, xb, _ in _brackets(spec, T, CENSUS_SEEDS))
     count = 0
     last = None
     for m in mids:
@@ -410,14 +415,16 @@ def count_separated_solutions(spec: OdeSpec, T: float, n: int = CENSUS_SEEDS) ->
     return count
 
 
-def _signal_period(signal: sig.SignalSpec) -> float:
+def signal_period(signal: sig.SignalSpec) -> float:
+    """Section time of the period map: the fundamental period of a periodic
+    signal, or 1.0 for a constant-valued one (the equation is autonomous, so
+    any section time works).  Raises ValueError for any other signal."""
     period = sig.fundamental_period(signal)
     if period is not None:
         return period
-    if isinstance(signal, sig.Constant) or not sig.is_periodic_nonconstant(signal):
-        b = sig.bounds(signal)
-        if b.sup == b.inf:
-            return 1.0  # autonomous: any section time works
+    b = sig.bounds(signal)
+    if b.sup == b.inf:
+        return 1.0
     raise ValueError("signal must be constant or periodic")
 
 
@@ -442,7 +449,7 @@ def estimate_lambda_pm(
     """
     if c <= 4.0:
         raise DomainError(f"estimate_lambda_pm requires c > 4, got c = {c}")
-    T = _signal_period(signal)
+    T = signal_period(signal)
     b = sig.bounds(signal)
     h1 = lam2(c) - lam1(c)
     margin = max(h1, 10.0 * tol)
@@ -456,7 +463,7 @@ def estimate_lambda_pm(
         def extremum(lam: float) -> float:
             if lam not in values:
                 spec = OdeSpec(c, lam, signal, rhs_kind)
-                xs = _seed_grid(spec, CENSUS_SEEDS)
+                xs = np.linspace(*_scan_interval(spec), CENSUS_SEEDS)
                 try:
                     values[lam] = float(np.max(sign * _displacement_grid(spec, T, xs)))
                 except FiniteEscapeError:

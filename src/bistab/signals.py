@@ -25,6 +25,7 @@ TWO_PI = 2.0 * math.pi
 _GOLDEN_XTOL = 1e-10
 _GRID_PER_PERIOD = 4096
 _QUAD_TAIL_TOL = 1e-12
+_MAX_LCM = 100_000  # larger common denominators of the frequency ratios count as incommensurate
 
 
 def _require_finite(what: str, values) -> None:
@@ -199,16 +200,13 @@ def eval(signal: SignalSpec, t):
     return compile_signal(signal)(t)
 
 
-def fundamental_period(signal: SignalSpec, max_lcm: int = 100_000) -> float | None:
+def fundamental_period(signal: SignalSpec) -> float | None:
     """Common period of the signal, or None (constant or incommensurate)."""
     if isinstance(signal, SampledPeriodic):
         return signal.period
     if isinstance(signal, FourierCesaro):
         return TWO_PI if _cesaro_terms(signal) else None
-    trig = _as_trig(signal)
-    if trig is None:
-        return None
-    terms = [(a, th) for a, th, _ in trig[1] if a != 0.0]
+    terms = [(a, th) for a, th, _ in _as_trig(signal)[1] if a != 0.0]
     if not terms:
         return None
     th0 = terms[0][1]
@@ -218,24 +216,19 @@ def fundamental_period(signal: SignalSpec, max_lcm: int = 100_000) -> float | No
         if abs(float(frac) - th / th0) > 1e-9 * max(1.0, th / th0):
             return None  # not commensurate at resolvable precision
         lcm = lcm * frac.denominator // math.gcd(lcm, frac.denominator)
-        if lcm > max_lcm:
+        if lcm > _MAX_LCM:
             return None
     # T*th_n/(2 pi) integral for all n  <=>  T = (2 pi / th0) * lcm(q_n)
     return TWO_PI / th0 * lcm
 
 
 def is_periodic_nonconstant(signal: SignalSpec) -> bool:
-    if isinstance(signal, Constant):
-        return False
     if isinstance(signal, SampledPeriodic):
         return max(signal.values) > min(signal.values)
-    trig = _as_trig(signal)
-    if trig is None or not any(a != 0.0 for a, _, _ in trig[1]):
-        return False
     return fundamental_period(signal) is not None
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float = _GOLDEN_XTOL) -> tuple[float, float]:
+def _golden_max(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
     """Golden-section maximization on [lo, hi]."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -255,42 +248,42 @@ def _golden_max(f, lo: float, hi: float, xtol: float = _GOLDEN_XTOL) -> tuple[fl
     return xm, f(xm)
 
 
-def _scan_extremes(f_vec, f_scalar, window: float, n: int) -> tuple[float, float]:
+def _scan_extremes(f_vec, f_scalar, window: float, n: int, xtol: float) -> tuple[float, float]:
     """Grid scan of f on [0, window] with golden refinement at both extremes."""
     r = np.linspace(0.0, window, n, endpoint=False)
     v = f_vec(r)
     h = window / n
     imax = int(np.argmax(v))
     imin = int(np.argmin(v))
-    _, vmax = _golden_max(f_scalar, r[imax] - h, r[imax] + h)
-    _, vmin_neg = _golden_max(lambda x: -f_scalar(x), r[imin] - h, r[imin] + h)
+    _, vmax = _golden_max(f_scalar, r[imax] - h, r[imax] + h, xtol)
+    _, vmin_neg = _golden_max(lambda x: -f_scalar(x), r[imin] - h, r[imin] + h, xtol)
     return float(vmax), float(-vmin_neg)
+
+
+def _series_form(signal: SignalSpec) -> tuple[float, tuple[tuple[float, float, float], ...], float | None]:
+    """(a0, nonzero-amplitude terms, scan window) of a trigonometric signal.
+    The window is None when the extremes are the term-wise sums (at most one
+    term, or a sum flagged rationally independent); otherwise it is one common
+    period, or 64 periods of the slowest term if the frequencies are incommensurate."""
+    a0, terms = _as_trig(signal)
+    terms = tuple(t for t in terms if t[0] != 0.0)
+    if len(terms) <= 1 or (isinstance(signal, TrigSum) and signal.rationally_independent):
+        return a0, terms, None
+    period = fundamental_period(signal)
+    return a0, terms, period if period is not None else 64.0 * TWO_PI / min(th for _, th, _ in terms)
 
 
 def bounds(signal: SignalSpec) -> SignalBounds:
     """sup and inf of y over all time."""
-    trig = _as_trig(signal)
-    if trig is not None:
-        a0, terms = trig
-        terms = tuple(t for t in terms if t[0] != 0.0)
-        if not terms:
-            return SignalBounds(a0, a0, True)
-        total = sum(abs(a) for a, _, _ in terms)
-        if len(terms) == 1:
-            return SignalBounds(a0 + total, a0 - total, True)
-        if isinstance(signal, TrigSum) and signal.rationally_independent:
-            return SignalBounds(a0 + total, a0 - total, True)
-    period = fundamental_period(signal)
-    if period is None:
-        # incommensurate without the independence flag: scan a long window
-        assert trig is not None
-        period = 64.0 * TWO_PI / min(th for _, th, _ in trig[1])
-    sup, inf = _scan_extremes(
-        lambda r: eval(signal, r), lambda r: eval(signal, float(r)), period, _GRID_PER_PERIOD
-    )
     if isinstance(signal, SampledPeriodic):
         # linear interpolant attains extremes at sample nodes
         return SignalBounds(max(signal.values), min(signal.values), False)
+    a0, terms, window = _series_form(signal)
+    if window is None:
+        total = sum(abs(a) for a, _, _ in terms)
+        return SignalBounds(a0 + total, a0 - total, True)
+    y = compile_signal(signal)
+    sup, inf = _scan_extremes(y, lambda r: y(float(r)), window, _GRID_PER_PERIOD, _GOLDEN_XTOL)
     return SignalBounds(sup, inf, False)
 
 
@@ -349,35 +342,23 @@ def weighted_bounds(signal: SignalSpec, dfrak: float) -> WeightedBounds:
     """Extremes over r of the Laplace-weighted average."""
     if dfrak <= 0.0:
         raise ValueError(f"weighted_bounds requires dfrak > 0, got {dfrak}")
-    trig = _as_trig(signal)
-    if trig is not None:
-        a0, terms = trig
-        terms = tuple(t for t in terms if t[0] != 0.0)
-        if not terms:
-            return WeightedBounds(a0, a0, dfrak, True)
-        amp = sum(abs(a) * dfrak / math.hypot(dfrak, th) for a, th, _ in terms)
-        if len(terms) == 1 or (isinstance(signal, TrigSum) and signal.rationally_independent):
-            return WeightedBounds(a0 + amp, a0 - amp, dfrak, True)
-        period = fundamental_period(signal)
-        if period is None:
-            period = 64.0 * TWO_PI / min(th for _, th, _ in terms)
-        sup_w, inf_w = _scan_extremes(
-            lambda r: _weighted_closed_form(a0, terms, dfrak, r),
-            lambda r: _weighted_closed_form(a0, terms, dfrak, float(r)),
-            period,
-            _GRID_PER_PERIOD,
-        )
+    if isinstance(signal, SampledPeriodic):
+        # one exact weighted average per point, so a coarser grid and tolerance
+        f = lambda r: weighted_average(signal, dfrak, float(r))
+        sup_w, inf_w = _scan_extremes(lambda rs: np.array([f(r) for r in rs]), f, signal.period, 256, 1e-8)
         return WeightedBounds(sup_w, inf_w, dfrak, False)
-    # sampled signals: quadrature per grid point, coarser grid
-    assert isinstance(signal, SampledPeriodic)
-    f = lambda r: weighted_average(signal, dfrak, float(r))
-    rs = np.linspace(0.0, signal.period, 256, endpoint=False)
-    vals = np.array([f(r) for r in rs])
-    h = signal.period / 256
-    imax, imin = int(np.argmax(vals)), int(np.argmin(vals))
-    _, sup_w = _golden_max(f, rs[imax] - h, rs[imax] + h, xtol=1e-8)
-    _, neg = _golden_max(lambda r: -f(r), rs[imin] - h, rs[imin] + h, xtol=1e-8)
-    return WeightedBounds(float(sup_w), float(-neg), dfrak, False)
+    a0, terms, window = _series_form(signal)
+    if window is None:
+        amp = sum(abs(a) * dfrak / math.hypot(dfrak, th) for a, th, _ in terms)
+        return WeightedBounds(a0 + amp, a0 - amp, dfrak, True)
+    sup_w, inf_w = _scan_extremes(
+        lambda r: _weighted_closed_form(a0, terms, dfrak, r),
+        lambda r: _weighted_closed_form(a0, terms, dfrak, float(r)),
+        window,
+        _GRID_PER_PERIOD,
+        _GOLDEN_XTOL,
+    )
+    return WeightedBounds(sup_w, inf_w, dfrak, False)
 
 
 def series_bound(terms: Sequence[tuple[float, float]], dfrak: float) -> float:
@@ -430,9 +411,26 @@ def signal_to_json(signal: SignalSpec) -> dict:
     }
 
 
+# the keys each signal type accepts; the parser gives the optional ones a default
+_JSON_KEYS = {
+    "constant": {"type", "a0"},
+    "trig": {"type", "a0", "terms", "rationally_independent"},
+    "fourier_cesaro": {"type", "a0", "a", "b", "n_terms"},
+    "sampled": {"type", "period", "samples"},
+}
+
+
 def signal_from_json(data: dict) -> SignalSpec:
-    """Inverse of signal_to_json; raises ValueError on unknown/invalid input."""
+    """Inverse of signal_to_json; raises ValueError on unknown/invalid input,
+    including a key that is not one of its type's fields."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a signal document must be a JSON object, got {type(data).__name__}")
     kind = data.get("type")
+    if kind not in _JSON_KEYS:
+        raise ValueError(f"unknown signal type: {kind!r}")
+    unknown = sorted(set(data) - _JSON_KEYS[kind])
+    if unknown:
+        raise ValueError(f"unknown keys for a {kind!r} signal: {unknown}; allowed: {sorted(_JSON_KEYS[kind])}")
     if kind == "constant":
         return Constant(float(data["a0"]))
     if kind == "trig":
@@ -448,11 +446,9 @@ def signal_from_json(data: dict) -> SignalSpec:
             tuple(data.get("b", ())),
             int(data["n_terms"]),
         )
-    if kind == "sampled":
-        samples = sorted((float(t), float(v)) for t, v in data["samples"])
-        return SampledPeriodic(
-            float(data["period"]),
-            tuple(t for t, _ in samples),
-            tuple(v for _, v in samples),
-        )
-    raise ValueError(f"unknown signal type: {kind!r}")
+    samples = sorted((float(t), float(v)) for t, v in data["samples"])
+    return SampledPeriodic(
+        float(data["period"]),
+        tuple(t for t, _ in samples),
+        tuple(v for _, v in samples),
+    )

@@ -146,6 +146,19 @@ class TestPoincare:
         assert [r["kind"] for r in rows] == ["attractive", "repulsive", "attractive"]
         assert [r["fixed_point"] for r in rows] == pytest.approx([1.0, 2.0, 3.0], abs=1e-7)
 
+    def test_empty_census(self, capsys, zero_signal):
+        # lam + sup y <= -1 at c <= 4: no bounded solution on x >= 0
+        code, doc = run_json(capsys, ["poincare", "--c", "3", "--lambda", "-2", "--signal", zero_signal])
+        assert code == 0
+        assert doc["result"] == []
+
+    def test_incommensurate_signal_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "incommensurate.json"
+        path.write_text(json.dumps({"type": "trig", "terms": [[0.02, 1.0, 0.0], [0.02, 2.0**0.5, 0.0]]}))
+        code = cli.main(["poincare", "--c", "5", "--lambda", "6.0", "--signal", str(path)])
+        assert code == 2
+        assert "constant or periodic" in capsys.readouterr().err
+
 
 class TestLaplace:
     def test_weighted_extremes(self, capsys, two_harmonic_signal):
@@ -156,6 +169,13 @@ class TestLaplace:
         row = doc["result"][0]
         assert row["sup_w_minus_inf"] == pytest.approx(0.873, abs=0.005)
         assert row["sup_minus_inf_w"] == pytest.approx(0.725, abs=0.005)
+
+    @pytest.mark.parametrize("doc", [[1, 2], {"type": "constant", "a0": 0.0, "period": 1.0}])
+    def test_bad_document_exits_2(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["laplace", "--signal", str(path), "--dfrak", "1.0"]) == 2
+        assert "cannot load signal file" in capsys.readouterr().err
 
 
 class TestRelaxation:

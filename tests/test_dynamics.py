@@ -170,6 +170,13 @@ class TestCensus:
         assert dynamics.count_separated_solutions(dynamics.OdeSpec(5.0, 6.0, ZERO), 1.0) == 3
         assert dynamics.count_separated_solutions(dynamics.OdeSpec(5.0, 7.0, ZERO), 1.0) == 1
 
+    def test_empty_below_the_origin(self):
+        # lam + sup y <= -1: x' <= -1 on all of x >= 0, for every c
+        for c in (3.0, 4.0, 5.0):
+            spec = dynamics.OdeSpec(c, -2.0, ZERO)
+            assert dynamics.find_periodic_solutions(spec, 1.0) == []
+            assert dynamics.count_separated_solutions(spec, 1.0) == 0
+
     def test_monotone_count_in_lambda(self):
         counts = [
             dynamics.count_separated_solutions(dynamics.OdeSpec(5.0, lam, ZERO), 1.0)
@@ -220,11 +227,39 @@ class TestBifurcationEstimates:
             dynamics.estimate_lambda_pm(4.0, ZERO)
 
 
+INCOMMENSURATE = signals.TrigSum(0.0, ((0.02, 1.0, 0.0), (0.02, math.sqrt(2.0), 0.0)))
+
+
+class TestSignalPeriod:
+    @pytest.mark.parametrize(
+        "y",
+        [
+            signals.Constant(0.3),
+            signals.TrigSum(0.3, ((0.0, 1.0, 0.0), (0.0, math.sqrt(2.0), 0.5))),
+            signals.FourierCesaro(0.3, (0.0, 0.0), (0.0,), 6),
+        ],
+    )
+    def test_constant_valued_is_one(self, y):
+        assert dynamics.signal_period(y) == 1.0
+
+    def test_periodic(self):
+        assert dynamics.signal_period(signals.TrigSum(0.0, ((0.1, 2.0, 0.0), (0.1, 3.0, 0.0)))) == pytest.approx(
+            2.0 * math.pi
+        )
+        assert dynamics.signal_period(signals.SampledPeriodic(3.0, (0.0, 1.0, 2.0, 2.5), (0.0, 1.0, 0.0, 1.0))) == 3.0
+
+    def test_incommensurate_rejected(self):
+        with pytest.raises(ValueError, match="constant or periodic"):
+            dynamics.signal_period(INCOMMENSURATE)
+        with pytest.raises(ValueError, match="constant or periodic"):
+            dynamics.estimate_lambda_pm(5.0, INCOMMENSURATE)
+
+
 def bisect_lambda_pm(c, signal, tol):
     """Oracle: bisection on "the census finds >= 2 separated solutions" over
     the closed-form sandwich bracket (an escaping trajectory counts as
     fewer).  Returns (lambda_minus, lambda_plus, census calls per side)."""
-    T = dynamics._signal_period(signal)
+    T = dynamics.signal_period(signal)
     b = signals.bounds(signal)
     margin = max(model.lam2(c) - model.lam1(c), 10.0 * tol)
     calls = {}
@@ -280,7 +315,7 @@ class TestFoldSolveAgainstBisection:
         # runs off to infinity within one period (11.6)
         c, tol = 8.0, 1e-5
         y = signals.TrigSum(0.0, ((0.03, 0.54, 0.0),))
-        T = dynamics._signal_period(y)
+        T = dynamics.signal_period(y)
         hi = model.lam2(c) - signals.bounds(y).inf + (model.lam2(c) - model.lam1(c))
         with pytest.raises(dynamics.FiniteEscapeError):
             dynamics.count_separated_solutions(dynamics.OdeSpec(c, hi, y, "linear-convex"), T)

@@ -115,6 +115,18 @@ class TestPeriod:
         y = signals.TrigSum(0.0, ((1.0, 1.0, 0.0), (1.0, math.sqrt(2.0), 0.0)))
         assert not signals.is_periodic_nonconstant(y)
 
+    @pytest.mark.parametrize(
+        "y, expected",
+        [
+            (signals.TrigSum(0.5, ((0.0, 1.0, 0.0), (0.0, 2.0, 0.3))), False),
+            (signals.FourierCesaro(0.5, (0.0,), (0.0, 0.0), 6), False),
+            (signals.FourierCesaro(0.5, (0.0,), (0.0, 0.1), 6), True),
+            (signals.SampledPeriodic(4.0, (0.0, 1.0, 2.0, 3.0), (1.0, 1.0, 1.0, 1.0)), False),
+        ],
+    )
+    def test_periodic_nonconstant_by_type(self, y, expected):
+        assert signals.is_periodic_nonconstant(y) is expected
+
 
 class TestBounds:
     def test_single_term_amplitude(self):
@@ -140,6 +152,15 @@ class TestBounds:
         y = signals.SampledPeriodic(4.0, (0.0, 1.0, 2.0, 3.0), (0.0, 2.0, 0.0, -1.0))
         b = signals.bounds(y)
         assert (b.sup, b.inf, b.exact) == (2.0, -1.0, False)
+
+    def test_sampled_runs_no_scan(self, monkeypatch):
+        # the node extremes are the interpolant's: nothing is scanned
+        def no_scan(*args):
+            raise AssertionError("bounds scanned a sampled signal")
+
+        monkeypatch.setattr(signals, "_scan_extremes", no_scan)
+        y = signals.SampledPeriodic(4.0, (0.0, 1.0, 2.0, 3.0), (0.0, 2.0, 0.0, -1.0))
+        assert signals.bounds(y) == signals.SignalBounds(2.0, -1.0, False)
 
 
 class TestWeightedAverage:
@@ -215,6 +236,30 @@ class TestWeightedBounds:
         assert w.inf_w == pytest.approx(0.5 - 0.5 / math.sqrt(2.0), abs=1e-3)
 
 
+def inline_sampled_weighted_bounds(signal, dfrak):
+    """Reference: the sampled branch of weighted_bounds as a hand-written scan
+    (grid 256, golden refinement to 1e-8)."""
+    f = lambda r: signals.weighted_average(signal, dfrak, float(r))
+    rs = np.linspace(0.0, signal.period, 256, endpoint=False)
+    vals = np.array([f(r) for r in rs])
+    h = signal.period / 256
+    imax, imin = int(np.argmax(vals)), int(np.argmin(vals))
+    _, sup_w = signals._golden_max(f, rs[imax] - h, rs[imax] + h, xtol=1e-8)
+    _, neg = signals._golden_max(lambda r: -f(r), rs[imin] - h, rs[imin] + h, xtol=1e-8)
+    return float(sup_w), float(-neg)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sampled_weighted_bounds_equal_inline_scan(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 17))
+    period = float(rng.uniform(0.5, 10.0))
+    y = signals.SampledPeriodic(period, tuple(period * np.arange(n) / n), tuple(rng.uniform(-1.0, 1.0, n)))
+    for dfrak in (0.1, 1.0, 7.5):
+        w = signals.weighted_bounds(y, dfrak)
+        assert (w.sup_w, w.inf_w) == inline_sampled_weighted_bounds(y, dfrak)
+
+
 class TestSeriesBound:
     def test_single_term(self):
         assert signals.series_bound([(1.0, 1.0)], 1.0) == pytest.approx(1.0 + 1.0 / math.sqrt(2.0))
@@ -262,3 +307,21 @@ class TestJson:
     def test_unknown_type(self):
         with pytest.raises(ValueError):
             signals.signal_from_json({"type": "square-wave"})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"type": "trig", "terms": [[1.0, 1.0, 0.0]], "rationaly_independent": True},
+            {"type": "fourier_cesaro", "a0": 0.0, "a_coeffs": [1.0], "b_coeffs": [], "n_terms": 6},
+            {"type": "sampled", "period": 4.0, "times": [0.0, 1.0, 2.0, 3.0], "values": [0.0, 1.0, 0.0, -1.0]},
+            {"type": "constant", "a0": 1.0, "period": 2.0},
+        ],
+    )
+    def test_unknown_key_rejected(self, doc):
+        with pytest.raises(ValueError, match="unknown keys"):
+            signals.signal_from_json(doc)
+
+    @pytest.mark.parametrize("doc", [[1, 2], "constant", 3.0, None])
+    def test_non_object_rejected(self, doc):
+        with pytest.raises(ValueError, match="JSON object"):
+            signals.signal_from_json(doc)
