@@ -147,29 +147,74 @@ _escape_event.terminal = True
 _state_escape_event.terminal = True
 
 
-def _solve(spec: OdeSpec, t0, y0, t1, abstol, reltol, augmented=False, dense=False, t_eval=None):
-    """solve_ivp of the states y0; ``augmented`` integrates each state's log
-    multiplier alongside (from 0), after the states in the solution."""
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    sol = solve_ivp(
-        _augmented_rhs(spec) if augmented else (lambda t, y: np.atleast_1d(spec.rhs(t, y))),
-        (t0, t1),
-        np.concatenate([y0, np.zeros_like(y0)]) if augmented else y0,
-        method="RK45",
-        atol=abstol,
-        rtol=reltol,
-        dense_output=dense,
-        t_eval=t_eval,
-        events=_state_escape_event if augmented else _escape_event,
-        max_step=abs(t1 - t0) / 16.0,
-    )
-    if sol.status == 1:
-        raise FiniteEscapeError(
-            f"trajectory exceeded |x| = {ESCAPE_BOUND:g} at t = {sol.t_events[0][0]:.6g}"
+def _solve(spec: OdeSpec, t0, y0, t1, abstol, reltol, augmented=False, t_eval=None):
+    """solve_ivp of the states y0 from t0 to t1 (either direction), one call
+    per interval between kinks of the input; yields each piece's (t, y).
+
+    A sampled input is piecewise linear.  Stepping across its nodes leaves
+    the period map noisy at the level of the tolerance, so the solver
+    restarts at every node strictly inside the span (Hairer, Norsett &
+    Wanner, Solving ODE I, II.6), and each piece starts from the end state
+    of the one before, log multiplier included.  A smooth input is one
+    piece.  Every piece keeps the whole span's max_step.  ``augmented``
+    integrates each state's log multiplier alongside (from 0), after the
+    states in y.  No time is output twice: a piece after the first drops
+    its start, and each time of t_eval (ordered from t0 to t1) comes from
+    the one piece it falls in.
+    """
+    y = np.atleast_1d(np.asarray(y0, dtype=float))
+    if augmented:
+        y = np.concatenate([y, np.zeros_like(y)])
+    fun = _augmented_rhs(spec) if augmented else (lambda t, x: np.atleast_1d(spec.rhs(t, x)))
+    ends = [*spec._signal_at.kinks(t0, t1), t1]
+    if t_eval is None:
+        owns = [None] * len(ends)
+    else:  # the output times of each piece: those before its end
+        direction = 1.0 if t1 >= t0 else -1.0
+        owns = np.split(t_eval, np.searchsorted(direction * t_eval, direction * np.asarray(ends[:-1])))
+    for k, (a, b, own) in enumerate(zip([t0, *ends[:-1]], ends, owns)):
+        # a piece must also output its end state, which starts the next one;
+        # a t_eval that already ends there (at t1) is passed unchanged
+        pts = own if own is None or (own.size and own[-1] == b) else np.append(own, b)
+        sol = solve_ivp(
+            fun,
+            (a, b),
+            y,
+            method="RK45",
+            atol=abstol,
+            rtol=reltol,
+            t_eval=pts,
+            events=_state_escape_event if augmented else _escape_event,
+            max_step=abs(t1 - t0) / 16.0,
         )
-    if sol.status != 0:
-        raise RuntimeError(f"integration failed: {sol.message}")
-    return sol
+        if sol.status == 1:
+            raise FiniteEscapeError(
+                f"trajectory exceeded |x| = {ESCAPE_BOUND:g} at t = {sol.t_events[0][0]:.6g}"
+            )
+        if sol.status != 0:
+            raise RuntimeError(f"integration failed: {sol.message}")
+        ts, ys = sol.t, sol.y
+        y = ys[:, -1]
+        if pts is not own:  # the end was asked for only to carry it over
+            ts, ys = ts[:-1], ys[:, :-1]
+        elif own is None and k:  # the start is the previous piece's end
+            ts, ys = ts[1:], ys[:, 1:]
+        yield ts, ys
+
+
+def _end_state(pieces) -> np.ndarray:
+    """The state at the far end of a ``_solve``, keeping one piece at a time."""
+    for _, y in pieces:
+        pass
+    return y[:, -1]
+
+
+def _path(pieces) -> tuple[np.ndarray, np.ndarray]:
+    """(times, states) of a whole ``_solve``, pieces joined."""
+    ts, ys = zip(*pieces)
+    if len(ts) == 1:
+        return ts[0], ys[0]
+    return np.concatenate(ts), np.concatenate(ys, axis=1)
 
 
 def integrate(
@@ -183,15 +228,17 @@ def integrate(
 ) -> Trajectory:
     """Trajectory from (t0, x0) to t1; t1 < t0 integrates backward.
 
-    The returned times are always increasing (a backward run is reversed).
+    The returned times are always strictly increasing (a backward run is
+    reversed): the solver's steps, or the n_samples equally spaced times.
     The state is integrated together with the multiplier integrand, as in
     ``poincare_map_log``, so the solver takes the period map's steps: one
     period from a fixed point refined on that map returns to it to rounding,
-    not merely to the integration tolerance.
+    not merely to the integration tolerance.  A sampled input is integrated
+    node to node, so its nodes are among the steps.
     """
     t_eval = np.linspace(t0, t1, n_samples) if n_samples else None
-    sol = _solve(spec, t0, x0, t1, abstol, reltol, augmented=True, dense=t_eval is None, t_eval=t_eval)
-    times, values = sol.t, sol.y[0]
+    times, ys = _path(_solve(spec, t0, x0, t1, abstol, reltol, augmented=True, t_eval=t_eval))
+    values = ys[0]
     if t1 < t0:
         times, values = times[::-1], values[::-1]
     return Trajectory(np.asarray(times), np.asarray(values), abstol, reltol)
@@ -213,8 +260,7 @@ def poincare_map_log(spec: OdeSpec, T: float, x0: float, backward: bool = False)
     x(0) and the same forward-oriented integral taken along the backward arc.
     """
     t0, t1 = (T, 0.0) if backward else (0.0, T)
-    sol = _solve(spec, t0, x0, t1, ABSTOL, RELTOL, augmented=True)
-    xT, L = float(sol.y[0, -1]), float(sol.y[1, -1])
+    xT, L = (float(v) for v in _end_state(_solve(spec, t0, x0, t1, ABSTOL, RELTOL, augmented=True)))
     return xT, (-L if backward else L)
 
 
@@ -244,10 +290,11 @@ def poincare_multiplier_fd(
     (T, x0) — required for strongly repulsive orbits, which a forward solve
     falls off before the period ends.
     """
-    t0, t1 = (T, 0.0) if backward_orbit else (0.0, T)
-    sol = _solve(spec, t0, [x0], t1, 1e-12, 1e-10, dense=True)
     ts = np.linspace(0.0, T, 4097)
-    xs = sol.sol(ts)[0]
+    if backward_orbit:
+        xs = _path(_solve(spec, T, [x0], 0.0, 1e-12, 1e-10, t_eval=ts[::-1]))[1][0, ::-1]
+    else:
+        xs = _path(_solve(spec, 0.0, [x0], T, 1e-12, 1e-10, t_eval=ts))[1][0]
     fx = np.atleast_1d(spec.rhs_state_deriv(xs))
     Ls = np.concatenate([[0.0], np.cumsum(0.5 * (fx[1:] + fx[:-1]) * np.diff(ts))])
     cuts = [0]
@@ -259,8 +306,8 @@ def poincare_multiplier_fd(
     total = 0.0
     for i0, i1 in zip(cuts, cuts[1:]):
         ta, tb, xa = ts[i0], ts[i1], xs[i0]
-        seg = _solve(spec, ta, [xa + h, xa - h], tb, 1e-12, 1e-10)
-        diff = float(seg.y[0, -1] - seg.y[1, -1])
+        hi, lo = _end_state(_solve(spec, ta, [xa + h, xa - h], tb, 1e-12, 1e-10))
+        diff = float(hi - lo)
         if diff <= 0.0:
             raise RuntimeError(f"finite-difference segment [{ta:.4g}, {tb:.4g}] lost monotonicity")
         total += math.log(diff / (2.0 * h))
@@ -296,8 +343,7 @@ def _scan_interval(spec: OdeSpec) -> tuple[float, float] | None:
 
 def _displacement_grid(spec: OdeSpec, T: float, xs: np.ndarray) -> np.ndarray:
     """T(x0) - x0 for all seeds at once (one vectorized solve)."""
-    sol = _solve(spec, 0.0, xs, T, ABSTOL, RELTOL)
-    return sol.y[:, -1] - xs
+    return _end_state(_solve(spec, 0.0, xs, T, ABSTOL, RELTOL)) - xs
 
 
 def _brackets(spec: OdeSpec, T: float, n: int) -> list[tuple[float, float, bool]]:
@@ -361,8 +407,8 @@ def find_periodic_solutions(spec: OdeSpec, T: float) -> list[PeriodicSolution]:
         # sample/measure repulsive orbits backward: forward integration falls
         # off them before one period when the multiplier is extreme
         t0, t1 = (0.0, T) if attractive else (T, 0.0)
-        sol = _solve(spec, t0, x0, t1, ABSTOL, RELTOL, augmented=True)
-        ts, xs, L = sol.t, sol.y[0], float(sol.y[1, -1])
+        ts, ys = _path(_solve(spec, t0, x0, t1, ABSTOL, RELTOL, augmented=True))
+        xs, L = ys[0], float(ys[1, -1])
         if not attractive:
             ts, xs, L = ts[::-1], xs[::-1], -L
         try:

@@ -81,7 +81,9 @@ class FourierCesaro:
 @dataclass(frozen=True)
 class SampledPeriodic:
     """Periodic signal from samples on [0, T), evaluated by periodic linear
-    interpolation (an approximation without exactness guarantees)."""
+    interpolation (an approximation without exactness guarantees).  The
+    interpolant has a kink at every node; ``dynamics`` restarts its solver
+    there, so the period map stays smooth."""
 
     period: float
     times: tuple[float, ...]
@@ -156,6 +158,10 @@ class _TrigEval:
     def __init__(self, a0: float, terms: tuple[tuple[float, float, float], ...]):
         self.a0, self.terms = a0, terms
 
+    def kinks(self, t0: float, t1: float) -> tuple:
+        """Times between t0 and t1 where y is not smooth: none."""
+        return ()
+
     def __call__(self, t):
         if isinstance(t, float):
             out = self.a0
@@ -178,6 +184,19 @@ class _SampledEval:
         self.period = signal.period
         self.ts = np.asarray(signal.times + (signal.times[0] + signal.period,))
         self.vs = np.asarray(signal.values + (signal.values[0],))
+
+    def kinks(self, t0: float, t1: float) -> np.ndarray:
+        """The node times times[k] + m * period strictly between t0 and t1,
+        in the order a solve from t0 to t1 meets them.  A node within
+        1e-12 * period of t0 or t1 is left out: a piece that short changes
+        nothing but costs a solver start."""
+        lo, hi = min(t0, t1), max(t0, t1)
+        nodes = self.ts[:-1]
+        shifts = np.arange(math.floor((lo - nodes[-1]) / self.period), math.ceil((hi - nodes[0]) / self.period) + 1)
+        t = (nodes + self.period * shifts[:, None]).ravel()
+        pad = 1e-12 * self.period
+        t = t[(t > lo + pad) & (t < hi - pad)]
+        return t if t1 >= t0 else t[::-1]
 
     def __call__(self, t):
         out = np.interp(np.mod(t, self.period), self.ts, self.vs, period=self.period)
@@ -420,35 +439,61 @@ _JSON_KEYS = {
 }
 
 
+def _json_number(what: str, value) -> float:
+    """A JSON number as a float.  A string, a bool (JSON true/false) or any
+    other type is rejected rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{what} must be finite") from None
+
+
+def _json_numbers(what: str, value, width: int = 0) -> tuple:
+    """A JSON list of numbers, or (width > 0) of lists of width numbers."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    if not width:
+        return tuple(_json_number(what, v) for v in value)
+    if any(not isinstance(row, list) or len(row) != width for row in value):
+        raise ValueError(f"{what} must be a list of {width}-element lists, got {value!r}")
+    return tuple(tuple(_json_number(what, v) for v in row) for row in value)
+
+
 def signal_from_json(data: dict) -> SignalSpec:
-    """Inverse of signal_to_json; raises ValueError on unknown/invalid input,
-    including a key that is not one of its type's fields."""
+    """Inverse of signal_to_json; raises ValueError on unknown/invalid input:
+    a key that is not one of its type's fields, a missing field, or a value
+    of the wrong JSON type (a string or bool for a number, anything but a
+    bool for the independence flag, a non-integral n_terms)."""
     if not isinstance(data, dict):
         raise ValueError(f"a signal document must be a JSON object, got {type(data).__name__}")
     kind = data.get("type")
-    if kind not in _JSON_KEYS:
+    if not isinstance(kind, str) or kind not in _JSON_KEYS:
         raise ValueError(f"unknown signal type: {kind!r}")
     unknown = sorted(set(data) - _JSON_KEYS[kind])
     if unknown:
         raise ValueError(f"unknown keys for a {kind!r} signal: {unknown}; allowed: {sorted(_JSON_KEYS[kind])}")
     if kind == "constant":
-        return Constant(float(data["a0"]))
+        return Constant(_json_number("a0", data.get("a0")))
     if kind == "trig":
-        return TrigSum(
-            float(data.get("a0", 0.0)),
-            tuple(tuple(term) for term in data["terms"]),
-            bool(data.get("rationally_independent", False)),
-        )
+        independent = data.get("rationally_independent", False)
+        if not isinstance(independent, bool):
+            raise ValueError(f"rationally_independent must be true or false, got {independent!r}")
+        return TrigSum(_json_number("a0", data.get("a0", 0.0)), _json_numbers("terms", data.get("terms"), 3), independent)
     if kind == "fourier_cesaro":
+        n_terms = data.get("n_terms")
+        if not _json_number("n_terms", n_terms).is_integer():
+            raise ValueError(f"n_terms must be an integer, got {n_terms!r}")
         return FourierCesaro(
-            float(data.get("a0", 0.0)),
-            tuple(data.get("a", ())),
-            tuple(data.get("b", ())),
-            int(data["n_terms"]),
+            _json_number("a0", data.get("a0", 0.0)),
+            _json_numbers("a", data.get("a", [])),
+            _json_numbers("b", data.get("b", [])),
+            int(n_terms),
         )
-    samples = sorted((float(t), float(v)) for t, v in data["samples"])
+    samples = sorted(_json_numbers("samples", data.get("samples"), 2))
     return SampledPeriodic(
-        float(data["period"]),
+        _json_number("period", data.get("period")),
         tuple(t for t, _ in samples),
         tuple(v for _, v in samples),
     )

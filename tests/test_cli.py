@@ -31,6 +31,15 @@ def two_harmonic_signal(tmp_path):
     return str(path)
 
 
+# signal documents whose values have the wrong JSON type (each used to be coerced or to raise TypeError)
+WRONG_TYPE_DOCS = [
+    {"type": "trig", "terms": [[0.1, 1.0, 0.0], [0.1, 2.0, 0.0]], "rationally_independent": "false"},
+    {"type": "fourier_cesaro", "a": [0.1], "b": [], "n_terms": 6.7},
+    {"type": "constant", "a0": "0.5"},
+    {"type": [1]},
+]
+
+
 def run(capsys, argv):
     code = cli.main(argv)
     return code, capsys.readouterr().out
@@ -95,6 +104,13 @@ class TestClassify:
     def test_invalid_lambda_exits_2(self, capsys, zero_signal):
         code, _ = run(capsys, ["classify", "--c", "5", "--lambda", "-1.0", "--signal", zero_signal])
         assert code == 2
+
+    @pytest.mark.parametrize("doc", WRONG_TYPE_DOCS)
+    def test_wrong_value_type_exits_2(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["classify", "--c", "5", "--lambda", "6.0", "--signal", str(path)]) == 2
+        assert "cannot load signal file" in capsys.readouterr().err
 
     def test_missing_signal_file_exits_2(self, capsys, tmp_path):
         code, _ = run(
@@ -170,7 +186,7 @@ class TestLaplace:
         assert row["sup_w_minus_inf"] == pytest.approx(0.873, abs=0.005)
         assert row["sup_minus_inf_w"] == pytest.approx(0.725, abs=0.005)
 
-    @pytest.mark.parametrize("doc", [[1, 2], {"type": "constant", "a0": 0.0, "period": 1.0}])
+    @pytest.mark.parametrize("doc", [[1, 2], {"type": "constant", "a0": 0.0, "period": 1.0}, *WRONG_TYPE_DOCS])
     def test_bad_document_exits_2(self, capsys, tmp_path, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from bistab import dynamics, model, signals
 
@@ -328,3 +329,124 @@ class TestFoldSolveAgainstBisection:
         lam_minus, lam_plus, _ = dynamics.estimate_lambda_pm(c, y, tol=tol)
         assert abs(lam_minus - want[0]) <= tol
         assert abs(lam_plus - want[1]) <= tol
+
+
+# 16 nodes of a noisy sine on one period 2*pi, as the census benchmark draws them
+SAMPLED_TIMES = tuple(2.0 * math.pi * k / 16 for k in range(16))
+SAMPLED_VALUES = tuple(
+    0.025 * math.sin(2.0 * math.pi * k / 16 + 0.7) + 0.0025 * math.cos(5.0 * k) for k in range(16)
+)
+SAMPLED = signals.SampledPeriodic(2.0 * math.pi, SAMPLED_TIMES, SAMPLED_VALUES)
+
+
+def reference_flow(c, lam, x0, t0, t1):
+    """x(t1) of x' = lam + y(t) + gbar(x) for the SAMPLED input, from its
+    definition: DOP853 at rtol 1e-12, restarted at every node in between."""
+    T = SAMPLED.period
+    ts = np.concatenate([np.asarray(SAMPLED_TIMES) + m * T for m in range(-1, 3)])
+    vs = np.tile(SAMPLED_VALUES, 4)
+    y = lambda t: np.interp(t, ts, vs)
+    g = lambda x: -x - 2.0 * c * x / (1.0 + x * x) if x >= 0.0 else -(1.0 + 2.0 * c) * x - x ** 3
+    lo, hi = min(t0, t1), max(t0, t1)
+    nodes = [t for t in ts if lo < t < hi]
+    stops = (nodes if t1 > t0 else nodes[::-1]) + [t1]
+    x, a = x0, t0
+    for b in stops:
+        sol = solve_ivp(lambda t, v: [lam + y(t) + g(v[0])], (a, b), [x], method="DOP853", rtol=1e-12, atol=1e-13)
+        x, a = float(sol.y[0, -1]), b
+    return x
+
+
+class TestSampledInput:
+    """A sampled input is integrated node to node, so its period map is as
+    smooth as the solver's tolerance allows."""
+
+    C = 5.0
+    LAM = 0.5 * (model.lam1(5.0) + model.lam2(5.0))
+
+    def test_census_closes_under_reference(self):
+        spec = dynamics.OdeSpec(self.C, self.LAM, SAMPLED)
+        T = SAMPLED.period
+        sols = dynamics.find_periodic_solutions(spec, T)
+        assert [s.kind for s in sols] == ["attractive", "repulsive", "attractive"]
+        for s in sols:
+            # a repulsive orbit attracts backward in time
+            t0, t1 = (0.0, T) if s.kind == "attractive" else (T, 0.0)
+            assert abs(reference_flow(self.C, self.LAM, s.fixed_point, t0, t1) - s.fixed_point) <= 1e-8
+            assert abs(s.samples.values[-1] - s.samples.values[0]) <= 1e-8
+
+    def test_contraction_needs_no_brentq(self, monkeypatch):
+        spec = dynamics.OdeSpec(self.C, self.LAM, SAMPLED)
+        T = SAMPLED.period
+        brackets = dynamics._stable_brackets(spec, T)
+        assert len(brackets) == 3
+
+        def no_brentq(*args, **kwargs):
+            raise AssertionError("_refine_fixed_point fell back to brentq")
+
+        monkeypatch.setattr(dynamics, "brentq", no_brentq)
+        for xa, xb, attractive in brackets:
+            x = dynamics._refine_fixed_point(spec, T, xa, xb, attractive)
+            assert xa <= x <= xb
+
+    def test_fd_multiplier_matches_augmented(self):
+        spec = dynamics.OdeSpec(self.C, self.LAM, SAMPLED)
+        T = SAMPLED.period
+        for s in dynamics.find_periodic_solutions(spec, T):
+            fd = dynamics.poincare_multiplier_fd(spec, T, s.fixed_point, backward_orbit=s.kind == "repulsive")
+            assert fd == pytest.approx(s.log_multiplier, abs=1e-4)
+
+    @pytest.mark.parametrize("t0,t1", [(0.0, 8.0), (8.0, 0.0), (0.5, 7.25), (7.25, 0.5)])
+    def test_integrate_times(self, t0, t1):
+        # nodes every 1.0 (period 4): at t0 and t1 for the first two spans,
+        # and at n_samples times (every 0.25) in all four
+        y = signals.SampledPeriodic(4.0, (0.0, 1.0, 2.0, 3.0), (0.0, 0.03, -0.01, -0.03))
+        spec = dynamics.OdeSpec(5.0, 6.0, y)
+        lo, hi = min(t0, t1), max(t0, t1)
+        n = int(round(4 * (hi - lo))) + 1
+        traj = dynamics.integrate(spec, t0, 2.0, t1, n_samples=n)
+        want = np.linspace(t0, t1, n)
+        assert np.array_equal(traj.times, want if t1 > t0 else want[::-1])
+        steps = dynamics.integrate(spec, t0, 2.0, t1)
+        assert np.all(np.diff(steps.times) > 0.0)
+        assert steps.times[0] == lo and steps.times[-1] == hi
+        nodes = [t for t in np.arange(1.0, 8.0) if lo < t < hi]
+        assert set(nodes) <= set(steps.times)
+        # both runs take the same steps: their values agree wherever their times do
+        common, i, j = np.intersect1d(traj.times, steps.times, return_indices=True)
+        assert common.size >= len(nodes) + 2
+        assert np.allclose(traj.values[i], steps.values[j], rtol=0.0, atol=1e-12)
+
+    def test_escape_across_nodes(self):
+        spec = dynamics.OdeSpec(5.0, 0.0, SAMPLED, rhs_kind="concave-linear")
+        with pytest.raises(dynamics.FiniteEscapeError):
+            dynamics.integrate(spec, 0.0, -1.0, 100.0)
+
+
+class TestSmoothInputIsOnePiece:
+    """A smooth input makes exactly the single solve_ivp call of the span."""
+
+    Y = signals.TrigSum(0.0, ((0.03, 1.0, 0.4), (0.01, 2.0, 0.1)))
+
+    @pytest.mark.parametrize("augmented", [False, True])
+    @pytest.mark.parametrize("t0,t1", [(0.0, 2.0 * math.pi), (2.0 * math.pi, 0.0)])
+    def test_equals_direct_solve_ivp(self, augmented, t0, t1):
+        spec = dynamics.OdeSpec(5.0, 6.04, self.Y)
+        x0 = np.array([1.8, 2.0, 2.2])  # near the repulsive orbit: bounded both ways
+        y0 = np.concatenate([x0, np.zeros(3)]) if augmented else x0
+        for t_eval in (None, np.linspace(t0, t1, 9)):
+            want = solve_ivp(
+                dynamics._augmented_rhs(spec) if augmented else (lambda t, x: np.atleast_1d(spec.rhs(t, x))),
+                (t0, t1),
+                y0,
+                method="RK45",
+                atol=dynamics.ABSTOL,
+                rtol=dynamics.RELTOL,
+                t_eval=t_eval,
+                events=dynamics._state_escape_event if augmented else dynamics._escape_event,
+                max_step=abs(t1 - t0) / 16.0,
+            )
+            pieces = list(dynamics._solve(spec, t0, x0, t1, dynamics.ABSTOL, dynamics.RELTOL, augmented, t_eval))
+            assert len(pieces) == 1
+            ts, ys = pieces[0]
+            assert np.array_equal(ts, want.t) and np.array_equal(ys, want.y)

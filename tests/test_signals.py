@@ -325,3 +325,34 @@ class TestJson:
     def test_non_object_rejected(self, doc):
         with pytest.raises(ValueError, match="JSON object"):
             signals.signal_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            # "false" is a non-empty string, which used to read as true
+            ({"type": "trig", "terms": [[0.1, 1.0, 0.0], [0.1, 2.0, 0.0]], "rationally_independent": "false"},
+             "rationally_independent"),
+            ({"type": "trig", "terms": [[0.1, 1.0, 0.0]], "rationally_independent": 1}, "rationally_independent"),
+            ({"type": "fourier_cesaro", "a": [0.1], "b": [], "n_terms": 6.7}, "n_terms"),
+            ({"type": "fourier_cesaro", "a": [0.1], "b": [], "n_terms": "6"}, "n_terms"),
+            ({"type": "constant", "a0": "0.5"}, "a0"),
+            ({"type": "constant", "a0": True}, "a0"),
+            ({"type": "constant", "a0": 10**400}, "a0 must be finite"),
+            ({"type": "constant"}, "a0"),
+            ({"type": "trig", "terms": [[0.1, "1.0", 0.0]]}, "terms"),
+            ({"type": "trig", "terms": [[0.1, 1.0]]}, "terms"),
+            ({"type": "fourier_cesaro", "a": "0.1", "n_terms": 6}, "a"),
+            ({"type": "sampled", "period": 4.0, "samples": [[0.0, 0.0], [1.0, "1"], [2.0, 0.0], [3.0, -1.0]]},
+             "samples"),
+            ({"type": [1]}, "signal type"),
+        ],
+        ids=["flag-string", "flag-int", "n_terms-fraction", "n_terms-string", "a0-string", "a0-bool", "a0-huge-int",
+             "a0-missing", "term-string", "term-short", "coeffs-string", "sample-string", "type-list"],
+    )
+    def test_wrong_value_type_rejected(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            signals.signal_from_json(doc)
+
+    def test_integral_float_n_terms_accepted(self):
+        doc = {"type": "fourier_cesaro", "a": [0.1], "b": [], "n_terms": 6.0}
+        assert signals.signal_from_json(doc) == signals.FourierCesaro(0.0, (0.1,), (), 6)
