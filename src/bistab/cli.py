@@ -147,18 +147,18 @@ def cmd_poincare(args) -> None:
     )
 
 
+_RELAXATION_FIELDS = ["c", "eps", "r", "n_fixed_points", "regime", "area", "hausdorff"]
+
+
+def _relaxation_row(spec: relaxation.RelaxationSpec, res: relaxation.LoopResult) -> dict:
+    values = (spec.c, spec.eps, spec.r, res.n_fixed_points, res.regime, res.area, res.hausdorff_to_gamma)
+    return dict(zip(_RELAXATION_FIELDS, values))
+
+
 def cmd_relaxation(args) -> None:
     spec = relaxation.RelaxationSpec(args.c, args.eps, args.r)
     res = relaxation.run_analysis(spec)
-    row = {
-        "c": args.c,
-        "eps": spec.eps,
-        "r": spec.r,
-        "n_fixed_points": res.n_fixed_points,
-        "regime": res.regime,
-        "area": res.area,
-        "hausdorff": res.hausdorff_to_gamma,
-    }
+    row = _relaxation_row(spec, res)
     if args.format == "json":
         row["solutions"] = [
             {k: v for k, v in s.to_dict().items() if k != "samples"} for s in res.solutions
@@ -167,7 +167,7 @@ def cmd_relaxation(args) -> None:
         args,
         {"command": "relaxation", "c": args.c, "eps": spec.eps, "r": spec.r},
         [row],
-        ["c", "eps", "r", "n_fixed_points", "regime", "area", "hausdorff"],
+        _RELAXATION_FIELDS,
     )
 
 
@@ -215,17 +215,8 @@ def cmd_laplace(args) -> None:
 
 
 def _sweep_cell(task: tuple[float, float, float]) -> dict:
-    c, eps, r = task
-    res = relaxation.run_analysis(relaxation.RelaxationSpec(c, eps, r))
-    return {
-        "c": c,
-        "eps": eps,
-        "r": r,
-        "n_fixed_points": res.n_fixed_points,
-        "regime": res.regime,
-        "area": res.area,
-        "hausdorff": res.hausdorff_to_gamma,
-    }
+    spec = relaxation.RelaxationSpec(*task)
+    return _relaxation_row(spec, relaxation.run_analysis(spec))
 
 
 def cmd_sweep(args) -> None:
@@ -241,7 +232,7 @@ def cmd_sweep(args) -> None:
         args,
         {"command": "sweep", "c": args.c, "eps": args.eps, "r": args.r, "jobs": args.jobs},
         rows,
-        ["c", "eps", "r", "n_fixed_points", "regime", "area", "hausdorff"],
+        _RELAXATION_FIELDS,
     )
 
 

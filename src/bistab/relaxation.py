@@ -263,8 +263,8 @@ def run_analysis(spec: RelaxationSpec, n_loop: int = 4096, gamma_points: int = 2
 
 
 def _census_count(c: float, eps: float, r: float) -> int:
-    """Count-only regime probe: crossings of the period map on a scan grid,
-    with one refinement retry when the count is ambiguous."""
+    """Count-only regime probe: crossings of the period map on a grid of 512
+    seeds, then 1024 and 2048 while the count is neither 1 nor 3."""
     spec = RelaxationSpec(c, eps, r)
     ode = dynamics.OdeSpec(c, 0.0, spec.signal())
     count = 0
@@ -281,13 +281,10 @@ def r_threshold(
     """Bisect the exponent r on the regime predicate (3 vs 1 periodic
     solutions) until the bracket is below tol; reports which regime was
     observed on each side rather than asserting it a priori."""
-    counts = {}
-
     def bistable(r: float) -> bool:
         n = _census_count(c, eps, r)
         if n not in (1, 3):
             raise RuntimeError(f"ambiguous census ({n} crossings) at r = {r:.6g}")
-        counts[r] = n
         return n == 3
 
     lo_b, hi_b = bistable(r_lo), bistable(r_hi)

@@ -2,8 +2,9 @@
 
 The weighted average of a signal is ``d * integral_0^inf exp(-d*s) y(r+s) ds``
 (a convex combination of signal values, so it always lies between inf y and
-sup y).  For trigonometric sums it has a per-term closed form; otherwise it is
-computed by adaptive quadrature with an explicit exponential tail truncation.
+sup y).  For trigonometric sums it is again a trigonometric sum; for sampled
+signals it integrates exactly segment by segment; quadrature with an explicit
+exponential tail truncation is kept as a reference.
 
 Extremes are taken over time shifts r of y itself.  For periodic and
 finite-trigonometric inputs this coincides with the extremes over the full
@@ -279,17 +280,30 @@ def _scan_extremes(f_vec, f_scalar, window: float, n: int, xtol: float) -> tuple
     return float(vmax), float(-vmin_neg)
 
 
-def _series_form(signal: SignalSpec) -> tuple[float, tuple[tuple[float, float, float], ...], float | None]:
-    """(a0, nonzero-amplitude terms, scan window) of a trigonometric signal.
-    The window is None when the extremes are the term-wise sums (at most one
-    term, or a sum flagged rationally independent); otherwise it is one common
-    period, or 64 periods of the slowest term if the frequencies are incommensurate."""
+def _laplace_trig(signal: SignalSpec, d: float) -> TrigSum:
+    """The weighted average of a trigonometric signal as a trigonometric sum:
+    each harmonic a cos(th t + ph) becomes
+    a d/sqrt(d^2 + th^2) cos(th t + ph + atan(th/d)), with the same frequencies
+    (so the same period and the same independence flag)."""
+    a0, terms = _as_trig(signal)
+    damped = tuple((a * d / math.hypot(d, th), th, ph + math.atan2(th, d)) for a, th, ph in terms)
+    return TrigSum(a0, damped, isinstance(signal, TrigSum) and signal.rationally_independent)
+
+
+def _trig_bounds(signal: SignalSpec) -> SignalBounds:
+    """sup and inf of a trigonometric signal: the term-wise sums when they are
+    exact (at most one nonzero term, or a sum flagged rationally independent),
+    otherwise a scan over one common period, or over 64 periods of the slowest
+    term if the frequencies are incommensurate."""
     a0, terms = _as_trig(signal)
     terms = tuple(t for t in terms if t[0] != 0.0)
     if len(terms) <= 1 or (isinstance(signal, TrigSum) and signal.rationally_independent):
-        return a0, terms, None
-    period = fundamental_period(signal)
-    return a0, terms, period if period is not None else 64.0 * TWO_PI / min(th for _, th, _ in terms)
+        total = sum(abs(a) for a, _, _ in terms)
+        return SignalBounds(a0 + total, a0 - total, True)
+    window = fundamental_period(signal) or 64.0 * TWO_PI / min(th for _, th, _ in terms)
+    y = compile_signal(signal)
+    sup, inf = _scan_extremes(y, lambda r: y(float(r)), window, _GRID_PER_PERIOD, _GOLDEN_XTOL)
+    return SignalBounds(sup, inf, False)
 
 
 def bounds(signal: SignalSpec) -> SignalBounds:
@@ -297,29 +311,17 @@ def bounds(signal: SignalSpec) -> SignalBounds:
     if isinstance(signal, SampledPeriodic):
         # linear interpolant attains extremes at sample nodes
         return SignalBounds(max(signal.values), min(signal.values), False)
-    a0, terms, window = _series_form(signal)
-    if window is None:
-        total = sum(abs(a) for a, _, _ in terms)
-        return SignalBounds(a0 + total, a0 - total, True)
-    y = compile_signal(signal)
-    sup, inf = _scan_extremes(y, lambda r: y(float(r)), window, _GRID_PER_PERIOD, _GOLDEN_XTOL)
-    return SignalBounds(sup, inf, False)
-
-
-def _weighted_closed_form(a0, terms, d: float, r):
-    r = np.asarray(r, dtype=float)
-    out = np.full(r.shape, a0)
-    for a, th, ph in terms:
-        arg = th * r + ph
-        out = out + a * (d * d * np.cos(arg) - th * d * np.sin(arg)) / (d * d + th * th)
-    return out if out.ndim else float(out)
+    return _trig_bounds(signal)
 
 
 def weighted_average(signal: SignalSpec, dfrak: float, r: float, method: str = "auto") -> float:
     """d * integral_0^inf exp(-d s) y(r+s) ds.
 
-    method "closed" forces the trig closed form, "quad" forces quadrature,
-    "auto" picks the closed form whenever it exists.
+    For a trigonometric signal the closed form is the same sum with every
+    harmonic damped by d/sqrt(d^2 + th^2) and phase-advanced by atan(th/d);
+    for a sampled one each linear segment integrates exactly.  method
+    "closed" forces the trig closed form, "quad" forces quadrature, "auto"
+    picks the closed form whenever it exists.
     """
     if dfrak <= 0.0:
         raise ValueError(f"weighted_average requires dfrak > 0, got {dfrak}")
@@ -327,7 +329,7 @@ def weighted_average(signal: SignalSpec, dfrak: float, r: float, method: str = "
     if method == "closed" and trig is None:
         raise ValueError("closed form only available for trigonometric signals")
     if trig is not None and method != "quad":
-        return float(_weighted_closed_form(trig[0], trig[1], dfrak, float(r)))
+        return compile_signal(_laplace_trig(signal, dfrak))(float(r))
     if isinstance(signal, SampledPeriodic) and method != "quad":
         return _weighted_sampled_exact(signal, dfrak, float(r))
     integrand = lambda s: dfrak * math.exp(-dfrak * s) * eval(signal, r + s)
@@ -358,7 +360,10 @@ def _weighted_sampled_exact(signal: SampledPeriodic, d: float, r: float) -> floa
 
 
 def weighted_bounds(signal: SignalSpec, dfrak: float) -> WeightedBounds:
-    """Extremes over r of the Laplace-weighted average."""
+    """Extremes over r of the Laplace-weighted average.  The weighted average
+    of a trigonometric signal is itself a trigonometric sum, so its extremes
+    follow the same exact-or-scan rule as ``bounds``; a sampled signal is
+    scanned over one period."""
     if dfrak <= 0.0:
         raise ValueError(f"weighted_bounds requires dfrak > 0, got {dfrak}")
     if isinstance(signal, SampledPeriodic):
@@ -366,18 +371,8 @@ def weighted_bounds(signal: SignalSpec, dfrak: float) -> WeightedBounds:
         f = lambda r: weighted_average(signal, dfrak, float(r))
         sup_w, inf_w = _scan_extremes(lambda rs: np.array([f(r) for r in rs]), f, signal.period, 256, 1e-8)
         return WeightedBounds(sup_w, inf_w, dfrak, False)
-    a0, terms, window = _series_form(signal)
-    if window is None:
-        amp = sum(abs(a) * dfrak / math.hypot(dfrak, th) for a, th, _ in terms)
-        return WeightedBounds(a0 + amp, a0 - amp, dfrak, True)
-    sup_w, inf_w = _scan_extremes(
-        lambda r: _weighted_closed_form(a0, terms, dfrak, r),
-        lambda r: _weighted_closed_form(a0, terms, dfrak, float(r)),
-        window,
-        _GRID_PER_PERIOD,
-        _GOLDEN_XTOL,
-    )
-    return WeightedBounds(sup_w, inf_w, dfrak, False)
+    w = _trig_bounds(_laplace_trig(signal, dfrak))
+    return WeightedBounds(w.sup, w.inf, dfrak, w.exact)
 
 
 def series_bound(terms: Sequence[tuple[float, float]], dfrak: float) -> float:
@@ -390,17 +385,14 @@ def series_bound(terms: Sequence[tuple[float, float]], dfrak: float) -> float:
 
 
 def cesaro_bound(a_coeffs: Sequence[float], b_coeffs: Sequence[float], dfrak: float, n_terms: int) -> float:
-    """N-th Cesaro bound (1/N) sum_{n=1}^{N-1} (N-n)(|a_n|+|b_n|)(1 + d/sqrt(d^2+n^2))."""
+    """N-th Cesaro bound (1/N) sum_{n=1}^{N-1} (N-n)(|a_n|+|b_n|)(1 + d/sqrt(d^2+n^2)):
+    the series bound of the Cesaro-weighted cosine terms."""
     if dfrak <= 0.0:
         raise ValueError(f"cesaro_bound requires dfrak > 0, got {dfrak}")
     if n_terms < 2:
         raise ValueError("cesaro_bound needs n_terms >= 2")
-    total = 0.0
-    for n in range(1, n_terms):
-        a = abs(a_coeffs[n - 1]) if n <= len(a_coeffs) else 0.0
-        b = abs(b_coeffs[n - 1]) if n <= len(b_coeffs) else 0.0
-        total += (n_terms - n) * (a + b) * (1.0 + dfrak / math.hypot(dfrak, float(n)))
-    return total / n_terms
+    terms = _cesaro_terms(FourierCesaro(0.0, tuple(a_coeffs), tuple(b_coeffs), n_terms))
+    return series_bound([(a, th) for a, th, _ in terms], dfrak)
 
 
 def signal_to_json(signal: SignalSpec) -> dict:

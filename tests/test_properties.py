@@ -3,6 +3,7 @@
 import json
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,3 +65,88 @@ def test_weighted_extremes_lie_inside_the_range(y, dfrak):
 @given(all_signals)
 def test_json_round_trip(y):
     assert signals.signal_from_json(json.loads(json.dumps(signals.signal_to_json(y)))) == y
+
+
+def textbook_weighted_average(a0, terms, d, r):
+    # d * int_0^inf e^{-ds} a cos(th (r+s) + ph) ds, term by term
+    total = a0
+    for a, th, ph in terms:
+        arg = th * r + ph
+        total += a * (d * d * math.cos(arg) - th * d * math.sin(arg)) / (d * d + th * th)
+    return total
+
+
+def written_out_terms(y):
+    """(a0, (amplitude, frequency, phase) terms) of a trig sum or a Cesaro
+    mean, the Cesaro weights (N - n)/N and b sin = b cos(. - pi/2) spelt out."""
+    if isinstance(y, signals.TrigSum):
+        return y.a0, y.terms
+    N = y.n_terms
+    cos_terms = [((N - n) / N * a, float(n), 0.0) for n, a in enumerate(y.a_coeffs[: N - 1], 1)]
+    sin_terms = [((N - n) / N * b, float(n), -math.pi / 2.0) for n, b in enumerate(y.b_coeffs[: N - 1], 1)]
+    return y.a0, tuple(cos_terms + sin_terms)
+
+
+trig_and_cesaro = st.one_of(trig_sums(), cesaro_sums)
+
+
+@BUDGET
+@given(trig_and_cesaro, st.floats(0.05, 20.0), st.floats(-3.0, 3.0))
+def test_weighted_average_is_the_damped_phase_advanced_sum(y, dfrak, r):
+    a0, terms = written_out_terms(y)
+    scale = max(1.0, abs(a0) + sum(abs(a) for a, _, _ in terms))
+    got = signals.weighted_average(y, dfrak, r)
+    assert abs(got - textbook_weighted_average(a0, terms, dfrak, r)) <= 1e-14 * scale
+
+
+@BUDGET
+@given(trig_and_cesaro, st.floats(0.2, 5.0), st.floats(-3.0, 3.0))
+def test_weighted_average_matches_quadrature(y, dfrak, r):
+    closed = signals.weighted_average(y, dfrak, r)
+    assert abs(closed - signals.weighted_average(y, dfrak, r, method="quad")) <= 1e-8
+
+
+@st.composite
+def commensurate_sums(draw):
+    # integer frequency ratios, so one scan window covers a whole period
+    base = draw(st.floats(0.5, 2.0))
+    ks = draw(st.lists(st.sampled_from((1.0, 2.0, 3.0, 4.0)), min_size=1, max_size=3, unique=True))
+    terms = tuple((draw(amplitudes), base * k, draw(phases)) for k in ks)
+    return signals.TrigSum(draw(offsets), terms, draw(st.booleans()))
+
+
+@BUDGET
+@given(commensurate_sums(), st.floats(-10.0, 10.0), st.floats(0.05, 20.0))
+def test_bounds_are_time_translation_invariant(y, s, dfrak):
+    # shifting every phase by theta_n * s is the translate t -> t + s
+    shifted = signals.TrigSum(y.a0, tuple((a, th, ph + th * s) for a, th, ph in y.terms), y.rationally_independent)
+    b, b_s = signals.bounds(y), signals.bounds(shifted)
+    w, w_s = signals.weighted_bounds(y, dfrak), signals.weighted_bounds(shifted, dfrak)
+    assert abs(b.sup - b_s.sup) <= SLACK and abs(b.inf - b_s.inf) <= SLACK
+    assert abs(w.sup_w - w_s.sup_w) <= SLACK and abs(w.inf_w - w_s.inf_w) <= SLACK
+
+
+coefficient_lists = st.lists(st.floats(-1.0, 1.0), max_size=6)
+
+
+@BUDGET
+@given(coefficient_lists, coefficient_lists, st.floats(0.05, 20.0), st.integers(2, 12))
+def test_cesaro_bound_is_the_written_out_sum(a, b, dfrak, n_terms):
+    # (1/N) sum_{n=1}^{N-1} (N - n)(|a_n| + |b_n|)(1 + d / sqrt(d^2 + n^2))
+    expected = 0.0
+    for n in range(1, n_terms):
+        a_n = abs(a[n - 1]) if n <= len(a) else 0.0
+        b_n = abs(b[n - 1]) if n <= len(b) else 0.0
+        expected += (n_terms - n) * (a_n + b_n) * (1.0 + dfrak / math.sqrt(dfrak * dfrak + n * n))
+    expected /= n_terms
+    assert abs(signals.cesaro_bound(a, b, dfrak, n_terms) - expected) <= 1e-12 * expected
+
+
+def test_cesaro_bound_errors():
+    with pytest.raises(ValueError, match=r"^cesaro_bound requires dfrak > 0, got 0.0$"):
+        signals.cesaro_bound([1.0], [], 0.0, 5)
+    with pytest.raises(ValueError, match=r"^cesaro_bound needs n_terms >= 2$"):
+        signals.cesaro_bound([1.0], [], 1.0, 1)
+    # the dfrak check comes first
+    with pytest.raises(ValueError, match="dfrak"):
+        signals.cesaro_bound([1.0], [], -1.0, 1)
