@@ -12,6 +12,13 @@ periods) do not overflow.  Repulsive orbits are refined and measured through
 the inverse map (backward-time integration), for which they are attractive:
 a forward pass starting within roundoff of a strongly repulsive orbit still
 falls off it long before the period ends, corrupting the multiplier integral.
+
+Census fixed points are refined by Newton's method on the period map (the
+shooting method), at no extra cost: the slope of the map is the multiplier
+that each map call integrates anyway.  A Newton step is taken only where it
+is safe (the map contracts and the step stays inside the crossing's
+bracket); otherwise the plain contraction step is taken, with root
+bracketing as the last resort.
 """
 
 from __future__ import annotations
@@ -314,16 +321,18 @@ def poincare_multiplier_fd(
     return total
 
 
-def _scan_interval(spec: OdeSpec) -> tuple[float, float] | None:
+def _scan_interval(spec: OdeSpec, sup: float) -> tuple[float, float] | None:
     """Scan interval for the fixed-point census, or None when it is empty.
 
-    The ceiling rho satisfies gbar(rho) = -max(lam2, lam + sup y) - 1, so
-    every bounded solution in the analyzed regimes lies below it; for the
-    recentered comparison equations the interval is shifted by -sqrt(3).
-    For c <= 4 and lam + sup y <= -1 there is no ceiling above 0: x' <= -1
-    on all of x >= 0, so no solution there is bounded.
+    ``sup`` is sup y of the spec's signal, computed once by the caller for
+    all the scans of one solve.  The ceiling rho satisfies
+    gbar(rho) = -max(lam2, lam + sup y) - 1, so every bounded solution in
+    the analyzed regimes lies below it; for the recentered comparison
+    equations the interval is shifted by -sqrt(3).  For c <= 4 and
+    lam + sup y <= -1 there is no ceiling above 0: x' <= -1 on all of
+    x >= 0, so no solution there is bounded.
     """
-    target = -(spec.lam + sig.bounds(spec.signal).sup) - 1.0
+    target = -(spec.lam + sup) - 1.0
     if spec.c <= 4.0 and target >= 0.0:
         return None
     if spec.c > 4.0:
@@ -346,9 +355,10 @@ def _displacement_grid(spec: OdeSpec, T: float, xs: np.ndarray) -> np.ndarray:
     return _end_state(_solve(spec, 0.0, xs, T, ABSTOL, RELTOL)) - xs
 
 
-def _brackets(spec: OdeSpec, T: float, n: int) -> list[tuple[float, float, bool]]:
-    """(xa, xb, attractive_crossing) for every sign change of the displacement."""
-    interval = _scan_interval(spec)
+def _brackets(spec: OdeSpec, T: float, n: int, sup: float) -> list[tuple[float, float, bool]]:
+    """(xa, xb, attractive_crossing) for every sign change of the displacement
+    on n seeds over the scan interval (``sup`` as in ``_scan_interval``)."""
+    interval = _scan_interval(spec, sup)
     if interval is None:
         return []
     xs = np.linspace(*interval, n)
@@ -366,11 +376,12 @@ def _brackets(spec: OdeSpec, T: float, n: int) -> list[tuple[float, float, bool]
 def _stable_brackets(spec: OdeSpec, T: float):
     """Grid scan doubled until the crossing count stabilizes twice in a row."""
     n, n_max = STABLE_SEEDS
+    sup = sig.bounds(spec.signal).sup
     streak = 0
-    brk = _brackets(spec, T, n)
+    brk = _brackets(spec, T, n, sup)
     while streak < 2 and n < n_max:
         n *= 2
-        nxt = _brackets(spec, T, n)
+        nxt = _brackets(spec, T, n, sup)
         streak = streak + 1 if len(nxt) == len(brk) else 0
         brk = nxt
     return brk
@@ -379,18 +390,31 @@ def _stable_brackets(spec: OdeSpec, T: float):
 def _refine_fixed_point(spec: OdeSpec, T: float, xa: float, xb: float, attractive: bool) -> float:
     """Fixed point of the period map inside [xa, xb].
 
-    Attractive crossings iterate the forward map, repulsive ones the inverse
-    (backward) map; both contract onto the orbit.  Root bracketing on the
-    forward displacement is the fallback when the map contracts too slowly
-    (multiplier near 1).
+    Attractive crossings iterate the forward map P, repulsive ones the
+    inverse (backward) map; both contract onto the orbit.  Each map call
+    also returns the log multiplier L of its arc, so the slope s of the
+    iterated map at x is free: e^L forward, e^-L backward (the inverse map's
+    slope is the reciprocal of the forward one).  The step is Newton's on
+    P(x) - x (the shooting method for periodic orbits; Kuznetsov, Elements
+    of Applied Bifurcation Theory, ch. 10), written as a correction to the
+    contraction step, P(x) + (P(x) - x) s / (1 - s), so it is the plain
+    contraction step whenever s is below rounding.  The plain step is taken
+    instead when s >= 1 (or overflows) or when the Newton step would leave
+    [xa, xb].  Root bracketing on the forward displacement is the fallback
+    when 60 steps do not converge (multiplier near 1).
     """
     x = 0.5 * (xa + xb)
     for _ in range(60):
-        nxt, _ = poincare_map_log(spec, T, x, backward=not attractive)
+        nxt, L = poincare_map_log(spec, T, x, backward=not attractive)
         if abs(nxt - x) < FP_TOL:
             return nxt
-        x = nxt
-    return float(brentq(lambda s: poincare_map_log(spec, T, s)[0] - s, xa, xb, xtol=FP_TOL))
+        try:
+            s = math.exp(L if attractive else -L)
+        except OverflowError:
+            s = math.inf
+        newton = nxt + (nxt - x) * s / (1.0 - s) if s < 1.0 else nxt
+        x = newton if xa <= newton <= xb else nxt
+    return float(brentq(lambda z: poincare_map_log(spec, T, z)[0] - z, xa, xb, xtol=FP_TOL))
 
 
 def find_periodic_solutions(spec: OdeSpec, T: float) -> list[PeriodicSolution]:
@@ -451,7 +475,8 @@ def count_separated_solutions(spec: OdeSpec, T: float) -> int:
 
     Count-only fast path: no refinement or multipliers, one vectorized scan.
     """
-    mids = sorted(0.5 * (xa + xb) for xa, xb, _ in _brackets(spec, T, CENSUS_SEEDS))
+    sup = sig.bounds(spec.signal).sup
+    mids = sorted(0.5 * (xa + xb) for xa, xb, _ in _brackets(spec, T, CENSUS_SEEDS, sup))
     count = 0
     last = None
     for m in mids:
@@ -509,7 +534,7 @@ def estimate_lambda_pm(
         def extremum(lam: float) -> float:
             if lam not in values:
                 spec = OdeSpec(c, lam, signal, rhs_kind)
-                xs = np.linspace(*_scan_interval(spec), CENSUS_SEEDS)
+                xs = np.linspace(*_scan_interval(spec, b.sup), CENSUS_SEEDS)
                 try:
                     values[lam] = float(np.max(sign * _displacement_grid(spec, T, xs)))
                 except FiniteEscapeError:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import brentq  # noqa: F401  perfbench/tracing.py wraps relaxation.brentq by name
 from scipy.spatial import cKDTree
 
-from . import dynamics
+from . import dynamics, signals
 from .model import DomainError, diagnostics, g_eval
 from .signals import TrigSum
 
@@ -267,9 +267,10 @@ def _census_count(c: float, eps: float, r: float) -> int:
     seeds, then 1024 and 2048 while the count is neither 1 nor 3."""
     spec = RelaxationSpec(c, eps, r)
     ode = dynamics.OdeSpec(c, 0.0, spec.signal())
+    sup = signals.bounds(ode.signal).sup
     count = 0
     for n in (512, 1024, 2048):
-        count = len(dynamics._brackets(ode, spec.period, n))
+        count = len(dynamics._brackets(ode, spec.period, n, sup))
         if count in (1, 3):
             return count
     return count

@@ -357,6 +357,30 @@ def reference_flow(c, lam, x0, t0, t1):
     return x
 
 
+def contraction_fixed_point(spec, T, xa, xb, attractive):
+    """Fixed point by plain contraction of the period map, forward for an
+    attractive crossing and backward for a repulsive one, with the stopping
+    test of ``_refine_fixed_point``: the refinement without Newton steps."""
+    x = 0.5 * (xa + xb)
+    for _ in range(200):
+        nxt, _ = dynamics.poincare_map_log(spec, T, x, backward=not attractive)
+        if abs(nxt - x) < dynamics.FP_TOL:
+            return nxt
+        x = nxt
+    raise AssertionError("the contraction did not converge")
+
+
+class CountedMap:
+    """Stands in for ``dynamics.poincare_map_log`` and counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
+
+
 class TestSampledInput:
     """A sampled input is integrated node to node, so its period map is as
     smooth as the solver's tolerance allows."""
@@ -388,6 +412,18 @@ class TestSampledInput:
         for xa, xb, attractive in brackets:
             x = dynamics._refine_fixed_point(spec, T, xa, xb, attractive)
             assert xa <= x <= xb
+
+    def test_newton_needs_few_map_calls(self, monkeypatch):
+        # the contraction needs 24 map calls for these three fixed points
+        spec = dynamics.OdeSpec(self.C, self.LAM, SAMPLED)
+        T = SAMPLED.period
+        brackets = dynamics._stable_brackets(spec, T)
+        want = [contraction_fixed_point(spec, T, *b) for b in brackets]
+        counted = CountedMap(dynamics.poincare_map_log)
+        monkeypatch.setattr(dynamics, "poincare_map_log", counted)
+        sols = dynamics.find_periodic_solutions(spec, T)
+        assert counted.calls <= 12
+        assert [s.fixed_point for s in sols] == pytest.approx(want, rel=0.0, abs=1e-8)
 
     def test_fd_multiplier_matches_augmented(self):
         spec = dynamics.OdeSpec(self.C, self.LAM, SAMPLED)
@@ -421,6 +457,38 @@ class TestSampledInput:
         spec = dynamics.OdeSpec(5.0, 0.0, SAMPLED, rhs_kind="concave-linear")
         with pytest.raises(dynamics.FiniteEscapeError):
             dynamics.integrate(spec, 0.0, -1.0, 100.0)
+
+
+class TestNewtonStep:
+    """_refine_fixed_point on a linear stand-in for the iterated map,
+    P(x) = X + 0.5 (x - X), with a reported log multiplier L that may be
+    wrong: with the true slope one Newton step lands on X, and each guard
+    falls back to the plain contraction step."""
+
+    X, XA, XB = 0.7, 0.0, 2.0
+
+    def linear_map(self, L):
+        return CountedMap(lambda spec, T, x, backward=False: (self.X + 0.5 * (x - self.X), L))
+
+    @pytest.mark.parametrize("attractive", [True, False])
+    def test_true_slope_converges_in_one_step(self, monkeypatch, attractive):
+        # a repulsive crossing iterates the inverse map, whose slope is e^-L
+        fake = self.linear_map(math.log(0.5) if attractive else math.log(2.0))
+        monkeypatch.setattr(dynamics, "poincare_map_log", fake)
+        x = dynamics._refine_fixed_point(None, 1.0, self.XA, self.XB, attractive)
+        assert fake.calls == 2 and abs(x - self.X) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "L", [0.5, 1e4, math.log1p(-2.0**-52)], ids=["slope above 1", "slope overflows", "step leaves bracket"]
+    )
+    def test_guards_take_the_contraction_step(self, monkeypatch, L):
+        plain = self.linear_map(L)
+        monkeypatch.setattr(dynamics, "poincare_map_log", plain)
+        want = contraction_fixed_point(None, 1.0, self.XA, self.XB, True)
+        fake = self.linear_map(L)
+        monkeypatch.setattr(dynamics, "poincare_map_log", fake)
+        assert dynamics._refine_fixed_point(None, 1.0, self.XA, self.XB, True) == want
+        assert fake.calls == plain.calls > 20
 
 
 class TestSmoothInputIsOnePiece:

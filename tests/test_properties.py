@@ -1,4 +1,5 @@
-"""Property tests of the signal layer (hypothesis, fixed seed, small budget)."""
+"""Property tests of the signal layer, and of the regime certificates against
+the period-map census (hypothesis, fixed seed, small budget)."""
 
 import json
 import math
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bistab import signals
+from bistab import criteria, dynamics, model, signals
 
 SLACK = 1e-9
 BUDGET = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -150,3 +151,33 @@ def test_cesaro_bound_errors():
     # the dfrak check comes first
     with pytest.raises(ValueError, match="dfrak"):
         signals.cesaro_bound([1.0], [], -1.0, 1)
+
+
+# each example runs at most one census (~0.1 s)
+CENSUS_BUDGET = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+C_CENSUS = 5.0
+
+
+@st.composite
+def small_trig_sums(draw):
+    # one or two commensurate harmonics, small enough that the exact
+    # small-variation interval of thm 3.2 is often non-empty at c = 5
+    base = draw(st.floats(0.5, 2.0))
+    ks = draw(st.lists(st.sampled_from((1.0, 2.0)), min_size=1, max_size=2, unique=True))
+    return signals.TrigSum(0.0, tuple((draw(st.floats(0.002, 0.08)), base * k, draw(phases)) for k in ks))
+
+
+@CENSUS_BUDGET
+@given(small_trig_sums(), st.floats(-0.25, 1.25))
+def test_certificate_agrees_with_the_census(y, u):
+    # lambda runs across the outer sandwich [lam1 - sup y, lam2 - inf y] and a
+    # quarter of its width beyond either end
+    b = signals.bounds(y)
+    lo, hi = model.lam1(C_CENSUS) - b.sup, model.lam2(C_CENSUS) - b.inf
+    lam = lo + u * (hi - lo)
+    cert = criteria.classify(C_CENSUS, lam, y)
+    if cert.regime == "indeterminate":
+        return
+    sols = dynamics.find_periodic_solutions(dynamics.OdeSpec(C_CENSUS, lam, y), dynamics.signal_period(y))
+    want = ["attractive", "repulsive", "attractive"] if cert.regime == "bistability" else ["attractive"]
+    assert [s.kind for s in sols] == want
