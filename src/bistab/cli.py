@@ -160,9 +160,7 @@ def cmd_relaxation(args) -> None:
     res = relaxation.run_analysis(spec)
     row = _relaxation_row(spec, res)
     if args.format == "json":
-        row["solutions"] = [
-            {k: v for k, v in s.to_dict().items() if k != "samples"} for s in res.solutions
-        ]
+        row["solutions"] = [s.to_dict() for s in res.solutions]
     _emit(
         args,
         {"command": "relaxation", "c": args.c, "eps": spec.eps, "r": spec.r},

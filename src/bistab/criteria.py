@@ -103,12 +103,16 @@ def _require_supercritical(diag: ScalarDiagnostics, what: str) -> None:
         raise DomainError(f"{what} requires c > 4, got c = {diag.c}")
 
 
-def interval_I1(diag: ScalarDiagnostics, b: SignalBounds) -> IntervalEstimate:
+def _inner_sandwich(diag: ScalarDiagnostics, b: SignalBounds, kind: str, basis: str) -> IntervalEstimate:
     """(lam1 - inf y, lam2 - sup y); empty when sup y - inf y >= h1."""
+    lower, upper = diag.lam1 - b.inf, diag.lam2 - b.sup
+    return IntervalEstimate(lower, upper, kind, basis, empty=lower >= upper)
+
+
+def interval_I1(diag: ScalarDiagnostics, b: SignalBounds) -> IntervalEstimate:
+    """The exact small-variation interval, (lam1 - inf y, lam2 - sup y)."""
     _require_supercritical(diag, "interval_I1")
-    lower = diag.lam1 - b.inf
-    upper = diag.lam2 - b.sup
-    return IntervalEstimate(lower, upper, "exact", RULE_INTERVAL_I1, empty=lower >= upper)
+    return _inner_sandwich(diag, b, "exact", RULE_INTERVAL_I1)
 
 
 def mu_bounds(diag: ScalarDiagnostics, w: WeightedBounds) -> MuBounds:
@@ -122,9 +126,7 @@ def _sandwich_intervals(diag: ScalarDiagnostics, b: SignalBounds) -> tuple[Inter
     criterion: lam1 - sup <= lower endpoint <= lam1 - inf, and the same with
     lam2 for the upper endpoint."""
     outer = IntervalEstimate(diag.lam1 - b.sup, diag.lam2 - b.inf, "outer-bound", RULE_SANDWICH)
-    inner_lo, inner_hi = diag.lam1 - b.inf, diag.lam2 - b.sup
-    inner = IntervalEstimate(inner_lo, inner_hi, "inner-bound", RULE_SANDWICH, empty=inner_lo >= inner_hi)
-    return outer, inner
+    return outer, _inner_sandwich(diag, b, "inner-bound", RULE_SANDWICH)
 
 
 def check_thm_4_6(diag: ScalarDiagnostics, b: SignalBounds, w: WeightedBounds) -> ConditionReport:
@@ -189,8 +191,7 @@ def check_thm_6_1(diag: ScalarDiagnostics, b: SignalBounds) -> ConditionReport:
     outer = IntervalEstimate(
         diag.lam3 - b.sup, max(diag.lam2, diag.lam4) - b.inf, "outer-bound", RULE_BAND_SANDWICH
     )
-    inner_lo, inner_hi = diag.lam1 - b.inf, diag.lam2 - b.sup
-    inner = IntervalEstimate(inner_lo, inner_hi, "inner-bound", RULE_BAND_SANDWICH, empty=inner_lo >= inner_hi)
+    inner = _inner_sandwich(diag, b, "inner-bound", RULE_BAND_SANDWICH)
     return ConditionReport(True, RULE_BAND, slacks, (band, outer, inner))
 
 

@@ -112,18 +112,14 @@ class Trajectory:
         for t, x in zip(self.times, self.values):
             yield f"{t!r},{x!r}"
 
-    def to_dict(self) -> dict:
-        return {
-            "abstol": self.abstol,
-            "reltol": self.reltol,
-            "samples": [[float(t), float(x)] for t, x in zip(self.times, self.values)],
-        }
-
 
 @dataclass(frozen=True)
 class PeriodicSolution:
+    """A fixed point of the period map with the multiplier its refinement
+    measured.  The orbit itself is ``integrate(spec, 0, fixed_point, period)``
+    (from ``period`` back to 0 for a repulsive one)."""
+
     period: float
-    samples: Trajectory
     fixed_point: float  # value at t = 0
     multiplier: float  # exp(log_multiplier); inf when it overflows
     log_multiplier: float
@@ -136,7 +132,6 @@ class PeriodicSolution:
             "multiplier": self.multiplier,
             "log_multiplier": self.log_multiplier,
             "kind": self.kind,
-            "samples": self.samples.to_dict(),
         }
 
 
@@ -224,16 +219,9 @@ def _path(pieces) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(ts), np.concatenate(ys, axis=1)
 
 
-def integrate(
-    spec: OdeSpec,
-    t0: float,
-    x0: float,
-    t1: float,
-    abstol: float = ABSTOL,
-    reltol: float = RELTOL,
-    n_samples: int | None = None,
-) -> Trajectory:
-    """Trajectory from (t0, x0) to t1; t1 < t0 integrates backward.
+def integrate(spec: OdeSpec, t0: float, x0: float, t1: float, n_samples: int | None = None) -> Trajectory:
+    """Trajectory from (t0, x0) to t1 at tolerances ABSTOL and RELTOL; t1 < t0
+    integrates backward.
 
     The returned times are always strictly increasing (a backward run is
     reversed): the solver's steps, or the n_samples equally spaced times.
@@ -244,11 +232,11 @@ def integrate(
     node to node, so its nodes are among the steps.
     """
     t_eval = np.linspace(t0, t1, n_samples) if n_samples else None
-    times, ys = _path(_solve(spec, t0, x0, t1, abstol, reltol, augmented=True, t_eval=t_eval))
+    times, ys = _path(_solve(spec, t0, x0, t1, ABSTOL, RELTOL, augmented=True, t_eval=t_eval))
     values = ys[0]
     if t1 < t0:
         times, values = times[::-1], values[::-1]
-    return Trajectory(np.asarray(times), np.asarray(values), abstol, reltol)
+    return Trajectory(np.asarray(times), np.asarray(values), ABSTOL, RELTOL)
 
 
 def _augmented_rhs(spec: OdeSpec):
@@ -271,26 +259,28 @@ def poincare_map_log(spec: OdeSpec, T: float, x0: float, backward: bool = False)
     return xT, (-L if backward else L)
 
 
+def _exp(L: float) -> float:
+    """e^L, or inf where it overflows a float."""
+    try:
+        return math.exp(L)
+    except OverflowError:
+        return math.inf
+
+
 def poincare_map(spec: OdeSpec, T: float, x0: float) -> tuple[float, float]:
     """(x(T; 0, x0), multiplier exp(integral of the state derivative))."""
     xT, L = poincare_map_log(spec, T, x0)
-    try:
-        mult = math.exp(L)
-    except OverflowError:
-        mult = math.inf
-    return xT, mult
+    return xT, _exp(L)
 
 
-def poincare_multiplier_fd(
-    spec: OdeSpec, T: float, x0: float, h: float = 1e-5, backward_orbit: bool = False
-) -> float:
+def poincare_multiplier_fd(spec: OdeSpec, T: float, x0: float, backward_orbit: bool = False) -> float:
     """Log multiplier at x0 by centered finite differences of the flow.
 
     The period is split into segments on which the log derivative of the flow
     map stays bounded (|increment| <= 2), each segment map is differenced at
-    x +/- h around the orbit, and the segment logs are summed; for mildly
-    hyperbolic orbits this reduces to the plain centered difference of the
-    period map.  Differencing the full map directly is impossible for long
+    x +/- h (h = 1e-5) around the orbit, and the segment logs are summed; for
+    mildly hyperbolic orbits this reduces to the plain centered difference of
+    the period map.  Differencing the full map directly is impossible for long
     periods: its derivative overflows double precision.
 
     backward_orbit computes the anchor orbit by backward integration from
@@ -310,7 +300,7 @@ def poincare_multiplier_fd(
             cuts.append(i)
     if cuts[-1] != ts.size - 1:
         cuts.append(ts.size - 1)
-    total = 0.0
+    h, total = 1e-5, 0.0
     for i0, i1 in zip(cuts, cuts[1:]):
         ta, tb, xa = ts[i0], ts[i1], xs[i0]
         hi, lo = _end_state(_solve(spec, ta, [xa + h, xa - h], tb, 1e-12, 1e-10))
@@ -387,8 +377,11 @@ def _stable_brackets(spec: OdeSpec, T: float):
     return brk
 
 
-def _refine_fixed_point(spec: OdeSpec, T: float, xa: float, xb: float, attractive: bool) -> float:
-    """Fixed point of the period map inside [xa, xb].
+def _refine_fixed_point(
+    spec: OdeSpec, T: float, xa: float, xb: float, attractive: bool
+) -> tuple[float, float]:
+    """(x, L): a fixed point x of the period map inside [xa, xb] and the
+    forward-oriented log multiplier L of the map call that converged on it.
 
     Attractive crossings iterate the forward map P, repulsive ones the
     inverse (backward) map; both contract onto the orbit.  Each map call
@@ -401,54 +394,38 @@ def _refine_fixed_point(spec: OdeSpec, T: float, xa: float, xb: float, attractiv
     contraction step whenever s is below rounding.  The plain step is taken
     instead when s >= 1 (or overflows) or when the Newton step would leave
     [xa, xb].  Root bracketing on the forward displacement is the fallback
-    when 60 steps do not converge (multiplier near 1).
+    when 60 steps do not converge (multiplier near 1); its root's L then
+    comes from one more map call in the crossing's direction.
     """
     x = 0.5 * (xa + xb)
     for _ in range(60):
         nxt, L = poincare_map_log(spec, T, x, backward=not attractive)
         if abs(nxt - x) < FP_TOL:
-            return nxt
-        try:
-            s = math.exp(L if attractive else -L)
-        except OverflowError:
-            s = math.inf
+            return nxt, L
+        s = _exp(L if attractive else -L)
         newton = nxt + (nxt - x) * s / (1.0 - s) if s < 1.0 else nxt
         x = newton if xa <= newton <= xb else nxt
-    return float(brentq(lambda z: poincare_map_log(spec, T, z)[0] - z, xa, xb, xtol=FP_TOL))
+    x = float(brentq(lambda z: poincare_map_log(spec, T, z)[0] - z, xa, xb, xtol=FP_TOL))
+    return x, poincare_map_log(spec, T, x, backward=not attractive)[1]
 
 
 def find_periodic_solutions(spec: OdeSpec, T: float) -> list[PeriodicSolution]:
     """All T-periodic solutions found by the census over the scan interval.
 
-    Requires the input to be constant or T-periodic.  Each solution carries
-    one period of samples, its multiplier, and its stability tag.
+    Requires the input to be constant or T-periodic.  Each solution is its
+    fixed point, the multiplier measured by the map call its refinement
+    converged with (a repulsive orbit is measured backward, as forward
+    integration falls off it before one period when the multiplier is
+    extreme), and its stability tag; no orbit is integrated again.
     """
     solutions = []
     for xa, xb, attractive in _stable_brackets(spec, T):
-        x0 = _refine_fixed_point(spec, T, xa, xb, attractive)
+        x0, L = _refine_fixed_point(spec, T, xa, xb, attractive)
         if any(abs(x0 - s.fixed_point) < DEDUP_TOL for s in solutions):
             continue
-        # sample/measure repulsive orbits backward: forward integration falls
-        # off them before one period when the multiplier is extreme
-        t0, t1 = (0.0, T) if attractive else (T, 0.0)
-        ts, ys = _path(_solve(spec, t0, x0, t1, ABSTOL, RELTOL, augmented=True))
-        xs, L = ys[0], float(ys[1, -1])
-        if not attractive:
-            ts, xs, L = ts[::-1], xs[::-1], -L
-        try:
-            mult = math.exp(L)
-        except OverflowError:
-            mult = math.inf
         kind = "non-hyperbolic" if abs(L) < NONHYP_TOL else ("attractive" if L < 0.0 else "repulsive")
         solutions.append(
-            PeriodicSolution(
-                period=T,
-                samples=Trajectory(np.asarray(ts), np.asarray(xs), ABSTOL, RELTOL),
-                fixed_point=x0,
-                multiplier=mult,
-                log_multiplier=L,
-                kind=kind,
-            )
+            PeriodicSolution(period=T, fixed_point=x0, multiplier=_exp(L), log_multiplier=L, kind=kind)
         )
     solutions.sort(key=lambda s: s.fixed_point)
     for a, b in zip(solutions, solutions[1:]):

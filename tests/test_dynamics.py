@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from bistab import dynamics, model, signals
 
@@ -162,10 +163,24 @@ class TestCensus:
         spec = dynamics.OdeSpec(c, lam, y)
         sols = dynamics.find_periodic_solutions(spec, 2.0 * math.pi)
         rep = [s for s in sols if s.kind == "repulsive"][0]
-        assert abs(rep.samples.values[-1] - rep.samples.values[0]) < 1e-6
+        orbit = dynamics.integrate(spec, 2.0 * math.pi, rep.fixed_point, 0.0)
+        assert abs(orbit.values[-1] - orbit.values[0]) < 1e-6
         # forward map from the refined point returns to itself at mild scale
         xT, _ = dynamics.poincare_map_log(spec, 2.0 * math.pi, rep.fixed_point)
         assert xT == pytest.approx(rep.fixed_point, abs=1e-6)
+
+    def test_census_solves_only_its_scans_and_map_calls(self, monkeypatch):
+        # a smooth input is one solve_ivp call per scan and per map call: no
+        # fixed point is integrated again once its refinement has converged
+        c = 5.0
+        y = signals.TrigSum(0.0, ((0.04, 1.0, -math.pi / 2.0),))
+        spec = dynamics.OdeSpec(c, (model.lam1(c) + model.lam2(c)) / 2.0, y)
+        names = ("solve_ivp", "_brackets", "poincare_map_log")
+        solves, scans, maps = counted = [CountedMap(getattr(dynamics, name)) for name in names]
+        for name, fn in zip(names, counted):
+            monkeypatch.setattr(dynamics, name, fn)
+        assert len(dynamics.find_periodic_solutions(spec, 2.0 * math.pi)) == 3
+        assert solves.calls == scans.calls + maps.calls
 
     def test_count_separated(self):
         assert dynamics.count_separated_solutions(dynamics.OdeSpec(5.0, 6.0, ZERO), 1.0) == 3
@@ -371,7 +386,8 @@ def contraction_fixed_point(spec, T, xa, xb, attractive):
 
 
 class CountedMap:
-    """Stands in for ``dynamics.poincare_map_log`` and counts its calls."""
+    """Stands in for a ``dynamics`` function (``poincare_map_log`` mostly) and
+    counts its calls."""
 
     def __init__(self, fn):
         self.fn, self.calls = fn, 0
@@ -397,7 +413,8 @@ class TestSampledInput:
             # a repulsive orbit attracts backward in time
             t0, t1 = (0.0, T) if s.kind == "attractive" else (T, 0.0)
             assert abs(reference_flow(self.C, self.LAM, s.fixed_point, t0, t1) - s.fixed_point) <= 1e-8
-            assert abs(s.samples.values[-1] - s.samples.values[0]) <= 1e-8
+            orbit = dynamics.integrate(spec, t0, s.fixed_point, t1)
+            assert abs(orbit.values[-1] - orbit.values[0]) <= 1e-8
 
     def test_contraction_needs_no_brentq(self, monkeypatch):
         spec = dynamics.OdeSpec(self.C, self.LAM, SAMPLED)
@@ -410,7 +427,7 @@ class TestSampledInput:
 
         monkeypatch.setattr(dynamics, "brentq", no_brentq)
         for xa, xb, attractive in brackets:
-            x = dynamics._refine_fixed_point(spec, T, xa, xb, attractive)
+            x, _ = dynamics._refine_fixed_point(spec, T, xa, xb, attractive)
             assert xa <= x <= xb
 
     def test_newton_needs_few_map_calls(self, monkeypatch):
@@ -475,8 +492,9 @@ class TestNewtonStep:
         # a repulsive crossing iterates the inverse map, whose slope is e^-L
         fake = self.linear_map(math.log(0.5) if attractive else math.log(2.0))
         monkeypatch.setattr(dynamics, "poincare_map_log", fake)
-        x = dynamics._refine_fixed_point(None, 1.0, self.XA, self.XB, attractive)
+        x, L = dynamics._refine_fixed_point(None, 1.0, self.XA, self.XB, attractive)
         assert fake.calls == 2 and abs(x - self.X) <= 1e-15
+        assert L == (math.log(0.5) if attractive else math.log(2.0))
 
     @pytest.mark.parametrize(
         "L", [0.5, 1e4, math.log1p(-2.0**-52)], ids=["slope above 1", "slope overflows", "step leaves bracket"]
@@ -487,8 +505,34 @@ class TestNewtonStep:
         want = contraction_fixed_point(None, 1.0, self.XA, self.XB, True)
         fake = self.linear_map(L)
         monkeypatch.setattr(dynamics, "poincare_map_log", fake)
-        assert dynamics._refine_fixed_point(None, 1.0, self.XA, self.XB, True) == want
+        x, got_L = dynamics._refine_fixed_point(None, 1.0, self.XA, self.XB, True)
+        assert x == want and got_L == L
         assert fake.calls == plain.calls > 20
+
+    @pytest.mark.parametrize("attractive", [True, False])
+    def test_brentq_root_takes_one_more_map_call(self, monkeypatch, attractive):
+        # contraction 0.9999 and a reported slope above 1 (no Newton step):
+        # 60 steps do not converge, so brentq finds the root, and its L is
+        # that of one further map call in the crossing's direction
+        calls, Ls, at_root = [], [], []
+
+        def slow_map(spec, T, x, backward=False):
+            calls.append((x, backward))
+            Ls.append((-1.0 if backward else 1.0) * (0.25 + len(calls)))
+            return self.X + 0.9999 * (x - self.X), Ls[-1]
+
+        def recorded_brentq(*args, **kwargs):
+            root = brentq(*args, **kwargs)
+            at_root.append((root, len(calls)))
+            return root
+
+        monkeypatch.setattr(dynamics, "poincare_map_log", slow_map)
+        monkeypatch.setattr(dynamics, "brentq", recorded_brentq)
+        x, L = dynamics._refine_fixed_point(None, 1.0, self.XA, self.XB, attractive)
+        assert len(at_root) == 1 and x == at_root[0][0]
+        assert len(calls) == at_root[0][1] + 1
+        assert calls[-1] == (x, not attractive) and L == Ls[-1]
+        assert abs(x - self.X) <= dynamics.FP_TOL
 
 
 class TestSmoothInputIsOnePiece:
