@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__, criteria, dynamics, relaxation, signals
-from .model import DomainError, diagnostics, gbar_deriv
+from .model import diagnostics, gbar_deriv
 
 
 class ValidationError(ValueError):
@@ -74,11 +74,7 @@ def cmd_diagnostics(args) -> None:
 
 def cmd_classify(args) -> None:
     signal = _load_signal(args.signal)
-    try:
-        cert = criteria.classify(args.c, args.lam, signal, args.endpoints_excluded)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-    row = cert.to_dict()
+    row = criteria.classify(args.c, args.lam, signal, args.endpoints_excluded).to_dict()
     row["intervals"] = json.dumps(row["intervals"], sort_keys=True)
     row["slacks"] = json.dumps(row["slacks"], sort_keys=True)
     _emit(
@@ -109,7 +105,7 @@ def _autonomous_equilibria(c: float, lam: float) -> list[tuple[float, str]]:
 
 def cmd_bifurcation(args) -> None:
     lams = _parse_grid(args.grid) if args.grid else [args.lam]
-    if lams is None or any(v is None for v in lams):
+    if any(v is None for v in lams):
         raise ValidationError("bifurcation requires --grid or --lambda")
     rows = [
         {"c": args.c, "lambda": lam, "x": x, "stability": tag}
@@ -129,20 +125,10 @@ def cmd_poincare(args) -> None:
     T = dynamics.signal_period(signal)
     spec = dynamics.OdeSpec(args.c, args.lam, signal)
     sols = dynamics.find_periodic_solutions(spec, T)
-    rows = [
-        {
-            "fixed_point": s.fixed_point,
-            "multiplier": s.multiplier,
-            "log_multiplier": s.log_multiplier,
-            "kind": s.kind,
-            "period": s.period,
-        }
-        for s in sols
-    ]
     _emit(
         args,
         {"command": "poincare", "c": args.c, "lambda": args.lam, "signal": args.signal},
-        rows,
+        [s.to_dict() for s in sols],
         ["fixed_point", "multiplier", "log_multiplier", "kind", "period"],
     )
 
@@ -315,10 +301,7 @@ def main(argv=None) -> int:
     try:
         args.func(args)
         return 0
-    except (ValidationError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (dynamics.FiniteEscapeError, RuntimeError) as exc:
+    except RuntimeError as exc:  # dynamics.FiniteEscapeError included
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -12,7 +12,7 @@ and borderline cases are deferred to the ``dynamics`` module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .model import C_BAND_MAX, DomainError, ScalarDiagnostics, diagnostics
 from .signals import (
@@ -53,13 +53,7 @@ class IntervalEstimate:
         return self.lower < lam < self.upper
 
     def to_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "kind": self.kind,
-            "basis": self.basis,
-            "empty": self.empty,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

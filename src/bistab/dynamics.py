@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -104,13 +104,6 @@ class OdeSpec:
 class Trajectory:
     times: np.ndarray  # strictly increasing
     values: np.ndarray
-    abstol: float
-    reltol: float
-
-    def to_csv_rows(self):
-        yield "t,x"
-        for t, x in zip(self.times, self.values):
-            yield f"{t!r},{x!r}"
 
 
 @dataclass(frozen=True)
@@ -126,13 +119,7 @@ class PeriodicSolution:
     kind: str  # "attractive" | "repulsive" | "non-hyperbolic"
 
     def to_dict(self) -> dict:
-        return {
-            "period": self.period,
-            "fixed_point": self.fixed_point,
-            "multiplier": self.multiplier,
-            "log_multiplier": self.log_multiplier,
-            "kind": self.kind,
-        }
+        return asdict(self)
 
 
 def _escape_event(t, y):
@@ -236,7 +223,7 @@ def integrate(spec: OdeSpec, t0: float, x0: float, t1: float, n_samples: int | N
     values = ys[0]
     if t1 < t0:
         times, values = times[::-1], values[::-1]
-    return Trajectory(np.asarray(times), np.asarray(values), ABSTOL, RELTOL)
+    return Trajectory(np.asarray(times), np.asarray(values))
 
 
 def _augmented_rhs(spec: OdeSpec):
@@ -422,20 +409,17 @@ def find_periodic_solutions(spec: OdeSpec, T: float) -> list[PeriodicSolution]:
     for xa, xb, attractive in _stable_brackets(spec, T):
         x0, L = _refine_fixed_point(spec, T, xa, xb, attractive)
         if any(abs(x0 - s.fixed_point) < DEDUP_TOL for s in solutions):
+            warnings.warn(
+                f"the crossing in [{xa:.9g}, {xb:.9g}] refined onto the fixed point {x0:.9g}, "
+                f"within {DEDUP_TOL:g} of one already found; possible non-hyperbolic pair near a saddle-node",
+                stacklevel=2,
+            )
             continue
         kind = "non-hyperbolic" if abs(L) < NONHYP_TOL else ("attractive" if L < 0.0 else "repulsive")
         solutions.append(
             PeriodicSolution(period=T, fixed_point=x0, multiplier=_exp(L), log_multiplier=L, kind=kind)
         )
-    solutions.sort(key=lambda s: s.fixed_point)
-    for a, b in zip(solutions, solutions[1:]):
-        if b.fixed_point - a.fixed_point < 10.0 * FP_TOL:
-            warnings.warn(
-                f"fixed points {a.fixed_point:.9g} and {b.fixed_point:.9g} are closer than "
-                f"{10.0 * FP_TOL:g}; possible non-hyperbolic pair near a saddle-node",
-                stacklevel=2,
-            )
-    return solutions
+    return sorted(solutions, key=lambda s: s.fixed_point)
 
 
 def finite_time_exponent(spec: OdeSpec, traj: Trajectory) -> float:

@@ -78,17 +78,6 @@ class LoopResult:
     solutions: tuple[dynamics.PeriodicSolution, ...]
     closure_gap: float  # |x(T) - x(0)| of the integrated loop, before it is closed
 
-    def to_dict(self) -> dict:
-        return {
-            "area": self.area,
-            "hausdorff_to_gamma": self.hausdorff_to_gamma,
-            "closure_gap": self.closure_gap,
-            "n_fixed_points": self.n_fixed_points,
-            "regime": self.regime,
-            "solutions": [s.to_dict() for s in self.solutions],
-            "loop": self.loop.tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class ThresholdResult:
@@ -96,14 +85,6 @@ class ThresholdResult:
     tol: float
     regime_below: str
     regime_above: str
-
-    def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "tol": self.tol,
-            "regime_below": self.regime_below,
-            "regime_above": self.regime_above,
-        }
 
 
 def y_eps(spec: RelaxationSpec, t):

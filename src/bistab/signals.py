@@ -291,18 +291,20 @@ def _laplace_trig(signal: SignalSpec, d: float) -> TrigSum:
 
 
 def _trig_bounds(signal: SignalSpec) -> SignalBounds:
-    """sup and inf of a trigonometric signal: the term-wise sums when they are
-    exact (at most one nonzero term, or a sum flagged rationally independent),
-    otherwise a scan over one common period, or over 64 periods of the slowest
-    term if the frequencies are incommensurate."""
+    """sup and inf of a trigonometric signal: the term-wise sums a0 +- sum |a|,
+    exact for at most one nonzero term or a sum flagged rationally
+    independent, and an outer bound (not exact) for an unflagged sum of
+    incommensurate frequencies, which no finite window scans to its range;
+    a commensurate sum is scanned over one common period."""
     a0, terms = _as_trig(signal)
     terms = tuple(t for t in terms if t[0] != 0.0)
-    if len(terms) <= 1 or (isinstance(signal, TrigSum) and signal.rationally_independent):
+    exact = len(terms) <= 1 or (isinstance(signal, TrigSum) and signal.rationally_independent)
+    period = None if exact else fundamental_period(signal)
+    if period is None:
         total = sum(abs(a) for a, _, _ in terms)
-        return SignalBounds(a0 + total, a0 - total, True)
-    window = fundamental_period(signal) or 64.0 * TWO_PI / min(th for _, th, _ in terms)
+        return SignalBounds(a0 + total, a0 - total, exact)
     y = compile_signal(signal)
-    sup, inf = _scan_extremes(y, lambda r: y(float(r)), window, _GRID_PER_PERIOD, _GOLDEN_XTOL)
+    sup, inf = _scan_extremes(y, lambda r: y(float(r)), period, _GRID_PER_PERIOD, _GOLDEN_XTOL)
     return SignalBounds(sup, inf, False)
 
 

@@ -73,11 +73,6 @@ class TestIntegrate:
         assert abs(traj.values[-1]) < 1e-8
         assert dynamics.poincare_map_log(spec, 10.0, 1.0)[1] < -50.0
 
-    def test_csv_rows(self):
-        spec = dynamics.OdeSpec(5.0, 6.0, ZERO)
-        rows = list(dynamics.integrate(spec, 0.0, 1.0, 1.0, n_samples=5).to_csv_rows())
-        assert rows[0] == "t,x" and len(rows) == 6
-
 
 class TestOdeSpecValidation:
     def test_bad_rhs_kind(self):
@@ -182,6 +177,15 @@ class TestCensus:
         assert len(dynamics.find_periodic_solutions(spec, 2.0 * math.pi)) == 3
         assert solves.calls == scans.calls + maps.calls
 
+    def test_merged_crossings_warn(self, monkeypatch):
+        # three crossings refined onto one fixed point: the census keeps it once
+        # and warns for each crossing it loses
+        monkeypatch.setattr(dynamics, "_refine_fixed_point", lambda spec, T, xa, xb, attractive: (2.0, 0.5))
+        with pytest.warns(UserWarning, match="refined onto the fixed point 2,") as record:
+            sols = dynamics.find_periodic_solutions(dynamics.OdeSpec(5.0, 6.0, ZERO), 1.0)
+        assert len(record) == 2
+        assert [s.fixed_point for s in sols] == [2.0]
+
     def test_count_separated(self):
         assert dynamics.count_separated_solutions(dynamics.OdeSpec(5.0, 6.0, ZERO), 1.0) == 3
         assert dynamics.count_separated_solutions(dynamics.OdeSpec(5.0, 7.0, ZERO), 1.0) == 1
@@ -216,7 +220,7 @@ class TestFiniteTimeExponent:
 
     def test_rejects_zero_span(self):
         spec = dynamics.OdeSpec(5.0, 6.0, ZERO)
-        traj = dynamics.Trajectory(np.array([1.0, 1.0]), np.array([2.0, 2.0]), 1e-10, 1e-8)
+        traj = dynamics.Trajectory(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
         with pytest.raises(ValueError):
             dynamics.finite_time_exponent(spec, traj)
 

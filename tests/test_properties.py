@@ -1,9 +1,11 @@
 """Property tests of the signal layer, and of the regime certificates against
 the period-map census (hypothesis, fixed seed, small budget)."""
 
+import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,17 +109,8 @@ def test_weighted_average_matches_quadrature(y, dfrak, r):
     assert abs(closed - signals.weighted_average(y, dfrak, r, method="quad")) <= 1e-8
 
 
-@st.composite
-def commensurate_sums(draw):
-    # integer frequency ratios, so one scan window covers a whole period
-    base = draw(st.floats(0.5, 2.0))
-    ks = draw(st.lists(st.sampled_from((1.0, 2.0, 3.0, 4.0)), min_size=1, max_size=3, unique=True))
-    terms = tuple((draw(amplitudes), base * k, draw(phases)) for k in ks)
-    return signals.TrigSum(draw(offsets), terms, draw(st.booleans()))
-
-
 @BUDGET
-@given(commensurate_sums(), st.floats(-10.0, 10.0), st.floats(0.05, 20.0))
+@given(trig_sums(), st.floats(-10.0, 10.0), st.floats(0.05, 20.0))
 def test_bounds_are_time_translation_invariant(y, s, dfrak):
     # shifting every phase by theta_n * s is the translate t -> t + s
     shifted = signals.TrigSum(y.a0, tuple((a, th, ph + th * s) for a, th, ph in y.terms), y.rationally_independent)
@@ -125,6 +118,9 @@ def test_bounds_are_time_translation_invariant(y, s, dfrak):
     w, w_s = signals.weighted_bounds(y, dfrak), signals.weighted_bounds(shifted, dfrak)
     assert abs(b.sup - b_s.sup) <= SLACK and abs(b.inf - b_s.inf) <= SLACK
     assert abs(w.sup_w - w_s.sup_w) <= SLACK and abs(w.inf_w - w_s.inf_w) <= SLACK
+    # and the bounds enclose y, also beyond any one scan window
+    values = signals.eval(y, np.linspace(-1000.0, 1000.0, 200_001))
+    assert b.inf - SLACK <= values.min() and values.max() <= b.sup + SLACK
 
 
 coefficient_lists = st.lists(st.floats(-1.0, 1.0), max_size=6)
@@ -181,3 +177,41 @@ def test_certificate_agrees_with_the_census(y, u):
     sols = dynamics.find_periodic_solutions(dynamics.OdeSpec(C_CENSUS, lam, y), dynamics.signal_period(y))
     want = ["attractive", "repulsive", "attractive"] if cert.regime == "bistability" else ["attractive"]
     assert [s.kind for s in sols] == want
+
+
+# monotonicity in lambda, which the fold solve estimate_lambda_pm relies on:
+# a few map calls or censuses per example (~0.02 s each)
+MONOTONE_BUDGET = settings(max_examples=8, deadline=None, derandomize=True, database=None)
+
+one_term_sums = st.builds(
+    lambda a, th, ph: signals.TrigSum(0.0, ((a, th, ph),)), amplitudes.map(lambda a: 0.05 * a), st.floats(0.7, 2.0), phases
+)
+
+
+@st.composite
+def lambda_offsets(draw, n):
+    # n increasing offsets from a fold value, at least 1e-3 apart
+    steps = draw(st.lists(st.floats(1e-3, 0.06), min_size=n - 1, max_size=n - 1))
+    return list(itertools.accumulate(steps, initial=draw(st.floats(-0.12, 0.0))))
+
+
+@MONOTONE_BUDGET
+@given(st.sampled_from((5.0, 8.0)), one_term_sums, st.sampled_from(dynamics.RHS_KINDS), st.floats(0.0, 1.0), lambda_offsets(3))
+def test_period_map_is_nondecreasing_in_lambda(c, y, kind, u, offsets):
+    # seeds on [0, 4] of the full equation, or [-sqrt 3, 4 - sqrt 3] recentered
+    x = 4.0 * u - (0.0 if kind == "full" else math.sqrt(3.0))
+    T = dynamics.signal_period(y)
+    ends = [dynamics.poincare_map_log(dynamics.OdeSpec(c, model.lam1(c) + o, y, kind), T, x)[0] for o in offsets]
+    assert ends == sorted(ends)
+
+
+@MONOTONE_BUDGET
+@given(st.sampled_from((5.0, 8.0)), one_term_sums, st.sampled_from(("concave-linear", "linear-convex")), lambda_offsets(5))
+def test_two_solutions_persist_away_from_the_fold(c, y, kind, offsets):
+    # two solutions of the concave-linear equation exist above lambda_minus,
+    # of the linear-convex one below lambda_plus: walking away from the fold,
+    # once the census finds two it keeps finding two
+    T = dynamics.signal_period(y)
+    lams = [model.lam1(c) + o for o in offsets] if kind == "concave-linear" else [model.lam2(c) - o for o in offsets]
+    two = [dynamics.count_separated_solutions(dynamics.OdeSpec(c, lam, y, kind), T) >= 2 for lam in lams]
+    assert two == sorted(two)

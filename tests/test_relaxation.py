@@ -203,7 +203,6 @@ class TestRunAnalysis:
         gamma = relaxation.gamma_curve(5.0, 512).polyline
         assert res.hausdorff_to_gamma == brute_hausdorff(res.loop, gamma)
         assert 0.0 <= res.closure_gap <= relaxation.CLOSURE_TOL
-        assert res.to_dict()["closure_gap"] == res.closure_gap
 
     def test_long_period_loop_closes(self):
         # T = 305: re-integrating the plain flow from the refined fixed point
