@@ -75,8 +75,9 @@ def cmd_diagnostics(args) -> None:
 def cmd_classify(args) -> None:
     signal = _load_signal(args.signal)
     row = criteria.classify(args.c, args.lam, signal, args.endpoints_excluded).to_dict()
-    row["intervals"] = json.dumps(row["intervals"], sort_keys=True)
-    row["slacks"] = json.dumps(row["slacks"], sort_keys=True)
+    if args.format == "csv":  # a CSV cell holds the list and the object as JSON text
+        row["intervals"] = json.dumps(row["intervals"], sort_keys=True)
+        row["slacks"] = json.dumps(row["slacks"], sort_keys=True)
     _emit(
         args,
         {"command": "classify", "c": args.c, "lambda": args.lam, "signal": args.signal},

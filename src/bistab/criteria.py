@@ -20,7 +20,7 @@ from .signals import (
     SignalSpec,
     WeightedBounds,
     bounds,
-    is_periodic_nonconstant,
+    fundamental_period,
     weighted_bounds,
 )
 
@@ -200,7 +200,8 @@ def classify(
     endpoints_excluded asserts that the extreme constant values of the input
     are not limits of its time shifts, which upgrades the certified
     bistability interval to a closed one; when None it is derived as "the
-    signal is periodic and non-constant".
+    signal is periodic and non-constant": its range is not a point and it
+    has a fundamental period.
     """
     if not (math.isfinite(c) and math.isfinite(lam)):
         raise ValueError(f"classify requires finite c and lambda, got c = {c}, lambda = {lam}")
@@ -234,7 +235,7 @@ def classify(
     intervals.append(i1)
     slacks["h1_minus_variation"] = diag.h1 - (b.sup - b.inf)
     if endpoints_excluded is None:
-        endpoints_excluded = is_periodic_nonconstant(signal)
+        endpoints_excluded = b.sup > b.inf and fundamental_period(signal) is not None
     if i1.contains(lam, closed=endpoints_excluded):
         if endpoints_excluded:
             notes.append("interval endpoints included: input is periodic and non-constant")

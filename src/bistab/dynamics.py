@@ -19,6 +19,11 @@ that each map call integrates anyway.  A Newton step is taken only where it
 is safe (the map contracts and the step stays inside the crossing's
 bracket); otherwise the plain contraction step is taken, with root
 bracketing as the last resort.
+
+Every integration goes through one solver routine, restarted at the nodes
+of a sampled input.  It returns the states at the solver's steps or at
+requested times only; the scans, the map calls and the finite-difference
+segments ask for the end time alone, so no step history is kept for them.
 """
 
 from __future__ import annotations
@@ -54,7 +59,6 @@ ESCAPE_BOUND = 1e6
 FP_TOL = 1e-9
 DEDUP_TOL = 1e-6
 NONHYP_TOL = 1e-4  # |multiplier - 1| below this => non-hyperbolic
-SEPARATION_TOL = 1e-4  # state separation defining "two distinct solutions"
 CENSUS_SEEDS = 2048  # grid of the count-only census and of the fold solves
 # the full census starts at the first and doubles up to the second grid size
 STABLE_SEEDS = (512, 8192)
@@ -122,45 +126,42 @@ class PeriodicSolution:
         return asdict(self)
 
 
-def _escape_event(t, y):
-    return ESCAPE_BOUND - float(np.max(np.abs(y)))
-
-
-def _state_escape_event(t, y):
-    """_escape_event on the states of the augmented system only: a large log
-    multiplier is not an escape."""
-    return _escape_event(t, y[: y.size // 2])
-
-
-_escape_event.terminal = True
-_state_escape_event.terminal = True
-
-
 def _solve(spec: OdeSpec, t0, y0, t1, abstol, reltol, augmented=False, t_eval=None):
-    """solve_ivp of the states y0 from t0 to t1 (either direction), one call
-    per interval between kinks of the input; yields each piece's (t, y).
+    """(times, states) of the states y0 solved from t0 to t1 (either
+    direction): the solver's steps, or only the times of t_eval (ordered from
+    t0 to t1).  An end-state caller passes ``t_eval=[t1]``, so the solver
+    keeps no step history.
 
     A sampled input is piecewise linear.  Stepping across its nodes leaves
     the period map noisy at the level of the tolerance, so the solver
     restarts at every node strictly inside the span (Hairer, Norsett &
-    Wanner, Solving ODE I, II.6), and each piece starts from the end state
-    of the one before, log multiplier included.  A smooth input is one
-    piece.  Every piece keeps the whole span's max_step.  ``augmented``
-    integrates each state's log multiplier alongside (from 0), after the
-    states in y.  No time is output twice: a piece after the first drops
-    its start, and each time of t_eval (ordered from t0 to t1) comes from
-    the one piece it falls in.
+    Wanner, Solving ODE I, II.6), one solve_ivp call per piece, and each
+    piece starts from the end state of the one before, log multiplier
+    included.  A smooth input is one piece.  Every piece keeps the whole
+    span's max_step.  ``augmented`` integrates each state's log multiplier
+    alongside (from 0), after the states.  No time is output twice: a piece
+    after the first drops its start, and each time of t_eval comes from the
+    one piece it falls in.  The solve stops with FiniteEscapeError when a
+    state (not a log multiplier) leaves |x| <= ESCAPE_BOUND.
     """
     y = np.atleast_1d(np.asarray(y0, dtype=float))
+    n = y.size
     if augmented:
-        y = np.concatenate([y, np.zeros_like(y)])
+        y = np.concatenate([y, np.zeros(n)])
     fun = _augmented_rhs(spec) if augmented else (lambda t, x: np.atleast_1d(spec.rhs(t, x)))
+
+    def escape(t, state):
+        return ESCAPE_BOUND - float(np.max(np.abs(state[:n])))
+
+    escape.terminal = True
     ends = [*spec._signal_at.kinks(t0, t1), t1]
     if t_eval is None:
         owns = [None] * len(ends)
     else:  # the output times of each piece: those before its end
+        t_eval = np.asarray(t_eval, dtype=float)
         direction = 1.0 if t1 >= t0 else -1.0
         owns = np.split(t_eval, np.searchsorted(direction * t_eval, direction * np.asarray(ends[:-1])))
+    times, states = [], []
     for k, (a, b, own) in enumerate(zip([t0, *ends[:-1]], ends, owns)):
         # a piece must also output its end state, which starts the next one;
         # a t_eval that already ends there (at t1) is passed unchanged
@@ -173,7 +174,7 @@ def _solve(spec: OdeSpec, t0, y0, t1, abstol, reltol, augmented=False, t_eval=No
             atol=abstol,
             rtol=reltol,
             t_eval=pts,
-            events=_state_escape_event if augmented else _escape_event,
+            events=escape,
             max_step=abs(t1 - t0) / 16.0,
         )
         if sol.status == 1:
@@ -188,22 +189,9 @@ def _solve(spec: OdeSpec, t0, y0, t1, abstol, reltol, augmented=False, t_eval=No
             ts, ys = ts[:-1], ys[:, :-1]
         elif own is None and k:  # the start is the previous piece's end
             ts, ys = ts[1:], ys[:, 1:]
-        yield ts, ys
-
-
-def _end_state(pieces) -> np.ndarray:
-    """The state at the far end of a ``_solve``, keeping one piece at a time."""
-    for _, y in pieces:
-        pass
-    return y[:, -1]
-
-
-def _path(pieces) -> tuple[np.ndarray, np.ndarray]:
-    """(times, states) of a whole ``_solve``, pieces joined."""
-    ts, ys = zip(*pieces)
-    if len(ts) == 1:
-        return ts[0], ys[0]
-    return np.concatenate(ts), np.concatenate(ys, axis=1)
+        times.append(ts)
+        states.append(ys)
+    return np.concatenate(times), np.concatenate(states, axis=1)
 
 
 def integrate(spec: OdeSpec, t0: float, x0: float, t1: float, n_samples: int | None = None) -> Trajectory:
@@ -211,7 +199,8 @@ def integrate(spec: OdeSpec, t0: float, x0: float, t1: float, n_samples: int | N
     integrates backward.
 
     The returned times are always strictly increasing (a backward run is
-    reversed): the solver's steps, or the n_samples equally spaced times.
+    reversed): the solver's steps, or only the n_samples equally spaced
+    times, which the solver interpolates without keeping its steps.
     The state is integrated together with the multiplier integrand, as in
     ``poincare_map_log``, so the solver takes the period map's steps: one
     period from a fixed point refined on that map returns to it to rounding,
@@ -219,11 +208,11 @@ def integrate(spec: OdeSpec, t0: float, x0: float, t1: float, n_samples: int | N
     node to node, so its nodes are among the steps.
     """
     t_eval = np.linspace(t0, t1, n_samples) if n_samples else None
-    times, ys = _path(_solve(spec, t0, x0, t1, ABSTOL, RELTOL, augmented=True, t_eval=t_eval))
+    times, ys = _solve(spec, t0, x0, t1, ABSTOL, RELTOL, augmented=True, t_eval=t_eval)
     values = ys[0]
     if t1 < t0:
         times, values = times[::-1], values[::-1]
-    return Trajectory(np.asarray(times), np.asarray(values))
+    return Trajectory(times, values)
 
 
 def _augmented_rhs(spec: OdeSpec):
@@ -242,7 +231,8 @@ def poincare_map_log(spec: OdeSpec, T: float, x0: float, backward: bool = False)
     x(0) and the same forward-oriented integral taken along the backward arc.
     """
     t0, t1 = (T, 0.0) if backward else (0.0, T)
-    xT, L = (float(v) for v in _end_state(_solve(spec, t0, x0, t1, ABSTOL, RELTOL, augmented=True)))
+    _, ys = _solve(spec, t0, x0, t1, ABSTOL, RELTOL, augmented=True, t_eval=[t1])
+    xT, L = (float(v) for v in ys[:, -1])
     return xT, (-L if backward else L)
 
 
@@ -276,9 +266,9 @@ def poincare_multiplier_fd(spec: OdeSpec, T: float, x0: float, backward_orbit: b
     """
     ts = np.linspace(0.0, T, 4097)
     if backward_orbit:
-        xs = _path(_solve(spec, T, [x0], 0.0, 1e-12, 1e-10, t_eval=ts[::-1]))[1][0, ::-1]
+        xs = _solve(spec, T, [x0], 0.0, 1e-12, 1e-10, t_eval=ts[::-1])[1][0, ::-1]
     else:
-        xs = _path(_solve(spec, 0.0, [x0], T, 1e-12, 1e-10, t_eval=ts))[1][0]
+        xs = _solve(spec, 0.0, [x0], T, 1e-12, 1e-10, t_eval=ts)[1][0]
     fx = np.atleast_1d(spec.rhs_state_deriv(xs))
     Ls = np.concatenate([[0.0], np.cumsum(0.5 * (fx[1:] + fx[:-1]) * np.diff(ts))])
     cuts = [0]
@@ -290,7 +280,7 @@ def poincare_multiplier_fd(spec: OdeSpec, T: float, x0: float, backward_orbit: b
     h, total = 1e-5, 0.0
     for i0, i1 in zip(cuts, cuts[1:]):
         ta, tb, xa = ts[i0], ts[i1], xs[i0]
-        hi, lo = _end_state(_solve(spec, ta, [xa + h, xa - h], tb, 1e-12, 1e-10))
+        hi, lo = _solve(spec, ta, [xa + h, xa - h], tb, 1e-12, 1e-10, t_eval=[tb])[1][:, -1]
         diff = float(hi - lo)
         if diff <= 0.0:
             raise RuntimeError(f"finite-difference segment [{ta:.4g}, {tb:.4g}] lost monotonicity")
@@ -329,7 +319,7 @@ def _scan_interval(spec: OdeSpec, sup: float) -> tuple[float, float] | None:
 
 def _displacement_grid(spec: OdeSpec, T: float, xs: np.ndarray) -> np.ndarray:
     """T(x0) - x0 for all seeds at once (one vectorized solve)."""
-    return _end_state(_solve(spec, 0.0, xs, T, ABSTOL, RELTOL)) - xs
+    return _solve(spec, 0.0, xs, T, ABSTOL, RELTOL, t_eval=[T])[1][:, -1] - xs
 
 
 def _brackets(spec: OdeSpec, T: float, n: int, sup: float) -> list[tuple[float, float, bool]]:
@@ -432,19 +422,14 @@ def finite_time_exponent(spec: OdeSpec, traj: Trajectory) -> float:
 
 
 def count_separated_solutions(spec: OdeSpec, T: float) -> int:
-    """Number of pairwise separated (> SEPARATION_TOL) period-map crossings.
+    """Number of period-map crossings on the CENSUS_SEEDS grid.
 
     Count-only fast path: no refinement or multipliers, one vectorized scan.
+    Distinct crossings are separated: for c > 4 the scan interval is at
+    least sqrt(3) long, so bracket midpoints lie at least 4e-4 apart; for
+    c <= 4 gbar decreases, so the displacement does and crosses at most once.
     """
-    sup = sig.bounds(spec.signal).sup
-    mids = sorted(0.5 * (xa + xb) for xa, xb, _ in _brackets(spec, T, CENSUS_SEEDS, sup))
-    count = 0
-    last = None
-    for m in mids:
-        if last is None or m - last > SEPARATION_TOL:
-            count += 1
-        last = m
-    return count
+    return len(_brackets(spec, T, CENSUS_SEEDS, sig.bounds(spec.signal).sup))
 
 
 def signal_period(signal: sig.SignalSpec) -> float:

@@ -118,7 +118,6 @@ class SignalBounds:
 class WeightedBounds:
     sup_w: float
     inf_w: float
-    dfrak: float
     exact: bool
 
 
@@ -242,12 +241,6 @@ def fundamental_period(signal: SignalSpec) -> float | None:
     return TWO_PI / th0 * lcm
 
 
-def is_periodic_nonconstant(signal: SignalSpec) -> bool:
-    if isinstance(signal, SampledPeriodic):
-        return max(signal.values) > min(signal.values)
-    return fundamental_period(signal) is not None
-
-
 def _golden_max(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
     """Golden-section maximization on [lo, hi]."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
@@ -316,28 +309,28 @@ def bounds(signal: SignalSpec) -> SignalBounds:
     return _trig_bounds(signal)
 
 
-def weighted_average(signal: SignalSpec, dfrak: float, r: float, method: str = "auto") -> float:
+def weighted_average(signal: SignalSpec, dfrak: float, r: float) -> float:
     """d * integral_0^inf exp(-d s) y(r+s) ds.
 
     For a trigonometric signal the closed form is the same sum with every
     harmonic damped by d/sqrt(d^2 + th^2) and phase-advanced by atan(th/d);
-    for a sampled one each linear segment integrates exactly.  method
-    "closed" forces the trig closed form, "quad" forces quadrature, "auto"
-    picks the closed form whenever it exists.
+    for a sampled one each linear segment integrates exactly.
     """
     if dfrak <= 0.0:
         raise ValueError(f"weighted_average requires dfrak > 0, got {dfrak}")
-    trig = _as_trig(signal)
-    if method == "closed" and trig is None:
-        raise ValueError("closed form only available for trigonometric signals")
-    if trig is not None and method != "quad":
-        return compile_signal(_laplace_trig(signal, dfrak))(float(r))
-    if isinstance(signal, SampledPeriodic) and method != "quad":
+    if isinstance(signal, SampledPeriodic):
         return _weighted_sampled_exact(signal, dfrak, float(r))
-    integrand = lambda s: dfrak * math.exp(-dfrak * s) * eval(signal, r + s)
+    return compile_signal(_laplace_trig(signal, dfrak))(float(r))
+
+
+def _weighted_quad(signal: SignalSpec, d: float, r: float) -> float:
+    """The weighted average by adaptive quadrature of its definition,
+    truncated where the weight's tail is below _QUAD_TAIL_TOL: the
+    reference the closed forms are tested against."""
+    integrand = lambda s: d * math.exp(-d * s) * eval(signal, r + s)
     b = bounds(signal)
     scale = max(abs(b.sup), abs(b.inf), 1.0)
-    s_max = math.log(scale / _QUAD_TAIL_TOL) / dfrak
+    s_max = math.log(scale / _QUAD_TAIL_TOL) / d
     val, _ = quad(integrand, 0.0, s_max, limit=1000, epsabs=1e-10, epsrel=1e-10)
     return float(val)
 
@@ -372,9 +365,9 @@ def weighted_bounds(signal: SignalSpec, dfrak: float) -> WeightedBounds:
         # one exact weighted average per point, so a coarser grid and tolerance
         f = lambda r: weighted_average(signal, dfrak, float(r))
         sup_w, inf_w = _scan_extremes(lambda rs: np.array([f(r) for r in rs]), f, signal.period, 256, 1e-8)
-        return WeightedBounds(sup_w, inf_w, dfrak, False)
+        return WeightedBounds(sup_w, inf_w, False)
     w = _trig_bounds(_laplace_trig(signal, dfrak))
-    return WeightedBounds(w.sup, w.inf, dfrak, w.exact)
+    return WeightedBounds(w.sup, w.inf, w.exact)
 
 
 def series_bound(terms: Sequence[tuple[float, float]], dfrak: float) -> float:

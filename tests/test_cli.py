@@ -94,6 +94,20 @@ class TestClassify:
         row = doc["result"][0]
         assert row["regime"] == "bistability" and row["fired_rule"] == "thm-3.2"
 
+    def test_json_fields_are_not_strings(self, capsys, zero_signal):
+        # JSON carries the list and the object; a CSV cell carries them as JSON text
+        argv = ["classify", "--c", "5", "--lambda", "6.0", "--signal", zero_signal]
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        row = doc["result"][0]
+        assert isinstance(row["intervals"], list) and row["intervals"][0]["basis"] == "thm-3.2"
+        assert isinstance(row["slacks"], dict)
+        code, out = run(capsys, [*argv, "--format", "csv"])
+        assert code == 0
+        (cells,) = list(csv.DictReader(io.StringIO(out)))
+        assert cells["intervals"] == json.dumps(row["intervals"], sort_keys=True)
+        assert cells["slacks"] == json.dumps(row["slacks"], sort_keys=True)
+
     def test_uniform(self, capsys, zero_signal):
         code, doc = run_json(
             capsys, ["classify", "--c", "3", "--lambda", "1.0", "--signal", zero_signal]

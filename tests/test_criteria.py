@@ -183,6 +183,34 @@ class TestClassify:
         opened = criteria.classify(5.0, iv.lower, y, endpoints_excluded=False)
         assert opened.regime != "bistability"
 
+    @pytest.mark.parametrize(
+        "y, closed",
+        [
+            (signals.Constant(0.0), False),
+            (sine(0.04), True),
+            (signals.TrigSum(0.0, ((0.02, 1.0, 0.0), (0.02, math.sqrt(2.0), 0.0))), False),
+            (signals.TrigSum(0.5, ((0.0, 1.0, 0.0), (0.0, 2.0, 0.3))), False),
+            # y = 0.1 cos t - 0.1 cos t is y = 0, although no term is zero
+            (signals.TrigSum(0.0, ((0.1, 1.0, 0.0), (-0.1, 1.0, 0.0))), False),
+            (signals.FourierCesaro(0.5, (0.0,), (0.0, 0.0), 6), False),
+            (signals.FourierCesaro(0.5, (0.0,), (0.0, 0.1), 6), True),
+            (signals.SampledPeriodic(4.0, (0.0, 1.0, 2.0, 3.0), (1.0, 1.0, 1.0, 1.0)), False),
+            (signals.SampledPeriodic(4.0, (0.0, 1.0, 2.0, 3.0), (0.0, 0.03, -0.01, -0.03)), True),
+        ],
+        ids=[
+            "constant", "trig", "trig-incommensurate", "trig-zero-terms", "trig-cancelling",
+            "cesaro-zero-terms", "cesaro", "sampled-constant", "sampled",
+        ],
+    )
+    def test_endpoints_closed_only_for_periodic_nonconstant_input(self, y, closed):
+        # by default the interval of thm-3.2 is closed exactly when the input
+        # is periodic and not constant-valued
+        iv = criteria.interval_I1(diagnostics(5.0), signals.bounds(y))
+        for lam in (iv.lower, iv.upper):
+            cert = criteria.classify(5.0, lam, y)
+            assert (cert.regime == "bistability") is closed
+            assert cert.fired_rule == (criteria.RULE_INTERVAL_I1 if closed else None)
+
     def test_indeterminate_between_bounds(self):
         # lambda between the inner and outer sandwich bounds cannot be decided
         diag = diagnostics(5.0)

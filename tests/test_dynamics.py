@@ -1,12 +1,13 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from bistab import dynamics, model, signals
+from bistab import dynamics, model, relaxation, signals
 
 SQRT3 = math.sqrt(3.0)
 ZERO = signals.Constant(0.0)
@@ -546,10 +547,15 @@ class TestSmoothInputIsOnePiece:
 
     @pytest.mark.parametrize("augmented", [False, True])
     @pytest.mark.parametrize("t0,t1", [(0.0, 2.0 * math.pi), (2.0 * math.pi, 0.0)])
-    def test_equals_direct_solve_ivp(self, augmented, t0, t1):
+    def test_equals_direct_solve_ivp(self, monkeypatch, augmented, t0, t1):
         spec = dynamics.OdeSpec(5.0, 6.04, self.Y)
         x0 = np.array([1.8, 2.0, 2.2])  # near the repulsive orbit: bounded both ways
         y0 = np.concatenate([x0, np.zeros(3)]) if augmented else x0
+
+        def escape(t, y):  # on the states only: a large log multiplier is not an escape
+            return dynamics.ESCAPE_BOUND - np.max(np.abs(y[:3]))
+
+        escape.terminal = True
         for t_eval in (None, np.linspace(t0, t1, 9)):
             want = solve_ivp(
                 dynamics._augmented_rhs(spec) if augmented else (lambda t, x: np.atleast_1d(spec.rhs(t, x))),
@@ -559,10 +565,48 @@ class TestSmoothInputIsOnePiece:
                 atol=dynamics.ABSTOL,
                 rtol=dynamics.RELTOL,
                 t_eval=t_eval,
-                events=dynamics._state_escape_event if augmented else dynamics._escape_event,
+                events=escape,
                 max_step=abs(t1 - t0) / 16.0,
             )
-            pieces = list(dynamics._solve(spec, t0, x0, t1, dynamics.ABSTOL, dynamics.RELTOL, augmented, t_eval))
-            assert len(pieces) == 1
-            ts, ys = pieces[0]
+            solves = CountedMap(solve_ivp)
+            monkeypatch.setattr(dynamics, "solve_ivp", solves)
+            ts, ys = dynamics._solve(spec, t0, x0, t1, dynamics.ABSTOL, dynamics.RELTOL, augmented, t_eval)
+            assert solves.calls == 1
             assert np.array_equal(ts, want.t) and np.array_equal(ys, want.y)
+
+
+class TestEndStateKeepsNoSteps:
+    """A scan, a map call or a finite-difference segment asks the solver for
+    the end time alone, so the step history of the solve is never stored."""
+
+    def test_scan_memory(self):
+        # 2,048 seeds at the slowest relax-sweep forcing: kept, the 314 step
+        # states would take the peak to 10.5 MB
+        spec = relaxation.RelaxationSpec(5.0, 0.023, 1.15)
+        ode = dynamics.OdeSpec(5.0, 0.0, spec.signal())
+        xs = np.linspace(*dynamics._scan_interval(ode, signals.bounds(ode.signal).sup), 2048)
+        tracemalloc.start()
+        try:
+            d = dynamics._displacement_grid(ode, spec.period, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.shape == xs.shape and np.all(np.isfinite(d))
+        assert peak < 2e6
+
+    @pytest.mark.parametrize(
+        "y", [signals.TrigSum(0.0, ((0.04, 1.0, -math.pi / 2.0),)), SAMPLED], ids=["trig", "sampled"]
+    )
+    def test_census_asks_for_one_time(self, monkeypatch, y):
+        asked = []
+
+        def recorded(*args, **kwargs):
+            t_eval = kwargs["t_eval"]
+            asked.append(None if t_eval is None else len(t_eval))
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "solve_ivp", recorded)
+        spec = dynamics.OdeSpec(5.0, 0.5 * (model.lam1(5.0) + model.lam2(5.0)), y)
+        assert len(dynamics.find_periodic_solutions(spec, 2.0 * math.pi)) == 3
+        assert dynamics.count_separated_solutions(spec, 2.0 * math.pi) == 3
+        assert asked and set(asked) == {1}

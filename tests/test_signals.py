@@ -109,24 +109,6 @@ class TestPeriod:
     def test_constant(self):
         assert signals.fundamental_period(signals.Constant(1.0)) is None
 
-    def test_periodic_nonconstant_flag(self):
-        assert not signals.is_periodic_nonconstant(signals.Constant(1.0))
-        assert signals.is_periodic_nonconstant(single())
-        y = signals.TrigSum(0.0, ((1.0, 1.0, 0.0), (1.0, math.sqrt(2.0), 0.0)))
-        assert not signals.is_periodic_nonconstant(y)
-
-    @pytest.mark.parametrize(
-        "y, expected",
-        [
-            (signals.TrigSum(0.5, ((0.0, 1.0, 0.0), (0.0, 2.0, 0.3))), False),
-            (signals.FourierCesaro(0.5, (0.0,), (0.0, 0.0), 6), False),
-            (signals.FourierCesaro(0.5, (0.0,), (0.0, 0.1), 6), True),
-            (signals.SampledPeriodic(4.0, (0.0, 1.0, 2.0, 3.0), (1.0, 1.0, 1.0, 1.0)), False),
-        ],
-    )
-    def test_periodic_nonconstant_by_type(self, y, expected):
-        assert signals.is_periodic_nonconstant(y) is expected
-
 
 class TestBounds:
     def test_single_term_amplitude(self):
@@ -176,8 +158,8 @@ class TestWeightedAverage:
 
     def test_quadrature_matches_closed_form(self):
         y = single(1.0, 1.0, 0.0)
-        closed = signals.weighted_average(y, 1.0, 0.3, method="closed")
-        quad = signals.weighted_average(y, 1.0, 0.3, method="quad")
+        closed = signals.weighted_average(y, 1.0, 0.3)
+        quad = signals._weighted_quad(y, 1.0, 0.3)
         assert quad == pytest.approx(closed, abs=1e-8)
 
     def test_convex_combination_property(self):
