@@ -230,6 +230,12 @@ def classify(
     if below > 0.0 or above > 0.0:
         return RegimeCertificate("uniform-stability", RULE_RANGE_OUTSIDE, (), slacks, "")
 
+    # at c = 4 the fold is degenerate: lam1 = lam2 = 3 sqrt(3), where the
+    # equilibrium is non-hyperbolic, and dfrak = 0, so no rule below applies
+    if c == 4.0:
+        note = "c = 4: degenerate fold (lam1 = lam2 = 3*sqrt(3), non-hyperbolic); no rule applies"
+        return RegimeCertificate("indeterminate", None, (), slacks, note)
+
     # rule 3: lambda inside the exact small-variation interval
     i1 = interval_I1(diag, b)
     intervals.append(i1)

@@ -288,18 +288,18 @@ def poincare_multiplier_fd(spec: OdeSpec, T: float, x0: float, backward_orbit: b
     return total
 
 
-def _scan_interval(spec: OdeSpec, sup: float) -> tuple[float, float] | None:
+def _scan_interval(spec: OdeSpec) -> tuple[float, float] | None:
     """Scan interval for the fixed-point census, or None when it is empty.
 
-    ``sup`` is sup y of the spec's signal, computed once by the caller for
-    all the scans of one solve.  The ceiling rho satisfies
-    gbar(rho) = -max(lam2, lam + sup y) - 1, so every bounded solution in
-    the analyzed regimes lies below it; for the recentered comparison
-    equations the interval is shifted by -sqrt(3).  For c <= 4 and
-    lam + sup y <= -1 there is no ceiling above 0: x' <= -1 on all of
-    x >= 0, so no solution there is bounded.
+    The ceiling rho satisfies gbar(rho) = -max(lam2, lam + hi) - 1, with hi
+    the compiled signal's upper bound of y (any hi >= sup y will do), so
+    every bounded solution in the analyzed regimes lies below it; for the
+    recentered comparison equations the interval is shifted by -sqrt(3).
+    gbar(x) <= -x on x >= 0 brackets rho in [lo_x, -target].  For c <= 4 and
+    lam + hi <= -1 there is no ceiling above 0: x' <= -1 on all of x >= 0,
+    so no solution there is bounded.
     """
-    target = -(spec.lam + sup) - 1.0
+    target = -(spec.lam + spec._signal_at.hi) - 1.0
     if spec.c <= 4.0 and target >= 0.0:
         return None
     if spec.c > 4.0:
@@ -308,10 +308,7 @@ def _scan_interval(spec: OdeSpec, sup: float) -> tuple[float, float] | None:
     # (the decreasing tail of gbar starts there); for c <= 4 gbar decreases on
     # the whole half-line, so the root may sit anywhere above 0.
     lo_x = 0.0 if spec.c <= 4.0 else x2(spec.c)
-    hi = max(lo_x + 1.0, 2.0)
-    while gbar_eval(spec.c, hi) > target:
-        hi *= 2.0
-    rho = brentq(lambda x: gbar_eval(spec.c, x) - target, lo_x, hi, xtol=1e-12)
+    rho = brentq(lambda x: gbar_eval(spec.c, x) - target, lo_x, -target, xtol=1e-12)
     if spec.rhs_kind == "full":
         return 0.0, float(rho)
     return -SQRT3, float(rho) - SQRT3
@@ -322,33 +319,31 @@ def _displacement_grid(spec: OdeSpec, T: float, xs: np.ndarray) -> np.ndarray:
     return _solve(spec, 0.0, xs, T, ABSTOL, RELTOL, t_eval=[T])[1][:, -1] - xs
 
 
-def _brackets(spec: OdeSpec, T: float, n: int, sup: float) -> list[tuple[float, float, bool]]:
+def _brackets(spec: OdeSpec, T: float, n: int) -> list[tuple[float, float, bool]]:
     """(xa, xb, attractive_crossing) for every sign change of the displacement
-    on n seeds over the scan interval (``sup`` as in ``_scan_interval``)."""
-    interval = _scan_interval(spec, sup)
+    on n seeds over the scan interval, in increasing order.  A seed where the
+    displacement is exactly zero gives the bracket of its two neighbours."""
+    interval = _scan_interval(spec)
     if interval is None:
         return []
     xs = np.linspace(*interval, n)
     d = _displacement_grid(spec, T, xs)
-    out = []
-    for i in range(n - 1):
-        da, db = d[i], d[i + 1]
-        if da == 0.0:
-            out.append((xs[max(i - 1, 0)], xs[i + 1], db < da))
-        elif da * db < 0.0:
-            out.append((xs[i], xs[i + 1], da > 0.0))
-    return out
+    da, db = d[:-1], d[1:]
+    zero = da == 0.0
+    i = np.flatnonzero(zero | (da * db < 0.0))
+    z = zero[i]
+    lo = np.where(z, np.maximum(i - 1, 0), i)
+    return list(zip(xs[lo], xs[i + 1], np.where(z, db[i] < da[i], da[i] > 0.0)))
 
 
 def _stable_brackets(spec: OdeSpec, T: float):
     """Grid scan doubled until the crossing count stabilizes twice in a row."""
     n, n_max = STABLE_SEEDS
-    sup = sig.bounds(spec.signal).sup
     streak = 0
-    brk = _brackets(spec, T, n, sup)
+    brk = _brackets(spec, T, n)
     while streak < 2 and n < n_max:
         n *= 2
-        nxt = _brackets(spec, T, n, sup)
+        nxt = _brackets(spec, T, n)
         streak = streak + 1 if len(nxt) == len(brk) else 0
         brk = nxt
     return brk
@@ -429,7 +424,7 @@ def count_separated_solutions(spec: OdeSpec, T: float) -> int:
     least sqrt(3) long, so bracket midpoints lie at least 4e-4 apart; for
     c <= 4 gbar decreases, so the displacement does and crosses at most once.
     """
-    return len(_brackets(spec, T, CENSUS_SEEDS, sig.bounds(spec.signal).sup))
+    return len(_brackets(spec, T, CENSUS_SEEDS))
 
 
 def signal_period(signal: sig.SignalSpec) -> float:
@@ -480,7 +475,7 @@ def estimate_lambda_pm(
         def extremum(lam: float) -> float:
             if lam not in values:
                 spec = OdeSpec(c, lam, signal, rhs_kind)
-                xs = np.linspace(*_scan_interval(spec, b.sup), CENSUS_SEEDS)
+                xs = np.linspace(*_scan_interval(spec), CENSUS_SEEDS)
                 try:
                     values[lam] = float(np.max(sign * _displacement_grid(spec, T, xs)))
                 except FiniteEscapeError:

@@ -107,7 +107,6 @@ def mg_eval(c, z):
 
 def mg_minus(c, z):
     """Concave half of mg: equals mg on z >= 0, vanishes on z < 0."""
-    _require_c_above_4(c, "mg_minus")
     z = np.asarray(z, dtype=float)
     out = np.where(z >= 0.0, mg_eval(c, np.maximum(z, 0.0)), 0.0)
     return out if out.ndim else float(out)
@@ -115,7 +114,6 @@ def mg_minus(c, z):
 
 def mg_plus(c, z):
     """Convex half of mg: equals mg on z <= 0, vanishes on z > 0."""
-    _require_c_above_4(c, "mg_plus")
     z = np.asarray(z, dtype=float)
     out = np.where(z <= 0.0, mg_eval(c, np.minimum(z, 0.0)), 0.0)
     return out if out.ndim else float(out)

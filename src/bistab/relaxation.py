@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import brentq  # noqa: F401  perfbench/tracing.py wraps relaxation.brentq by name
 from scipy.spatial import cKDTree
 
-from . import dynamics, signals
+from . import dynamics
 from .model import DomainError, diagnostics, g_eval
 from .signals import TrigSum
 
@@ -245,16 +245,12 @@ def run_analysis(spec: RelaxationSpec, n_loop: int = 4096, gamma_points: int = 2
 
 def _census_count(c: float, eps: float, r: float) -> int:
     """Count-only regime probe: crossings of the period map on a grid of 512
-    seeds, then 1024 and 2048 while the count is neither 1 nor 3."""
+    seeds.  The count is odd: y >= lam1 - eps^r >= 0 (``RelaxationSpec``),
+    so the displacement is positive at the floor 0 of the scan interval, and
+    it is negative at the ceiling.  A count of 5 or more is left to
+    ``r_threshold``, which rejects it as ambiguous."""
     spec = RelaxationSpec(c, eps, r)
-    ode = dynamics.OdeSpec(c, 0.0, spec.signal())
-    sup = signals.bounds(ode.signal).sup
-    count = 0
-    for n in (512, 1024, 2048):
-        count = len(dynamics._brackets(ode, spec.period, n, sup))
-        if count in (1, 3):
-            return count
-    return count
+    return len(dynamics._brackets(dynamics.OdeSpec(c, 0.0, spec.signal()), spec.period, 512))
 
 
 def r_threshold(

@@ -25,6 +25,7 @@ from scipy.integrate import quad
 TWO_PI = 2.0 * math.pi
 _GOLDEN_XTOL = 1e-10
 _GRID_PER_PERIOD = 4096
+_MAX_PEAKS = 8  # more near-extreme grid candidates than this: use the outer bound
 _QUAD_TAIL_TOL = 1e-12
 _MAX_LCM = 100_000  # larger common denominators of the frequency ratios count as incommensurate
 
@@ -153,10 +154,11 @@ class _TrigEval:
     by term with math.cos in the array path's order, so both give the same
     float without the array overhead."""
 
-    __slots__ = ("a0", "terms")
+    __slots__ = ("a0", "terms", "hi")
 
     def __init__(self, a0: float, terms: tuple[tuple[float, float, float], ...]):
         self.a0, self.terms = a0, terms
+        self.hi = a0 + sum(abs(a) for a, _, _ in terms)  # an upper bound of y, exact for one term
 
     def kinks(self, t0: float, t1: float) -> tuple:
         """Times between t0 and t1 where y is not smooth: none."""
@@ -178,12 +180,13 @@ class _TrigEval:
 class _SampledEval:
     """Periodic linear interpolation through fixed nodes."""
 
-    __slots__ = ("period", "ts", "vs")
+    __slots__ = ("period", "ts", "vs", "hi")
 
     def __init__(self, signal: SampledPeriodic):
         self.period = signal.period
         self.ts = np.asarray(signal.times + (signal.times[0] + signal.period,))
         self.vs = np.asarray(signal.values + (signal.values[0],))
+        self.hi = max(signal.values)  # sup y: the interpolant peaks at a node
 
     def kinks(self, t0: float, t1: float) -> np.ndarray:
         """The node times times[k] + m * period strictly between t0 and t1,
@@ -261,16 +264,37 @@ def _golden_max(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
     return xm, f(xm)
 
 
-def _scan_extremes(f_vec, f_scalar, window: float, n: int, xtol: float) -> tuple[float, float]:
-    """Grid scan of f on [0, window] with golden refinement at both extremes."""
+def _scan_extremes(
+    f_vec, f_scalar, window: float, n: int, xtol: float, curvature: float, outer: tuple[float, float]
+) -> tuple[float, float]:
+    """(sup, inf) of a periodic f from a grid scan of one period [0, window).
+
+    With |f''| <= curvature, the grid comes within pad = curvature h^2 / 8 of
+    each extreme (h the spacing), so every grid local extreme within pad of
+    the grid's extreme is golden-refined and the best is kept; a run of
+    equal values is one extreme, at its last point.  A side with more than
+    _MAX_PEAKS candidates takes its end of ``outer``, an outer bound
+    (sup, inf) of f, instead.  A grid that is flat to rounding (terms that
+    cancel) is one value, sup = inf."""
     r = np.linspace(0.0, window, n, endpoint=False)
     v = f_vec(r)
     h = window / n
-    imax = int(np.argmax(v))
-    imin = int(np.argmin(v))
-    _, vmax = _golden_max(f_scalar, r[imax] - h, r[imax] + h, xtol)
-    _, vmin_neg = _golden_max(lambda x: -f_scalar(x), r[imin] - h, r[imin] + h, xtol)
-    return float(vmax), float(-vmin_neg)
+    pad = curvature * h * h / 8.0
+    vmax, vmin = v.max(), v.min()
+    if vmax - vmin <= 64.0 * np.finfo(float).eps * max(abs(b) for b in outer):
+        return float(v[0]), float(v[0])
+    out = []
+    for sign, near, bound in ((1.0, v >= vmax - pad, outer[0]), (-1.0, v <= vmin + pad, outer[1])):
+        # the grid's local extremes among the few points near its extreme (v[-1] precedes v[0])
+        tops = [k for k in np.flatnonzero(near).tolist() if sign * v[k - 1] <= sign * v[k] > sign * v[(k + 1) % n]]
+        if len(tops) > _MAX_PEAKS:
+            out.append(bound)
+            continue
+        # Python-float ends keep the search's arithmetic off numpy scalars (same values, faster)
+        ends = [(float(r[k]) - h, float(r[k]) + h) for k in tops]
+        best = max(_golden_max(lambda x: sign * f_scalar(x), lo, hi, xtol)[1] for lo, hi in ends)
+        out.append(float(sign * best))
+    return out[0], out[1]
 
 
 def _laplace_trig(signal: SignalSpec, d: float) -> TrigSum:
@@ -288,16 +312,20 @@ def _trig_bounds(signal: SignalSpec) -> SignalBounds:
     exact for at most one nonzero term or a sum flagged rationally
     independent, and an outer bound (not exact) for an unflagged sum of
     incommensurate frequencies, which no finite window scans to its range;
-    a commensurate sum is scanned over one common period."""
+    a commensurate sum is scanned over one common period, with sum |a| th^2
+    bounding |y''| and the term-wise sums as the outer bound."""
     a0, terms = _as_trig(signal)
     terms = tuple(t for t in terms if t[0] != 0.0)
     exact = len(terms) <= 1 or (isinstance(signal, TrigSum) and signal.rationally_independent)
     period = None if exact else fundamental_period(signal)
+    total = sum(abs(a) for a, _, _ in terms)
     if period is None:
-        total = sum(abs(a) for a, _, _ in terms)
         return SignalBounds(a0 + total, a0 - total, exact)
     y = compile_signal(signal)
-    sup, inf = _scan_extremes(y, lambda r: y(float(r)), period, _GRID_PER_PERIOD, _GOLDEN_XTOL)
+    curvature = sum(abs(a) * th * th for a, th, _ in terms)
+    sup, inf = _scan_extremes(
+        y, lambda r: y(float(r)), period, _GRID_PER_PERIOD, _GOLDEN_XTOL, curvature, (a0 + total, a0 - total)
+    )
     return SignalBounds(sup, inf, False)
 
 
@@ -343,8 +371,9 @@ def _weighted_sampled_exact(signal: SampledPeriodic, d: float, r: float) -> floa
     # segment breakpoints of s in [0, T] where r + s crosses a sample node
     nodes = np.sort(np.unique(np.concatenate([(np.asarray(signal.times) - r) % T, [0.0, T]])))
     s0, s1 = nodes[:-1], nodes[1:]
-    y0 = np.asarray(eval(signal, r + s0))
-    slope = (np.asarray(eval(signal, r + s1)) - y0) / np.maximum(s1 - s0, 1e-300)
+    ys = np.asarray(eval(signal, r + nodes))  # each segment ends where the next starts
+    y0 = ys[:-1]
+    slope = (ys[1:] - y0) / np.maximum(s1 - s0, 1e-300)
     delta = s1 - s0
     e0 = np.exp(-d * s0)
     # int_0^delta e^{-d u} du and int_0^delta u e^{-d u} du, scaled by e^{-d s0}
@@ -362,9 +391,13 @@ def weighted_bounds(signal: SignalSpec, dfrak: float) -> WeightedBounds:
     if dfrak <= 0.0:
         raise ValueError(f"weighted_bounds requires dfrak > 0, got {dfrak}")
     if isinstance(signal, SampledPeriodic):
-        # one exact weighted average per point, so a coarser grid and tolerance
+        # one exact weighted average per point, so a coarser grid and tolerance;
+        # no curvature pad, so the grid's extreme alone is refined.  W is a
+        # convex combination of values of y, so the range of y is its outer bound.
         f = lambda r: weighted_average(signal, dfrak, float(r))
-        sup_w, inf_w = _scan_extremes(lambda rs: np.array([f(r) for r in rs]), f, signal.period, 256, 1e-8)
+        f_vec = lambda rs: np.array([f(r) for r in rs])
+        outer = (max(signal.values), min(signal.values))
+        sup_w, inf_w = _scan_extremes(f_vec, f, signal.period, 256, 1e-8, 0.0, outer)
         return WeightedBounds(sup_w, inf_w, False)
     w = _trig_bounds(_laplace_trig(signal, dfrak))
     return WeightedBounds(w.sup, w.inf, w.exact)

@@ -126,6 +126,13 @@ class TestClassify:
         assert cli.main(["classify", "--c", "5", "--lambda", "6.0", "--signal", str(path)]) == 2
         assert "cannot load signal file" in capsys.readouterr().err
 
+    def test_degenerate_fold_at_c4(self, capsys, tmp_path):
+        path = tmp_path / "cos.json"
+        path.write_text(json.dumps({"type": "trig", "terms": [[0.01, 1.0, 0.0]]}))
+        code, doc = run_json(capsys, ["classify", "--c", "4", "--lambda", "5.2", "--signal", str(path)])
+        assert code == 0
+        assert doc["result"][0]["regime"] == "indeterminate"
+
     def test_missing_signal_file_exits_2(self, capsys, tmp_path):
         code, _ = run(
             capsys,
@@ -245,6 +252,16 @@ class TestSweep:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [r["regime"] for r in rows] == ["relaxation", "bistable"]
+
+    def test_worker_processes_give_the_same_rows(self, capsys):
+        # --jobs 2 runs the grid cells in a pool of two worker processes
+        argv = ["sweep", "--c", "5", "--eps", "0.05", "--r", "0.6,1.6", "--format", "json"]
+        rows = {}
+        for jobs in ("1", "2"):
+            code, doc = run_json(capsys, [*argv, "--jobs", jobs])
+            assert code == 0
+            rows[jobs] = doc["result"]
+        assert rows["2"] == rows["1"]
 
 
 class TestInterface:

@@ -143,6 +143,23 @@ class TestClassify:
         cert = criteria.classify(5.0, 2.0, signals.Constant(0.0))
         assert cert.regime == "uniform-stability" and cert.fired_rule == "remark-3.3"
 
+    @pytest.mark.parametrize(
+        "y", [signals.TrigSum(0.0, ((0.01, 1.0, 0.0),)), signals.Constant(0.0)], ids=["trig", "constant"]
+    )
+    def test_degenerate_fold_at_c4_is_indeterminate(self, y):
+        # lam1 = lam2 = 3 sqrt(3) at c = 4: the equilibrium there is not
+        # hyperbolic, so neither prop-3.1 nor the interval rules apply
+        cert = criteria.classify(4.0, 3.0 * math.sqrt(3.0), y)
+        assert cert.regime == "indeterminate" and cert.fired_rule is None
+        assert "degenerate fold" in cert.notes
+
+    def test_scanned_range_decides_no_false_certificate(self):
+        # inf y is -0.04, so thm-3.2's exact interval starts at lam1 + 0.04 =
+        # 5.988274; a scan that under-reports the range must not certify below it
+        y = signals.TrigSum(0.0, ((0.02, 1.0, 0.0), (0.02, 1.001, 1.0)))
+        cert = criteria.classify(5.0, 5.988256, y)
+        assert cert.regime == "indeterminate"
+
     def test_rejects_lambda_below_invariance_threshold(self):
         with pytest.raises(ValueError):
             criteria.classify(5.0, -0.5, signals.Constant(0.0))
@@ -192,6 +209,8 @@ class TestClassify:
             (signals.TrigSum(0.5, ((0.0, 1.0, 0.0), (0.0, 2.0, 0.3))), False),
             # y = 0.1 cos t - 0.1 cos t is y = 0, although no term is zero
             (signals.TrigSum(0.0, ((0.1, 1.0, 0.0), (-0.1, 1.0, 0.0))), False),
+            # 0.3 + 0.1 cos t + 0.1 cos(t + pi) is 0.3 to within two ulps
+            (signals.TrigSum(0.3, ((0.1, 1.0, 0.0), (0.1, 1.0, math.pi))), False),
             (signals.FourierCesaro(0.5, (0.0,), (0.0, 0.0), 6), False),
             (signals.FourierCesaro(0.5, (0.0,), (0.0, 0.1), 6), True),
             (signals.SampledPeriodic(4.0, (0.0, 1.0, 2.0, 3.0), (1.0, 1.0, 1.0, 1.0)), False),
@@ -199,6 +218,7 @@ class TestClassify:
         ],
         ids=[
             "constant", "trig", "trig-incommensurate", "trig-zero-terms", "trig-cancelling",
+            "trig-cancelling-to-rounding",
             "cesaro-zero-terms", "cesaro", "sampled-constant", "sampled",
         ],
     )

@@ -125,7 +125,32 @@ class TestPoincareMap:
         assert fd == pytest.approx(L, abs=1e-4)
 
 
+def loop_brackets(xs, d):
+    """Reference: the per-seed loop that ``_brackets`` replaced."""
+    out = []
+    for i in range(len(xs) - 1):
+        da, db = d[i], d[i + 1]
+        if da == 0.0:
+            out.append((xs[max(i - 1, 0)], xs[i + 1], db < da))
+        elif da * db < 0.0:
+            out.append((xs[i], xs[i + 1], da > 0.0))
+    return out
+
+
 class TestCensus:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_brackets_match_the_seed_loop(self, monkeypatch, seed):
+        # displacements with exact zeros (also at the first seed): the same
+        # tuples, of the same types, in the same order as the loop
+        d = np.random.default_rng(seed).choice([-2.0, -1.0, 0.0, 1.0, 3.0], size=64)
+        d[0] = 0.0
+        monkeypatch.setattr(dynamics, "_displacement_grid", lambda spec, T, xs: d)
+        spec = dynamics.OdeSpec(5.0, 6.0, ZERO)
+        want = loop_brackets(np.linspace(*dynamics._scan_interval(spec), d.size), d)
+        got = dynamics._brackets(spec, 1.0, d.size)
+        assert [tuple(map(type, b)) for b in got] == [tuple(map(type, b)) for b in want]
+        assert got == want and any(d[:-1] == 0.0) and len(got) > 10
+
     def test_three_solutions_inside_interval(self):
         spec = dynamics.OdeSpec(5.0, 6.0, ZERO)
         sols = dynamics.find_periodic_solutions(spec, 1.0)
@@ -584,7 +609,7 @@ class TestEndStateKeepsNoSteps:
         # states would take the peak to 10.5 MB
         spec = relaxation.RelaxationSpec(5.0, 0.023, 1.15)
         ode = dynamics.OdeSpec(5.0, 0.0, spec.signal())
-        xs = np.linspace(*dynamics._scan_interval(ode, signals.bounds(ode.signal).sup), 2048)
+        xs = np.linspace(*dynamics._scan_interval(ode), 2048)
         tracemalloc.start()
         try:
             d = dynamics._displacement_grid(ode, spec.period, xs)

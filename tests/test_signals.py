@@ -130,6 +130,29 @@ class TestBounds:
         assert b.inf == pytest.approx(0.0, abs=1e-9)
         assert b.sup == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "y",
+        [
+            # two near-equal maxima: the grid's best point sits on the lower one
+            signals.TrigSum(0.0, ((1.0, 1.0, 4.263142916535716), (0.3425618990706392, 1.025, 3.5002555366005574))),
+            # frequencies 1 and 1.001: a period of 2000 pi, too long for the grid
+            signals.TrigSum(0.0, ((0.02, 1.0, 0.0), (0.02, 1.001, 1.0))),
+        ],
+        ids=["close-maxima", "coarse-grid"],
+    )
+    def test_scanned_range_encloses_dense_evaluation(self, y):
+        b = signals.bounds(y)
+        v = signals.eval(y, np.linspace(0.0, signals.fundamental_period(y), 1_000_001))
+        assert b.inf <= v.min() and v.max() <= b.sup and not b.exact
+
+    def test_cancelling_terms_give_one_value(self):
+        # a grid flat to rounding is one value, not many candidates on each
+        # side (which would give the outer bound a0 +- 0.2)
+        b = signals.bounds(signals.TrigSum(0.0, ((0.1, 1.0, 0.0), (-0.1, 1.0, 0.0))))
+        assert b.sup == b.inf == 0.0
+        b = signals.bounds(signals.TrigSum(0.5, ((0.1, 1.0, 0.0), (0.1, 1.0, math.pi))))
+        assert b.sup == b.inf == pytest.approx(0.5, abs=1e-15)
+
     def test_sampled(self):
         y = signals.SampledPeriodic(4.0, (0.0, 1.0, 2.0, 3.0), (0.0, 2.0, 0.0, -1.0))
         b = signals.bounds(y)
