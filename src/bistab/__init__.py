@@ -64,6 +64,7 @@ from .relaxation import (
     gamma_curve,
     hausdorff_distance,
     loop_area,
+    r_star_estimate,
     r_threshold,
     run_analysis,
     y_eps,

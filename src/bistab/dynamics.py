@@ -60,6 +60,8 @@ FP_TOL = 1e-9
 DEDUP_TOL = 1e-6
 NONHYP_TOL = 1e-4  # |multiplier - 1| below this => non-hyperbolic
 CENSUS_SEEDS = 2048  # grid of the count-only census and of the fold solves
+# the fold solve starts this many tol beyond the exact sandwich (at most the margin)
+FOLD_PAD = 100.0
 # the full census starts at the first and doubles up to the second grid size
 STABLE_SEEDS = (512, 8192)
 
@@ -452,15 +454,20 @@ def estimate_lambda_pm(
     so d.max() (concave-linear) and -d.min() (linear-convex), taken on the
     census grid, are monotone in lambda and positive exactly where the
     census finds two separated solutions: above lambda_minus and below
-    lambda_plus.  brentq solves each to xtol = tol inside the closed-form
-    sandwich bracket around lam1 and lam2; a trajectory that escapes counts
-    as "no two solutions".  The metadata reports the number of grid scans
-    per value and notes that for non-constant inputs the period-map
-    condition is a surrogate of the shift-family definition (equivalent for
-    periodic inputs).
+    lambda_plus.  brentq solves each to xtol = tol.  Its bracket starts as
+    the closed-form sandwich [center - sup y, center - inf y] padded by
+    FOLD_PAD * tol on each side; while the extremum has one sign at both
+    ends the pad grows eightfold, up to the margin max(lam2 - lam1, 10 tol),
+    and a bracket that still fails raises RuntimeError.  A trajectory that
+    escapes counts as "no two solutions".  The metadata reports the number
+    of grid scans per value (the widening included) and notes that for
+    non-constant inputs the period-map condition is a surrogate of the
+    shift-family definition (equivalent for periodic inputs).
     """
     if c <= 4.0:
         raise DomainError(f"estimate_lambda_pm requires c > 4, got c = {c}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"estimate_lambda_pm requires a finite tol > 0, got tol = {tol}")
     T = signal_period(signal)
     b = sig.bounds(signal)
     h1 = lam2(c) - lam1(c)
@@ -470,7 +477,7 @@ def estimate_lambda_pm(
     def fold(center: float, rhs_kind: str) -> float:
         # the extremum of d, signed to be positive where two solutions exist
         sign = 1.0 if rhs_kind == "concave-linear" else -1.0
-        values = {}  # brentq starts by evaluating the two bracket ends again
+        values = {}  # the widening and brentq evaluate bracket ends again
 
         def extremum(lam: float) -> float:
             if lam not in values:
@@ -483,9 +490,14 @@ def estimate_lambda_pm(
                     values[lam] = -(xs[-1] - xs[0])
             return values[lam]
 
-        lo, hi = center - b.sup - margin, center - b.inf + margin
-        f_lo, f_hi = extremum(lo), extremum(hi)
-        if (f_lo > 0.0) == (f_hi > 0.0):
+        pad = min(FOLD_PAD * tol, margin)
+        while True:
+            lo, hi = center - b.sup - pad, center - b.inf + pad
+            straddles = (extremum(lo) > 0.0) != (extremum(hi) > 0.0)
+            if straddles or pad == margin:
+                break
+            pad = min(8.0 * pad, margin)
+        if not straddles:
             raise RuntimeError(
                 f"bracket [{lo:.6g}, {hi:.6g}] does not straddle the {rhs_kind} bifurcation"
             )

@@ -19,12 +19,20 @@ from scipy.optimize import brentq  # noqa: F401  perfbench/tracing.py wraps rela
 from scipy.spatial import cKDTree
 
 from . import dynamics
-from .model import DomainError, diagnostics, g_eval
+from .model import DomainError, diagnostics, g_eval, gbar_deriv2, x1
 from .signals import TrigSum
 
 TWO_PI = 2.0 * math.pi
 CLOSURE_TOL = 1e-6  # largest |x(T) - x(0)| run_analysis accepts for the loop of a fixed point
 _BLOCK = 256  # points per vectorised pass of the pruned Hausdorff search
+# r_threshold starts within max(R_HALF_WIDTH_TOLS * tol, R_HALF_WIDTH_EPS * eps)
+# of r_star_estimate.  The estimate overshoots the census threshold by
+# 0.0004-0.0055, about eps/9, at c = 5 and eps in [0.01, 0.05], and by less
+# at c = 8 and 12; near c = 4 it overshoots more and the bracket widens.
+# A bracket of 15 tol ends within tol after four halvings; one of exactly
+# 16 tol needed a fifth about half the time, as its width rounds above tol.
+R_HALF_WIDTH_TOLS = 7.5
+R_HALF_WIDTH_EPS = 0.125
 
 
 @dataclass(frozen=True)
@@ -85,6 +93,7 @@ class ThresholdResult:
     tol: float
     regime_below: str
     regime_above: str
+    censuses: int  # _census_count calls, the widening of the bracket included
 
 
 def y_eps(spec: RelaxationSpec, t):
@@ -253,24 +262,66 @@ def _census_count(c: float, eps: float, r: float) -> int:
     return len(dynamics._brackets(dynamics.OdeSpec(c, 0.0, spec.signal()), spec.period, 512))
 
 
+def r_star_estimate(c: float, eps: float) -> float:
+    """Slow-passage estimate of the threshold exponent r*(eps).
+
+    Near the fold x1, where y rises through lam2, the equation is a Riccati
+    equation, and a solution on the lower branch jumps iff the overhang
+    exceeds eps * sqrt(A / k), with A = beta + eps^r the forcing amplitude
+    and k = |gbar''(x1)| (Haberman, SIAM J. Appl. Math. 37 (1979) 69-106).
+    So u = eps^r is the positive root of u^2 = (eps^2 / k) (beta + u), and
+    the estimate is ln u / ln eps.  It is asymptotic in eps, and lies above
+    the census threshold (by 0.0004-0.0055 at c = 5, eps in [0.01, 0.05])."""
+    if not (math.isfinite(c) and c > 4.0):
+        raise DomainError(f"r_star_estimate requires c > 4, got c = {c}")
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    a = eps * eps / abs(gbar_deriv2(c, x1(c)))
+    u = 0.5 * (a + math.sqrt(a * a + 4.0 * a * diagnostics(c).beta))
+    return math.log(u) / math.log(eps)
+
+
 def r_threshold(
     c: float, eps: float, tol: float = 1e-4, r_lo: float = 0.5, r_hi: float = 2.0
 ) -> ThresholdResult:
     """Bisect the exponent r on the regime predicate (3 vs 1 periodic
     solutions) until the bracket is below tol; reports which regime was
-    observed on each side rather than asserting it a priori."""
-    def bistable(r: float) -> bool:
-        n = _census_count(c, eps, r)
-        if n not in (1, 3):
-            raise RuntimeError(f"ambiguous census ({n} crossings) at r = {r:.6g}")
-        return n == 3
+    observed on each side rather than asserting it a priori.
 
-    lo_b, hi_b = bistable(r_lo), bistable(r_hi)
+    The bracket starts at ``r_star_estimate`` +- max(R_HALF_WIDTH_TOLS * tol,
+    R_HALF_WIDTH_EPS * eps), clipped into [r_lo, r_hi].  While both ends
+    show one regime the half-width grows eightfold; [r_lo, r_hi] is the
+    widest bracket, and RuntimeError is raised when even it does not
+    straddle.  Requires a finite tol > 0 and finite r_lo < r_hi."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"r_threshold requires a finite tol > 0, got tol = {tol}")
+    if not (math.isfinite(r_lo) and math.isfinite(r_hi) and r_lo < r_hi):
+        raise ValueError(f"r_threshold requires finite r_lo < r_hi, got [{r_lo}, {r_hi}]")
+    # a bad c or eps raises here; eps^r falls with r, so the spec at r_lo
+    # holds the forcing's floor for the whole bracket
+    RelaxationSpec(c, eps, r_lo)
+    seen = {}
+
+    def bistable(r: float) -> bool:
+        if r not in seen:
+            n = _census_count(c, eps, r)
+            if n not in (1, 3):
+                raise RuntimeError(f"ambiguous census ({n} crossings) at r = {r:.6g}")
+            seen[r] = n == 3
+        return seen[r]
+
+    center = min(max(r_star_estimate(c, eps), r_lo), r_hi)
+    w = max(R_HALF_WIDTH_TOLS * tol, R_HALF_WIDTH_EPS * eps)
+    while True:
+        lo, hi = max(r_lo, center - w), min(r_hi, center + w)
+        lo_b, hi_b = bistable(lo), bistable(hi)
+        if lo_b != hi_b or (lo, hi) == (r_lo, r_hi):
+            break
+        w *= 8.0
     if lo_b == hi_b:
         raise RuntimeError(
             f"bracket [{r_lo}, {r_hi}] does not straddle the regime change at c={c}, eps={eps}"
         )
-    lo, hi = r_lo, r_hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if bistable(mid) == hi_b:
@@ -283,6 +334,7 @@ def r_threshold(
         tol=tol,
         regime_below=regime[lo_b],
         regime_above=regime[hi_b],
+        censuses=len(seen),
     )
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from bistab import cli
+from bistab import cli, relaxation
 from bistab.model import diagnostics
 
 
@@ -241,6 +241,16 @@ class TestThreshold:
         row = doc["result"][0]
         assert row["regime_below"] == "relaxation" and row["regime_above"] == "bistable"
         assert 0.5 < row["r_threshold"] < 2.0
+
+    def test_reports_censuses(self, capsys):
+        code, doc = run_json(capsys, ["threshold", "--c", "5", "--eps", "0.05", "--tol", "1e-3"])
+        assert code == 0
+        assert doc["result"][0]["censuses"] == relaxation.r_threshold(5.0, 0.05, tol=1e-3).censuses
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1e-3", "inf"])
+    def test_bad_tol_exits_2(self, capsys, tol):
+        assert cli.main(["threshold", "--c", "5", "--eps", "0.05", f"--tol={tol}"]) == 2
+        assert "finite tol > 0" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -375,6 +375,42 @@ class TestFoldSolveAgainstBisection:
         assert abs(lam_minus - want[0]) <= tol
         assert abs(lam_plus - want[1]) <= tol
 
+    @pytest.mark.parametrize("name", list(FOLD_SIGNALS))
+    def test_sandwich_start_takes_fewer_scans(self, name):
+        # 9 scans per fold at c = 8 when brentq started on the sandwich padded by lam2 - lam1
+        _, _, meta = dynamics.estimate_lambda_pm(8.0, FOLD_SIGNALS[name], tol=1e-5)
+        assert meta["scans"]["lambda_minus"] < 9 and meta["scans"]["lambda_plus"] < 9
+
+    def test_pad_widens_past_a_wrong_sandwich(self, monkeypatch):
+        # a range reported 0.05 too high puts both folds above the padded
+        # sandwich, so only the widened pad reaches them
+        c, tol, y = 5.0, 1e-5, FOLD_SIGNALS["trig"]
+        want_minus, want_plus, _ = bisect_lambda_pm(c, y, tol)
+        _, _, meta = dynamics.estimate_lambda_pm(c, y, tol=tol)
+        b = signals.bounds(y)
+        monkeypatch.setattr(dynamics.sig, "bounds", lambda s: signals.SignalBounds(b.sup + 0.05, b.inf + 0.05, False))
+        lam_minus, lam_plus, wide = dynamics.estimate_lambda_pm(c, y, tol=tol)
+        assert abs(lam_minus - want_minus) <= tol
+        assert abs(lam_plus - want_plus) <= tol
+        assert wide["scans"]["lambda_minus"] > meta["scans"]["lambda_minus"]
+        assert wide["scans"]["lambda_plus"] > meta["scans"]["lambda_plus"]
+
+    def test_no_straddle_names_the_widest_bracket(self, monkeypatch):
+        # a range 10 too high: even the margin max(lam2 - lam1, 10 tol) misses the fold
+        c, tol, y = 5.0, 1e-5, FOLD_SIGNALS["trig"]
+        b = signals.bounds(y)
+        monkeypatch.setattr(dynamics.sig, "bounds", lambda s: signals.SignalBounds(b.sup + 10.0, b.inf + 10.0, False))
+        margin = model.lam2(c) - model.lam1(c)
+        lo, hi = model.lam1(c) - (b.sup + 10.0) - margin, model.lam1(c) - (b.inf + 10.0) + margin
+        want = f"bracket [{lo:.6g}, {hi:.6g}] does not straddle the concave-linear bifurcation"
+        with pytest.raises(RuntimeError, match=f"^{re.escape(want)}$"):
+            dynamics.estimate_lambda_pm(c, y, tol=tol)
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-5, math.inf])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="finite tol > 0"):
+            dynamics.estimate_lambda_pm(5.0, ZERO, tol=tol)
+
 
 # 16 nodes of a noisy sine on one period 2*pi, as the census benchmark draws them
 SAMPLED_TIMES = tuple(2.0 * math.pi * k / 16 for k in range(16))

@@ -233,3 +233,102 @@ class TestThreshold:
     def test_bad_bracket(self):
         with pytest.raises(RuntimeError):
             relaxation.r_threshold(5.0, 0.05, tol=0.05, r_lo=1.8, r_hi=2.0)
+
+    def test_bad_bracket_message_names_the_outer_limits(self):
+        with pytest.raises(RuntimeError, match=r"^bracket \[1\.8, 2\.0\] does not straddle the regime change"):
+            relaxation.r_threshold(5.0, 0.05, tol=1e-3, r_lo=1.8, r_hi=2.0)
+
+
+def bisect_r_threshold(c, eps, tol, r_lo=0.5, r_hi=2.0):
+    """Oracle: bisection of the census regime over the whole of [r_lo, r_hi],
+    with no starting estimate.  Returns (r, regime below, regime above,
+    census calls)."""
+    calls = []
+
+    def bistable(r):
+        calls.append(r)
+        return relaxation._census_count(c, eps, r) == 3
+
+    lo_b, hi_b = bistable(r_lo), bistable(r_hi)
+    assert lo_b != hi_b
+    lo, hi = r_lo, r_hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if bistable(mid) == hi_b:
+            hi = mid
+        else:
+            lo = mid
+    regime = {True: "bistable", False: "relaxation"}
+    return 0.5 * (lo + hi), regime[lo_b], regime[hi_b], len(calls)
+
+
+class TestSlowPassageBracket:
+    @pytest.mark.parametrize(
+        "eps, want", [(0.05, 1.44895), (0.04, 1.42192), (0.025, 1.37351), (0.02, 1.35389), (0.01, 1.30349)]
+    )
+    def test_estimate_values(self, eps, want):
+        assert relaxation.r_star_estimate(5.0, eps) == pytest.approx(want, abs=5e-6)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.02, 0.01])
+    def test_estimate_lies_just_above_the_census_threshold(self, eps):
+        # measured at c = 5: 0.0055, 0.0012 and 0.0004 above, inside the
+        # starting half-width eps/8, so no widening is needed
+        res = relaxation.r_threshold(5.0, eps, tol=1e-4)
+        over = relaxation.r_star_estimate(5.0, eps) - res.r
+        assert 0.0 < over < relaxation.R_HALF_WIDTH_EPS * eps
+        w = max(relaxation.R_HALF_WIDTH_TOLS * 1e-4, relaxation.R_HALF_WIDTH_EPS * eps)
+        # the two ends and the halvings from 2 w down to tol
+        assert res.censuses == 2 + math.ceil(math.log2(2.0 * w / 1e-4))
+
+    @pytest.mark.parametrize("eps", [0.025, 0.032, 0.04, 0.05])
+    def test_agrees_with_full_bracket_bisection(self, eps):
+        # the eps range of the fold-bisect benchmark
+        tol = 1e-3
+        res = relaxation.r_threshold(5.0, eps, tol=tol)
+        r, below, above, calls = bisect_r_threshold(5.0, eps, tol)
+        assert abs(res.r - r) <= tol
+        assert (res.regime_below, res.regime_above) == (below, above) == ("relaxation", "bistable")
+        # 2 ends and 4 halvings of 15 tol; the whole bracket takes 2 and 11
+        assert res.censuses == 6 and calls == 13
+
+    @pytest.mark.parametrize("wrong", [0.5, 1.9])
+    def test_wrong_estimate_widens_to_the_same_answer(self, monkeypatch, wrong):
+        tol = 1e-3
+        r, below, above, calls = bisect_r_threshold(5.0, 0.05, tol)
+        monkeypatch.setattr(relaxation, "r_star_estimate", lambda c, eps: wrong)
+        res = relaxation.r_threshold(5.0, 0.05, tol=tol)
+        assert abs(res.r - r) <= tol
+        assert (res.regime_below, res.regime_above) == (below, above)
+        assert res.censuses > 6
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tol": math.nan},
+            {"tol": 0.0},
+            {"tol": -1e-3},
+            {"tol": math.inf},
+            {"r_lo": 2.0, "r_hi": 0.5},
+            {"r_lo": 1.0, "r_hi": 1.0},
+            {"r_lo": math.nan},
+            {"r_hi": math.inf},
+        ],
+    )
+    def test_rejects_bad_bisection_inputs(self, kwargs):
+        with pytest.raises(ValueError, match="r_threshold requires"):
+            relaxation.r_threshold(5.0, 0.05, **kwargs)
+
+    def test_bad_c_or_eps_raises_before_the_estimate(self):
+        with pytest.raises(DomainError, match="RelaxationSpec requires c > 4"):
+            relaxation.r_threshold(4.0, 0.05)
+        for eps in (1.0, 0.0, math.nan):
+            with pytest.raises(ValueError, match="eps must lie in|finite c, eps and r"):
+                relaxation.r_threshold(5.0, eps)
+
+    def test_estimate_rejects_bad_c_or_eps(self):
+        for c in (4.0, 3.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                relaxation.r_star_estimate(c, 0.05)
+        for eps in (1.0, 0.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match="eps must lie in"):
+                relaxation.r_star_estimate(5.0, eps)
