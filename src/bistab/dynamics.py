@@ -13,12 +13,18 @@ the inverse map (backward-time integration), for which they are attractive:
 a forward pass starting within roundoff of a strongly repulsive orbit still
 falls off it long before the period ends, corrupting the multiplier integral.
 
-Census fixed points are refined by Newton's method on the period map (the
+A census is about three solve batches.  One scan on 2,049 seeds gives the
+crossing counts of the nested 513- and 1,025-seed grids too, so a finer
+grid is solved only when those counts differ.  Then all attractive
+crossings are refined in lock step by one multi-state forward map solve
+per step, and all repulsive ones by backward solves; a crossing leaves its
+batch once it converges.  Each starts at the secant zero of its bracket's
+two displacement values and takes Newton steps on the period map (the
 shooting method), at no extra cost: the slope of the map is the multiplier
-that each map call integrates anyway.  A Newton step is taken only where it
-is safe (the map contracts and the step stays inside the crossing's
+that each map solve integrates anyway.  A Newton step is taken only where
+it is safe (the map contracts and the step stays inside the crossing's
 bracket); otherwise the plain contraction step is taken, with root
-bracketing as the last resort.
+bracketing, one crossing at a time, as the last resort.
 
 Every integration goes through one solver routine, restarted at the nodes
 of a sampled input.  It returns the states at the solver's steps or at
@@ -62,8 +68,9 @@ NONHYP_TOL = 1e-4  # |multiplier - 1| below this => non-hyperbolic
 CENSUS_SEEDS = 2048  # grid of the count-only census and of the fold solves
 # the fold solve starts this many tol beyond the exact sandwich (at most the margin)
 FOLD_PAD = 100.0
-# the full census starts at the first and doubles up to the second grid size
-STABLE_SEEDS = (512, 8192)
+# the full census solves the first grid (its every 2nd and 4th seed are the
+# 1,025- and 513-seed grids) and doubles up to the second
+STABLE_SEEDS = (2049, 8193)
 
 RHS_KINDS = ("full", "concave-linear", "linear-convex")
 
@@ -225,17 +232,23 @@ def _augmented_rhs(spec: OdeSpec):
     return rhs
 
 
-def poincare_map_log(spec: OdeSpec, T: float, x0: float, backward: bool = False) -> tuple[float, float]:
+def poincare_map_log(spec: OdeSpec, T: float, x0: float | np.ndarray, backward: bool = False):
     """(x at the far end, log multiplier along the computed arc).
 
     Forward: returns (x(T; 0, x0), integral over [0, T] of the state
     derivative along that arc).  Backward: starts from x0 at t = T, returns
     x(0) and the same forward-oriented integral taken along the backward arc.
+    A float x0 gives two floats; an array of states is mapped in one solve
+    and gives two arrays.
     """
     t0, t1 = (T, 0.0) if backward else (0.0, T)
     _, ys = _solve(spec, t0, x0, t1, ABSTOL, RELTOL, augmented=True, t_eval=[t1])
-    xT, L = (float(v) for v in ys[:, -1])
-    return xT, (-L if backward else L)
+    xT, L = np.split(ys[:, -1], 2)
+    if backward:
+        L = -L
+    if np.ndim(x0) == 0:
+        return float(xT[0]), float(L[0])
+    return xT, L
 
 
 def _exp(L: float) -> float:
@@ -321,83 +334,126 @@ def _displacement_grid(spec: OdeSpec, T: float, xs: np.ndarray) -> np.ndarray:
     return _solve(spec, 0.0, xs, T, ABSTOL, RELTOL, t_eval=[T])[1][:, -1] - xs
 
 
-def _brackets(spec: OdeSpec, T: float, n: int) -> list[tuple[float, float, bool]]:
-    """(xa, xb, attractive_crossing) for every sign change of the displacement
-    on n seeds over the scan interval, in increasing order.  A seed where the
-    displacement is exactly zero gives the bracket of its two neighbours."""
-    interval = _scan_interval(spec)
-    if interval is None:
-        return []
-    xs = np.linspace(*interval, n)
-    d = _displacement_grid(spec, T, xs)
+def _sign_changes(xs: np.ndarray, d: np.ndarray) -> list[tuple[float, float, bool, float]]:
+    """(xa, xb, attractive_crossing, start) for every sign change of the
+    displacement d on the seeds xs, in increasing order.  A seed where the
+    displacement is exactly zero gives the bracket of its two neighbours and
+    starts at its midpoint; any other crossing starts at the secant zero of
+    its two displacement values."""
     da, db = d[:-1], d[1:]
     zero = da == 0.0
     i = np.flatnonzero(zero | (da * db < 0.0))
     z = zero[i]
     lo = np.where(z, np.maximum(i - 1, 0), i)
-    return list(zip(xs[lo], xs[i + 1], np.where(z, db[i] < da[i], da[i] > 0.0)))
+    xa, xb = xs[lo], xs[i + 1]
+    # a zero seed may have a zero neighbour, so its (unused) secant is not formed
+    step = np.divide(da[i] * (xb - xa), db[i] - da[i], out=np.zeros(i.size), where=~z)
+    start = np.where(z, 0.5 * (xa + xb), xa - step)
+    return list(zip(xa, xb, np.where(z, db[i] < da[i], da[i] > 0.0), start))
+
+
+def _brackets(spec: OdeSpec, T: float, n: int, levels: int = 1):
+    """The ``_sign_changes`` of the displacement on n seeds over the scan
+    interval, from one vectorized solve.  With levels = k > 1 (n - 1 a
+    multiple of 2^(k-1)), the bracket lists of the k nested grids of every
+    2^(k-1)-th, ..., 2nd and every seed, coarsest first, from the same solve."""
+    interval = _scan_interval(spec)
+    if interval is None:
+        return [[] for _ in range(levels)] if levels > 1 else []
+    xs = np.linspace(*interval, n)
+    d = _displacement_grid(spec, T, xs)
+    nested = [_sign_changes(xs[:: 2**k], d[:: 2**k]) for k in reversed(range(levels))]
+    return nested if levels > 1 else nested[0]
 
 
 def _stable_brackets(spec: OdeSpec, T: float):
-    """Grid scan doubled until the crossing count stabilizes twice in a row."""
+    """Brackets on grids of 2^k + 1 seeds, doubled until the crossing count
+    is the same on three grids in a row.  The grids nest, so the first solve
+    gives the counts of the grids of its every 4th and 2nd seed too; a finer
+    grid is solved only while the counts still differ."""
     n, n_max = STABLE_SEEDS
-    streak = 0
-    brk = _brackets(spec, T, n)
-    while streak < 2 and n < n_max:
-        n *= 2
-        nxt = _brackets(spec, T, n)
-        streak = streak + 1 if len(nxt) == len(brk) else 0
-        brk = nxt
+    *coarse, brk = _brackets(spec, T, n, levels=3)
+    counts = [len(b) for b in coarse] + [len(brk)]
+    while len(set(counts[-3:])) > 1 and n < n_max:
+        n = 2 * n - 1
+        brk = _brackets(spec, T, n)
+        counts.append(len(brk))
     return brk
 
 
 def _refine_fixed_point(
-    spec: OdeSpec, T: float, xa: float, xb: float, attractive: bool
-) -> tuple[float, float]:
-    """(x, L): a fixed point x of the period map inside [xa, xb] and the
-    forward-oriented log multiplier L of the map call that converged on it.
+    spec: OdeSpec, T: float, xa: np.ndarray, xb: np.ndarray, x: np.ndarray, attractive: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """(x, L): for each crossing, started at x inside its bracket [xa, xb], a
+    fixed point of the period map in the bracket and the forward-oriented log
+    multiplier L of the map solve that converged on it.  All crossings share
+    a direction and are refined in lock step, one multi-state map solve per
+    step; a crossing leaves the batch once it converges.
 
     Attractive crossings iterate the forward map P, repulsive ones the
-    inverse (backward) map; both contract onto the orbit.  Each map call
-    also returns the log multiplier L of its arc, so the slope s of the
+    inverse (backward) map; both contract onto the orbit.  Each map solve
+    also returns the log multiplier L of each arc, so the slope s of the
     iterated map at x is free: e^L forward, e^-L backward (the inverse map's
     slope is the reciprocal of the forward one).  The step is Newton's on
     P(x) - x (the shooting method for periodic orbits; Kuznetsov, Elements
     of Applied Bifurcation Theory, ch. 10), written as a correction to the
     contraction step, P(x) + (P(x) - x) s / (1 - s), so it is the plain
     contraction step whenever s is below rounding.  The plain step is taken
-    instead when s >= 1 (or overflows) or when the Newton step would leave
-    [xa, xb].  Root bracketing on the forward displacement is the fallback
-    when 60 steps do not converge (multiplier near 1); its root's L then
-    comes from one more map call in the crossing's direction.
+    instead when s >= 1 or when the Newton step would leave [xa, xb].  Root
+    bracketing on the forward displacement, one crossing at a time, is the
+    fallback for a crossing that 60 steps do not converge (multiplier near
+    1); its root's L then comes from one more map call in the crossing's
+    direction.
     """
-    x = 0.5 * (xa + xb)
+    xa, xb, x = (np.array(v, dtype=float) for v in (xa, xb, x))
+    fixed, logs = np.full(x.size, np.nan), np.full(x.size, np.nan)
+    live = np.arange(x.size)
     for _ in range(60):
-        nxt, L = poincare_map_log(spec, T, x, backward=not attractive)
-        if abs(nxt - x) < FP_TOL:
-            return nxt, L
-        s = _exp(L if attractive else -L)
-        newton = nxt + (nxt - x) * s / (1.0 - s) if s < 1.0 else nxt
-        x = newton if xa <= newton <= xb else nxt
-    x = float(brentq(lambda z: poincare_map_log(spec, T, z)[0] - z, xa, xb, xtol=FP_TOL))
-    return x, poincare_map_log(spec, T, x, backward=not attractive)[1]
+        if not live.size:
+            return fixed, logs
+        at = x[live]
+        nxt, L = poincare_map_log(spec, T, at, backward=not attractive)
+        done = np.abs(nxt - at) < FP_TOL
+        fixed[live[done]], logs[live[done]] = nxt[done], L[done]
+        # the iterated map's slope, clipped at 1 (no Newton step there) so exp cannot overflow
+        s = np.exp(np.minimum(L if attractive else -L, 0.0))
+        newton_ok = s < 1.0
+        newton = nxt + (nxt - at) * s / np.where(newton_ok, 1.0 - s, 1.0)
+        inside = newton_ok & (xa[live] <= newton) & (newton <= xb[live])
+        x[live] = np.where(inside, newton, nxt)
+        live = live[~done]
+    for i in live:
+        root = float(brentq(lambda z: poincare_map_log(spec, T, z)[0] - z, xa[i], xb[i], xtol=FP_TOL))
+        fixed[i], logs[i] = root, poincare_map_log(spec, T, root, backward=not attractive)[1]
+    return fixed, logs
 
 
 def find_periodic_solutions(spec: OdeSpec, T: float) -> list[PeriodicSolution]:
     """All T-periodic solutions found by the census over the scan interval.
 
-    Requires the input to be constant or T-periodic.  Each solution is its
-    fixed point, the multiplier measured by the map call its refinement
+    Requires the input to be constant or T-periodic.  The census makes about
+    three solve batches: one nested scan (``_stable_brackets``), then one
+    lock-step refinement of all attractive crossings forward and one of all
+    repulsive crossings backward (``_refine_fixed_point``).  Each solution is
+    its fixed point, the multiplier measured by the map solve its refinement
     converged with (a repulsive orbit is measured backward, as forward
     integration falls off it before one period when the multiplier is
     extreme), and its stability tag; no orbit is integrated again.
     """
+    brackets = _stable_brackets(spec, T)
+    if not brackets:
+        return []
+    xa, xb, attractive, start = map(np.array, zip(*brackets))
+    fixed, logs = np.empty(len(brackets)), np.empty(len(brackets))
+    for direction in (True, False):
+        batch = attractive == direction
+        if batch.any():
+            fixed[batch], logs[batch] = _refine_fixed_point(spec, T, xa[batch], xb[batch], start[batch], direction)
     solutions = []
-    for xa, xb, attractive in _stable_brackets(spec, T):
-        x0, L = _refine_fixed_point(spec, T, xa, xb, attractive)
+    for a, b, x0, L in zip(xa, xb, fixed.tolist(), logs.tolist()):
         if any(abs(x0 - s.fixed_point) < DEDUP_TOL for s in solutions):
             warnings.warn(
-                f"the crossing in [{xa:.9g}, {xb:.9g}] refined onto the fixed point {x0:.9g}, "
+                f"the crossing in [{a:.9g}, {b:.9g}] refined onto the fixed point {x0:.9g}, "
                 f"within {DEDUP_TOL:g} of one already found; possible non-hyperbolic pair near a saddle-node",
                 stacklevel=2,
             )

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -126,14 +127,18 @@ class TestPoincareMap:
 
 
 def loop_brackets(xs, d):
-    """Reference: the per-seed loop that ``_brackets`` replaced."""
+    """Reference: the per-seed loop that ``_brackets`` replaced, with the
+    refinement's start: the midpoint of a zero seed's bracket, else the
+    secant zero."""
     out = []
     for i in range(len(xs) - 1):
         da, db = d[i], d[i + 1]
         if da == 0.0:
-            out.append((xs[max(i - 1, 0)], xs[i + 1], db < da))
+            xa, xb = xs[max(i - 1, 0)], xs[i + 1]
+            out.append((xa, xb, db < da, 0.5 * (xa + xb)))
         elif da * db < 0.0:
-            out.append((xs[i], xs[i + 1], da > 0.0))
+            xa, xb = xs[i], xs[i + 1]
+            out.append((xa, xb, da > 0.0, xa - da * (xb - xa) / (db - da)))
     return out
 
 
@@ -202,15 +207,55 @@ class TestCensus:
             monkeypatch.setattr(dynamics, name, fn)
         assert len(dynamics.find_periodic_solutions(spec, 2.0 * math.pi)) == 3
         assert solves.calls == scans.calls + maps.calls
+        # one nested scan, and two lock-step solves per direction
+        assert scans.calls == 1 and maps.calls <= 4
 
     def test_merged_crossings_warn(self, monkeypatch):
         # three crossings refined onto one fixed point: the census keeps it once
-        # and warns for each crossing it loses
-        monkeypatch.setattr(dynamics, "_refine_fixed_point", lambda spec, T, xa, xb, attractive: (2.0, 0.5))
+        # and warns for each crossing it loses, naming that crossing's bracket
+        spec = dynamics.OdeSpec(5.0, 6.0, ZERO)
+        brackets = dynamics._stable_brackets(spec, 1.0)
+        monkeypatch.setattr(
+            dynamics,
+            "_refine_fixed_point",
+            lambda spec, T, xa, xb, x, attractive: (np.full(len(xa), 2.0), np.full(len(xa), 0.5)),
+        )
         with pytest.warns(UserWarning, match="refined onto the fixed point 2,") as record:
-            sols = dynamics.find_periodic_solutions(dynamics.OdeSpec(5.0, 6.0, ZERO), 1.0)
+            sols = dynamics.find_periodic_solutions(spec, 1.0)
         assert len(record) == 2
         assert [s.fixed_point for s in sols] == [2.0]
+        for warning, (xa, xb, _, _) in zip(record, brackets[1:]):
+            assert f"the crossing in [{xa:.9g}, {xb:.9g}]" in str(warning.message)
+
+    def test_stable_census_solves_one_grid(self, monkeypatch):
+        # the 513-, 1,025- and 2,049-seed counts all come from one solve
+        grids = CountedMap(dynamics._displacement_grid)
+        monkeypatch.setattr(dynamics, "_displacement_grid", grids)
+        y = signals.TrigSum(0.0, ((0.04, 1.0, -math.pi / 2.0),))
+        spec = dynamics.OdeSpec(5.0, 0.5 * (model.lam1(5.0) + model.lam2(5.0)), y)
+        assert len(dynamics.find_periodic_solutions(spec, 2.0 * math.pi)) == 3
+        assert grids.calls == 1
+
+    def test_close_crossings_double_the_grid(self, monkeypatch):
+        # just above lam1 the two equilibria born at x2, 4.3e-3 apart, fall
+        # between two seeds of the 513-seed grid (spacing 1.04e-2) but not of
+        # the 2,049-seed one, so the counts differ and 4,097 seeds are solved
+        c = 5.0
+        lam = model.lam1(c) + 1e-6
+        spec = dynamics.OdeSpec(c, lam, ZERO)
+        lo, hi = dynamics._scan_interval(spec)
+        pair = [x for x in autonomous_equilibria(c, lam) if abs(x - model.x2(c)) < 0.01]
+        assert len(pair) == 2 and (hi - lo) / 2048 < pair[1] - pair[0] < (hi - lo) / 512
+        *coarse, fine = dynamics._brackets(spec, 1.0, 2049, levels=3)
+        assert [len(b) for b in coarse] == [1, 3] and len(fine) == 3
+        scans = CountedMap(dynamics._brackets)
+        monkeypatch.setattr(dynamics, "_brackets", scans)
+        sols = dynamics.find_periodic_solutions(spec, 1.0)
+        assert scans.calls == 2
+        assert [s.kind for s in sols] == ["attractive", "repulsive", "attractive"]
+        # the pair's log multipliers are only ~9e-4 from 0, so the stopping test
+        # |P(x) - x| < FP_TOL places them to about FP_TOL / 9e-4 ~ 1e-6
+        assert [s.fixed_point for s in sols] == pytest.approx(autonomous_equilibria(c, lam), abs=1e-5)
 
     def test_count_separated(self):
         assert dynamics.count_separated_solutions(dynamics.OdeSpec(5.0, 6.0, ZERO), 1.0) == 3
@@ -492,20 +537,23 @@ class TestSampledInput:
             raise AssertionError("_refine_fixed_point fell back to brentq")
 
         monkeypatch.setattr(dynamics, "brentq", no_brentq)
-        for xa, xb, attractive in brackets:
-            x, _ = dynamics._refine_fixed_point(spec, T, xa, xb, attractive)
-            assert xa <= x <= xb
+        for attractive in (True, False):
+            xa, xb, _, start = map(np.array, zip(*(b for b in brackets if b[2] == attractive)))
+            x, _ = dynamics._refine_fixed_point(spec, T, xa, xb, start, attractive)
+            assert np.all((xa <= x) & (x <= xb))
 
     def test_newton_needs_few_map_calls(self, monkeypatch):
-        # the contraction needs 24 map calls for these three fixed points
+        # the contraction needs 24 map calls for these three fixed points, and
+        # one-crossing-at-a-time Newton 9; in lock step it is two batched
+        # solves per direction
         spec = dynamics.OdeSpec(self.C, self.LAM, SAMPLED)
         T = SAMPLED.period
         brackets = dynamics._stable_brackets(spec, T)
-        want = [contraction_fixed_point(spec, T, *b) for b in brackets]
+        want = [contraction_fixed_point(spec, T, *b[:3]) for b in brackets]
         counted = CountedMap(dynamics.poincare_map_log)
         monkeypatch.setattr(dynamics, "poincare_map_log", counted)
         sols = dynamics.find_periodic_solutions(spec, T)
-        assert counted.calls <= 12
+        assert counted.calls <= 4
         assert [s.fixed_point for s in sols] == pytest.approx(want, rel=0.0, abs=1e-8)
 
     def test_fd_multiplier_matches_augmented(self):
@@ -551,14 +599,21 @@ class TestNewtonStep:
     X, XA, XB = 0.7, 0.0, 2.0
 
     def linear_map(self, L):
-        return CountedMap(lambda spec, T, x, backward=False: (self.X + 0.5 * (x - self.X), L))
+        return CountedMap(lambda spec, T, x, backward=False: (self.X + 0.5 * (x - self.X), np.full(np.shape(x), L)))
+
+    def refine(self, attractive):
+        """(x, L) of the one crossing [XA, XB], started at its midpoint."""
+        x, L = dynamics._refine_fixed_point(
+            None, 1.0, [self.XA], [self.XB], [0.5 * (self.XA + self.XB)], attractive
+        )
+        return float(x[0]), float(L[0])
 
     @pytest.mark.parametrize("attractive", [True, False])
     def test_true_slope_converges_in_one_step(self, monkeypatch, attractive):
         # a repulsive crossing iterates the inverse map, whose slope is e^-L
         fake = self.linear_map(math.log(0.5) if attractive else math.log(2.0))
         monkeypatch.setattr(dynamics, "poincare_map_log", fake)
-        x, L = dynamics._refine_fixed_point(None, 1.0, self.XA, self.XB, attractive)
+        x, L = self.refine(attractive)
         assert fake.calls == 2 and abs(x - self.X) <= 1e-15
         assert L == (math.log(0.5) if attractive else math.log(2.0))
 
@@ -571,9 +626,21 @@ class TestNewtonStep:
         want = contraction_fixed_point(None, 1.0, self.XA, self.XB, True)
         fake = self.linear_map(L)
         monkeypatch.setattr(dynamics, "poincare_map_log", fake)
-        x, got_L = dynamics._refine_fixed_point(None, 1.0, self.XA, self.XB, True)
+        x, got_L = self.refine(True)
         assert x == want and got_L == L
         assert fake.calls == plain.calls > 20
+
+    @pytest.mark.parametrize("attractive", [True, False])
+    def test_overflowing_slope_warns_nothing(self, monkeypatch, attractive):
+        # e^L of the iterated map overflows a float: the vectorised step must
+        # neither warn nor divide by 1 - inf, and takes the contraction step
+        L = 1e4 if attractive else -1e4
+        fake = self.linear_map(L)
+        monkeypatch.setattr(dynamics, "poincare_map_log", fake)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, got_L = self.refine(attractive)
+        assert abs(x - self.X) <= dynamics.FP_TOL and got_L == L and fake.calls > 20
 
     @pytest.mark.parametrize("attractive", [True, False])
     def test_brentq_root_takes_one_more_map_call(self, monkeypatch, attractive):
@@ -585,7 +652,7 @@ class TestNewtonStep:
         def slow_map(spec, T, x, backward=False):
             calls.append((x, backward))
             Ls.append((-1.0 if backward else 1.0) * (0.25 + len(calls)))
-            return self.X + 0.9999 * (x - self.X), Ls[-1]
+            return self.X + 0.9999 * (x - self.X), np.full(np.shape(x), Ls[-1])
 
         def recorded_brentq(*args, **kwargs):
             root = brentq(*args, **kwargs)
@@ -594,11 +661,92 @@ class TestNewtonStep:
 
         monkeypatch.setattr(dynamics, "poincare_map_log", slow_map)
         monkeypatch.setattr(dynamics, "brentq", recorded_brentq)
-        x, L = dynamics._refine_fixed_point(None, 1.0, self.XA, self.XB, attractive)
+        x, L = self.refine(attractive)
         assert len(at_root) == 1 and x == at_root[0][0]
         assert len(calls) == at_root[0][1] + 1
         assert calls[-1] == (x, not attractive) and L == Ls[-1]
         assert abs(x - self.X) <= dynamics.FP_TOL
+
+
+CENSUS_SIGNALS = {
+    "trig": signals.TrigSum(0.0, ((0.04, 1.0, -math.pi / 2.0),)),
+    "cesaro": signals.FourierCesaro(0.005, (0.02, -0.01), (0.015,), 6),
+    "sampled": SAMPLED,
+}
+
+
+class TestLockStep:
+    """All crossings of one direction are refined together, one map solve per
+    step, and each leaves the batch as soon as it converges."""
+
+    @pytest.mark.parametrize("name", list(CENSUS_SIGNALS))
+    def test_census_matches_contraction_and_fd(self, name):
+        y = CENSUS_SIGNALS[name]
+        spec = dynamics.OdeSpec(5.0, 0.5 * (model.lam1(5.0) + model.lam2(5.0)), y)
+        T = dynamics.signal_period(y)
+        brackets = dynamics._stable_brackets(spec, T)
+        sols = dynamics.find_periodic_solutions(spec, T)
+        assert [s.kind for s in sols] == ["attractive", "repulsive", "attractive"]
+        want = [contraction_fixed_point(spec, T, *b[:3]) for b in brackets]
+        assert [s.fixed_point for s in sols] == pytest.approx(want, rel=0.0, abs=1e-8)
+        for s in sols:
+            fd = dynamics.poincare_multiplier_fd(spec, T, s.fixed_point, backward_orbit=s.kind == "repulsive")
+            assert fd == pytest.approx(s.log_multiplier, abs=1e-4)
+
+    # two crossings of a linear stand-in map, P(x) = X + r (x - X) on each
+    XS, BRACKETS = (0.3, 2.6), ((0.0, 1.0), (2.0, 3.0))
+
+    def refine(self, monkeypatch, rates, slopes, attractive):
+        """Runs the refinement on the two crossings; returns its result, the
+        stand-in's calls (x, P(x), L) and the brackets brentq was given.  The
+        reported log slope drifts by -1e-3 per call, so each call's L is its own."""
+        calls, fallbacks = [], []
+
+        def linear_map(spec, T, x, backward=False):
+            x = np.asarray(x, dtype=float)
+            k = (x > 1.5).astype(int)
+            X, r = np.take(self.XS, k), np.take(rates, k)
+            log_slope = np.log(np.take(slopes, k)) - 1e-3 * len(calls)
+            nxt, L = X + r * (x - X), -log_slope if backward else log_slope
+            calls.append((x, nxt, L))
+            return (float(nxt), float(L)) if x.ndim == 0 else (nxt, L)
+
+        def recorded_brentq(f, a, b, **kwargs):
+            fallbacks.append((a, b))
+            return brentq(f, a, b, **kwargs)
+
+        monkeypatch.setattr(dynamics, "poincare_map_log", linear_map)
+        monkeypatch.setattr(dynamics, "brentq", recorded_brentq)
+        xa, xb = zip(*self.BRACKETS)
+        start = [0.5 * (a + b) for a, b in self.BRACKETS]
+        return dynamics._refine_fixed_point(None, 1.0, xa, xb, start, attractive), calls, fallbacks
+
+    @pytest.mark.parametrize("attractive", [True, False])
+    def test_converged_crossing_is_frozen(self, monkeypatch, attractive):
+        # the first crossing contracts by 0.5 with about its true slope
+        # reported, so Newton converges in a few steps; the second contracts
+        # by 0.9999 with a slope above 1 reported, so it takes the plain step
+        # and falls back (the slopes are those of the iterated map, forward
+        # or inverse, so the stand-in reports L = -log slope backward)
+        (x, L), calls, fallbacks = self.refine(monkeypatch, (0.5, 0.9999), (0.5, 1.5), attractive)
+        batched = [c for c in calls if c[0].ndim == 1]
+        sizes = [c[0].size for c in batched]
+        assert len(batched) == 60 and sizes[0] == 2 and sizes[-1] == 1
+        # the first solve in which the fast crossing's |P(x) - x| < FP_TOL
+        j = next(i for i, (at, nxt, _) in enumerate(batched) if abs(nxt[0] - at[0]) < dynamics.FP_TOL)
+        assert 1 <= j <= 4
+        assert x[0] == batched[j][1][0] and L[0] == batched[j][2][0]
+        assert sizes == [2] * (j + 1) + [1] * (59 - j)
+        assert all(np.all(c[0] > 1.5) for c in batched[j + 1 :])
+        # only the slow crossing falls back, on its own bracket
+        assert fallbacks == [self.BRACKETS[1]]
+        assert abs(x[1] - self.XS[1]) <= dynamics.FP_TOL and L[1] == calls[-1][2]
+
+    def test_fallback_fires_per_crossing(self, monkeypatch):
+        (x, L), calls, fallbacks = self.refine(monkeypatch, (0.9999, 0.9999), (1.5, 1.5), True)
+        assert [c[0].size for c in calls if c[0].ndim == 1] == [2] * 60
+        assert fallbacks == list(self.BRACKETS)
+        assert np.all(np.abs(x - self.XS) <= dynamics.FP_TOL)
 
 
 class TestSmoothInputIsOnePiece:
