@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -19,8 +20,9 @@ from . import __version__, criteria, dynamics, relaxation, signals
 from .model import diagnostics, gbar_deriv
 
 
-class ValidationError(ValueError):
-    pass
+class ValidationError(ValueError, argparse.ArgumentTypeError):
+    """Bad user input.  argparse prints the message of an ArgumentTypeError
+    raised by a ``type=`` converter, so a bad --eps or --r grid is named."""
 
 
 def _load_signal(path: str) -> signals.SignalSpec:
@@ -32,17 +34,37 @@ def _load_signal(path: str) -> signals.SignalSpec:
         raise ValidationError(f"cannot load signal file {path!r}: {exc}") from exc
 
 
+def _grid_value(entry: str, text: str) -> float:
+    """One entry of the grid text, which must be a finite number."""
+    if not entry.strip():
+        raise ValidationError(f"grid {text!r} has an empty entry")
+    try:
+        value = float(entry)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValidationError(f"grid entry {entry!r} in {text!r} is not a finite number")
+    return value
+
+
 def _parse_grid(text: str) -> list[float]:
-    """Either comma-separated values or "lo:hi:n" (n equally spaced points)."""
+    """Either comma-separated values or "lo:hi:n" (n equally spaced points);
+    every value finite, n an integer >= 1."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValidationError(f"grid must be 'lo:hi:n' or comma list, got {text!r}")
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi = (_grid_value(p, text) for p in parts[:2])
+        if not math.isfinite(hi - lo):  # np.linspace would overflow to inf and nan
+            raise ValidationError(f"grid {text!r} spans more than the largest float")
+        try:
+            n = int(parts[2])
+        except ValueError:
+            raise ValidationError(f"grid point count {parts[2]!r} in {text!r} is not an integer") from None
         if n < 1:
             raise ValidationError("grid point count must be >= 1")
         return [float(v) for v in np.linspace(lo, hi, n)]
-    return [float(v) for v in text.split(",") if v.strip()]
+    return [_grid_value(v, text) for v in text.split(",")]
 
 
 def _emit(args, config: dict, rows: list[dict], fieldnames: list[str]) -> None:
@@ -105,6 +127,9 @@ def _autonomous_equilibria(c: float, lam: float) -> list[tuple[float, str]]:
 
 
 def cmd_bifurcation(args) -> None:
+    for flag, value in (("--c", args.c), ("--lambda", args.lam)):
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(f"bifurcation requires a finite {flag}, got {value}")
     lams = _parse_grid(args.grid) if args.grid else [args.lam]
     if any(v is None for v in lams):
         raise ValidationError("bifurcation requires --grid or --lambda")

@@ -498,6 +498,42 @@ def signal_period(signal: sig.SignalSpec) -> float:
     raise ValueError("signal must be constant or periodic")
 
 
+def _extremal_seed(spec: OdeSpec, T: float, sign: float, near: tuple[int, int] | None = None):
+    """(i, e, states): the index i on the CENSUS_SEEDS grid of the scan
+    interval of the seed with the largest sign * displacement, that value e,
+    and the number of states solved for them.
+
+    With near = (i0, i1), the extremal indices at two other lambda, only the
+    seeds from min(near) - 4 to max(near) + 4 and the grid's two end seeds
+    are solved.  The grid values are unimodal (d is concave for the
+    concave-linear equation, sign = 1, and convex for the linear-convex one,
+    sign = -1), so a largest value whose grid neighbours were solved too is
+    the grid's largest; otherwise the full grid is solved after all.  The
+    flow preserves order, so if any grid seed leaves |x| <= ESCAPE_BOUND an
+    end seed does too, and a window escapes exactly when the full grid
+    would.  An escape gives i = None and e = minus the length of the
+    interval: "no two solutions" on the scale of the grid.
+    """
+    n = CENSUS_SEEDS
+    xs = np.linspace(*_scan_interval(spec), n)
+    seeds = np.arange(n)
+    if near is not None:
+        inner = np.arange(min(near) - 4, max(near) + 5).clip(0, n - 1)
+        seeds = np.unique(np.r_[0, inner, n - 1])
+    states = 0
+    while True:
+        states += seeds.size
+        try:
+            d = sign * _displacement_grid(spec, T, xs[seeds])
+        except FiniteEscapeError:
+            return None, float(xs[0] - xs[-1]), states
+        k = int(np.argmax(d))
+        i = int(seeds[k])
+        if (i == 0 or seeds[k - 1] == i - 1) and (i == n - 1 or seeds[k + 1] == i + 1):
+            return i, float(d[k]), states
+        seeds = np.arange(n)  # the window's largest value lies on its edge
+
+
 def estimate_lambda_pm(
     c: float, signal: sig.SignalSpec, tol: float = 1e-5
 ) -> tuple[float, float, dict]:
@@ -515,10 +551,16 @@ def estimate_lambda_pm(
     FOLD_PAD * tol on each side; while the extremum has one sign at both
     ends the pad grows eightfold, up to the margin max(lam2 - lam1, 10 tol),
     and a bracket that still fails raises RuntimeError.  A trajectory that
-    escapes counts as "no two solutions".  The metadata reports the number
-    of grid scans per value (the widening included) and notes that for
-    non-constant inputs the period-map condition is a surrogate of the
-    shift-family definition (equivalent for periodic inputs).
+    escapes counts as "no two solutions".  A lambda with no solved grid on
+    both sides (the bracket ends and the widening) solves the full
+    CENSUS_SEEDS grid; every other one, which is every brentq step, solves
+    the window between the extremal indices of the nearest solved lambda
+    below and above, and the grid's end seeds (``_extremal_seed``: exact by
+    unimodality and order preservation).  The metadata reports the number
+    of grid scans per value (the widening included) and of the states they
+    solved, and notes that for non-constant inputs the period-map condition
+    is a surrogate of the shift-family definition (equivalent for periodic
+    inputs).
     """
     if c <= 4.0:
         raise DomainError(f"estimate_lambda_pm requires c > 4, got c = {c}")
@@ -528,22 +570,24 @@ def estimate_lambda_pm(
     b = sig.bounds(signal)
     h1 = lam2(c) - lam1(c)
     margin = max(h1, 10.0 * tol)
-    scans = {}
+    scans, seeds = {}, {}
 
     def fold(center: float, rhs_kind: str) -> float:
         # the extremum of d, signed to be positive where two solutions exist
         sign = 1.0 if rhs_kind == "concave-linear" else -1.0
         values = {}  # the widening and brentq evaluate bracket ends again
+        peaks = {}  # the extremal grid index of every lambda whose grid was solved
+        seeds[rhs_kind] = 0
 
         def extremum(lam: float) -> float:
             if lam not in values:
-                spec = OdeSpec(c, lam, signal, rhs_kind)
-                xs = np.linspace(*_scan_interval(spec), CENSUS_SEEDS)
-                try:
-                    values[lam] = float(np.max(sign * _displacement_grid(spec, T, xs)))
-                except FiniteEscapeError:
-                    # a seed ran off to infinity: "no two solutions", on the scale of the grid
-                    values[lam] = -(xs[-1] - xs[0])
+                below = [v for v in peaks if v < lam]
+                above = [v for v in peaks if v > lam]
+                near = (peaks[max(below)], peaks[min(above)]) if below and above else None
+                i, values[lam], states = _extremal_seed(OdeSpec(c, lam, signal, rhs_kind), T, sign, near)
+                seeds[rhs_kind] += states
+                if i is not None:
+                    peaks[lam] = i
             return values[lam]
 
         pad = min(FOLD_PAD * tol, margin)
@@ -567,6 +611,7 @@ def estimate_lambda_pm(
         "tol": tol,
         "period": T,
         "scans": {"lambda_minus": scans["concave-linear"], "lambda_plus": scans["linear-convex"]},
+        "seeds": {"lambda_minus": seeds["concave-linear"], "lambda_plus": seeds["linear-convex"]},
         "note": "period-map condition is a surrogate of the shift-family "
         "definition; exact for constant and periodic inputs",
     }

@@ -105,18 +105,30 @@ def mg_eval(c, z):
     return out if np.ndim(out) else float(out)
 
 
+def _mg_half(c, z, concave: bool, what: str):
+    """mg on the half z >= 0 (concave) or z <= 0, and 0 on the other, in
+    one pass: the state is clipped to the half, shifted by sqrt3 and put
+    through gbar, and the linear part comes off in place.  Every entry is
+    the float of the plain np.where form."""
+    _require_c_above_4(c, what)
+    z = np.asarray(z, dtype=float)
+    zs = np.atleast_1d(z)
+    clipped = np.maximum(zs, 0.0) if concave else np.minimum(zs, 0.0)
+    out = gbar_eval(c, clipped + SQRT3)
+    out += cshift(c)
+    out -= dfrak(c) * clipped
+    np.copyto(out, 0.0, where=~(zs >= 0.0 if concave else zs <= 0.0))
+    return out.reshape(z.shape) if z.ndim else float(out[0])
+
+
 def mg_minus(c, z):
     """Concave half of mg: equals mg on z >= 0, vanishes on z < 0."""
-    z = np.asarray(z, dtype=float)
-    out = np.where(z >= 0.0, mg_eval(c, np.maximum(z, 0.0)), 0.0)
-    return out if out.ndim else float(out)
+    return _mg_half(c, z, True, "mg_minus")
 
 
 def mg_plus(c, z):
     """Convex half of mg: equals mg on z <= 0, vanishes on z > 0."""
-    z = np.asarray(z, dtype=float)
-    out = np.where(z <= 0.0, mg_eval(c, np.minimum(z, 0.0)), 0.0)
-    return out if out.ndim else float(out)
+    return _mg_half(c, z, False, "mg_plus")
 
 
 def mg_minus_deriv(c, z):

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import re
+import warnings
 
 import pytest
 
@@ -172,6 +174,25 @@ class TestBifurcation:
         code, _ = run(capsys, ["bifurcation", "--c", "5"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--c", "--lambda"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_c_or_lambda_exits_2(self, capsys, flag, value):
+        argv = {"--c": "5", "--lambda": "6.0", flag: value}
+        assert cli.main(["bifurcation", *(f"{k}={v}" for k, v in argv.items())]) == 2
+        err = capsys.readouterr().err
+        assert f"bifurcation requires a finite {flag}" in err
+        assert "infs or NaNs" not in err
+
+    @pytest.mark.parametrize(
+        "grid,named", [("5,,6", "has an empty entry"), ("nan,6", "'nan'"), ("5:inf:3", "'inf'"), ("5:6:2.5", "'2.5'")]
+    )
+    def test_bad_grid_exits_2_naming_the_entry(self, capsys, grid, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from numpy on the way
+            assert cli.main(["bifurcation", "--c", "5", "--grid", grid]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid") and named in err
+
 
 class TestPoincare:
     def test_constant_signal(self, capsys, zero_signal):
@@ -293,3 +314,30 @@ class TestInterface:
         assert cli._parse_grid("0:1:3") == [0.0, 0.5, 1.0]
         with pytest.raises(cli.ValidationError):
             cli._parse_grid("0:1:3:4")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("5,,6", "grid '5,,6' has an empty entry"),
+            ("5,6,", "grid '5,6,' has an empty entry"),
+            ("nan,6", "grid entry 'nan' in 'nan,6' is not a finite number"),
+            ("5,-inf", "grid entry '-inf' in '5,-inf' is not a finite number"),
+            ("5,x", "grid entry 'x' in '5,x' is not a finite number"),
+            ("5:inf:3", "grid entry 'inf' in '5:inf:3' is not a finite number"),
+            ("nan:6:3", "grid entry 'nan' in 'nan:6:3' is not a finite number"),
+            (":6:3", "grid ':6:3' has an empty entry"),
+            ("-1e308:1e308:3", "grid '-1e308:1e308:3' spans more than the largest float"),
+            ("5:6:2.5", "grid point count '2.5' in '5:6:2.5' is not an integer"),
+            ("5:6:", "grid point count '' in '5:6:' is not an integer"),
+        ],
+    )
+    def test_grid_parser_names_the_bad_entry(self, text, message):
+        with pytest.raises(cli.ValidationError, match=f"^{re.escape(message)}$"):
+            cli._parse_grid(text)
+
+    def test_bad_grid_option_names_the_entry(self, capsys):
+        # --eps and --r are parsed by argparse, which shows the parser's message
+        assert cli.main(["threshold", "--c", "5", "--eps", "0.05,,0.02"]) == 2
+        assert "argument --eps: grid '0.05,,0.02' has an empty entry" in capsys.readouterr().err
+        assert cli.main(["sweep", "--c", "5", "--eps", "0.05", "--r", "1:2:x"]) == 2
+        assert "argument --r: grid point count 'x' in '1:2:x' is not an integer" in capsys.readouterr().err

@@ -457,6 +457,90 @@ class TestFoldSolveAgainstBisection:
             dynamics.estimate_lambda_pm(5.0, ZERO, tol=tol)
 
 
+class RecordedGrid:
+    """Stands in for ``dynamics._displacement_grid``: records the seed count
+    of every solve, and whether it escaped."""
+
+    def __init__(self):
+        self.fn, self.sizes, self.escaped = dynamics._displacement_grid, [], []
+
+    def __call__(self, spec, T, xs):
+        self.sizes.append(xs.size)
+        try:
+            return self.fn(spec, T, xs)
+        except dynamics.FiniteEscapeError:
+            self.escaped.append(xs.size)
+            raise
+
+
+FOLD_KINDS = [("concave-linear", model.lam1, 1.0), ("linear-convex", model.lam2, -1.0)]
+# the largest gap measured between a window's extremum and the full grid's
+# (different step sequences) was 7.9e-10, on the Cesaro input at c = 5
+WINDOW_GAP = 2e-9
+
+
+class TestFoldWindow:
+    @pytest.mark.parametrize("kind,center,sign", FOLD_KINDS, ids=[k[0] for k in FOLD_KINDS])
+    @pytest.mark.parametrize("c", [5.0, 8.0])
+    @pytest.mark.parametrize("name", list(FOLD_SIGNALS))
+    def test_window_finds_the_grid_extremum(self, name, c, kind, center, sign):
+        # five lambda across the sandwich widened by 0.01: each of the middle
+        # three (below, near and above the fold) is solved on the window of
+        # its two neighbours' extremal indices
+        y, T = FOLD_SIGNALS[name], dynamics.signal_period(FOLD_SIGNALS[name])
+        b = signals.bounds(y)
+        lams = np.linspace(center(c) - b.sup - 0.01, center(c) - b.inf + 0.01, 5)
+        full = [dynamics._extremal_seed(dynamics.OdeSpec(c, lam, y, kind), T, sign) for lam in lams]
+        assert all(states == dynamics.CENSUS_SEEDS for _, _, states in full)
+        for k in (1, 2, 3):
+            spec = dynamics.OdeSpec(c, lams[k], y, kind)
+            i, e, states = dynamics._extremal_seed(spec, T, sign, (full[k - 1][0], full[k + 1][0]))
+            assert i == full[k][0]
+            assert abs(e - full[k][1]) <= WINDOW_GAP
+            assert states < 100  # no fallback to the full grid
+
+    def test_window_edge_falls_back_to_the_full_grid(self, monkeypatch):
+        c, y = 5.0, FOLD_SIGNALS["trig"]
+        T = dynamics.signal_period(y)
+        spec = dynamics.OdeSpec(c, model.lam1(c), y, "concave-linear")
+        want = dynamics._extremal_seed(spec, T, 1.0)
+        grid = RecordedGrid()
+        monkeypatch.setattr(dynamics, "_displacement_grid", grid)
+        # a window 30 seeds below the extremum: its largest value lies on its upper edge
+        i = want[0] - 30
+        got = dynamics._extremal_seed(spec, T, 1.0, (i, i))
+        assert grid.sizes == [11, dynamics.CENSUS_SEEDS]
+        assert got == (want[0], want[1], 11 + dynamics.CENSUS_SEEDS)
+
+    def test_window_escapes_through_the_end_seeds(self, monkeypatch):
+        # test_escaping_bracket_end's input: at the top of the linear-convex
+        # bracket the top seed runs off to infinity within one period
+        c, y = 8.0, signals.TrigSum(0.0, ((0.03, 0.54, 0.0),))
+        T = dynamics.signal_period(y)
+        top = model.lam2(c) - signals.bounds(y).inf
+        i = dynamics._extremal_seed(dynamics.OdeSpec(c, top, y, "linear-convex"), T, -1.0)[0]
+        spec = dynamics.OdeSpec(c, top + (model.lam2(c) - model.lam1(c)), y, "linear-convex")
+        xs = np.linspace(*dynamics._scan_interval(spec), dynamics.CENSUS_SEEDS)
+        dynamics._displacement_grid(spec, T, xs[i - 4 : i + 5])  # the window's own seeds stay bounded
+        grid = RecordedGrid()
+        monkeypatch.setattr(dynamics, "_displacement_grid", grid)
+        assert dynamics._extremal_seed(spec, T, -1.0, (i, i)) == (None, -(xs[-1] - xs[0]), 11)
+        assert grid.escaped == [11]
+
+    def test_fold_solve_windows_every_brentq_step(self, monkeypatch):
+        # the two bracket ends solve the full grid, every other lambda a window;
+        # a full-grid scan on every lambda solved scans * CENSUS_SEEDS states
+        n = dynamics.CENSUS_SEEDS
+        grid = RecordedGrid()
+        monkeypatch.setattr(dynamics, "_displacement_grid", grid)
+        _, _, meta = dynamics.estimate_lambda_pm(8.0, FOLD_SIGNALS["trig"], tol=1e-5)
+        assert grid.sizes.count(n) == 4
+        assert sum(grid.sizes) == meta["seeds"]["lambda_minus"] + meta["seeds"]["lambda_plus"]
+        for side in ("lambda_minus", "lambda_plus"):
+            assert 2 * n < meta["seeds"][side] < 3 * n
+            assert meta["seeds"][side] < meta["scans"][side] * n
+
+
 # 16 nodes of a noisy sine on one period 2*pi, as the census benchmark draws them
 SAMPLED_TIMES = tuple(2.0 * math.pi * k / 16 for k in range(16))
 SAMPLED_VALUES = tuple(
