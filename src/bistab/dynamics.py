@@ -26,9 +26,9 @@ it is safe (the map contracts and the step stays inside the crossing's
 bracket); otherwise the plain contraction step is taken, with root
 bracketing, one crossing at a time, as the last resort.
 
-Every integration goes through one solver routine, restarted at the nodes
-of a sampled input.  It returns the states at the solver's steps or at
-requested times only; the scans, the map calls and the finite-difference
+Every integration is one solver call, whose steps through a sampled
+input each end at a node.  It returns the states at the solver's steps or
+at requested times only; the scans, the map calls and the finite-difference
 segments ask for the end time alone, so no step history is kept for them.
 """
 
@@ -39,7 +39,7 @@ import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 from scipy.optimize import brentq
 
 from . import signals as sig
@@ -135,23 +135,43 @@ class PeriodicSolution:
         return asdict(self)
 
 
+class _NodeRK45(RK45):
+    """RK45 whose steps never cross a node: while a node (ordered from t0 to
+    t_bound) lies ahead, each step is clipped to end at or before it.  The
+    input is continuous, so the derivative at a node is already right."""
+
+    def __init__(self, fun, t0, y0, t_bound, nodes=(), **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        self.nodes, self.k = nodes, 0  # nodes[k] is the next one ahead
+
+    def _step_impl(self):
+        if self.k == len(self.nodes):
+            return super()._step_impl()
+        node, t_bound = self.nodes[self.k], self.t_bound
+        self.t_bound = node
+        try:
+            result = super()._step_impl()
+        finally:
+            self.t_bound = t_bound
+        self.k += self.t == node
+        return result
+
+
 def _solve(spec: OdeSpec, t0, y0, t1, abstol, reltol, augmented=False, t_eval=None):
     """(times, states) of the states y0 solved from t0 to t1 (either
-    direction): the solver's steps, or only the times of t_eval (ordered from
-    t0 to t1).  An end-state caller passes ``t_eval=[t1]``, so the solver
-    keeps no step history.
+    direction) in one solve_ivp call: the solver's steps, or only the times
+    of t_eval (ordered from t0 to t1).  An end-state caller passes
+    ``t_eval=[t1]``, so the solver keeps no step history.
 
     A sampled input is piecewise linear.  Stepping across its nodes leaves
-    the period map noisy at the level of the tolerance, so the solver
-    restarts at every node strictly inside the span (Hairer, Norsett &
-    Wanner, Solving ODE I, II.6), one solve_ivp call per piece, and each
-    piece starts from the end state of the one before, log multiplier
-    included.  A smooth input is one piece.  Every piece keeps the whole
-    span's max_step.  ``augmented`` integrates each state's log multiplier
-    alongside (from 0), after the states.  No time is output twice: a piece
-    after the first drops its start, and each time of t_eval comes from the
-    one piece it falls in.  The solve stops with FiniteEscapeError when a
-    state (not a log multiplier) leaves |x| <= ESCAPE_BOUND.
+    the period map noisy at the level of the tolerance, so the solver steps
+    through the node pieces with each step ending at a node strictly inside
+    the span (Hairer, Norsett & Wanner, Solving ODE I, II.6); the nodes are
+    among the steps.  A smooth input has no nodes and takes the steps of
+    plain RK45.  ``augmented`` integrates each state's log multiplier
+    alongside (from 0), after the states.  The solve stops with
+    FiniteEscapeError when a state (not a log multiplier) leaves
+    |x| <= ESCAPE_BOUND.
     """
     y = np.atleast_1d(np.asarray(y0, dtype=float))
     n = y.size
@@ -163,44 +183,23 @@ def _solve(spec: OdeSpec, t0, y0, t1, abstol, reltol, augmented=False, t_eval=No
         return ESCAPE_BOUND - float(np.max(np.abs(state[:n])))
 
     escape.terminal = True
-    ends = [*spec._signal_at.kinks(t0, t1), t1]
-    if t_eval is None:
-        owns = [None] * len(ends)
-    else:  # the output times of each piece: those before its end
-        t_eval = np.asarray(t_eval, dtype=float)
-        direction = 1.0 if t1 >= t0 else -1.0
-        owns = np.split(t_eval, np.searchsorted(direction * t_eval, direction * np.asarray(ends[:-1])))
-    times, states = [], []
-    for k, (a, b, own) in enumerate(zip([t0, *ends[:-1]], ends, owns)):
-        # a piece must also output its end state, which starts the next one;
-        # a t_eval that already ends there (at t1) is passed unchanged
-        pts = own if own is None or (own.size and own[-1] == b) else np.append(own, b)
-        sol = solve_ivp(
-            fun,
-            (a, b),
-            y,
-            method="RK45",
-            atol=abstol,
-            rtol=reltol,
-            t_eval=pts,
-            events=escape,
-            max_step=abs(t1 - t0) / 16.0,
-        )
-        if sol.status == 1:
-            raise FiniteEscapeError(
-                f"trajectory exceeded |x| = {ESCAPE_BOUND:g} at t = {sol.t_events[0][0]:.6g}"
-            )
-        if sol.status != 0:
-            raise RuntimeError(f"integration failed: {sol.message}")
-        ts, ys = sol.t, sol.y
-        y = ys[:, -1]
-        if pts is not own:  # the end was asked for only to carry it over
-            ts, ys = ts[:-1], ys[:, :-1]
-        elif own is None and k:  # the start is the previous piece's end
-            ts, ys = ts[1:], ys[:, 1:]
-        times.append(ts)
-        states.append(ys)
-    return np.concatenate(times), np.concatenate(states, axis=1)
+    sol = solve_ivp(
+        fun,
+        (t0, t1),
+        y,
+        method=_NodeRK45,
+        nodes=spec._signal_at.kinks(t0, t1),
+        atol=abstol,
+        rtol=reltol,
+        t_eval=t_eval,
+        events=escape,
+        max_step=abs(t1 - t0) / 16.0,
+    )
+    if sol.status == 1:
+        raise FiniteEscapeError(f"trajectory exceeded |x| = {ESCAPE_BOUND:g} at t = {sol.t_events[0][0]:.6g}")
+    if sol.status != 0:
+        raise RuntimeError(f"integration failed: {sol.message}")
+    return sol.t, sol.y
 
 
 def integrate(spec: OdeSpec, t0: float, x0: float, t1: float, n_samples: int | None = None) -> Trajectory:

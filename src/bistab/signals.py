@@ -84,8 +84,8 @@ class FourierCesaro:
 class SampledPeriodic:
     """Periodic signal from samples on [0, T), evaluated by periodic linear
     interpolation (an approximation without exactness guarantees).  The
-    interpolant has a kink at every node; ``dynamics`` restarts its solver
-    there, so the period map stays smooth."""
+    interpolant has a kink at every node; ``dynamics`` ends a solver step at
+    each one, so the period map stays smooth."""
 
     period: float
     times: tuple[float, ...]
@@ -192,7 +192,7 @@ class _SampledEval:
         """The node times times[k] + m * period strictly between t0 and t1,
         in the order a solve from t0 to t1 meets them.  A node within
         1e-12 * period of t0 or t1 is left out: a piece that short changes
-        nothing but costs a solver start."""
+        nothing but costs a clipped step."""
         lo, hi = min(t0, t1), max(t0, t1)
         nodes = self.ts[:-1]
         shifts = np.arange(math.floor((lo - nodes[-1]) / self.period), math.ceil((hi - nodes[0]) / self.period) + 1)
