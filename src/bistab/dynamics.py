@@ -30,6 +30,15 @@ Every integration is one solver call, whose steps through a sampled
 input each end at a node.  It returns the states at the solver's steps or
 at requested times only; the scans, the map calls and the finite-difference
 segments ask for the end time alone, so no step history is kept for them.
+
+The solver's right-hand side is a kernel built once per ``OdeSpec``
+(``_compile_kernels``).  It returns the states' derivative and, for an
+augmented solve, their multiplier integrand in one pass, the same floats
+as ``OdeSpec.rhs`` and ``rhs_state_deriv``.  A call on few states (at most
+_FLOAT_STATES, where the per-call timings cross) is evaluated state by
+state in Python floats, since NumPy's fixed cost per operation would
+dominate it; a larger call, or one with a state on the cubic branch of
+gbar, uses NumPy arrays.
 """
 
 from __future__ import annotations
@@ -79,6 +88,151 @@ class FiniteEscapeError(RuntimeError):
     """A trajectory left |x| <= 1e6 in finite time."""
 
 
+# a kernel call on at most this many states is evaluated state by state in floats
+_FLOAT_STATES = 24
+
+
+class _CubicBranch(Exception):
+    """A state puts gbar's argument below 0: the call goes to the array path."""
+
+
+def _compile_kernels(c: float, lam: float, signal_at, rhs_kind: str):
+    """(field, augmented): the right-hand side of one OdeSpec as solve_ivp
+    calls it, fun(t, y).  ``field`` returns x' of the states y; ``augmented``
+    takes the states followed by their log multipliers and returns x'
+    followed by the multiplier integrand d(rhs)/dx, from one pass over the
+    states.  Every entry equals ``OdeSpec.rhs`` and ``OdeSpec.rhs_state_deriv``
+    bit for bit, so the solver takes the steps it would take with them.
+
+    At one or two states NumPy's fixed cost per operation, not the
+    arithmetic, sets the price of a call.  So a call on at most
+    _FLOAT_STATES states evaluates them one by one in Python floats, and a
+    larger one uses arrays, with no concatenation.  Both paths run the same
+    + - * / expressions (``g`` and ``g_pair``), so a state gets the same
+    float on either.  A state whose gbar argument is below 0 sends the whole
+    call to the array path: that cubic branch takes a pow, which NumPy's
+    SIMD loop and libm round differently in the last bit for some inputs.
+    Per call in µs, full equation, trig input, best of 9 x 3,000 calls on a
+    shared 2-core x86-64 host; the paths cross between 16 and 32 states:
+
+        states           1     4    16    24    32    64   2048
+        float, plain   1.5   2.4   5.0   6.8   8.5    16      -
+        float, augm.   2.4   4.0    10    14    18    36      -
+        array, plain   7.6   7.2   7.1   7.4   6.8   7.7     14
+        array, augm.    13    12    12    12    12    14     28
+        OdeSpec.rhs    8.8                                   15
+          with deriv    21                                   45
+    """
+    two_c, k1 = 2.0 * c, -(1.0 + 2.0 * c)
+    a, b = -1.0 - 2.0 * c, 2.0 * (c - 1.0)
+    full, concave = rhs_kind == "full", rhs_kind == "concave-linear"
+    shift, slope = cshift(c), dfrak(c)
+
+    def g(u):  # gbar on u >= 0
+        return -u - two_c * u / (1.0 + u * u)
+
+    def g_pair(u):  # gbar and gbar' on u >= 0
+        uu = u * u
+        q = 1.0 + uu
+        return -u - two_c * u / q, (a + b * u * u - uu * uu) / (q * q)
+
+    # one state in floats: x' (value) or (x', integrand) (pair)
+    if full:
+
+        def value(drive, x):
+            if x < 0.0:
+                raise _CubicBranch
+            return drive + g(x)
+
+        def pair(drive, x):
+            if x < 0.0:
+                raise _CubicBranch
+            gx, dx = g_pair(x)
+            return drive + gx, dx
+
+    else:
+
+        def on_half(x):  # mg_minus (concave) or mg_plus is mg here and 0 elsewhere
+            return x >= 0.0 if concave else x <= 0.0
+
+        def value(drive, x):
+            sx = slope * x
+            if not on_half(x):
+                return drive - shift + sx + 0.0
+            u = x + SQRT3
+            if u < 0.0:
+                raise _CubicBranch
+            return drive - shift + sx + (g(u) + shift - sx)
+
+        def pair(drive, x):
+            sx = slope * x
+            if not on_half(x):
+                return drive - shift + sx + 0.0, slope + 0.0
+            u = x + SQRT3
+            if u < 0.0:
+                raise _CubicBranch
+            gu, du = g_pair(u)
+            return drive - shift + sx + (gu + shift - sx), slope + (du - slope)
+
+    def arrays(drive, x, out, deriv):
+        """x' into out and, with deriv (an array or None), the integrand."""
+        if full:
+            u = x
+        else:
+            clipped = np.maximum(x, 0.0) if concave else np.minimum(x, 0.0)
+            u = clipped + SQRT3
+        gu, du = g_pair(u) if deriv is not None else (g(u), None)
+        if not concave:  # a concave half's argument is at least sqrt3
+            neg = u < 0.0
+            if neg.any():
+                un = u[neg]
+                gu[neg] = k1 * un - un ** 3
+                if du is not None:
+                    du[neg] = k1 - 3.0 * un * un
+        if full:
+            np.add(gu, drive, out=out)
+            if du is not None:
+                deriv[:] = du
+            return
+        off = ~on_half(x)
+        gu += shift
+        gu -= slope * clipped
+        gu[off] = 0.0
+        np.multiply(slope, x, out=out)
+        out += drive - shift
+        out += gu
+        if du is not None:
+            du -= slope
+            du[off] = 0.0
+            np.add(du, slope, out=deriv)
+
+    def field(t, y):
+        drive = lam + signal_at(float(t))
+        if y.size <= _FLOAT_STATES:
+            try:
+                return np.array([value(drive, x) for x in y.tolist()])
+            except _CubicBranch:
+                pass
+        out = np.empty(y.size)
+        arrays(drive, y, out, None)
+        return out
+
+    def augmented(t, y):
+        n = y.size // 2
+        drive = lam + signal_at(float(t))
+        if 0 < n <= _FLOAT_STATES:
+            try:
+                values, derivs = zip(*[pair(drive, x) for x in y[:n].tolist()])
+                return np.array(values + derivs)
+            except _CubicBranch:
+                pass
+        out = np.empty(2 * n)
+        arrays(drive, y[:n], out[:n], out[n:])
+        return out
+
+    return field, augmented
+
+
 @dataclass(frozen=True)
 class OdeSpec:
     c: float
@@ -87,6 +241,8 @@ class OdeSpec:
     rhs_kind: str = "full"
     # the signal as a callable of t, compiled once here rather than on every rhs call
     _signal_at: object = field(init=False, repr=False, compare=False)
+    # (field, augmented): the solver's right-hand sides (_compile_kernels), built once here
+    _kernels: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.c) and math.isfinite(self.lam)):
@@ -96,6 +252,12 @@ class OdeSpec:
         if self.rhs_kind != "full" and self.c <= 4.0:
             raise DomainError(f"rhs_kind {self.rhs_kind!r} requires c > 4, got c = {self.c}")
         object.__setattr__(self, "_signal_at", sig.compile_signal(self.signal))
+        kernels = _compile_kernels(float(self.c), float(self.lam), self._signal_at, self.rhs_kind)
+        object.__setattr__(self, "_kernels", kernels)
+
+    def __reduce__(self):
+        # the kernels are closures; a copy rebuilds them from the fields
+        return OdeSpec, (self.c, self.lam, self.signal, self.rhs_kind)
 
     def rhs(self, t, x):
         """dx/dt; x may be an array of states advanced in parallel."""
@@ -138,11 +300,20 @@ class PeriodicSolution:
 class _NodeRK45(RK45):
     """RK45 whose steps never cross a node: while a node (ordered from t0 to
     t_bound) lies ahead, each step is clipped to end at or before it.  The
-    input is continuous, so the derivative at a node is already right."""
+    input is continuous, so the derivative at a node is already right.
+    A finished solver drops its right-hand-side wrappers: they close over
+    the solver, and the reference cycle would keep its arrays alive until
+    the cyclic collector runs."""
 
     def __init__(self, fun, t0, y0, t_bound, nodes=(), **options):
         super().__init__(fun, t0, y0, t_bound, **options)
         self.nodes, self.k = nodes, 0  # nodes[k] is the next one ahead
+
+    def step(self):
+        message = super().step()
+        if self.status != "running":
+            self.fun = self.fun_single = self.fun_vectorized = None
+        return message
 
     def _step_impl(self):
         if self.k == len(self.nodes):
@@ -177,7 +348,7 @@ def _solve(spec: OdeSpec, t0, y0, t1, abstol, reltol, augmented=False, t_eval=No
     n = y.size
     if augmented:
         y = np.concatenate([y, np.zeros(n)])
-    fun = _augmented_rhs(spec) if augmented else (lambda t, x: np.atleast_1d(spec.rhs(t, x)))
+    fun = spec._kernels[augmented]
 
     def escape(t, state):
         return ESCAPE_BOUND - float(np.max(np.abs(state[:n])))
@@ -224,11 +395,9 @@ def integrate(spec: OdeSpec, t0: float, x0: float, t1: float, n_samples: int | N
 
 
 def _augmented_rhs(spec: OdeSpec):
-    def rhs(t, y):
-        x = y[: y.size // 2]
-        return np.concatenate([np.atleast_1d(spec.rhs(t, x)), np.atleast_1d(spec.rhs_state_deriv(x))])
-
-    return rhs
+    """The states' derivative followed by their multiplier integrand, as
+    solve_ivp calls it (the ``augmented`` kernel of ``_compile_kernels``)."""
+    return spec._kernels[1]
 
 
 def poincare_map_log(spec: OdeSpec, T: float, x0: float | np.ndarray, backward: bool = False):

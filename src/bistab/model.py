@@ -63,12 +63,14 @@ def gbar_eval(c, x):
 
 
 def gbar_deriv(c, x):
-    """First derivative of gbar (the shared analytic value -(1+2c) at 0)."""
+    """First derivative of gbar (the shared analytic value -(1+2c) at 0).
+    Both branches are written without pow, so a scalar and an array entry
+    get the same float."""
     x = np.asarray(x, dtype=float)
     q = 1.0 + x * x
     out = np.where(
         x >= 0.0,
-        (-1.0 - 2.0 * c + 2.0 * (c - 1.0) * x * x - x ** 4) / q ** 2,
+        (-1.0 - 2.0 * c + 2.0 * (c - 1.0) * x * x - (x * x) * (x * x)) / (q * q),
         -(1.0 + 2.0 * c) - 3.0 * x * x,
     )
     return out if out.ndim else float(out)

@@ -4,12 +4,18 @@ The references below are the straightforward expressions: both branches of
 gbar on every entry, and every signal rebuilt from its spec on every call.
 The package skips the cubic where x >= 0 and compiles the signal once; the
 results must be the same floats (compared with ==), of the same type.
+The solver's kernels (``OdeSpec._kernels``) must give the floats of
+``OdeSpec.rhs`` and ``rhs_state_deriv`` too, whether a call takes the float
+path, the array path or falls back from one to the other.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bistab import dynamics, model, signals
 
@@ -144,3 +150,59 @@ def test_rhs_bit_identical(kind, name, signal):
 def test_signal_eval_bit_identical(name, signal):
     for t in (0.0, -1.5, 0.3, 1e4, np.float64(3.3), np.asarray(2.7), 4, np.linspace(-10.0, 10.0, 513)):
         assert same(signals.eval(signal, t), signal_reference(signal, t))
+
+
+# the solver's kernels: every entry the float of OdeSpec.rhs and rhs_state_deriv,
+# on the float path (few states), the array path and the fallback between them
+KERNEL_STATES = STATES + [
+    ("scalars", SCALARS),
+    *[(f"scalars-{i}", chunk) for i, chunk in enumerate(np.array_split(SCALARS, 40))],
+    ("below-root3", np.array([-1.9, -model.SQRT3 - 1e-15, -3.0])),
+    ("one-neg", np.array([0.4, 2.0, -0.2, 3.1])),
+]
+
+
+def kernel_pair(spec, t, x):
+    """(x', integrand) of the states x from the plain and augmented kernels."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    plain = spec._kernels[0](t, x)
+    augmented = dynamics._augmented_rhs(spec)(t, np.concatenate([x, np.zeros(x.size)]))
+    assert same(augmented[: x.size], plain)
+    return plain, augmented[x.size:]
+
+
+@pytest.mark.parametrize("kind", dynamics.RHS_KINDS)
+@pytest.mark.parametrize("name,signal", SIGNALS, ids=[s[0] for s in SIGNALS])
+def test_kernel_bit_identical_to_rhs(kind, name, signal):
+    spec = dynamics.OdeSpec(C, 6.0, signal, kind)
+    for _, x in KERNEL_STATES:
+        for t in (0.0, 17.2, np.float64(3.3)):
+            value, integrand = kernel_pair(spec, t, x)
+            assert same(value, np.atleast_1d(spec.rhs(t, x)))
+            assert same(integrand, np.atleast_1d(spec.rhs_state_deriv(x)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(dynamics.RHS_KINDS),
+    t=st.floats(-20.0, 20.0),
+    xs=st.lists(st.floats(-6.0, 8.0), min_size=1, max_size=64),
+)
+def test_float_and_array_paths_agree(kind, t, xs):
+    spec = dynamics.OdeSpec(C, 6.0, SIGNALS[1][1], kind)
+    x = np.array(xs)
+    # each state alone takes the float path (unless it needs the cubic), the
+    # states repeated past the crossover the array path
+    tiled = kernel_pair(spec, t, np.tile(x, dynamics._FLOAT_STATES // x.size + 1))
+    whole = kernel_pair(spec, t, x)
+    for i in range(x.size):
+        alone = kernel_pair(spec, t, x[i])
+        for k in range(2):
+            assert alone[k][0] == whole[k][i] == tiled[k][i]
+
+
+def test_spec_pickles_with_its_kernels():
+    spec = dynamics.OdeSpec(C, 6.0, SIGNALS[3][1], "linear-convex")
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec
+    assert same(kernel_pair(copy, 0.3, MIXED)[1], kernel_pair(spec, 0.3, MIXED)[1])
