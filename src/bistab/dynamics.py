@@ -33,12 +33,12 @@ segments ask for the end time alone, so no step history is kept for them.
 
 The solver's right-hand side is a kernel built once per ``OdeSpec``
 (``_compile_kernels``).  It returns the states' derivative and, for an
-augmented solve, their multiplier integrand in one pass, the same floats
-as ``OdeSpec.rhs`` and ``rhs_state_deriv``.  A call on few states (at most
+augmented solve, their multiplier integrand, the same floats as
+``OdeSpec.rhs`` and ``rhs_state_deriv``.  A call on few states (at most
 _FLOAT_STATES, where the per-call timings cross) is evaluated state by
-state in Python floats, since NumPy's fixed cost per operation would
-dominate it; a larger call, or one with a state on the cubic branch of
-gbar, uses NumPy arrays.
+state in Python floats, in one pass, since NumPy's fixed cost per
+operation would dominate it; a larger call, or one with a state on the
+cubic branch of gbar, is ``OdeSpec.rhs`` and ``rhs_state_deriv`` on arrays.
 """
 
 from __future__ import annotations
@@ -89,43 +89,43 @@ class FiniteEscapeError(RuntimeError):
 
 
 # a kernel call on at most this many states is evaluated state by state in floats
-_FLOAT_STATES = 24
+_FLOAT_STATES = 32
 
 
 class _CubicBranch(Exception):
-    """A state puts gbar's argument below 0: the call goes to the array path."""
+    """A state puts gbar's argument below 0: the call goes to ``OdeSpec.rhs``."""
 
 
-def _compile_kernels(c: float, lam: float, signal_at, rhs_kind: str):
-    """(field, augmented): the right-hand side of one OdeSpec as solve_ivp
+def _compile_kernels(spec):
+    """(field, augmented): the right-hand side of ``spec`` as solve_ivp
     calls it, fun(t, y).  ``field`` returns x' of the states y; ``augmented``
     takes the states followed by their log multipliers and returns x'
-    followed by the multiplier integrand d(rhs)/dx, from one pass over the
-    states.  Every entry equals ``OdeSpec.rhs`` and ``OdeSpec.rhs_state_deriv``
-    bit for bit, so the solver takes the steps it would take with them.
+    followed by the multiplier integrand d(rhs)/dx.  Every entry equals
+    ``OdeSpec.rhs`` and ``OdeSpec.rhs_state_deriv`` bit for bit, so the
+    solver takes the steps it would take with them.
 
     At one or two states NumPy's fixed cost per operation, not the
     arithmetic, sets the price of a call.  So a call on at most
-    _FLOAT_STATES states evaluates them one by one in Python floats, and a
-    larger one uses arrays, with no concatenation.  Both paths run the same
-    + - * / expressions (``g`` and ``g_pair``), so a state gets the same
-    float on either.  A state whose gbar argument is below 0 sends the whole
-    call to the array path: that cubic branch takes a pow, which NumPy's
-    SIMD loop and libm round differently in the last bit for some inputs.
-    Per call in µs, full equation, trig input, best of 9 x 3,000 calls on a
-    shared 2-core x86-64 host; the paths cross between 16 and 32 states:
+    _FLOAT_STATES states evaluates them one by one in Python floats, with
+    x' and the integrand from one pass; a larger call is ``OdeSpec.rhs``
+    (and ``rhs_state_deriv``) itself.  The float path runs the + - * /
+    expressions of ``model.gbar_eval`` and ``model.gbar_deriv``, so a state
+    gets the same float on either path.  A state whose gbar argument is
+    below 0 sends the whole call to ``OdeSpec.rhs``: that cubic branch takes
+    a pow, which NumPy's SIMD loop and libm round differently in the last
+    bit for some inputs.  Per call in µs, full equation, trig input, best
+    of 9 x 3,000 calls on a shared 2-core x86-64 host; the plain paths cross
+    between 16 and 64 states, the augmented ones near 40:
 
-        states           1     4    16    24    32    64   2048
-        float, plain   1.5   2.4   5.0   6.8   8.5    16      -
-        float, augm.   2.4   4.0    10    14    18    36      -
-        array, plain   7.6   7.2   7.1   7.4   6.8   7.7     14
-        array, augm.    13    12    12    12    12    14     28
-        OdeSpec.rhs    8.8                                   15
-          with deriv    21                                   45
+        states           1     4    16    32    64   2048
+        float, plain   3.1   4.6   9.2    15    27      -
+        float, augm.   4.4   7.7    17    30    57      -
+        OdeSpec.rhs     15    15    15    15    15     25
+          with deriv    38    38    37    37    38     72
     """
-    two_c, k1 = 2.0 * c, -(1.0 + 2.0 * c)
-    a, b = -1.0 - 2.0 * c, 2.0 * (c - 1.0)
-    full, concave = rhs_kind == "full", rhs_kind == "concave-linear"
+    c, lam, signal_at = float(spec.c), float(spec.lam), spec._signal_at
+    two_c, a, b = 2.0 * c, -1.0 - 2.0 * c, 2.0 * (c - 1.0)
+    concave = spec.rhs_kind == "concave-linear"
     shift, slope = cshift(c), dfrak(c)
 
     def g(u):  # gbar on u >= 0
@@ -137,7 +137,7 @@ def _compile_kernels(c: float, lam: float, signal_at, rhs_kind: str):
         return -u - two_c * u / q, (a + b * u * u - uu * uu) / (q * q)
 
     # one state in floats: x' (value) or (x', integrand) (pair)
-    if full:
+    if spec.rhs_kind == "full":
 
         def value(drive, x):
             if x < 0.0:
@@ -174,61 +174,25 @@ def _compile_kernels(c: float, lam: float, signal_at, rhs_kind: str):
             gu, du = g_pair(u)
             return drive - shift + sx + (gu + shift - sx), slope + (du - slope)
 
-    def arrays(drive, x, out, deriv):
-        """x' into out and, with deriv (an array or None), the integrand."""
-        if full:
-            u = x
-        else:
-            clipped = np.maximum(x, 0.0) if concave else np.minimum(x, 0.0)
-            u = clipped + SQRT3
-        gu, du = g_pair(u) if deriv is not None else (g(u), None)
-        if not concave:  # a concave half's argument is at least sqrt3
-            neg = u < 0.0
-            if neg.any():
-                un = u[neg]
-                gu[neg] = k1 * un - un ** 3
-                if du is not None:
-                    du[neg] = k1 - 3.0 * un * un
-        if full:
-            np.add(gu, drive, out=out)
-            if du is not None:
-                deriv[:] = du
-            return
-        off = ~on_half(x)
-        gu += shift
-        gu -= slope * clipped
-        gu[off] = 0.0
-        np.multiply(slope, x, out=out)
-        out += drive - shift
-        out += gu
-        if du is not None:
-            du -= slope
-            du[off] = 0.0
-            np.add(du, slope, out=deriv)
-
     def field(t, y):
-        drive = lam + signal_at(float(t))
         if y.size <= _FLOAT_STATES:
+            drive = lam + signal_at(float(t))
             try:
                 return np.array([value(drive, x) for x in y.tolist()])
             except _CubicBranch:
                 pass
-        out = np.empty(y.size)
-        arrays(drive, y, out, None)
-        return out
+        return np.atleast_1d(spec.rhs(t, y))
 
     def augmented(t, y):
-        n = y.size // 2
-        drive = lam + signal_at(float(t))
-        if 0 < n <= _FLOAT_STATES:
+        x = y[: y.size // 2]
+        if 0 < x.size <= _FLOAT_STATES:
+            drive = lam + signal_at(float(t))
             try:
-                values, derivs = zip(*[pair(drive, x) for x in y[:n].tolist()])
+                values, derivs = zip(*[pair(drive, v) for v in x.tolist()])
                 return np.array(values + derivs)
             except _CubicBranch:
                 pass
-        out = np.empty(2 * n)
-        arrays(drive, y[:n], out[:n], out[n:])
-        return out
+        return np.concatenate([np.atleast_1d(spec.rhs(t, x)), np.atleast_1d(spec.rhs_state_deriv(x))])
 
     return field, augmented
 
@@ -252,8 +216,7 @@ class OdeSpec:
         if self.rhs_kind != "full" and self.c <= 4.0:
             raise DomainError(f"rhs_kind {self.rhs_kind!r} requires c > 4, got c = {self.c}")
         object.__setattr__(self, "_signal_at", sig.compile_signal(self.signal))
-        kernels = _compile_kernels(float(self.c), float(self.lam), self._signal_at, self.rhs_kind)
-        object.__setattr__(self, "_kernels", kernels)
+        object.__setattr__(self, "_kernels", _compile_kernels(self))
 
     def __reduce__(self):
         # the kernels are closures; a copy rebuilds them from the fields
@@ -301,19 +264,20 @@ class _NodeRK45(RK45):
     """RK45 whose steps never cross a node: while a node (ordered from t0 to
     t_bound) lies ahead, each step is clipped to end at or before it.  The
     input is continuous, so the derivative at a node is already right.
-    A finished solver drops its right-hand-side wrappers: they close over
-    the solver, and the reference cycle would keep its arrays alive until
-    the cyclic collector runs."""
+    The solver appends itself to ``made``, so that its caller can
+    ``release`` it once ``solve_ivp`` returns."""
 
-    def __init__(self, fun, t0, y0, t_bound, nodes=(), **options):
+    def __init__(self, fun, t0, y0, t_bound, nodes, made, **options):
         super().__init__(fun, t0, y0, t_bound, **options)
         self.nodes, self.k = nodes, 0  # nodes[k] is the next one ahead
+        made.append(self)
 
-    def step(self):
-        message = super().step()
-        if self.status != "running":
-            self.fun = self.fun_single = self.fun_vectorized = None
-        return message
+    def release(self):
+        """Drop the right-hand-side wrappers.  They close over the solver, and
+        the reference cycle would keep its arrays alive until the cyclic
+        collector runs; ``solve_ivp`` leaves a solver stopped by a terminal
+        event still "running", so this cannot wait for the status."""
+        self.fun = self.fun_single = self.fun_vectorized = None
 
     def _step_impl(self):
         if self.k == len(self.nodes):
@@ -354,18 +318,24 @@ def _solve(spec: OdeSpec, t0, y0, t1, abstol, reltol, augmented=False, t_eval=No
         return ESCAPE_BOUND - float(np.max(np.abs(state[:n])))
 
     escape.terminal = True
-    sol = solve_ivp(
-        fun,
-        (t0, t1),
-        y,
-        method=_NodeRK45,
-        nodes=spec._signal_at.kinks(t0, t1),
-        atol=abstol,
-        rtol=reltol,
-        t_eval=t_eval,
-        events=escape,
-        max_step=abs(t1 - t0) / 16.0,
-    )
+    made = []
+    try:
+        sol = solve_ivp(
+            fun,
+            (t0, t1),
+            y,
+            method=_NodeRK45,
+            nodes=spec._signal_at.kinks(t0, t1),
+            made=made,
+            atol=abstol,
+            rtol=reltol,
+            t_eval=t_eval,
+            events=escape,
+            max_step=abs(t1 - t0) / 16.0,
+        )
+    finally:
+        for solver in made:
+            solver.release()
     if sol.status == 1:
         raise FiniteEscapeError(f"trajectory exceeded |x| = {ESCAPE_BOUND:g} at t = {sol.t_events[0][0]:.6g}")
     if sol.status != 0:

@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -928,7 +929,7 @@ class TestSampledInputIsOneSolve:
 
 class TestCubicBranchMidSolve:
     """A one-state solve runs its kernel in floats until the state falls below
-    0, where gbar is the cubic; those calls go to the array path."""
+    0, where gbar is the cubic; those calls go to ``OdeSpec.rhs``."""
 
     def test_integrate_through_x_below_zero(self):
         lam, T = -3.0, SAMPLED.period  # x' < 0 at x = 0: the orbit settles near -0.27
@@ -974,6 +975,35 @@ class TestEndStateKeepsNoSteps:
                 gc.enable()
         assert d.shape == xs.shape and np.all(np.isfinite(d))
         assert held < 2e5
+
+    @pytest.mark.parametrize("x0,escapes", [(1e4, True), (2.0, False)], ids=["escaping", "finishing"])
+    def test_solver_freed_without_collector(self, monkeypatch, x0, escapes):
+        # a solve stopped by the escape event leaves its solver "running"; it
+        # is freed by reference counting all the same, as a finished one is
+        made = []
+
+        class Recorded(dynamics._NodeRK45):
+            def __init__(self, *args, **options):
+                super().__init__(*args, **options)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(dynamics, "_NodeRK45", Recorded)
+        spec = dynamics.OdeSpec(5.0, 0.5 * (model.lam1(5.0) + model.lam2(5.0)), SAMPLED)
+        xs = np.append(np.linspace(1.2, 2.6, 63), x0)  # bounded both ways, but for 1e4
+        enabled = gc.isenabled()
+        gc.disable()
+        escaped = False
+        try:
+            try:
+                dynamics.poincare_map_log(spec, SAMPLED.period, xs, backward=True)
+            except dynamics.FiniteEscapeError:
+                escaped = True
+            alive = [ref() is not None for ref in made]
+        finally:
+            if enabled:
+                gc.enable()
+        assert escaped == escapes
+        assert alive == [False]
 
     @pytest.mark.parametrize(
         "y", [signals.TrigSum(0.0, ((0.04, 1.0, -math.pi / 2.0),)), SAMPLED], ids=["trig", "sampled"]
