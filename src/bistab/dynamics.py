@@ -30,6 +30,8 @@ Every integration is one solver call, whose steps through a sampled
 input each end at a node.  It returns the states at the solver's steps or
 at requested times only; the scans, the map calls and the finite-difference
 segments ask for the end time alone, so no step history is kept for them.
+The solver checks the escape bound on the states at each step end, and a
+FiniteEscapeError names the first step end beyond it.
 
 The solver's right-hand side is a kernel built once per ``OdeSpec``
 (``_compile_kernels``).  It returns the states' derivative and, for an
@@ -264,20 +266,28 @@ class _NodeRK45(RK45):
     """RK45 whose steps never cross a node: while a node (ordered from t0 to
     t_bound) lies ahead, each step is clipped to end at or before it.  The
     input is continuous, so the derivative at a node is already right.
-    The solver appends itself to ``made``, so that its caller can
-    ``release`` it once ``solve_ivp`` returns."""
 
-    def __init__(self, fun, t0, y0, t_bound, nodes, made, **options):
+    After each step it checks the escape bound on the first ``states``
+    entries (the states, not their log multipliers), and raises
+    FiniteEscapeError at the first step end where one has left
+    |x| < ESCAPE_BOUND.  Once it stops (finished, failed or escaped) it
+    drops its right-hand-side wrappers: they close over the solver, and
+    the reference cycle would keep its arrays alive until the cyclic
+    collector runs."""
+
+    def __init__(self, fun, t0, y0, t_bound, nodes, states, **options):
         super().__init__(fun, t0, y0, t_bound, **options)
         self.nodes, self.k = nodes, 0  # nodes[k] is the next one ahead
-        made.append(self)
+        self.states = states
 
-    def release(self):
-        """Drop the right-hand-side wrappers.  They close over the solver, and
-        the reference cycle would keep its arrays alive until the cyclic
-        collector runs; ``solve_ivp`` leaves a solver stopped by a terminal
-        event still "running", so this cannot wait for the status."""
-        self.fun = self.fun_single = self.fun_vectorized = None
+    def step(self):
+        message = super().step()
+        escaped = np.abs(self.y[: self.states]).max() >= ESCAPE_BOUND
+        if escaped or self.status != "running":
+            self.fun = self.fun_single = self.fun_vectorized = None
+        if escaped:
+            raise FiniteEscapeError(f"trajectory exceeded |x| = {ESCAPE_BOUND:g} at t = {self.t:.6g}")
+        return message
 
     def _step_impl(self):
         if self.k == len(self.nodes):
@@ -304,40 +314,27 @@ def _solve(spec: OdeSpec, t0, y0, t1, abstol, reltol, augmented=False, t_eval=No
     the span (Hairer, Norsett & Wanner, Solving ODE I, II.6); the nodes are
     among the steps.  A smooth input has no nodes and takes the steps of
     plain RK45.  ``augmented`` integrates each state's log multiplier
-    alongside (from 0), after the states.  The solve stops with
-    FiniteEscapeError when a state (not a log multiplier) leaves
-    |x| <= ESCAPE_BOUND.
+    alongside (from 0), after the states.  The solver checks the escape
+    bound at each step end: the solve stops with FiniteEscapeError, naming
+    the first step end where a state (not a log multiplier) has left
+    |x| < ESCAPE_BOUND.
     """
     y = np.atleast_1d(np.asarray(y0, dtype=float))
     n = y.size
     if augmented:
         y = np.concatenate([y, np.zeros(n)])
-    fun = spec._kernels[augmented]
-
-    def escape(t, state):
-        return ESCAPE_BOUND - float(np.max(np.abs(state[:n])))
-
-    escape.terminal = True
-    made = []
-    try:
-        sol = solve_ivp(
-            fun,
-            (t0, t1),
-            y,
-            method=_NodeRK45,
-            nodes=spec._signal_at.kinks(t0, t1),
-            made=made,
-            atol=abstol,
-            rtol=reltol,
-            t_eval=t_eval,
-            events=escape,
-            max_step=abs(t1 - t0) / 16.0,
-        )
-    finally:
-        for solver in made:
-            solver.release()
-    if sol.status == 1:
-        raise FiniteEscapeError(f"trajectory exceeded |x| = {ESCAPE_BOUND:g} at t = {sol.t_events[0][0]:.6g}")
+    sol = solve_ivp(
+        spec._kernels[augmented],
+        (t0, t1),
+        y,
+        method=_NodeRK45,
+        nodes=spec._signal_at.kinks(t0, t1),
+        states=n,
+        atol=abstol,
+        rtol=reltol,
+        t_eval=t_eval,
+        max_step=abs(t1 - t0) / 16.0,
+    )
     if sol.status != 0:
         raise RuntimeError(f"integration failed: {sol.message}")
     return sol.t, sol.y
@@ -362,12 +359,6 @@ def integrate(spec: OdeSpec, t0: float, x0: float, t1: float, n_samples: int | N
     if t1 < t0:
         times, values = times[::-1], values[::-1]
     return Trajectory(times, values)
-
-
-def _augmented_rhs(spec: OdeSpec):
-    """The states' derivative followed by their multiplier integrand, as
-    solve_ivp calls it (the ``augmented`` kernel of ``_compile_kernels``)."""
-    return spec._kernels[1]
 
 
 def poincare_map_log(spec: OdeSpec, T: float, x0: float | np.ndarray, backward: bool = False):

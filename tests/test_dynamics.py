@@ -873,7 +873,7 @@ class TestSmoothInputIsOnePiece:
         escape.terminal = True
         for t_eval in (None, np.linspace(t0, t1, 9)):
             want = solve_ivp(
-                dynamics._augmented_rhs(spec) if augmented else (lambda t, x: np.atleast_1d(spec.rhs(t, x))),
+                spec._kernels[1] if augmented else (lambda t, x: np.atleast_1d(spec.rhs(t, x))),
                 (t0, t1),
                 y0,
                 method="RK45",
@@ -1005,6 +1005,24 @@ class TestEndStateKeepsNoSteps:
         assert escaped == escapes
         assert alive == [False]
 
+    def test_escaping_solve_holds_nothing(self):
+        # with the cyclic collector off, a terminal escape event's root finder
+        # kept the last step's interpolant in a cycle: 0.67 MB for 8,192 states
+        spec = dynamics.OdeSpec(5.0, 0.5 * (model.lam1(5.0) + model.lam2(5.0)), SAMPLED)
+        xs = np.append(np.linspace(1.2, 2.6, 8191), 1e4)  # bounded backward, but for 1e4
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            with pytest.raises(dynamics.FiniteEscapeError):
+                dynamics.poincare_map_log(spec, SAMPLED.period, xs, backward=True)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert held < 1e5
+
     @pytest.mark.parametrize(
         "y", [signals.TrigSum(0.0, ((0.04, 1.0, -math.pi / 2.0),)), SAMPLED], ids=["trig", "sampled"]
     )
@@ -1021,3 +1039,70 @@ class TestEndStateKeepsNoSteps:
         assert len(dynamics.find_periodic_solutions(spec, 2.0 * math.pi)) == 3
         assert dynamics.count_separated_solutions(spec, 2.0 * math.pi) == 3
         assert asked and set(asked) == {1}
+
+
+class TestEscapeCheckMatchesEvent:
+    """The solver checks the escape bound at each step end.  It raises
+    exactly when a terminal event on |x| = ESCAPE_BOUND stops the same
+    steps, at the end of the step in which the event's root lies."""
+
+    LAM = 0.5 * (model.lam1(5.0) + model.lam2(5.0))
+    CASES = {
+        "concave-linear-forward": (dynamics.OdeSpec(5.0, 0.0, ZERO, "concave-linear"), 0.0, [-1.0, 0.5], 100.0),
+        "full-backward": (
+            dynamics.OdeSpec(5.0, LAM, TestSmoothInputIsOnePiece.Y),
+            2.0 * math.pi,
+            [2.0, 1e4],
+            0.0,
+        ),
+        "bounded": (dynamics.OdeSpec(5.0, 6.04, TestSmoothInputIsOnePiece.Y), 0.0, [1.8, 2.0, 2.2], 2.0 * math.pi),
+        "sampled-forward": (dynamics.OdeSpec(5.0, 0.0, SAMPLED, "concave-linear"), 0.0, [-1.0], 100.0),
+        "sampled-backward": (dynamics.OdeSpec(5.0, LAM, SAMPLED), SAMPLED.period, [1.2, 1e4], 0.0),
+    }
+
+    def reference(self, monkeypatch, spec, t0, x0, t1, augmented):
+        """solve_ivp stopped by a terminal escape event on the states.  A
+        smooth input takes plain RK45; a sampled one the node-clipping
+        solver with its own check out of reach, as ``_solve`` stepped it
+        before the check moved into the solver."""
+        n, bound = len(x0), dynamics.ESCAPE_BOUND
+
+        def escape(t, y):
+            return bound - np.max(np.abs(y[:n]))
+
+        escape.terminal = True
+        nodes = spec._signal_at.kinks(t0, t1)
+        with monkeypatch.context() as patched:
+            options = {"method": "RK45"}
+            if len(nodes):
+                patched.setattr(dynamics, "ESCAPE_BOUND", math.inf)
+                options = {"method": dynamics._NodeRK45, "nodes": nodes, "states": n}
+            return solve_ivp(
+                spec._kernels[augmented],
+                (t0, t1),
+                np.concatenate([x0, np.zeros(n)]) if augmented else np.array(x0),
+                atol=dynamics.ABSTOL,
+                rtol=dynamics.RELTOL,
+                t_eval=[t1],
+                events=escape,
+                max_step=abs(t1 - t0) / 16.0,
+                **options,
+            )
+
+    @pytest.mark.parametrize("augmented", [False, True])
+    @pytest.mark.parametrize("case", CASES)
+    def test_raises_where_the_event_stops(self, monkeypatch, case, augmented):
+        spec, t0, x0, t1 = self.CASES[case]
+        want = self.reference(monkeypatch, spec, t0, x0, t1, augmented)
+        assert want.status in (0, 1)
+        assert (want.status == 1) == (case != "bounded")
+        try:
+            dynamics._solve(spec, t0, x0, t1, dynamics.ABSTOL, dynamics.RELTOL, augmented, [t1])
+        except dynamics.FiniteEscapeError as escaped:
+            t = float(re.search(r"at t = (\S+)$", str(escaped)).group(1))
+            assert want.status == 1
+            past = math.copysign(1.0, t1 - t0) * (t - want.t_events[0][0])
+            # the message prints six significant digits
+            assert -5e-6 * abs(t) <= past <= abs(t1 - t0) / 16.0
+        else:
+            assert want.status == 0

@@ -166,7 +166,7 @@ def kernel_pair(spec, t, x):
     """(x', integrand) of the states x from the plain and augmented kernels."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     plain = spec._kernels[0](t, x)
-    augmented = dynamics._augmented_rhs(spec)(t, np.concatenate([x, np.zeros(x.size)]))
+    augmented = spec._kernels[1](t, np.concatenate([x, np.zeros(x.size)]))
     assert same(augmented[: x.size], plain)
     return plain, augmented[x.size:]
 
