@@ -45,6 +45,7 @@ cubic branch of gbar, is ``OdeSpec.rhs`` and ``rhs_state_deriv`` on arrays.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -60,6 +61,7 @@ from .model import (
     cshift,
     dfrak,
     gbar_deriv,
+    gbar_deriv2,
     gbar_eval,
     lam1,
     lam2,
@@ -67,6 +69,7 @@ from .model import (
     mg_minus_deriv,
     mg_plus,
     mg_plus_deriv,
+    x1,
     x2,
 )
 
@@ -77,7 +80,8 @@ FP_TOL = 1e-9
 DEDUP_TOL = 1e-6
 NONHYP_TOL = 1e-4  # |multiplier - 1| below this => non-hyperbolic
 CENSUS_SEEDS = 2048  # grid of the count-only census and of the fold solves
-# the fold solve starts this many tol beyond the exact sandwich (at most the margin)
+# without an averaged fold whose bracket straddles, the fold solve starts this
+# many tol beyond the exact sandwich (at most the margin)
 FOLD_PAD = 100.0
 # the full census solves the first grid (its every 2nd and 4th seed are the
 # 1,025- and 513-seed grids) and doubles up to the second
@@ -632,9 +636,10 @@ def _extremal_seed(spec: OdeSpec, T: float, sign: float, near: tuple[int, int] |
     interval of the seed with the largest sign * displacement, that value e,
     and the number of states solved for them.
 
-    With near = (i0, i1), the extremal indices at two other lambda, only the
-    seeds from min(near) - 4 to max(near) + 4 and the grid's two end seeds
-    are solved.  The grid values are unimodal (d is concave for the
+    With near = (i0, i1), two indices expected near the extremal one (the
+    extremal indices at two other lambda, or one index - 4 and + 4), only
+    the seeds from min(near) - 4 to max(near) + 4 and the grid's two end
+    seeds are solved.  The grid values are unimodal (d is concave for the
     concave-linear equation, sign = 1, and convex for the linear-convex one,
     sign = -1), so a largest value whose grid neighbours were solved too is
     the grid's largest; otherwise the full grid is solved after all.  The
@@ -663,6 +668,49 @@ def _extremal_seed(spec: OdeSpec, T: float, sign: float, near: tuple[int, int] |
         seeds = np.arange(n)  # the window's largest value lies on its edge
 
 
+def _averaged_fold(c: float, signal: sig.SignalSpec, rhs_kind: str, tol: float):
+    """(lam, w, i): the fold value of the comparison equation ``rhs_kind``
+    that second-order averaging predicts, the half-width w of the fold
+    solve's first bracket [lam - w, lam + w], and the index on the
+    CENSUS_SEEDS grid of the seed predicted to have the extremal
+    displacement there; None for an input with no finite cosine form.
+
+    With Y the zero-mean antiderivative of y - ybar, x = u + Y(t) turns
+    x' = lam + y + gbar(x) into u' = lam + ybar + gbar(u + Y(t)), whose
+    average over the fast time is u' = lam + ybar + gbar(u) + gbar''(u)
+    Var(Y)/2 + ... (Sanders, Verhulst & Murdock, Averaging Methods in
+    Nonlinear Dynamical Systems, 2007, ch. 2).  At the fold x_f (x2 for the
+    concave-linear equation, x1 for the linear-convex one) gbar' vanishes,
+    so the fold value moves from center - ybar by -gbar''(x_f) Var(Y)/2:
+    up for lambda_minus, down for lambda_plus.  Y of a cos(th t + ph) is
+    (a/th) sin(th t + ph); terms on one frequency (a Cesaro input's a and b
+    terms) add as phasors (a/th) e^(i ph), and Var(Y) is half the sum of
+    their squared moduli.  The displacement is extremal where u(0) sits at
+    the fold, the seed x_f - sqrt3 + Y(0) of the recentered state.  The
+    half-width is 5% of the shift, plus 10 tol, plus |gbar''(x_f)| h^2 / 8:
+    the extremal seed of the grid (spacing h) may lie h/2 off the
+    extremum, which moves the grid's fold by up to that much in lambda.
+    """
+    trig = sig._as_trig(signal)
+    if trig is None:
+        return None
+    a0, terms = trig
+    phasors = {}
+    for a, th, ph in terms:
+        phasors[th] = phasors.get(th, 0j) + a / th * cmath.exp(1j * ph)
+    var = sum(abs(p) ** 2 for p in phasors.values()) / 2.0
+    y0 = sum(p.imag for p in phasors.values())
+    concave = rhs_kind == "concave-linear"
+    x_f, center = (x2(c), lam1(c)) if concave else (x1(c), lam2(c))
+    curvature = abs(gbar_deriv2(c, x_f))
+    shift = (curvature if concave else -curvature) * var / 2.0
+    lam = center - a0 + shift
+    lo, hi = _scan_interval(OdeSpec(c, lam, signal, rhs_kind))
+    h = (hi - lo) / (CENSUS_SEEDS - 1)
+    i = round((x_f - SQRT3 + y0 - lo) / h)
+    return lam, 0.05 * abs(shift) + curvature * h * h / 8.0 + 10.0 * tol, min(max(i, 0), CENSUS_SEEDS - 1)
+
+
 def estimate_lambda_pm(
     c: float, signal: sig.SignalSpec, tol: float = 1e-5
 ) -> tuple[float, float, dict]:
@@ -675,21 +723,36 @@ def estimate_lambda_pm(
     so d.max() (concave-linear) and -d.min() (linear-convex), taken on the
     census grid, are monotone in lambda and positive exactly where the
     census finds two separated solutions: above lambda_minus and below
-    lambda_plus.  brentq solves each to xtol = tol.  Its bracket starts as
-    the closed-form sandwich [center - sup y, center - inf y] padded by
-    FOLD_PAD * tol on each side; while the extremum has one sign at both
-    ends the pad grows eightfold, up to the margin max(lam2 - lam1, 10 tol),
-    and a bracket that still fails raises RuntimeError.  A trajectory that
-    escapes counts as "no two solutions".  A lambda with no solved grid on
-    both sides (the bracket ends and the widening) solves the full
-    CENSUS_SEEDS grid; every other one, which is every brentq step, solves
-    the window between the extremal indices of the nearest solved lambda
-    below and above, and the grid's end seeds (``_extremal_seed``: exact by
-    unimodality and order preservation).  The metadata reports the number
-    of grid scans per value (the widening included) and of the states they
-    solved, and notes that for non-constant inputs the period-map condition
-    is a surrogate of the shift-family definition (equivalent for periodic
-    inputs).
+    lambda_plus.  brentq solves each to xtol = tol.
+
+    For an input with a finite cosine form (constant, trigonometric or
+    Cesaro), brentq first tries the bracket [lam - w, lam + w] around the
+    fold value lam that second-order averaging predicts (``_averaged_fold``;
+    w is 5% of its shift from center - ybar, the grid's bias and 10 tol).
+    Only when that bracket does not straddle, and always for a sampled
+    input, the bracket starts as the closed-form sandwich
+    [center - sup y, center - inf y] padded by FOLD_PAD * tol on each side;
+    while the extremum has one sign at both ends the pad grows eightfold, up
+    to the margin max(lam2 - lam1, 10 tol), and a bracket that still fails
+    raises RuntimeError.  A trajectory that escapes counts as "no two
+    solutions".
+
+    Each lambda solves a window of the CENSUS_SEEDS grid and the grid's two
+    end seeds (``_extremal_seed``: exact by unimodality and order
+    preservation, with the full grid solved after all when the window's
+    extremum lies on its edge).  A lambda with a solved lambda below and
+    above, which is every brentq step, takes the window between their
+    extremal indices; one with a solved lambda on one side only takes 8
+    seeds on each side of that one's index; the first takes 8 seeds on each
+    side of the averaged fold's predicted seed.  Without a prediction (a
+    sampled input) a lambda with no solved lambda on both sides solves the
+    full grid.  The metadata reports per value the number of grid scans
+    (the widening included), the states they solved, the number of them
+    that solved the full grid (``full_grids``) and the averaged fold's
+    ``prediction`` (its lambda, half-width and whether its bracket
+    straddled; None for a sampled input), and notes that for non-constant
+    inputs the period-map condition is a surrogate of the shift-family
+    definition (equivalent for periodic inputs).
     """
     if c <= 4.0:
         raise DomainError(f"estimate_lambda_pm requires c > 4, got c = {c}")
@@ -699,31 +762,45 @@ def estimate_lambda_pm(
     b = sig.bounds(signal)
     h1 = lam2(c) - lam1(c)
     margin = max(h1, 10.0 * tol)
-    scans, seeds = {}, {}
+    scans, seeds, full, predicted = {}, {}, {}, {}
 
     def fold(center: float, rhs_kind: str) -> float:
         # the extremum of d, signed to be positive where two solutions exist
         sign = 1.0 if rhs_kind == "concave-linear" else -1.0
         values = {}  # the widening and brentq evaluate bracket ends again
         peaks = {}  # the extremal grid index of every lambda whose grid was solved
-        seeds[rhs_kind] = 0
+        seeds[rhs_kind] = full[rhs_kind] = 0
+        guess = _averaged_fold(c, signal, rhs_kind, tol)
 
         def extremum(lam: float) -> float:
             if lam not in values:
                 below = [v for v in peaks if v < lam]
                 above = [v for v in peaks if v > lam]
-                near = (peaks[max(below)], peaks[min(above)]) if below and above else None
+                if below and above:
+                    near = (peaks[max(below)], peaks[min(above)])
+                elif guess is None:
+                    near = None
+                else:  # 8 seeds on each side of the one solved neighbour's index, or of the predicted one
+                    i = peaks[max(below)] if below else peaks[min(above)] if above else guess[2]
+                    near = (i - 4, i + 4)
                 i, values[lam], states = _extremal_seed(OdeSpec(c, lam, signal, rhs_kind), T, sign, near)
                 seeds[rhs_kind] += states
+                full[rhs_kind] += states >= CENSUS_SEEDS
                 if i is not None:
                     peaks[lam] = i
             return values[lam]
 
+        straddles, predicted[rhs_kind] = False, None
+        if guess is not None:
+            lam, w, _ = guess
+            lo, hi = lam - w, lam + w
+            straddles = (extremum(lo) > 0.0) != (extremum(hi) > 0.0)
+            predicted[rhs_kind] = {"lambda": lam, "half_width": w, "straddled": straddles}
         pad = min(FOLD_PAD * tol, margin)
-        while True:
+        while not straddles:
             lo, hi = center - b.sup - pad, center - b.inf + pad
             straddles = (extremum(lo) > 0.0) != (extremum(hi) > 0.0)
-            if straddles or pad == margin:
+            if pad == margin:
                 break
             pad = min(8.0 * pad, margin)
         if not straddles:
@@ -741,6 +818,8 @@ def estimate_lambda_pm(
         "period": T,
         "scans": {"lambda_minus": scans["concave-linear"], "lambda_plus": scans["linear-convex"]},
         "seeds": {"lambda_minus": seeds["concave-linear"], "lambda_plus": seeds["linear-convex"]},
+        "full_grids": {"lambda_minus": full["concave-linear"], "lambda_plus": full["linear-convex"]},
+        "prediction": {"lambda_minus": predicted["concave-linear"], "lambda_plus": predicted["linear-convex"]},
         "note": "period-map condition is a surrogate of the shift-family "
         "definition; exact for constant and periodic inputs",
     }

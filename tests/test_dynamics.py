@@ -390,6 +390,18 @@ FOLD_SIGNALS = {
 }
 
 
+def move_prediction(monkeypatch, lam=0.0, seed=0):
+    """Moves the averaged fold's predicted lambda by ``lam`` and its
+    predicted grid index by ``seed``, so its first bracket or its windows miss."""
+    predict = dynamics._averaged_fold
+
+    def moved(*args):
+        guess = predict(*args)
+        return None if guess is None else (guess[0] + lam, guess[1], guess[2] + seed)
+
+    monkeypatch.setattr(dynamics, "_averaged_fold", moved)
+
+
 class TestFoldSolveAgainstBisection:
     @pytest.mark.parametrize("c", [5.0, 8.0])
     @pytest.mark.parametrize("name", list(FOLD_SIGNALS))
@@ -430,9 +442,11 @@ class TestFoldSolveAgainstBisection:
 
     def test_pad_widens_past_a_wrong_sandwich(self, monkeypatch):
         # a range reported 0.05 too high puts both folds above the padded
-        # sandwich, so only the widened pad reaches them
+        # sandwich, so only the widened pad reaches them; the averaged fold,
+        # read 0.05 too high in y as well, misses first on both runs
         c, tol, y = 5.0, 1e-5, FOLD_SIGNALS["trig"]
         want_minus, want_plus, _ = bisect_lambda_pm(c, y, tol)
+        move_prediction(monkeypatch, lam=-0.05)
         _, _, meta = dynamics.estimate_lambda_pm(c, y, tol=tol)
         b = signals.bounds(y)
         monkeypatch.setattr(dynamics.sig, "bounds", lambda s: signals.SignalBounds(b.sup + 0.05, b.inf + 0.05, False))
@@ -441,10 +455,14 @@ class TestFoldSolveAgainstBisection:
         assert abs(lam_plus - want_plus) <= tol
         assert wide["scans"]["lambda_minus"] > meta["scans"]["lambda_minus"]
         assert wide["scans"]["lambda_plus"] > meta["scans"]["lambda_plus"]
+        for side in ("lambda_minus", "lambda_plus"):
+            assert not meta["prediction"][side]["straddled"] and not wide["prediction"][side]["straddled"]
 
     def test_no_straddle_names_the_widest_bracket(self, monkeypatch):
-        # a range 10 too high: even the margin max(lam2 - lam1, 10 tol) misses the fold
+        # a range 10 too high: even the margin max(lam2 - lam1, 10 tol) misses
+        # the fold, and so does the averaged fold, read 10 too high in y as well
         c, tol, y = 5.0, 1e-5, FOLD_SIGNALS["trig"]
+        move_prediction(monkeypatch, lam=-10.0)
         b = signals.bounds(y)
         monkeypatch.setattr(dynamics.sig, "bounds", lambda s: signals.SignalBounds(b.sup + 10.0, b.inf + 10.0, False))
         margin = model.lam2(c) - model.lam1(c)
@@ -530,17 +548,107 @@ class TestFoldWindow:
         assert grid.escaped == [11]
 
     def test_fold_solve_windows_every_brentq_step(self, monkeypatch):
-        # the two bracket ends solve the full grid, every other lambda a window;
-        # a full-grid scan on every lambda solved scans * CENSUS_SEEDS states
+        # the bracket ends solve the window around the averaged fold's seed,
+        # every other lambda the window of its solved neighbours: no full grid,
+        # and every window small enough for the float kernel; a full-grid scan
+        # on every lambda solved scans * CENSUS_SEEDS states
         n = dynamics.CENSUS_SEEDS
         grid = RecordedGrid()
         monkeypatch.setattr(dynamics, "_displacement_grid", grid)
         _, _, meta = dynamics.estimate_lambda_pm(8.0, FOLD_SIGNALS["trig"], tol=1e-5)
-        assert grid.sizes.count(n) == 4
+        assert grid.sizes.count(n) == 0
+        assert max(grid.sizes) <= dynamics._FLOAT_STATES
         assert sum(grid.sizes) == meta["seeds"]["lambda_minus"] + meta["seeds"]["lambda_plus"]
         for side in ("lambda_minus", "lambda_plus"):
-            assert 2 * n < meta["seeds"][side] < 3 * n
+            assert meta["full_grids"][side] == 0
+            assert meta["seeds"][side] <= meta["scans"][side] * dynamics._FLOAT_STATES
             assert meta["seeds"][side] < meta["scans"][side] * n
+
+
+def averaging_trig(theta):
+    return signals.TrigSum(0.01, ((0.05, theta, 0.4),))
+
+
+def averaging_cesaro(theta):
+    # harmonics theta and 2 theta, with an a and a b term on theta
+    k = int(theta)
+    a, b = [0.0] * (2 * k), [0.0] * (2 * k)
+    a[k - 1], a[2 * k - 1], b[k - 1] = 0.04, -0.01, 0.03
+    return signals.FourierCesaro(-0.005, tuple(a), tuple(b), 2 * k + 2)
+
+
+# At c = 12 the linear part of the linear-convex equation has slope
+# dfrak = 2, so over a period of 2 pi a seed near the top of the scan
+# interval grows past ESCAPE_BOUND: every lambda reads "escape" and the fold
+# solve raises.  The one-term input at theta = 2 and 4 has period pi or pi/2;
+# every Cesaro input has period 2 pi.
+AVERAGING_CASES = [
+    (c, theta, name)
+    for c in (4.5, 5.0, 8.0, 12.0)
+    for theta in (1.0, 2.0, 4.0)
+    for name in ("trig", "cesaro")
+    if c < 12.0 or (name == "trig" and theta > 1.0)
+]
+
+
+class TestAveragedFold:
+    @pytest.mark.parametrize("c,theta,name", AVERAGING_CASES)
+    def test_rule_matches_the_fold_solve(self, c, theta, name):
+        # the stated error is the rule's own half-width w: 5% of the shift,
+        # the grid's bias |gbar''(x_f)| h^2 / 8 and 10 tol.  The largest gap
+        # measured on these cases is 0.67 w (c = 8, theta = 4, Cesaro,
+        # lambda_plus, where the grid bias dominates); the averaging error
+        # alone stays within 1.1% of the shift at theta = 1.  So the solved
+        # interval narrows by the predicted amount within the two half-widths
+        y = (averaging_trig if name == "trig" else averaging_cesaro)(theta)
+        lam_minus, lam_plus, meta = dynamics.estimate_lambda_pm(c, y, tol=1e-8)
+        for side, lam in (("lambda_minus", lam_minus), ("lambda_plus", lam_plus)):
+            guess = meta["prediction"][side]
+            assert abs(lam - guess["lambda"]) <= guess["half_width"]
+            assert guess["straddled"]
+            assert meta["full_grids"][side] == 0
+
+    @pytest.mark.parametrize("name", ["trig", "cesaro"])
+    @pytest.mark.parametrize("miss", ["lambda", "seed"])
+    def test_wrong_prediction_still_matches_bisection(self, monkeypatch, miss, name):
+        # a predicted lambda 0.02 too high misses the first bracket on both
+        # sides, so the sandwich start takes over; a predicted seed 300 grid
+        # steps off puts the first windows' extremum on their edge, so they
+        # solve the full grid after all
+        c, tol, y = 5.0, 1e-5, FOLD_SIGNALS[name]
+        want_minus, want_plus, _ = bisect_lambda_pm(c, y, tol)
+        move_prediction(monkeypatch, **({"lam": 0.02} if miss == "lambda" else {"seed": 300}))
+        lam_minus, lam_plus, meta = dynamics.estimate_lambda_pm(c, y, tol=tol)
+        assert abs(lam_minus - want_minus) <= tol
+        assert abs(lam_plus - want_plus) <= tol
+        for side in ("lambda_minus", "lambda_plus"):
+            if miss == "lambda":
+                assert not meta["prediction"][side]["straddled"]
+            else:
+                assert meta["prediction"][side]["straddled"] and meta["full_grids"][side] >= 1
+
+    def test_sampled_input_starts_on_the_sandwich(self):
+        # no prediction: the padded sandwich's two ends solve the full grid,
+        # every brentq step a window
+        assert dynamics._averaged_fold(5.0, SAMPLED, "concave-linear", 1e-5) is None
+        _, _, meta = dynamics.estimate_lambda_pm(5.0, SAMPLED, tol=1e-5)
+        for side in ("lambda_minus", "lambda_plus"):
+            assert meta["prediction"][side] is None
+            assert meta["full_grids"][side] == 2
+
+    @pytest.mark.parametrize("kind", ["concave-linear", "linear-convex"])
+    def test_predicted_seed_is_the_grid_extremum(self, kind):
+        # at the predicted fold the full grid's extremal seed is the predicted
+        # one or its neighbour (measured on these inputs), where Y(0) alone
+        # moves the seed by 1 to 8 grid steps; the first window solves 8 on each side
+        sign = 1.0 if kind == "concave-linear" else -1.0
+        inputs = [FOLD_SIGNALS["trig"], FOLD_SIGNALS["cesaro"], averaging_cesaro(2.0)]
+        inputs += [averaging_trig(1.0), averaging_trig(4.0)]
+        for c in (4.5, 5.0, 8.0):
+            for y in inputs:
+                lam, _, i = dynamics._averaged_fold(c, y, kind, 1e-5)
+                spec = dynamics.OdeSpec(c, lam, y, kind)
+                assert abs(dynamics._extremal_seed(spec, dynamics.signal_period(y), sign)[0] - i) <= 1
 
 
 # 16 nodes of a noisy sine on one period 2*pi, as the census benchmark draws them

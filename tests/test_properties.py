@@ -215,3 +215,38 @@ def test_two_solutions_persist_away_from_the_fold(c, y, kind, offsets):
     lams = [model.lam1(c) + o for o in offsets] if kind == "concave-linear" else [model.lam2(c) - o for o in offsets]
     two = [dynamics.count_separated_solutions(dynamics.OdeSpec(c, lam, y, kind), T) >= 2 for lam in lams]
     assert two == sorted(two)
+
+
+# second-order averaging of the fold values (dynamics._averaged_fold): the
+# variance of Y, the zero-mean antiderivative of y - ybar, taken here from
+# the FFT of y on one period (Y_k = y_k / (i k omega)), not from the phasors
+@st.composite
+def repeated_trig_sums(draw):
+    # integer frequency ratios, a ratio possibly twice: two terms on one
+    # frequency add as phasors, not as variances
+    base = draw(st.floats(0.5, 4.0))
+    ks = draw(st.lists(st.sampled_from((1.0, 2.0, 3.0)), min_size=1, max_size=4))
+    terms = tuple((draw(amplitudes), base * k, draw(phases)) for k in ks)
+    return signals.TrigSum(draw(offsets), terms)
+
+
+def variance_of_antiderivative(y) -> tuple[float, float]:
+    """(ybar, Var(Y)) from 4,096 samples of y on one period."""
+    T, n = dynamics.signal_period(y), 4096
+    v = np.fft.rfft(signals.eval(y, np.linspace(0.0, T, n, endpoint=False))) / n
+    k = np.arange(1, v.size)
+    # a real signal's k-th harmonic holds |v_k|^2 twice (k and -k)
+    return float(v[0].real), float(2.0 * np.sum(np.abs(v[1:]) ** 2 / (k * 2.0 * math.pi / T) ** 2))
+
+
+@BUDGET
+@given(st.sampled_from((4.5, 5.0, 8.0, 12.0)), st.one_of(repeated_trig_sums(), cesaro_sums))
+def test_averaged_folds_narrow_the_interval_by_the_variance_of_y(c, y):
+    ybar, var = variance_of_antiderivative(y)
+    lam_minus = dynamics._averaged_fold(c, y, "concave-linear", 1e-5)[0]
+    lam_plus = dynamics._averaged_fold(c, y, "linear-convex", 1e-5)[0]
+    k1, k2 = abs(model.gbar_deriv2(c, model.x1(c))), abs(model.gbar_deriv2(c, model.x2(c)))
+    assert lam_minus == pytest.approx(model.lam1(c) - ybar + k2 * var / 2.0, rel=1e-12, abs=1e-12)
+    assert lam_plus == pytest.approx(model.lam2(c) - ybar - k1 * var / 2.0, rel=1e-12, abs=1e-12)
+    narrowing = (model.lam2(c) - model.lam1(c)) - (lam_plus - lam_minus)
+    assert narrowing == pytest.approx((k1 + k2) * var / 2.0, rel=1e-9, abs=1e-12)
