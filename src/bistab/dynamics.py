@@ -26,12 +26,14 @@ it is safe (the map contracts and the step stays inside the crossing's
 bracket); otherwise the plain contraction step is taken, with root
 bracketing, one crossing at a time, as the last resort.
 
-Every integration is one solver call, whose steps through a sampled
-input each end at a node.  It returns the states at the solver's steps or
-at requested times only; the scans, the map calls and the finite-difference
-segments ask for the end time alone, so no step history is kept for them.
-The solver checks the escape bound on the states at each step end, and a
-FiniteEscapeError names the first step end beyond it.
+Every integration is one run of ``solve_ivp``, the module's own RK45 loop:
+scipy's Dormand-Prince 5(4) stepper, its floats reproduced bit for bit,
+whose steps through a sampled input each end at a node.  It returns the
+states at the solver's steps or at requested times only; the scans, the map
+calls and the finite-difference segments ask for the end time alone, so no
+step history is kept for them.  The loop checks the escape bound on the
+states at each step end, and a FiniteEscapeError names the first step end
+beyond it.
 
 The solver's right-hand side is a kernel built once per ``OdeSpec``
 (``_compile_kernels``).  It returns the states' derivative and, for an
@@ -49,9 +51,10 @@ import cmath
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
+from scipy.integrate import RK45
 from scipy.optimize import brentq
 
 from . import signals as sig
@@ -103,7 +106,7 @@ class _CubicBranch(Exception):
 
 
 def _compile_kernels(spec):
-    """(field, augmented): the right-hand side of ``spec`` as solve_ivp
+    """(field, augmented): the right-hand side of ``spec`` as the solver
     calls it, fun(t, y).  ``field`` returns x' of the states y; ``augmented``
     takes the states followed by their log multipliers and returns x'
     followed by the multiplier integrand d(rhs)/dx.  Every entry equals
@@ -266,81 +269,145 @@ class PeriodicSolution:
         return asdict(self)
 
 
-class _NodeRK45(RK45):
-    """RK45 whose steps never cross a node: while a node (ordered from t0 to
-    t_bound) lies ahead, each step is clipped to end at or before it.  The
-    input is continuous, so the derivative at a node is already right.
+# scipy's RK45, the Dormand-Prince 5(4) pair (Hairer, Norsett & Wanner, Solving
+# ODE I, II.4-II.6): each stage after the first as its time and its row of the
+# stage matrix (the weights B and E and the dense output P are read from RK45
+# in the loop), and the step-size controller's exponent, safety factor and
+# factor limits
+_STAGES = list(zip(RK45.C[1:].tolist(), (RK45.A[s, :s] for s in range(1, RK45.n_stages))))
+_EXPONENT = -1 / (RK45.error_estimator_order + 1)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 
-    After each step it checks the escape bound on the first ``states``
-    entries (the states, not their log multipliers), and raises
-    FiniteEscapeError at the first step end where one has left
-    |x| < ESCAPE_BOUND.  Once it stops (finished, failed or escaped) it
-    drops its right-hand-side wrappers: they close over the solver, and
-    the reference cycle would keep its arrays alive until the cyclic
-    collector runs."""
 
-    def __init__(self, fun, t0, y0, t_bound, nodes, states, **options):
-        super().__init__(fun, t0, y0, t_bound, **options)
-        self.nodes, self.k = nodes, 0  # nodes[k] is the next one ahead
-        self.states = states
+class _Solution(NamedTuple):
+    t: np.ndarray
+    y: np.ndarray
+    nfev: int  # kernel calls: 2 for the first step, then 6 per attempted step
 
-    def step(self):
-        message = super().step()
-        escaped = np.abs(self.y[: self.states]).max() >= ESCAPE_BOUND
-        if escaped or self.status != "running":
-            self.fun = self.fun_single = self.fun_vectorized = None
-        if escaped:
-            raise FiniteEscapeError(f"trajectory exceeded |x| = {ESCAPE_BOUND:g} at t = {self.t:.6g}")
-        return message
 
-    def _step_impl(self):
-        if self.k == len(self.nodes):
-            return super()._step_impl()
-        node, t_bound = self.nodes[self.k], self.t_bound
-        self.t_bound = node
-        try:
-            result = super()._step_impl()
-        finally:
-            self.t_bound = t_bound
-        self.k += self.t == node
-        return result
+def _norm(x: np.ndarray) -> float:
+    """RK45's RMS norm."""
+    return math.sqrt(x.dot(x)) / x.size**0.5
+
+
+def solve_ivp(fun, t0, y0, t1, atol, rtol, *, t_eval, nodes, states) -> _Solution:
+    """The float states y0 solved by y' = fun(t, y) from t0 to t1 (either
+    direction), with the floats of ``scipy.integrate.solve_ivp`` with RK45
+    and ``max_step = |t1 - t0|/16``: scipy's tableau, error norm, step-size
+    controller, initial-step rule and dense output, in one loop.
+
+    No step crosses a node: while one of ``nodes`` (ordered from t0 to t1,
+    strictly inside the span) lies ahead, each step ends at or before it, so
+    the nodes are among the steps; the input is continuous, so the
+    derivative at a node is already right.  At each step end the first
+    ``states`` entries are checked, and FiniteEscapeError names the first
+    step end where one has left |x| < ESCAPE_BOUND.  The result holds t0 and
+    every step end (t_eval None), or only the times of t_eval (ordered from
+    t0 to t1), each from the dense output of the step that reaches it.  A
+    step that shrinks to the spacing of the floats raises RuntimeError.
+    """
+    t, t1 = float(t0), float(t1)
+    if not np.isfinite(y0).all():
+        raise ValueError("the initial states must be finite")
+    y, f = y0, fun(t, y0)
+    direction, span = (1.0 if t1 >= t else -1.0), abs(t1 - t)
+    max_step, nodes, k = span / 16.0, [float(v) for v in nodes], 0
+    # the first step (Hairer, Norsett & Wanner, II.4), at most the span and max_step
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _norm(y / scale), _norm(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    d2 = _norm((fun(t + h0 * direction, y + h0 * direction * f) - f) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** -_EXPONENT
+    h_abs, nfev = min(100 * h0, h1, span, max_step), 2
+    K = np.empty((RK45.n_stages + 1, y.size))  # the stages, then the derivative at the step end
+    stages = [(s, c, K[:s].T, a) for s, (c, a) in enumerate(_STAGES, start=1)]
+    KT, K_B = K.T, K[:-1].T
+    abs_y, checked, escape = np.abs(y), slice(states), ESCAPE_BOUND
+    if t_eval is None:
+        times, ys = [t], [y]
+    else:
+        t_eval = np.asarray(t_eval, dtype=float)
+        times, ys, ahead, i = t_eval, [], t_eval.tolist(), 0
+    while True:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        end = nodes[k] if k < len(nodes) else t1
+        rejected = False
+        while True:  # attempts, until a step meets the tolerance
+            if not h_abs >= min_step:
+                raise RuntimeError(f"integration failed: the step size fell below the float spacing at t = {t:.17g}")
+            t_new = t + h_abs * direction
+            if direction * (t_new - end) > 0:
+                t_new = end
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for s, c, Ks, a in stages:
+                K[s] = fun(t + c * h, y + Ks.dot(a) * h)
+            y_new = y + h * K_B.dot(RK45.B)
+            K[-1] = f_new = fun(t + h, y_new)
+            nfev += 6
+            abs_new = np.abs(y_new)
+            scale = atol + np.maximum(abs_y, abs_new) * rtol
+            error_norm = _norm(KT.dot(RK45.E) * h / scale)
+            if error_norm < 1:
+                factor = _MAX_FACTOR if error_norm == 0 else min(_MAX_FACTOR, _SAFETY * error_norm**_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_EXPONENT)
+            rejected = True
+        if abs_new[checked].max() >= escape:
+            raise FiniteEscapeError(f"trajectory exceeded |x| = {escape:g} at t = {t_new:.6g}")
+        t_old, y_old = t, y
+        t, y, f, abs_y = t_new, y_new, f_new, abs_new
+        k += t == end
+        if t_eval is None:
+            times.append(t)
+            ys.append(y)
+        else:  # the times of t_eval this step reached, from its quartic dense output
+            j = i
+            while j < len(ahead) and direction * (ahead[j] - t) <= 0:
+                j += 1
+            if j > i:
+                x = (t_eval[i:j] - t_old) / h
+                p = np.empty((RK45.P.shape[1], j - i))  # x, x^2, x^3, x^4, each the last times x
+                p[0] = x
+                for m in range(1, len(p)):
+                    p[m] = p[m - 1] * x
+                out = h * np.dot(KT.dot(RK45.P), p)
+                out += y_old[:, None]
+                ys.append(out)
+                i = j
+        if direction * (t - t1) >= 0:
+            break
+    if t_eval is None:
+        return _Solution(np.array(times), np.vstack(ys).T, nfev)
+    return _Solution(times, ys[0] if len(ys) == 1 else np.hstack(ys), nfev)
 
 
 def _solve(spec: OdeSpec, t0, y0, t1, abstol, reltol, augmented=False, t_eval=None):
     """(times, states) of the states y0 solved from t0 to t1 (either
-    direction) in one solve_ivp call: the solver's steps, or only the times
-    of t_eval (ordered from t0 to t1).  An end-state caller passes
+    direction) in one ``solve_ivp`` run: the solver's steps, or only the
+    times of t_eval (ordered from t0 to t1).  An end-state caller passes
     ``t_eval=[t1]``, so the solver keeps no step history.
 
     A sampled input is piecewise linear.  Stepping across its nodes leaves
     the period map noisy at the level of the tolerance, so the solver steps
     through the node pieces with each step ending at a node strictly inside
-    the span (Hairer, Norsett & Wanner, Solving ODE I, II.6); the nodes are
-    among the steps.  A smooth input has no nodes and takes the steps of
-    plain RK45.  ``augmented`` integrates each state's log multiplier
-    alongside (from 0), after the states.  The solver checks the escape
-    bound at each step end: the solve stops with FiniteEscapeError, naming
-    the first step end where a state (not a log multiplier) has left
-    |x| < ESCAPE_BOUND.
+    the span (Hairer, Norsett & Wanner, Solving ODE I, II.6).  A smooth
+    input has no nodes and takes the steps of plain RK45.  ``augmented``
+    integrates each state's log multiplier alongside (from 0), after the
+    states; the escape bound applies to the states alone.
     """
     y = np.atleast_1d(np.asarray(y0, dtype=float))
     n = y.size
     if augmented:
         y = np.concatenate([y, np.zeros(n)])
-    sol = solve_ivp(
-        spec._kernels[augmented],
-        (t0, t1),
-        y,
-        method=_NodeRK45,
-        nodes=spec._signal_at.kinks(t0, t1),
-        states=n,
-        atol=abstol,
-        rtol=reltol,
-        t_eval=t_eval,
-        max_step=abs(t1 - t0) / 16.0,
-    )
-    if sol.status != 0:
-        raise RuntimeError(f"integration failed: {sol.message}")
+    nodes = spec._signal_at.kinks(t0, t1)
+    sol = solve_ivp(spec._kernels[augmented], t0, y, t1, abstol, reltol, t_eval=t_eval, nodes=nodes, states=n)
     return sol.t, sol.y
 
 

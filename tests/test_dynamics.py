@@ -695,11 +695,12 @@ class CountedMap:
     counts its calls."""
 
     def __init__(self, fn):
-        self.fn, self.calls = fn, 0
+        self.fn, self.calls, self.last = fn, 0, None
 
     def __call__(self, *args, **kwargs):
         self.calls += 1
-        return self.fn(*args, **kwargs)
+        self.last = self.fn(*args, **kwargs)
+        return self.last
 
 
 class TestSampledInput:
@@ -964,7 +965,8 @@ class TestLockStep:
 
 
 class TestSmoothInputIsOnePiece:
-    """A smooth input makes exactly the single solve_ivp call of the span."""
+    """A smooth input is one run of the module's RK45 loop over the span, with
+    the floats and the kernel calls of scipy's RK45."""
 
     Y = signals.TrigSum(0.0, ((0.03, 1.0, 0.4), (0.01, 2.0, 0.1)))
 
@@ -979,7 +981,8 @@ class TestSmoothInputIsOnePiece:
             return dynamics.ESCAPE_BOUND - np.max(np.abs(y[:3]))
 
         escape.terminal = True
-        for t_eval in (None, np.linspace(t0, t1, 9)):
+        loop = dynamics.solve_ivp
+        for t_eval in (None, [t1], np.linspace(t0, t1, 9)):
             want = solve_ivp(
                 spec._kernels[1] if augmented else (lambda t, x: np.atleast_1d(spec.rhs(t, x))),
                 (t0, t1),
@@ -991,15 +994,15 @@ class TestSmoothInputIsOnePiece:
                 events=escape,
                 max_step=abs(t1 - t0) / 16.0,
             )
-            solves = CountedMap(solve_ivp)
+            solves = CountedMap(loop)
             monkeypatch.setattr(dynamics, "solve_ivp", solves)
             ts, ys = dynamics._solve(spec, t0, x0, t1, dynamics.ABSTOL, dynamics.RELTOL, augmented, t_eval)
-            assert solves.calls == 1
+            assert want.status == 0 and solves.calls == 1 and solves.last.nfev == want.nfev
             assert np.array_equal(ts, want.t) and np.array_equal(ys, want.y)
 
 
 class TestSampledInputIsOneSolve:
-    """A sampled input is one solve_ivp call too: the solver steps through the
+    """A sampled input is one run of the RK45 loop too: it steps through the
     node pieces, each step ending at or before the next node."""
 
     T = SAMPLED.period
@@ -1018,9 +1021,10 @@ class TestSampledInputIsOneSolve:
         ts = np.concatenate([np.asarray(SAMPLED_TIMES) + m * self.T for m in range(-1, 4)])
         nodes = ts[(ts > a) & (ts < b)]  # the interior nodes, as reference_flow places them
         assert nodes.size == n_nodes
+        loop = dynamics.solve_ivp
         for augmented in (False, True):
             for t_eval in (None, np.linspace(t0, t1, 7)):
-                solves = CountedMap(solve_ivp)
+                solves = CountedMap(loop)
                 monkeypatch.setattr(dynamics, "solve_ivp", solves)
                 times, ys = dynamics._solve(
                     spec, t0, self.X0, t1, dynamics.ABSTOL, dynamics.RELTOL, augmented, t_eval
@@ -1085,20 +1089,24 @@ class TestEndStateKeepsNoSteps:
         assert held < 2e5
 
     @pytest.mark.parametrize("x0,escapes", [(1e4, True), (2.0, False)], ids=["escaping", "finishing"])
-    def test_solver_freed_without_collector(self, monkeypatch, x0, escapes):
-        # a solve stopped by the escape event leaves its solver "running"; it
-        # is freed by reference counting all the same, as a finished one is
+    def test_solver_freed_without_collector(self, x0, escapes):
+        # a solve stopped at an escape frees what it made by reference
+        # counting, as a finished one does: every state array the loop handed
+        # its kernel and every derivative the kernel returned, and no cycle is
+        # left for the collector
         made = []
-
-        class Recorded(dynamics._NodeRK45):
-            def __init__(self, *args, **options):
-                super().__init__(*args, **options)
-                made.append(weakref.ref(self))
-
-        monkeypatch.setattr(dynamics, "_NodeRK45", Recorded)
         spec = dynamics.OdeSpec(5.0, 0.5 * (model.lam1(5.0) + model.lam2(5.0)), SAMPLED)
+        field, augmented = spec._kernels
+
+        def recorded(t, y):
+            out = augmented(t, y)
+            made.extend((weakref.ref(y), weakref.ref(out)))
+            return out
+
+        object.__setattr__(spec, "_kernels", (field, recorded))
         xs = np.append(np.linspace(1.2, 2.6, 63), x0)  # bounded both ways, but for 1e4
         enabled = gc.isenabled()
+        gc.collect()
         gc.disable()
         escaped = False
         try:
@@ -1107,11 +1115,13 @@ class TestEndStateKeepsNoSteps:
             except dynamics.FiniteEscapeError:
                 escaped = True
             alive = [ref() is not None for ref in made]
+            cycles = gc.collect()
         finally:
             if enabled:
                 gc.enable()
         assert escaped == escapes
-        assert alive == [False]
+        assert len(alive) > 12 and not any(alive)
+        assert cycles == 0
 
     def test_escaping_solve_holds_nothing(self):
         # with the cyclic collector off, a terminal escape event's root finder
@@ -1135,12 +1145,12 @@ class TestEndStateKeepsNoSteps:
         "y", [signals.TrigSum(0.0, ((0.04, 1.0, -math.pi / 2.0),)), SAMPLED], ids=["trig", "sampled"]
     )
     def test_census_asks_for_one_time(self, monkeypatch, y):
-        asked = []
+        asked, loop = [], dynamics.solve_ivp
 
         def recorded(*args, **kwargs):
             t_eval = kwargs["t_eval"]
             asked.append(None if t_eval is None else len(t_eval))
-            return solve_ivp(*args, **kwargs)
+            return loop(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, "solve_ivp", recorded)
         spec = dynamics.OdeSpec(5.0, 0.5 * (model.lam1(5.0) + model.lam2(5.0)), y)
@@ -1150,9 +1160,11 @@ class TestEndStateKeepsNoSteps:
 
 
 class TestEscapeCheckMatchesEvent:
-    """The solver checks the escape bound at each step end.  It raises
-    exactly when a terminal event on |x| = ESCAPE_BOUND stops the same
-    steps, at the end of the step in which the event's root lies."""
+    """The solver checks the escape bound at each step end.  On a smooth
+    input it raises exactly when a terminal event on |x| = ESCAPE_BOUND
+    stops scipy's RK45, at the end of the step in which the event's root
+    lies; on a sampled input, which scipy's RK45 does not step node to node,
+    at the first step end beyond the bound in the loop's own steps."""
 
     LAM = 0.5 * (model.lam1(5.0) + model.lam2(5.0))
     CASES = {
@@ -1168,40 +1180,49 @@ class TestEscapeCheckMatchesEvent:
         "sampled-backward": (dynamics.OdeSpec(5.0, LAM, SAMPLED), SAMPLED.period, [1.2, 1e4], 0.0),
     }
 
-    def reference(self, monkeypatch, spec, t0, x0, t1, augmented):
-        """solve_ivp stopped by a terminal escape event on the states.  A
-        smooth input takes plain RK45; a sampled one the node-clipping
-        solver with its own check out of reach, as ``_solve`` stepped it
-        before the check moved into the solver."""
+    def reference(self, spec, t0, x0, t1, augmented):
+        """scipy's RK45 stopped by a terminal escape event on the states."""
         n, bound = len(x0), dynamics.ESCAPE_BOUND
 
         def escape(t, y):
             return bound - np.max(np.abs(y[:n]))
 
         escape.terminal = True
-        nodes = spec._signal_at.kinks(t0, t1)
+        return solve_ivp(
+            spec._kernels[augmented],
+            (t0, t1),
+            np.concatenate([x0, np.zeros(n)]) if augmented else np.array(x0),
+            method="RK45",
+            atol=dynamics.ABSTOL,
+            rtol=dynamics.RELTOL,
+            t_eval=[t1],
+            events=escape,
+            max_step=abs(t1 - t0) / 16.0,
+        )
+
+    def first_step_end_beyond(self, monkeypatch, spec, t0, x0, t1, augmented):
+        """The first step end where a state has left |x| < ESCAPE_BOUND in the
+        loop's own step history, taken with the check out of reach; None
+        when no step end has."""
+        bound = dynamics.ESCAPE_BOUND
         with monkeypatch.context() as patched:
-            options = {"method": "RK45"}
-            if len(nodes):
-                patched.setattr(dynamics, "ESCAPE_BOUND", math.inf)
-                options = {"method": dynamics._NodeRK45, "nodes": nodes, "states": n}
-            return solve_ivp(
-                spec._kernels[augmented],
-                (t0, t1),
-                np.concatenate([x0, np.zeros(n)]) if augmented else np.array(x0),
-                atol=dynamics.ABSTOL,
-                rtol=dynamics.RELTOL,
-                t_eval=[t1],
-                events=escape,
-                max_step=abs(t1 - t0) / 16.0,
-                **options,
-            )
+            patched.setattr(dynamics, "ESCAPE_BOUND", math.inf)
+            ts, ys = dynamics._solve(spec, t0, x0, t1, dynamics.ABSTOL, dynamics.RELTOL, augmented)
+        beyond = np.flatnonzero(np.abs(ys[: len(x0)]).max(axis=0) >= bound)
+        return float(ts[beyond[0]]) if beyond.size else None
 
     @pytest.mark.parametrize("augmented", [False, True])
     @pytest.mark.parametrize("case", CASES)
     def test_raises_where_the_event_stops(self, monkeypatch, case, augmented):
         spec, t0, x0, t1 = self.CASES[case]
-        want = self.reference(monkeypatch, spec, t0, x0, t1, augmented)
+        if len(spec._signal_at.kinks(t0, t1)):
+            want = self.first_step_end_beyond(monkeypatch, spec, t0, x0, t1, augmented)
+            assert want is not None  # every sampled case escapes
+            with pytest.raises(dynamics.FiniteEscapeError) as escaped:
+                dynamics._solve(spec, t0, x0, t1, dynamics.ABSTOL, dynamics.RELTOL, augmented, [t1])
+            assert re.search(r"at t = (\S+)$", str(escaped.value)).group(1) == f"{want:.6g}"
+            return
+        want = self.reference(spec, t0, x0, t1, augmented)
         assert want.status in (0, 1)
         assert (want.status == 1) == (case != "bounded")
         try:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from bistab import cli, criteria, dynamics, relaxation, signals
 
@@ -41,3 +42,28 @@ def test_install_wraps_and_uninstall_restores(tracing):
     for module, names in zip(modules, before):
         for name, value in names.items():
             assert vars(module)[name] is value, f"{module.__name__}.{name} not restored"
+
+
+def test_solve_count_is_the_kernel_calls(tracing):
+    # CI's solve budgets read the traced calls and nfev of dynamics.solve_ivp,
+    # the module's own RK45 loop: one run per map call, and nfev the kernel
+    # calls that run really made
+    assert dynamics.solve_ivp is not scipy.integrate.solve_ivp
+    assert not hasattr(dynamics, "_NodeRK45")
+    spec = dynamics.OdeSpec(5.0, 6.04, signals.TrigSum(0.0, ((0.03, 1.0, 0.4),)))
+    field, augmented = spec._kernels
+    kernel_calls = [0]
+
+    def counted(t, y):
+        kernel_calls[0] += 1
+        return augmented(t, y)
+
+    object.__setattr__(spec, "_kernels", (field, counted))
+    tracer = tracing.install()
+    try:
+        dynamics.poincare_map_log(spec, 2.0 * np.pi, np.array([1.8, 2.0, 2.2]))
+        assert tracer.calls["dynamics.solve_ivp"] == 1
+        assert tracer.counts["nfev"] == kernel_calls[0] > 2
+        assert (kernel_calls[0] - 2) % 6 == 0
+    finally:
+        tracer.uninstall()
