@@ -192,14 +192,15 @@ def cmd_threshold(args) -> None:
                 "r_threshold": res.r,
                 "regime_below": res.regime_below,
                 "regime_above": res.regime_above,
-                "censuses": res.censuses,
+                "censuses": res.censuses,  # r values censused
+                "solves": res.solves,  # family solves, several r each
             }
         )
     _emit(
         args,
         {"command": "threshold", "c": args.c, "eps": args.eps, "tol": args.tol},
         rows,
-        ["c", "eps", "r_threshold", "regime_below", "regime_above", "censuses"],
+        ["c", "eps", "r_threshold", "regime_below", "regime_above", "censuses", "solves"],
     )
 
 

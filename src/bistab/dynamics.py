@@ -13,6 +13,13 @@ the inverse map (backward-time integration), for which they are attractive:
 a forward pass starting within roundoff of a strongly repulsive orbit still
 falls off it long before the period ends, corrupting the multiplier integral.
 
+Every scan is a family scan (``_brackets``): it takes a sequence of
+OdeSpecs that share c, rhs_kind, the input's period and its kinks, stacks
+every member's seed grid into one solve and returns each member's
+brackets.  A one-member family is solved with its own kernel; the
+threshold census of ``relaxation`` solves several exponents r as one
+family, each member driven by its own lam + y(t).
+
 A census is about three solve batches.  One scan on 2,049 seeds gives the
 crossing counts of the nested 513- and 1,025-seed grids too, so a finer
 grid is solved only when those counts differ.  Then all attractive
@@ -233,7 +240,12 @@ class OdeSpec:
 
     def rhs(self, t, x):
         """dx/dt; x may be an array of states advanced in parallel."""
-        drive = self.lam + self._signal_at(t)
+        return self._rhs_driven(self.lam + self._signal_at(t), x)
+
+    def _rhs_driven(self, drive, x):
+        """dx/dt of the states x under the drive lam + y(t).  drive
+        broadcasts against x: a family scan drives each member's block of
+        states with that member's drive."""
         if self.rhs_kind == "full":
             return drive + gbar_eval(self.c, x)
         halved = mg_minus if self.rhs_kind == "concave-linear" else mg_plus
@@ -307,6 +319,8 @@ def solve_ivp(fun, t0, y0, t1, atol, rtol, *, t_eval, nodes, states) -> _Solutio
     step that shrinks to the spacing of the floats raises RuntimeError.
     """
     t, t1 = float(t0), float(t1)
+    # NumPy multiplies an array by a 0-d array faster than by a Python float
+    atol, rtol = np.asarray(atol, dtype=float), np.asarray(rtol, dtype=float)
     if not np.isfinite(y0).all():
         raise ValueError("the initial states must be finite")
     y, f = y0, fun(t, y0)
@@ -323,6 +337,8 @@ def solve_ivp(fun, t0, y0, t1, atol, rtol, *, t_eval, nodes, states) -> _Solutio
     stages = [(s, c, K[:s].T, a) for s, (c, a) in enumerate(_STAGES, start=1)]
     KT, K_B = K.T, K[:-1].T
     abs_y, checked, escape = np.abs(y), slice(states), ESCAPE_BOUND
+    # while the squares of all entries sum below this, none can be at the bound
+    escape_sq = ESCAPE_BOUND * ESCAPE_BOUND
     if t_eval is None:
         times, ys = [t], [y]
     else:
@@ -343,23 +359,24 @@ def solve_ivp(fun, t0, y0, t1, atol, rtol, *, t_eval, nodes, states) -> _Solutio
             if direction * (t_new - end) > 0:
                 t_new = end
             h = t_new - t
-            h_abs = abs(h)
+            h_abs, h_0d = abs(h), np.asarray(h)
             K[0] = f
             for s, c, Ks, a in stages:
-                K[s] = fun(t + c * h, y + Ks.dot(a) * h)
-            y_new = y + h * K_B.dot(RK45.B)
+                K[s] = fun(t + c * h, y + Ks.dot(a) * h_0d)
+            y_new = y + h_0d * K_B.dot(RK45.B)
             K[-1] = f_new = fun(t + h, y_new)
             nfev += 6
             abs_new = np.abs(y_new)
             scale = atol + np.maximum(abs_y, abs_new) * rtol
-            error_norm = _norm(KT.dot(RK45.E) * h / scale)
+            error_norm = _norm(KT.dot(RK45.E) * h_0d / scale)
             if error_norm < 1:
                 factor = _MAX_FACTOR if error_norm == 0 else min(_MAX_FACTOR, _SAFETY * error_norm**_EXPONENT)
                 h_abs *= min(1, factor) if rejected else factor
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_EXPONENT)
             rejected = True
-        if abs_new[checked].max() >= escape:
+        # a NaN sum fails the first test, and the exact one does not raise on it
+        if not y_new.dot(y_new) < escape_sq and abs_new[checked].max() >= escape:
             raise FiniteEscapeError(f"trajectory exceeded |x| = {escape:g} at t = {t_new:.6g}")
         t_old, y_old = t, y
         t, y, f, abs_y = t_new, y_new, f_new, abs_new
@@ -529,9 +546,48 @@ def _scan_interval(spec: OdeSpec) -> tuple[float, float] | None:
     return -SQRT3, float(rho) - SQRT3
 
 
-def _displacement_grid(spec: OdeSpec, T: float, xs: np.ndarray) -> np.ndarray:
-    """T(x0) - x0 for all seeds at once (one vectorized solve)."""
-    return _solve(spec, 0.0, xs, T, ABSTOL, RELTOL, t_eval=[T])[1][:, -1] - xs
+def _family_field(specs, T: float):
+    """(field, nodes): the solver's plain right-hand side for the states of
+    the family ``specs``, len(specs) equal blocks with the k-th under
+    specs[k], and the kinks of the input on [0, T].
+
+    One member's field is its own kernel (``_compile_kernels``).  A larger
+    family drives each block with its member's lam + y(t) through
+    ``OdeSpec._rhs_driven`` on arrays, so every entry is the float of that
+    member's ``OdeSpec.rhs``.  The members must share c, rhs_kind, the
+    input's period and its kinks on [0, T]; ValueError otherwise.
+    """
+    first = specs[0]
+    nodes = first._signal_at.kinks(0.0, T)
+    if len(specs) == 1:
+        return first._kernels[0], nodes
+    period = sig.fundamental_period(first.signal)
+    for spec in specs[1:]:
+        if (
+            (spec.c, spec.rhs_kind) != (first.c, first.rhs_kind)
+            or sig.fundamental_period(spec.signal) != period
+            or not np.array_equal(spec._signal_at.kinks(0.0, T), nodes)
+        ):
+            raise ValueError(
+                "a family scan needs one c, rhs_kind, input period and set of kinks, "
+                f"got {first!r} and {spec!r}"
+            )
+    members, m, driven = [(spec.lam, spec._signal_at) for spec in specs], len(specs), first._rhs_driven
+
+    def field(t, y):
+        drive = np.array([lam + signal_at(t) for lam, signal_at in members])
+        return driven(drive[:, None], y.reshape(m, -1)).ravel()
+
+    return field, nodes
+
+
+def _displacement_grid(specs, T: float, xs: np.ndarray) -> np.ndarray:
+    """T(x0) - x0 for all seeds at once (one vectorized solve).  xs is
+    len(specs) equal blocks of seeds, the k-th solved under specs[k]
+    (``_family_field``)."""
+    field, nodes = _family_field(specs, T)
+    y = np.asarray(xs, dtype=float)
+    return solve_ivp(field, 0.0, y, T, ABSTOL, RELTOL, t_eval=[T], nodes=nodes, states=y.size).y[:, -1] - xs
 
 
 def _sign_changes(xs: np.ndarray, d: np.ndarray) -> list[tuple[float, float, bool, float]]:
@@ -552,18 +608,25 @@ def _sign_changes(xs: np.ndarray, d: np.ndarray) -> list[tuple[float, float, boo
     return list(zip(xa, xb, np.where(z, db[i] < da[i], da[i] > 0.0), start))
 
 
-def _brackets(spec: OdeSpec, T: float, n: int, levels: int = 1):
-    """The ``_sign_changes`` of the displacement on n seeds over the scan
-    interval, from one vectorized solve.  With levels = k > 1 (n - 1 a
-    multiple of 2^(k-1)), the bracket lists of the k nested grids of every
-    2^(k-1)-th, ..., 2nd and every seed, coarsest first, from the same solve."""
-    interval = _scan_interval(spec)
-    if interval is None:
-        return [[] for _ in range(levels)] if levels > 1 else []
-    xs = np.linspace(*interval, n)
-    d = _displacement_grid(spec, T, xs)
-    nested = [_sign_changes(xs[:: 2**k], d[:: 2**k]) for k in reversed(range(levels))]
-    return nested if levels > 1 else nested[0]
+def _brackets(specs, T: float, n: int, levels: int = 1):
+    """The family scan: for each member of ``specs``, the ``_sign_changes``
+    of the displacement on n seeds over its scan interval, every member's
+    grid stacked into one vectorized solve.  With levels = k > 1 (n - 1 a
+    multiple of 2^(k-1)), each member's bracket lists of the k nested grids
+    of every 2^(k-1)-th, ..., 2nd and every seed, coarsest first, from the
+    same solve.  A one-member family is solved with its own kernel, so its
+    floats do not depend on the family path."""
+    intervals = [_scan_interval(spec) for spec in specs]
+    out = [[[] for _ in range(levels)] if levels > 1 else [] for _ in specs]
+    live = [k for k, interval in enumerate(intervals) if interval is not None]
+    if not live:
+        return out
+    xs = np.array([np.linspace(*intervals[k], n) for k in live])
+    d = _displacement_grid([specs[k] for k in live], T, xs.ravel()).reshape(xs.shape)
+    for k, xk, dk in zip(live, xs, d):
+        nested = [_sign_changes(xk[:: 2**j], dk[:: 2**j]) for j in reversed(range(levels))]
+        out[k] = nested if levels > 1 else nested[0]
+    return out
 
 
 def _stable_brackets(spec: OdeSpec, T: float):
@@ -572,11 +635,11 @@ def _stable_brackets(spec: OdeSpec, T: float):
     gives the counts of the grids of its every 4th and 2nd seed too; a finer
     grid is solved only while the counts still differ."""
     n, n_max = STABLE_SEEDS
-    *coarse, brk = _brackets(spec, T, n, levels=3)
+    *coarse, brk = _brackets([spec], T, n, levels=3)[0]
     counts = [len(b) for b in coarse] + [len(brk)]
     while len(set(counts[-3:])) > 1 and n < n_max:
         n = 2 * n - 1
-        brk = _brackets(spec, T, n)
+        brk = _brackets([spec], T, n)[0]
         counts.append(len(brk))
     return brk
 
@@ -682,7 +745,7 @@ def count_separated_solutions(spec: OdeSpec, T: float) -> int:
     least sqrt(3) long, so bracket midpoints lie at least 4e-4 apart; for
     c <= 4 gbar decreases, so the displacement does and crosses at most once.
     """
-    return len(_brackets(spec, T, CENSUS_SEEDS))
+    return len(_brackets([spec], T, CENSUS_SEEDS)[0])
 
 
 def signal_period(signal: sig.SignalSpec) -> float:
@@ -725,7 +788,7 @@ def _extremal_seed(spec: OdeSpec, T: float, sign: float, near: tuple[int, int] |
     while True:
         states += seeds.size
         try:
-            d = sign * _displacement_grid(spec, T, xs[seeds])
+            d = sign * _displacement_grid([spec], T, xs[seeds])
         except FiniteEscapeError:
             return None, float(xs[0] - xs[-1]), states
         k = int(np.argmax(d))

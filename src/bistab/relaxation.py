@@ -29,8 +29,8 @@ _BLOCK = 256  # points per vectorised pass of the pruned Hausdorff search
 # of r_star_estimate.  The estimate overshoots the census threshold by
 # 0.0004-0.0055, about eps/9, at c = 5 and eps in [0.01, 0.05], and by less
 # at c = 8 and 12; near c = 4 it overshoots more and the bracket widens.
-# A bracket of 15 tol ends within tol after four halvings; one of exactly
-# 16 tol needed a fifth about half the time, as its width rounds above tol.
+# A bracket of 15 tol ends within tol after two quarterings; one of exactly
+# 16 tol would need a third whenever its width rounds above tol.
 R_HALF_WIDTH_TOLS = 7.5
 R_HALF_WIDTH_EPS = 0.125
 
@@ -93,7 +93,8 @@ class ThresholdResult:
     tol: float
     regime_below: str
     regime_above: str
-    censuses: int  # _census_count calls, the widening of the bracket included
+    censuses: int  # r values censused, the widening of the bracket included
+    solves: int  # family solves (_census_count calls) that censused them
 
 
 def y_eps(spec: RelaxationSpec, t):
@@ -252,14 +253,18 @@ def run_analysis(spec: RelaxationSpec, n_loop: int = 4096, gamma_points: int = 2
     )
 
 
-def _census_count(c: float, eps: float, r: float) -> int:
-    """Count-only regime probe: crossings of the period map on a grid of 512
-    seeds.  The count is odd: y >= lam1 - eps^r >= 0 (``RelaxationSpec``),
-    so the displacement is positive at the floor 0 of the scan interval, and
-    it is negative at the ceiling.  A count of 5 or more is left to
+def _census_count(c: float, eps: float, rs) -> list[int]:
+    """Count-only regime probe at each exponent of rs: crossings of the
+    period map on a grid of 512 seeds, every r's grid from one family scan
+    (``dynamics._brackets``).  The r share the period 2 pi / eps, c and the
+    shape of the forcing; only its amplitude beta + eps^r differs.  Each
+    count is odd: y >= lam1 - eps^r >= 0 (``RelaxationSpec``), so the
+    displacement is positive at the floor 0 of the scan interval, and it is
+    negative at the ceiling.  A count of 5 or more is left to
     ``r_threshold``, which rejects it as ambiguous."""
-    spec = RelaxationSpec(c, eps, r)
-    return len(dynamics._brackets(dynamics.OdeSpec(c, 0.0, spec.signal()), spec.period, 512))
+    specs = [RelaxationSpec(c, eps, r) for r in rs]
+    family = [dynamics.OdeSpec(c, 0.0, spec.signal()) for spec in specs]
+    return [len(b) for b in dynamics._brackets(family, specs[0].period, 512)]
 
 
 def r_star_estimate(c: float, eps: float) -> float:
@@ -284,15 +289,19 @@ def r_star_estimate(c: float, eps: float) -> float:
 def r_threshold(
     c: float, eps: float, tol: float = 1e-4, r_lo: float = 0.5, r_hi: float = 2.0
 ) -> ThresholdResult:
-    """Bisect the exponent r on the regime predicate (3 vs 1 periodic
+    """Quadrisect the exponent r on the regime predicate (3 vs 1 periodic
     solutions) until the bracket is below tol; reports which regime was
     observed on each side rather than asserting it a priori.
 
     The bracket starts at ``r_star_estimate`` +- max(R_HALF_WIDTH_TOLS * tol,
-    R_HALF_WIDTH_EPS * eps), clipped into [r_lo, r_hi].  While both ends
-    show one regime the half-width grows eightfold; [r_lo, r_hi] is the
-    widest bracket, and RuntimeError is raised when even it does not
-    straddle.  Requires a finite tol > 0 and finite r_lo < r_hi."""
+    R_HALF_WIDTH_EPS * eps), clipped into [r_lo, r_hi].  Each round is one
+    family census (``_census_count``) on a grid of five r: the first takes
+    the bracket's two ends and its three quarter points, a later one the
+    three quarter points of the quarter where the regime flipped.  While
+    both ends show one regime the half-width grows eightfold; [r_lo, r_hi]
+    is the widest bracket, and RuntimeError is raised when even it does not
+    straddle, or when a grid's regimes flip more than once.  Requires a
+    finite tol > 0 and finite r_lo < r_hi."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"r_threshold requires a finite tol > 0, got tol = {tol}")
     if not (math.isfinite(r_lo) and math.isfinite(r_hi) and r_lo < r_hi):
@@ -300,34 +309,48 @@ def r_threshold(
     # a bad c or eps raises here; eps^r falls with r, so the spec at r_lo
     # holds the forcing's floor for the whole bracket
     RelaxationSpec(c, eps, r_lo)
-    seen = {}
+    seen, solves = {}, 0
 
-    def bistable(r: float) -> bool:
-        if r not in seen:
-            n = _census_count(c, eps, r)
-            if n not in (1, 3):
-                raise RuntimeError(f"ambiguous census ({n} crossings) at r = {r:.6g}")
-            seen[r] = n == 3
-        return seen[r]
+    def bistable(grid: list[float]) -> list[bool]:
+        # whether each r of the grid is bistable, the r not seen yet censused in one solve
+        nonlocal solves
+        new = [r for r in grid if r not in seen]
+        if new:
+            solves += 1
+            for r, n in zip(new, _census_count(c, eps, new)):
+                if n not in (1, 3):
+                    raise RuntimeError(f"ambiguous census ({n} crossings) at r = {r:.6g}")
+                seen[r] = n == 3
+        regimes = [seen[r] for r in grid]
+        if sum(a != b for a, b in zip(regimes, regimes[1:])) > 1:
+            cells = ", ".join(f"{r:.6g} ({'bistable' if b else 'relaxation'})" for r, b in zip(grid, regimes))
+            raise RuntimeError(f"census regimes flip more than once across r = {cells}")
+        return regimes
+
+    def quarters(lo: float, hi: float) -> list[float]:
+        return [lo, lo + 0.25 * (hi - lo), lo + 0.5 * (hi - lo), lo + 0.75 * (hi - lo), hi]
 
     center = min(max(r_star_estimate(c, eps), r_lo), r_hi)
     w = max(R_HALF_WIDTH_TOLS * tol, R_HALF_WIDTH_EPS * eps)
     while True:
         lo, hi = max(r_lo, center - w), min(r_hi, center + w)
-        lo_b, hi_b = bistable(lo), bistable(hi)
-        if lo_b != hi_b or (lo, hi) == (r_lo, r_hi):
+        grid = quarters(lo, hi)
+        regimes = bistable(grid)
+        if regimes[0] != regimes[-1] or (lo, hi) == (r_lo, r_hi):
             break
         w *= 8.0
+    lo_b, hi_b = regimes[0], regimes[-1]
     if lo_b == hi_b:
         raise RuntimeError(
             f"bracket [{r_lo}, {r_hi}] does not straddle the regime change at c={c}, eps={eps}"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if bistable(mid) == hi_b:
-            hi = mid
-        else:
-            lo = mid
+    while True:
+        k = regimes.index(hi_b)  # the grid's one flip lies between k - 1 and k
+        lo, hi = grid[k - 1], grid[k]
+        if hi - lo <= tol:
+            break
+        grid = quarters(lo, hi)
+        regimes = bistable(grid)
     regime = {True: "bistable", False: "relaxation"}
     return ThresholdResult(
         r=0.5 * (lo + hi),
@@ -335,6 +358,7 @@ def r_threshold(
         regime_below=regime[lo_b],
         regime_above=regime[hi_b],
         censuses=len(seen),
+        solves=solves,
     )
 
 

@@ -154,7 +154,7 @@ class TestCensus:
         monkeypatch.setattr(dynamics, "_displacement_grid", lambda spec, T, xs: d)
         spec = dynamics.OdeSpec(5.0, 6.0, ZERO)
         want = loop_brackets(np.linspace(*dynamics._scan_interval(spec), d.size), d)
-        got = dynamics._brackets(spec, 1.0, d.size)
+        got = dynamics._brackets([spec], 1.0, d.size)[0]
         assert [tuple(map(type, b)) for b in got] == [tuple(map(type, b)) for b in want]
         assert got == want and any(d[:-1] == 0.0) and len(got) > 10
 
@@ -248,7 +248,7 @@ class TestCensus:
         lo, hi = dynamics._scan_interval(spec)
         pair = [x for x in autonomous_equilibria(c, lam) if abs(x - model.x2(c)) < 0.01]
         assert len(pair) == 2 and (hi - lo) / 2048 < pair[1] - pair[0] < (hi - lo) / 512
-        *coarse, fine = dynamics._brackets(spec, 1.0, 2049, levels=3)
+        *coarse, fine = dynamics._brackets([spec], 1.0, 2049, levels=3)[0]
         assert [len(b) for b in coarse] == [1, 3] and len(fine) == 3
         scans = CountedMap(dynamics._brackets)
         monkeypatch.setattr(dynamics, "_brackets", scans)
@@ -276,6 +276,75 @@ class TestCensus:
             for lam in (5.0, 6.0, 7.0)
         ]
         assert counts == [1, 3, 1]
+
+
+class TestFamilyScan:
+    """``_brackets`` on a family of OdeSpecs: every member's grid stacked
+    into one solve, as the threshold census solves several exponents r."""
+
+    TRIG = signals.TrigSum(0.0, ((0.04, 1.0, -math.pi / 2.0),))
+
+    @pytest.mark.parametrize("kind", dynamics.RHS_KINDS)
+    def test_entries_are_each_members_rhs(self, kind):
+        # members with their own lambda and amplitude, states on both halves
+        # and on the cubic branch of gbar: every entry of the stacked field is
+        # that member's OdeSpec.rhs, bit for bit
+        specs = [
+            dynamics.OdeSpec(5.0, lam, signals.TrigSum(0.01, ((a, 1.0, 0.3),)), kind)
+            for lam, a in ((6.0, 0.02), (6.01, 0.03), (6.05, 0.04))
+        ]
+        field, nodes = dynamics._family_field(specs, 2.0 * math.pi)
+        assert len(nodes) == 0
+        rng = np.random.default_rng(1)
+        x = rng.uniform(-2.5, 3.0, (3, 50))
+        for t in rng.uniform(0.0, 2.0 * math.pi, 5).tolist():
+            got = field(t, x.ravel()).reshape(x.shape)
+            for k, spec in enumerate(specs):
+                assert np.array_equal(got[k], spec.rhs(t, x[k]))
+
+    def test_one_member_is_scipy_rk45_bit_for_bit(self):
+        # a one-member family solves with the member's own kernel, so its
+        # displacements are scipy's RK45 on OdeSpec.rhs, float for float
+        spec = dynamics.OdeSpec(5.0, 0.5 * (model.lam1(5.0) + model.lam2(5.0)), self.TRIG)
+        T, xs = 2.0 * math.pi, np.linspace(*dynamics._scan_interval(spec), 257)
+        ref = solve_ivp(
+            spec.rhs, (0.0, T), xs, method="RK45", atol=dynamics.ABSTOL, rtol=dynamics.RELTOL,
+            t_eval=[T], max_step=T / 16.0,
+        )
+        want = ref.y[:, -1] - xs
+        assert np.array_equal(dynamics._displacement_grid([spec], T, xs), want)
+        assert dynamics._brackets([spec], T, 257) == [dynamics._sign_changes(xs, want)]
+        assert len(dynamics._brackets([spec], T, 257)[0]) == 3
+
+    def test_members_get_their_own_grids_and_brackets(self):
+        # lambda below, inside and above the fold window: one, three and one
+        # crossings, each on the member's own scan interval
+        lams = (model.lam1(5.0) - 0.2, 0.5 * (model.lam1(5.0) + model.lam2(5.0)), model.lam2(5.0) + 0.2)
+        specs = [dynamics.OdeSpec(5.0, lam, self.TRIG) for lam in lams]
+        family = dynamics._brackets(specs, 2.0 * math.pi, 257, levels=2)
+        assert [[len(b) for b in levels] for levels in family] == [[1, 1], [3, 3], [1, 1]]
+        for spec, (_, brackets) in zip(specs, family):
+            lo, hi = dynamics._scan_interval(spec)
+            assert all(lo <= xa < xb <= hi for xa, xb, _, _ in brackets)
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            dynamics.OdeSpec(8.0, 6.0, TRIG),
+            dynamics.OdeSpec(5.0, 6.0, TRIG, "concave-linear"),
+            dynamics.OdeSpec(5.0, 6.0, signals.TrigSum(0.0, ((0.04, 2.0, 0.0),))),
+        ],
+        ids=["c", "rhs_kind", "period"],
+    )
+    def test_rejects_a_mixed_family(self, other):
+        with pytest.raises(ValueError, match="a family scan needs one c, rhs_kind"):
+            dynamics._brackets([dynamics.OdeSpec(5.0, 6.0, self.TRIG), other], 2.0 * math.pi, 65)
+
+    def test_rejects_members_with_other_kinks(self):
+        # a sampled input of the same period: the solver's steps end at its nodes
+        with pytest.raises(ValueError, match="a family scan needs one c, rhs_kind"):
+            dynamics._brackets([dynamics.OdeSpec(5.0, 6.0, self.TRIG), dynamics.OdeSpec(5.0, 6.0, SAMPLED)],
+                               2.0 * math.pi, 65)
 
 
 class TestFiniteTimeExponent:
@@ -541,7 +610,7 @@ class TestFoldWindow:
         i = dynamics._extremal_seed(dynamics.OdeSpec(c, top, y, "linear-convex"), T, -1.0)[0]
         spec = dynamics.OdeSpec(c, top + (model.lam2(c) - model.lam1(c)), y, "linear-convex")
         xs = np.linspace(*dynamics._scan_interval(spec), dynamics.CENSUS_SEEDS)
-        dynamics._displacement_grid(spec, T, xs[i - 4 : i + 5])  # the window's own seeds stay bounded
+        dynamics._displacement_grid([spec], T, xs[i - 4 : i + 5])  # the window's own seeds stay bounded
         grid = RecordedGrid()
         monkeypatch.setattr(dynamics, "_displacement_grid", grid)
         assert dynamics._extremal_seed(spec, T, -1.0, (i, i)) == (None, -(xs[-1] - xs[0]), 11)
@@ -1062,7 +1131,7 @@ class TestEndStateKeepsNoSteps:
         xs = np.linspace(*dynamics._scan_interval(ode), 2048)
         tracemalloc.start()
         try:
-            d = dynamics._displacement_grid(ode, spec.period, xs)
+            d = dynamics._displacement_grid([ode], spec.period, xs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1079,7 +1148,7 @@ class TestEndStateKeepsNoSteps:
         gc.disable()
         tracemalloc.start()
         try:
-            d = dynamics._displacement_grid(spec, SAMPLED.period, xs)
+            d = dynamics._displacement_grid([spec], SAMPLED.period, xs)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()

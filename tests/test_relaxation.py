@@ -227,8 +227,32 @@ class TestThreshold:
         assert res.regime_above == "bistable"
         assert 0.5 < res.r < 2.0
         # the two regimes really do hold just outside the tol bracket
-        assert relaxation._census_count(5.0, 0.05, res.r - 2.0 * res.tol) == 1
-        assert relaxation._census_count(5.0, 0.05, res.r + 2.0 * res.tol) == 3
+        assert relaxation._census_count(5.0, 0.05, [res.r - 2.0 * res.tol]) == [1]
+        assert relaxation._census_count(5.0, 0.05, [res.r + 2.0 * res.tol]) == [3]
+
+    @pytest.mark.parametrize("eps", [0.045, 0.028])
+    def test_family_counts_match_solo_counts(self, eps):
+        # the first grid of r_threshold at tol 1e-3, five r straddling r*: one
+        # family solve gives each r the count of its own solo census
+        est, w = relaxation.r_star_estimate(5.0, eps), relaxation.R_HALF_WIDTH_TOLS * 1e-3
+        rs = [est - w, est - 0.5 * w, est, est + 0.5 * w, est + w]
+        counts = relaxation._census_count(5.0, eps, rs)
+        assert counts == [relaxation._census_count(5.0, eps, [r])[0] for r in rs]
+        assert counts[0] == 1 and counts[-1] == 3
+
+    def test_regimes_flipping_twice_raise(self, monkeypatch):
+        # a grid whose regimes go relaxation, bistable, relaxation: no single
+        # threshold, which a bisection of the two ends would not have seen
+        monkeypatch.setattr(relaxation, "_census_count", lambda c, eps, rs: [1, 3, 1, 3, 3][: len(rs)])
+        lo = relaxation.r_star_estimate(5.0, 0.05) - relaxation.R_HALF_WIDTH_TOLS * 1e-3
+        with pytest.raises(RuntimeError, match=r"^census regimes flip more than once across r = ") as flipped:
+            relaxation.r_threshold(5.0, 0.05, tol=1e-3)
+        assert f"{lo:.6g} (relaxation)" in str(flipped.value)
+
+    def test_ambiguous_count_raises(self, monkeypatch):
+        monkeypatch.setattr(relaxation, "_census_count", lambda c, eps, rs: [1, 1, 5, 3, 3][: len(rs)])
+        with pytest.raises(RuntimeError, match=r"^ambiguous census \(5 crossings\) at r = "):
+            relaxation.r_threshold(5.0, 0.05, tol=1e-3)
 
     def test_bad_bracket(self):
         with pytest.raises(RuntimeError):
@@ -247,7 +271,7 @@ def bisect_r_threshold(c, eps, tol, r_lo=0.5, r_hi=2.0):
 
     def bistable(r):
         calls.append(r)
-        return relaxation._census_count(c, eps, r) == 3
+        return relaxation._census_count(c, eps, [r]) == [3]
 
     lo_b, hi_b = bistable(r_lo), bistable(r_hi)
     assert lo_b != hi_b
@@ -277,8 +301,10 @@ class TestSlowPassageBracket:
         over = relaxation.r_star_estimate(5.0, eps) - res.r
         assert 0.0 < over < relaxation.R_HALF_WIDTH_EPS * eps
         w = max(relaxation.R_HALF_WIDTH_TOLS * 1e-4, relaxation.R_HALF_WIDTH_EPS * eps)
-        # the two ends and the halvings from 2 w down to tol
-        assert res.censuses == 2 + math.ceil(math.log2(2.0 * w / 1e-4))
+        # the first grid of five r, then three quarter points per quartering
+        # from 2 w down to tol
+        quarterings = math.ceil(math.log(2.0 * w / 1e-4, 4))
+        assert res.solves == quarterings and res.censuses == 5 + 3 * (quarterings - 1)
 
     @pytest.mark.parametrize("eps", [0.025, 0.032, 0.04, 0.05])
     def test_agrees_with_full_bracket_bisection(self, eps):
@@ -288,8 +314,10 @@ class TestSlowPassageBracket:
         r, below, above, calls = bisect_r_threshold(5.0, eps, tol)
         assert abs(res.r - r) <= tol
         assert (res.regime_below, res.regime_above) == (below, above) == ("relaxation", "bistable")
-        # 2 ends and 4 halvings of 15 tol; the whole bracket takes 2 and 11
-        assert res.censuses == 6 and calls == 13
+        # the first solve censuses the 2 ends and 3 quarter points of 15 tol,
+        # the second the 3 quarter points of the flipped 3.75 tol; the whole
+        # bracket's bisection takes 2 ends and 11 halvings, one census each
+        assert (res.solves, res.censuses) == (2, 8) and calls == 13
 
     @pytest.mark.parametrize("wrong", [0.5, 1.9])
     def test_wrong_estimate_widens_to_the_same_answer(self, monkeypatch, wrong):
@@ -299,7 +327,8 @@ class TestSlowPassageBracket:
         res = relaxation.r_threshold(5.0, 0.05, tol=tol)
         assert abs(res.r - r) <= tol
         assert (res.regime_below, res.regime_above) == (below, above)
-        assert res.censuses > 6
+        # each widening is one more solve of five r
+        assert res.censuses > 8 and res.solves > 2
 
     @pytest.mark.parametrize(
         "kwargs",
