@@ -25,13 +25,19 @@ crossing counts of the nested 513- and 1,025-seed grids too, so a finer
 grid is solved only when those counts differ.  Then all attractive
 crossings are refined in lock step by one multi-state forward map solve
 per step, and all repulsive ones by backward solves; a crossing leaves its
-batch once it converges.  Each starts at the secant zero of its bracket's
-two displacement values and takes Newton steps on the period map (the
-shooting method), at no extra cost: the slope of the map is the multiplier
-that each map solve integrates anyway.  A Newton step is taken only where
-it is safe (the map contracts and the step stays inside the crossing's
-bracket); otherwise the plain contraction step is taken, with root
-bracketing, one crossing at a time, as the last resort.
+batch once it converges.  Each starts at the zero of the inverse cubic
+through the four scan seeds around it (the secant zero of its two
+displacement values at a grid end or where that zero leaves the bracket),
+so a crossing of a smooth displacement starts within a few 1e-9 of its
+fixed point (1e-11 to 7e-9 on the benchmark's census inputs).  It takes
+Newton steps on the period map (the shooting method), at no extra cost:
+the slope of the map is the multiplier that each map solve integrates
+anyway, and a Newton step whose correction is below FP_TOL ends the
+refinement, so such a crossing needs one map solve.  A Newton step is
+taken only where it is safe (the map contracts and the step stays inside
+the crossing's bracket); otherwise the plain contraction step is taken,
+stopped on |P(x) - x| < FP_TOL, with root bracketing, one crossing at a
+time, as the last resort.
 
 Every integration is one run of ``solve_ivp``, the module's own RK45 loop:
 scipy's Dormand-Prince 5(4) stepper, its floats reproduced bit for bit,
@@ -594,8 +600,14 @@ def _sign_changes(xs: np.ndarray, d: np.ndarray) -> list[tuple[float, float, boo
     """(xa, xb, attractive_crossing, start) for every sign change of the
     displacement d on the seeds xs, in increasing order.  A seed where the
     displacement is exactly zero gives the bracket of its two neighbours and
-    starts at its midpoint; any other crossing starts at the secant zero of
-    its two displacement values."""
+    starts at its midpoint.  Any other crossing, between seeds i and i + 1,
+    starts at the zero of the inverse cubic through the four seeds i - 1 to
+    i + 2 (x as a cubic in d, in Lagrange form about xs[i]), whose error is
+    of fourth order in the seed spacing; the scan has solved those seeds
+    already.  It starts at the secant zero of its two displacement values
+    instead at either end of the grid, where a seed is missing, and where
+    the cubic's zero is not strictly inside the bracket (among them tied
+    values, whose cubic is not defined)."""
     da, db = d[:-1], d[1:]
     zero = da == 0.0
     i = np.flatnonzero(zero | (da * db < 0.0))
@@ -605,6 +617,21 @@ def _sign_changes(xs: np.ndarray, d: np.ndarray) -> list[tuple[float, float, boo
     # a zero seed may have a zero neighbour, so its (unused) secant is not formed
     step = np.divide(da[i] * (xb - xa), db[i] - da[i], out=np.zeros(i.size), where=~z)
     start = np.where(z, 0.5 * (xa + xb), xa - step)
+    inner = np.flatnonzero(~z & (i >= 1) & (i + 2 < xs.size))
+    if inner.size:
+        k = i[inner]
+        x4, d4 = [xs[k + m] for m in range(-1, 3)], [d[k + m] for m in range(-1, 3)]
+        cubic = 0.0
+        with np.errstate(all="ignore"):  # tied values give inf or nan, which the bracket test drops
+            for m in range(4):
+                w = 1.0
+                for j in range(4):
+                    if j != m:
+                        w = w * (d4[j] / (d4[j] - d4[m]))
+                cubic = cubic + w * (x4[m] - x4[1])
+        cubic = x4[1] + cubic
+        inside = (xa[inner] < cubic) & (cubic < xb[inner])
+        start[inner[inside]] = cubic[inside]
     return list(zip(xa, xb, np.where(z, db[i] < da[i], da[i] > 0.0), start))
 
 
@@ -662,11 +689,17 @@ def _refine_fixed_point(
     of Applied Bifurcation Theory, ch. 10), written as a correction to the
     contraction step, P(x) + (P(x) - x) s / (1 - s), so it is the plain
     contraction step whenever s is below rounding.  The plain step is taken
-    instead when s >= 1 or when the Newton step would leave [xa, xb].  Root
-    bracketing on the forward displacement, one crossing at a time, is the
-    fallback for a crossing that 60 steps do not converge (multiplier near
-    1); its root's L then comes from one more map call in the crossing's
-    direction.
+    instead when s >= 1 or when the Newton step would leave [xa, xb].
+
+    A crossing converges at the step that moves it by less than FP_TOL, and
+    its fixed point is where that step lands.  For a Newton step the move
+    counted is the correction (P(x) - x) s / (1 - s), which estimates the
+    distance of P(x) from the fixed point, so a weakly hyperbolic crossing
+    (s near 1) is not stopped by a small |P(x) - x| far from its fixed
+    point; for a plain step it is |P(x) - x|.  Root bracketing on the
+    forward displacement, one crossing at a time, is the fallback for a
+    crossing that 60 steps do not converge (multiplier near 1); its root's
+    L then comes from one more map call in the crossing's direction.
     """
     xa, xb, x = (np.array(v, dtype=float) for v in (xa, xb, x))
     fixed, logs = np.full(x.size, np.nan), np.full(x.size, np.nan)
@@ -676,14 +709,16 @@ def _refine_fixed_point(
             return fixed, logs
         at = x[live]
         nxt, L = poincare_map_log(spec, T, at, backward=not attractive)
-        done = np.abs(nxt - at) < FP_TOL
-        fixed[live[done]], logs[live[done]] = nxt[done], L[done]
         # the iterated map's slope, clipped at 1 (no Newton step there) so exp cannot overflow
         s = np.exp(np.minimum(L if attractive else -L, 0.0))
         newton_ok = s < 1.0
-        newton = nxt + (nxt - at) * s / np.where(newton_ok, 1.0 - s, 1.0)
+        correction = (nxt - at) * s / np.where(newton_ok, 1.0 - s, 1.0)
+        newton = nxt + correction
         inside = newton_ok & (xa[live] <= newton) & (newton <= xb[live])
-        x[live] = np.where(inside, newton, nxt)
+        step = np.where(inside, newton, nxt)
+        done = np.abs(np.where(inside, correction, nxt - at)) < FP_TOL
+        fixed[live[done]], logs[live[done]] = step[done], L[done]
+        x[live] = step
         live = live[~done]
     for i in live:
         root = float(brentq(lambda z: poincare_map_log(spec, T, z)[0] - z, xa[i], xb[i], xtol=FP_TOL))

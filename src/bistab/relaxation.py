@@ -301,7 +301,9 @@ def r_threshold(
     both ends show one regime the half-width grows eightfold; [r_lo, r_hi]
     is the widest bracket, and RuntimeError is raised when even it does not
     straddle, or when a grid's regimes flip more than once.  Requires a
-    finite tol > 0 and finite r_lo < r_hi."""
+    finite tol > 0 and finite r_lo < r_hi; a tol below the float spacing of
+    r near the threshold raises ValueError, naming the bracket reached, once
+    its quarter points round onto its ends."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"r_threshold requires a finite tol > 0, got tol = {tol}")
     if not (math.isfinite(r_lo) and math.isfinite(r_hi) and r_lo < r_hi):
@@ -350,6 +352,11 @@ def r_threshold(
         if hi - lo <= tol:
             break
         grid = quarters(lo, hi)
+        if not lo < grid[1] <= grid[3] < hi:
+            raise ValueError(
+                f"tol = {tol:g} is below the float spacing of r: the regime flips in "
+                f"[{lo!r}, {hi!r}], whose quarter points are not new floats inside it"
+            )
         regimes = bistable(grid)
     regime = {True: "bistable", False: "relaxation"}
     return ThresholdResult(

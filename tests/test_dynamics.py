@@ -22,6 +22,20 @@ def autonomous_equilibria(c, lam):
     return sorted(float(r.real) for r in roots if abs(r.imag) < 1e-9)
 
 
+def polished_equilibria(c, lam):
+    """``autonomous_equilibria`` each polished by Newton steps on the cubic,
+    so a reference near a fold's close pair does not rest on np.roots alone
+    (at c = 5, lam1 + 1e-6, both lie within 2e-13 of a 50-digit solve)."""
+    out = []
+    for x in autonomous_equilibria(c, lam):
+        for _ in range(8):
+            p = ((x - lam) * x + 1.0 + 2.0 * c) * x - lam
+            dp = (3.0 * x - 2.0 * lam) * x + 1.0 + 2.0 * c
+            x -= p / dp
+        out.append(x)
+    return out
+
+
 class TestIntegrate:
     def test_equilibrium_stays_put(self):
         # x2 is an equilibrium of the autonomous flow at lam = lam1
@@ -128,10 +142,26 @@ class TestPoincareMap:
         assert fd == pytest.approx(L, abs=1e-4)
 
 
+def inverse_cubic_zero(x4, d4):
+    """The zero of x as the cubic in d through the four seeds (x4, d4), in
+    Lagrange form about x4[1]; None where two values tie."""
+    if len(set(d4)) < 4:
+        return None
+    total = 0.0
+    for m in range(4):
+        w = 1.0
+        for j in range(4):
+            if j != m:
+                w = w * (d4[j] / (d4[j] - d4[m]))
+        total = total + w * (x4[m] - x4[1])
+    return x4[1] + total
+
+
 def loop_brackets(xs, d):
     """Reference: the per-seed loop that ``_brackets`` replaced, with the
     refinement's start: the midpoint of a zero seed's bracket, else the
-    secant zero."""
+    inverse-cubic zero on the seeds i - 1 to i + 2 where it lies strictly
+    inside the bracket, else the secant zero."""
     out = []
     for i in range(len(xs) - 1):
         da, db = d[i], d[i + 1]
@@ -140,7 +170,12 @@ def loop_brackets(xs, d):
             out.append((xa, xb, db < da, 0.5 * (xa + xb)))
         elif da * db < 0.0:
             xa, xb = xs[i], xs[i + 1]
-            out.append((xa, xb, da > 0.0, xa - da * (xb - xa) / (db - da)))
+            start = xa - da * (xb - xa) / (db - da)
+            if 1 <= i and i + 2 < len(xs):
+                cubic = inverse_cubic_zero(xs[i - 1 : i + 3], d[i - 1 : i + 3])
+                if cubic is not None and xa < cubic < xb:
+                    start = cubic
+            out.append((xa, xb, da > 0.0, start))
     return out
 
 
@@ -157,6 +192,29 @@ class TestCensus:
         got = dynamics._brackets([spec], 1.0, d.size)[0]
         assert [tuple(map(type, b)) for b in got] == [tuple(map(type, b)) for b in want]
         assert got == want and any(d[:-1] == 0.0) and len(got) > 10
+
+    @pytest.mark.parametrize(
+        "d",
+        [[-1.0, 1.0, 2.0, 3.0], [-3.0, -2.0, -1.0, 1.0], [-1.0, -1e-3, 1.0, 1.001]],
+        ids=["first seeds", "last seeds", "cubic zero below the bracket"],
+    )
+    def test_start_falls_back_to_the_secant(self, d):
+        # no seed below or above the crossing's pair, or an inverse cubic whose
+        # zero leaves the bracket: the secant zero of the pair's two values
+        xs, d = np.arange(4.0), np.array(d)
+        ((xa, xb, attractive, start),) = dynamics._sign_changes(xs, d)
+        i = int(xa)
+        assert xb == i + 1 and not attractive
+        assert start == xa - d[i] * (xb - xa) / (d[i + 1] - d[i])
+        if i == 1:
+            assert not xa < inverse_cubic_zero(xs, d) < xb
+
+    def test_start_is_the_inverse_cubic_zero(self):
+        xs, d = np.arange(4.0), np.array([-10.0, -0.1, 0.2, 0.3])
+        ((xa, xb, _, start),) = dynamics._sign_changes(xs, d)
+        assert start == inverse_cubic_zero(xs, d) and 1.0 < start < 1.01
+        # the secant zero of the pair would be 1.333
+        assert abs(start - (xa + 0.1 / 0.3)) > 0.3
 
     def test_three_solutions_inside_interval(self):
         spec = dynamics.OdeSpec(5.0, 6.0, ZERO)
@@ -255,9 +313,20 @@ class TestCensus:
         sols = dynamics.find_periodic_solutions(spec, 1.0)
         assert scans.calls == 2
         assert [s.kind for s in sols] == ["attractive", "repulsive", "attractive"]
-        # the pair's log multipliers are only ~9e-4 from 0, so the stopping test
-        # |P(x) - x| < FP_TOL places them to about FP_TOL / 9e-4 ~ 1e-6
         assert [s.fixed_point for s in sols] == pytest.approx(autonomous_equilibria(c, lam), abs=1e-5)
+
+    def test_near_fold_fixed_points_are_placed_to_the_tolerance(self):
+        # the pair born at x2 just above lam1 has log multipliers only ~9e-4
+        # from 0, so a stop on |P(x) - x| < FP_TOL alone would leave them
+        # about FP_TOL / 9e-4 ~ 1e-6 off; a stop on the Newton correction
+        # places all three to the refinement's tolerance
+        c = 5.0
+        lam = model.lam1(c) + 1e-6
+        sols = dynamics.find_periodic_solutions(dynamics.OdeSpec(c, lam, ZERO), 1.0)
+        assert [s.kind for s in sols] == ["attractive", "repulsive", "attractive"]
+        assert [abs(s.log_multiplier) < 1e-3 for s in sols] == [False, True, True]
+        want = polished_equilibria(c, lam)
+        assert max(abs(s.fixed_point - x) for s, x in zip(sols, want)) <= 1e-8
 
     def test_count_separated(self):
         assert dynamics.count_separated_solutions(dynamics.OdeSpec(5.0, 6.0, ZERO), 1.0) == 3

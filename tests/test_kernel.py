@@ -14,7 +14,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bistab import dynamics, model, signals
@@ -206,3 +206,35 @@ def test_spec_pickles_with_its_kernels():
     copy = pickle.loads(pickle.dumps(spec))
     assert copy == spec
     assert same(kernel_pair(copy, 0.3, MIXED)[1], kernel_pair(spec, 0.3, MIXED)[1])
+
+
+@st.composite
+def sampled_signals(draw):
+    """A SampledPeriodic on 4 to 40 nodes: strictly increasing times in
+    [0, period), the first at 0 or not."""
+    period = draw(st.floats(0.05, 100.0))
+    fractions = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=4, max_size=40, unique=True))
+    times = sorted({u * period for u in fractions})
+    if draw(st.booleans()):
+        times[0] = 0.0
+    assume(len(times) >= 4 and times[-1] < period)
+    values = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(times), max_size=len(times)))
+    return signals.SampledPeriodic(period, tuple(times), tuple(values))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(signal=sampled_signals(), t=st.floats(-1e3, 1e3), k=st.integers(-6, 6))
+def test_sampled_float_path_is_np_interp(signal, t, k):
+    # a Python-float t takes the bisection; every other scalar form takes
+    # np.interp, and all give the reference float, as a Python float
+    y, T = signals.compile_signal(signal), signal.period
+    ts = np.asarray(signal.times + (signal.times[0] + T,))
+    vs = np.asarray(signal.values + (signal.values[0],))
+    nodes = list(signal.times)
+    # a tiny negative t has t % T == T, which np.interp reduces once more to 0
+    tiny = [-5e-324, -1e-300, -1e-17 * T]
+    for u in [t, -t, -0.0, 0.0, *tiny, k * T, -k * T, *nodes, *(v + k * T for v in nodes), *(v - T for v in nodes)]:
+        want = np.interp(np.mod(u, T), ts, vs, period=T)
+        for form in (u, np.float64(u), np.asarray(u)):
+            got = y(form)
+            assert type(got) is float and got == want

@@ -1,4 +1,6 @@
 import math
+import re
+import signal
 
 import numpy as np
 import pytest
@@ -253,6 +255,33 @@ class TestThreshold:
         monkeypatch.setattr(relaxation, "_census_count", lambda c, eps, rs: [1, 1, 5, 3, 3][: len(rs)])
         with pytest.raises(RuntimeError, match=r"^ambiguous census \(5 crossings\) at r = "):
             relaxation.r_threshold(5.0, 0.05, tol=1e-3)
+
+    def test_tol_below_the_float_spacing_ends(self, monkeypatch):
+        # a tol no bracket of floats reaches: the quartering stops where its
+        # quarter points round onto the bracket's ends, and names that bracket
+        flip, solves = 1.4321, []
+
+        def counts(c, eps, rs):
+            solves.append(rs)
+            return [3 if r > flip else 1 for r in rs]
+
+        def stuck(signum, frame):
+            # once no quarter point is new, the loop makes no more solves to count
+            raise AssertionError(f"r_threshold did not stop ({len(solves)} solves)")
+
+        monkeypatch.setattr(relaxation, "_census_count", counts)
+        previous = signal.signal(signal.SIGALRM, stuck)
+        signal.setitimer(signal.ITIMER_REAL, 10.0)
+        try:
+            with pytest.raises(ValueError, match=r"^tol = 1e-17 is below the float spacing of r") as raised:
+                relaxation.r_threshold(5.0, 0.05, tol=1e-17)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        lo, hi = map(float, re.search(r"flips in \[(\S+), (\S+)\]", str(raised.value)).groups())
+        assert lo <= flip < hi and hi - lo <= 4.0 * math.ulp(flip)
+        # about one solve per quartering from the starting bracket down to the float spacing
+        assert len(solves) <= 30
 
     def test_bad_bracket(self):
         with pytest.raises(RuntimeError):
