@@ -234,6 +234,8 @@ def _sweep_cell(task: tuple[float, float, float]) -> dict:
 def cmd_sweep(args) -> None:
     if not args.r:
         raise ValidationError("sweep requires --r (value, comma list, or lo:hi:n)")
+    if args.jobs < 1:
+        raise ValidationError(f"sweep requires --jobs >= 1, got {args.jobs}")
     tasks = [(args.c, eps, r) for eps in args.eps for r in args.r]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -96,9 +96,6 @@ FP_TOL = 1e-9
 DEDUP_TOL = 1e-6
 NONHYP_TOL = 1e-4  # |multiplier - 1| below this => non-hyperbolic
 CENSUS_SEEDS = 2048  # grid of the count-only census and of the fold solves
-# without an averaged fold whose bracket straddles, the fold solve starts this
-# many tol beyond the exact sandwich (at most the margin)
-FOLD_PAD = 100.0
 # the full census solves the first grid (its every 2nd and 4th seed are the
 # 1,025- and 513-seed grids) and doubles up to the second
 STABLE_SEEDS = (2049, 8193)
@@ -838,7 +835,7 @@ def _averaged_fold(c: float, signal: sig.SignalSpec, rhs_kind: str, tol: float):
     that second-order averaging predicts, the half-width w of the fold
     solve's first bracket [lam - w, lam + w], and the index on the
     CENSUS_SEEDS grid of the seed predicted to have the extremal
-    displacement there; None for an input with no finite cosine form.
+    displacement there.
 
     With Y the zero-mean antiderivative of y - ybar, x = u + Y(t) turns
     x' = lam + y + gbar(x) into u' = lam + ybar + gbar(u + Y(t)), whose
@@ -850,16 +847,15 @@ def _averaged_fold(c: float, signal: sig.SignalSpec, rhs_kind: str, tol: float):
     up for lambda_minus, down for lambda_plus.  Y of a cos(th t + ph) is
     (a/th) sin(th t + ph); terms on one frequency (a Cesaro input's a and b
     terms) add as phasors (a/th) e^(i ph), and Var(Y) is half the sum of
-    their squared moduli.  The displacement is extremal where u(0) sits at
-    the fold, the seed x_f - sqrt3 + Y(0) of the recentered state.  The
-    half-width is 5% of the shift, plus 10 tol, plus |gbar''(x_f)| h^2 / 8:
-    the extremal seed of the grid (spacing h) may lie h/2 off the
-    extremum, which moves the grid's fold by up to that much in lambda.
+    their squared moduli.  A sampled input enters as its interpolant's mean
+    and as many harmonics as nodes (``sig._sampled_terms``; Y's terms fall
+    off as n^-3).  The displacement is extremal where u(0) sits at the fold, the
+    seed x_f - sqrt3 + Y(0) of the recentered state.  The half-width is 5%
+    of the shift, plus 10 tol, plus |gbar''(x_f)| h^2 / 8: the extremal seed
+    of the grid (spacing h) may lie h/2 off the extremum, which moves the
+    grid's fold by up to that much in lambda.
     """
-    trig = sig._as_trig(signal)
-    if trig is None:
-        return None
-    a0, terms = trig
+    a0, terms = sig._as_trig(signal) or sig._sampled_terms(signal, len(signal.times))
     phasors = {}
     for a, th, ph in terms:
         phasors[th] = phasors.get(th, 0j) + a / th * cmath.exp(1j * ph)
@@ -890,17 +886,13 @@ def estimate_lambda_pm(
     census finds two separated solutions: above lambda_minus and below
     lambda_plus.  brentq solves each to xtol = tol.
 
-    For an input with a finite cosine form (constant, trigonometric or
-    Cesaro), brentq first tries the bracket [lam - w, lam + w] around the
-    fold value lam that second-order averaging predicts (``_averaged_fold``;
-    w is 5% of its shift from center - ybar, the grid's bias and 10 tol).
-    Only when that bracket does not straddle, and always for a sampled
-    input, the bracket starts as the closed-form sandwich
-    [center - sup y, center - inf y] padded by FOLD_PAD * tol on each side;
-    while the extremum has one sign at both ends the pad grows eightfold, up
-    to the margin max(lam2 - lam1, 10 tol), and a bracket that still fails
-    raises RuntimeError.  A trajectory that escapes counts as "no two
-    solutions".
+    brentq starts on the bracket [lam - w, lam + w] around the fold value
+    lam that second-order averaging predicts (``_averaged_fold``), clipped
+    to the widest bracket, the sandwich [center - sup y, center - inf y]
+    padded by the margin max(lam2 - lam1, 10 tol).  While the extremum has
+    one sign at both ends w grows eightfold, and a widest bracket that
+    still fails raises RuntimeError.  A trajectory that escapes counts as
+    "no two solutions".
 
     Each lambda solves a window of the CENSUS_SEEDS grid and the grid's two
     end seeds (``_extremal_seed``: exact by unimodality and order
@@ -909,15 +901,13 @@ def estimate_lambda_pm(
     above, which is every brentq step, takes the window between their
     extremal indices; one with a solved lambda on one side only takes 8
     seeds on each side of that one's index; the first takes 8 seeds on each
-    side of the averaged fold's predicted seed.  Without a prediction (a
-    sampled input) a lambda with no solved lambda on both sides solves the
-    full grid.  The metadata reports per value the number of grid scans
-    (the widening included), the states they solved, the number of them
-    that solved the full grid (``full_grids``) and the averaged fold's
-    ``prediction`` (its lambda, half-width and whether its bracket
-    straddled; None for a sampled input), and notes that for non-constant
-    inputs the period-map condition is a surrogate of the shift-family
-    definition (equivalent for periodic inputs).
+    side of the averaged fold's predicted seed.  The metadata reports per
+    value the grid scans (the widening included), the states they solved,
+    the full-grid solves among them (``full_grids``) and the averaged
+    fold's ``prediction`` (its lambda, half-width and whether its first
+    bracket straddled), and notes that for non-constant inputs the
+    period-map condition is a surrogate of the shift-family definition
+    (equivalent for periodic inputs).
     """
     if c <= 4.0:
         raise DomainError(f"estimate_lambda_pm requires c > 4, got c = {c}")
@@ -935,7 +925,8 @@ def estimate_lambda_pm(
         values = {}  # the widening and brentq evaluate bracket ends again
         peaks = {}  # the extremal grid index of every lambda whose grid was solved
         seeds[rhs_kind] = full[rhs_kind] = 0
-        guess = _averaged_fold(c, signal, rhs_kind, tol)
+        lam, w, guess = _averaged_fold(c, signal, rhs_kind, tol)
+        predicted[rhs_kind] = {"lambda": lam, "half_width": w}
 
         def extremum(lam: float) -> float:
             if lam not in values:
@@ -943,10 +934,8 @@ def estimate_lambda_pm(
                 above = [v for v in peaks if v > lam]
                 if below and above:
                     near = (peaks[max(below)], peaks[min(above)])
-                elif guess is None:
-                    near = None
                 else:  # 8 seeds on each side of the one solved neighbour's index, or of the predicted one
-                    i = peaks[max(below)] if below else peaks[min(above)] if above else guess[2]
+                    i = peaks[max(below)] if below else peaks[min(above)] if above else guess
                     near = (i - 4, i + 4)
                 i, values[lam], states = _extremal_seed(OdeSpec(c, lam, signal, rhs_kind), T, sign, near)
                 seeds[rhs_kind] += states
@@ -955,19 +944,15 @@ def estimate_lambda_pm(
                     peaks[lam] = i
             return values[lam]
 
-        straddles, predicted[rhs_kind] = False, None
-        if guess is not None:
-            lam, w, _ = guess
-            lo, hi = lam - w, lam + w
+        w_lo, w_hi = center - b.sup - margin, center - b.inf + margin  # the widest bracket
+        lam = min(max(lam, w_lo), w_hi)
+        while True:
+            lo, hi = max(w_lo, lam - w), min(w_hi, lam + w)
             straddles = (extremum(lo) > 0.0) != (extremum(hi) > 0.0)
-            predicted[rhs_kind] = {"lambda": lam, "half_width": w, "straddled": straddles}
-        pad = min(FOLD_PAD * tol, margin)
-        while not straddles:
-            lo, hi = center - b.sup - pad, center - b.inf + pad
-            straddles = (extremum(lo) > 0.0) != (extremum(hi) > 0.0)
-            if pad == margin:
+            predicted[rhs_kind].setdefault("straddled", straddles)
+            if straddles or (lo, hi) == (w_lo, w_hi):
                 break
-            pad = min(8.0 * pad, margin)
+            w *= 8.0
         if not straddles:
             raise RuntimeError(
                 f"bracket [{lo:.6g}, {hi:.6g}] does not straddle the {rhs_kind} bifurcation"

@@ -218,9 +218,9 @@ class ScalarDiagnostics:
 
 
 def diagnostics(c) -> ScalarDiagnostics:
-    """Evaluate every scalar diagnostic at c (c > 0)."""
-    if c <= 0.0:
-        raise DomainError(f"diagnostics requires c > 0, got c = {c}")
+    """Evaluate every scalar diagnostic at a finite c > 0."""
+    if not (math.isfinite(c) and c > 0.0):
+        raise DomainError(f"diagnostics requires a finite c > 0, got c = {c}")
     base = dict(
         c=float(c),
         dfrak=dfrak(c),

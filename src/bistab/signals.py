@@ -36,6 +36,11 @@ def _require_finite(what: str, values) -> None:
         raise ValueError(f"{what} must be finite")
 
 
+def _require_dfrak(where: str, dfrak: float) -> None:
+    if not (math.isfinite(dfrak) and dfrak > 0.0):
+        raise ValueError(f"{where} requires a finite dfrak > 0, got {dfrak}")
+
+
 @dataclass(frozen=True)
 class Constant:
     a0: float
@@ -148,6 +153,18 @@ def _as_trig(signal: SignalSpec) -> tuple[float, tuple[tuple[float, float, float
     if isinstance(signal, FourierCesaro):
         return signal.a0, _cesaro_terms(signal)
     return None
+
+
+def _sampled_terms(signal: SampledPeriodic, m: int) -> tuple[float, tuple[tuple[float, float, float], ...]]:
+    """(a0, terms): the exact mean of the interpolant and its first m
+    harmonics as cosine terms, a truncated series.  y'' is a sum of deltas
+    of the slope jumps at the nodes, so c_n = -sum_k jump_k e^(-i w_n t_k) / (T w_n^2)."""
+    T, ts, vs = signal.period, np.asarray(signal.times), np.asarray(signal.values)
+    dt, dv = np.diff(ts, append=ts[0] + T), np.roll(vs, -1) - vs
+    w = TWO_PI / T * np.arange(1, m + 1)
+    c = -np.exp(-1j * np.outer(w, ts)) @ (dv / dt - np.roll(dv / dt, 1)) / (T * w * w)
+    a0 = float(np.sum((vs + 0.5 * dv) * dt) / T)
+    return a0, tuple(zip((2.0 * np.abs(c)).tolist(), w.tolist(), np.angle(c).tolist()))
 
 
 class _TrigEval:
@@ -376,8 +393,7 @@ def weighted_average(signal: SignalSpec, dfrak: float, r: float) -> float:
     harmonic damped by d/sqrt(d^2 + th^2) and phase-advanced by atan(th/d);
     for a sampled one each linear segment integrates exactly.
     """
-    if dfrak <= 0.0:
-        raise ValueError(f"weighted_average requires dfrak > 0, got {dfrak}")
+    _require_dfrak("weighted_average", dfrak)
     if isinstance(signal, SampledPeriodic):
         return _weighted_sampled_exact(signal, dfrak, float(r))
     return compile_signal(_laplace_trig(signal, dfrak))(float(r))
@@ -420,8 +436,7 @@ def weighted_bounds(signal: SignalSpec, dfrak: float) -> WeightedBounds:
     of a trigonometric signal is itself a trigonometric sum, so its extremes
     follow the same exact-or-scan rule as ``bounds``; a sampled signal is
     scanned over one period."""
-    if dfrak <= 0.0:
-        raise ValueError(f"weighted_bounds requires dfrak > 0, got {dfrak}")
+    _require_dfrak("weighted_bounds", dfrak)
     if isinstance(signal, SampledPeriodic):
         # one exact weighted average per point, so a coarser grid and tolerance;
         # no curvature pad, so the grid's extreme alone is refined.  W is a
@@ -439,16 +454,14 @@ def series_bound(terms: Sequence[tuple[float, float]], dfrak: float) -> float:
     """sum |a_n| (1 + d/sqrt(d^2 + theta_n^2)) over (amplitude, frequency)
     terms; equals the true weighted variation for rationally independent
     frequencies."""
-    if dfrak <= 0.0:
-        raise ValueError(f"series_bound requires dfrak > 0, got {dfrak}")
+    _require_dfrak("series_bound", dfrak)
     return float(sum(abs(a) * (1.0 + dfrak / math.hypot(dfrak, th)) for a, th in terms))
 
 
 def cesaro_bound(a_coeffs: Sequence[float], b_coeffs: Sequence[float], dfrak: float, n_terms: int) -> float:
     """N-th Cesaro bound (1/N) sum_{n=1}^{N-1} (N-n)(|a_n|+|b_n|)(1 + d/sqrt(d^2+n^2)):
     the series bound of the Cesaro-weighted cosine terms."""
-    if dfrak <= 0.0:
-        raise ValueError(f"cesaro_bound requires dfrak > 0, got {dfrak}")
+    _require_dfrak("cesaro_bound", dfrak)
     if n_terms < 2:
         raise ValueError("cesaro_bound needs n_terms >= 2")
     terms = _cesaro_terms(FourierCesaro(0.0, tuple(a_coeffs), tuple(b_coeffs), n_terms))

@@ -73,6 +73,13 @@ class TestDiagnostics:
         row = doc["result"][0]
         assert row["x1"] is None and row["lam1"] is None
 
+    @pytest.mark.parametrize("c", ["nan", "inf", "-inf", "0"])
+    def test_non_finite_or_nonpositive_c_exits_2(self, capsys, c):
+        # NaN and Infinity would print as JSON no parser accepts
+        assert cli.main(["diagnostics", f"--c={c}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "requires a finite c > 0" in captured.err
+
     def test_csv(self, capsys):
         code, out = run(capsys, ["diagnostics", "--c", "5.0", "--format", "csv"])
         assert code == 0
@@ -235,6 +242,20 @@ class TestLaplace:
         assert cli.main(["laplace", "--signal", str(path), "--dfrak", "1.0"]) == 2
         assert "cannot load signal file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dfrak", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("kind", ["trig", "sampled"])
+    def test_bad_dfrak_exits_2_and_names_dfrak(self, capsys, tmp_path, kind, dfrak):
+        doc = {"type": "trig", "terms": [[0.1, 1.0, 0.0]]}
+        if kind == "sampled":
+            doc = {"type": "sampled", "period": 1.0, "samples": [[0.0, 0.0], [0.25, 1.0], [0.5, 0.0], [0.75, -1.0]]}
+        path = tmp_path / "y.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["laplace", "--signal", str(path), "--dfrak", dfrak]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"weighted_bounds requires a finite dfrak > 0, got {float(dfrak)}" in captured.err
+
 
 class TestRelaxation:
     def test_csv_row(self, capsys):
@@ -300,6 +321,12 @@ class TestSweep:
             assert code == 0
             rows[jobs] = doc["result"]
         assert rows["2"] == rows["1"]
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_fewer_than_one_job_exits_2(self, capsys, jobs):
+        assert cli.main(["sweep", "--c", "5", "--eps", "0.05", "--r", "0.6", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"sweep requires --jobs >= 1, got {jobs}" in captured.err
 
 
 class TestInterface:

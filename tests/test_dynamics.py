@@ -535,7 +535,7 @@ def move_prediction(monkeypatch, lam=0.0, seed=0):
 
     def moved(*args):
         guess = predict(*args)
-        return None if guess is None else (guess[0] + lam, guess[1], guess[2] + seed)
+        return guess[0] + lam, guess[1], guess[2] + seed
 
     monkeypatch.setattr(dynamics, "_averaged_fold", moved)
 
@@ -578,23 +578,22 @@ class TestFoldSolveAgainstBisection:
         _, _, meta = dynamics.estimate_lambda_pm(8.0, FOLD_SIGNALS[name], tol=1e-5)
         assert meta["scans"]["lambda_minus"] < 9 and meta["scans"]["lambda_plus"] < 9
 
-    def test_pad_widens_past_a_wrong_sandwich(self, monkeypatch):
-        # a range reported 0.05 too high puts both folds above the padded
-        # sandwich, so only the widened pad reaches them; the averaged fold,
-        # read 0.05 too high in y as well, misses first on both runs
+    def test_bracket_widens_from_a_wrong_prediction(self, monkeypatch):
+        # an averaged fold 0.05 too low and a range reported 0.05 too high:
+        # the first bracket misses on both sides, and the eightfold widening
+        # still reaches both folds inside the moved widest bracket
         c, tol, y = 5.0, 1e-5, FOLD_SIGNALS["trig"]
         want_minus, want_plus, _ = bisect_lambda_pm(c, y, tol)
-        move_prediction(monkeypatch, lam=-0.05)
         _, _, meta = dynamics.estimate_lambda_pm(c, y, tol=tol)
+        move_prediction(monkeypatch, lam=-0.05)
         b = signals.bounds(y)
         monkeypatch.setattr(dynamics.sig, "bounds", lambda s: signals.SignalBounds(b.sup + 0.05, b.inf + 0.05, False))
         lam_minus, lam_plus, wide = dynamics.estimate_lambda_pm(c, y, tol=tol)
         assert abs(lam_minus - want_minus) <= tol
         assert abs(lam_plus - want_plus) <= tol
-        assert wide["scans"]["lambda_minus"] > meta["scans"]["lambda_minus"]
-        assert wide["scans"]["lambda_plus"] > meta["scans"]["lambda_plus"]
         for side in ("lambda_minus", "lambda_plus"):
-            assert not meta["prediction"][side]["straddled"] and not wide["prediction"][side]["straddled"]
+            assert meta["prediction"][side]["straddled"] and not wide["prediction"][side]["straddled"]
+            assert wide["scans"][side] > meta["scans"][side]
 
     def test_no_straddle_names_the_widest_bracket(self, monkeypatch):
         # a range 10 too high: even the margin max(lam2 - lam1, 10 tol) misses
@@ -726,7 +725,7 @@ AVERAGING_CASES = [
     for theta in (1.0, 2.0, 4.0)
     for name in ("trig", "cesaro")
     if c < 12.0 or (name == "trig" and theta > 1.0)
-]
+] + [(c, 1.0, "sampled") for c in (4.5, 5.0, 8.0)]  # SAMPLED has period 2 pi
 
 
 class TestAveragedFold:
@@ -735,10 +734,11 @@ class TestAveragedFold:
         # the stated error is the rule's own half-width w: 5% of the shift,
         # the grid's bias |gbar''(x_f)| h^2 / 8 and 10 tol.  The largest gap
         # measured on these cases is 0.67 w (c = 8, theta = 4, Cesaro,
-        # lambda_plus, where the grid bias dominates); the averaging error
-        # alone stays within 1.1% of the shift at theta = 1.  So the solved
-        # interval narrows by the predicted amount within the two half-widths
-        y = (averaging_trig if name == "trig" else averaging_cesaro)(theta)
+        # lambda_plus, where the grid bias dominates), 0.14 w on the sampled
+        # input; the averaging error alone stays within 1.1% of the shift at
+        # theta = 1.  So the solved interval narrows by the predicted amount
+        # within the two half-widths
+        y = SAMPLED if name == "sampled" else (averaging_trig if name == "trig" else averaging_cesaro)(theta)
         lam_minus, lam_plus, meta = dynamics.estimate_lambda_pm(c, y, tol=1e-8)
         for side, lam in (("lambda_minus", lam_minus), ("lambda_plus", lam_plus)):
             guess = meta["prediction"][side]
@@ -747,32 +747,37 @@ class TestAveragedFold:
             assert meta["full_grids"][side] == 0
 
     @pytest.mark.parametrize("name", ["trig", "cesaro"])
-    @pytest.mark.parametrize("miss", ["lambda", "seed"])
+    @pytest.mark.parametrize("miss", ["lambda", "seed", "far"])
     def test_wrong_prediction_still_matches_bisection(self, monkeypatch, miss, name):
         # a predicted lambda 0.02 too high misses the first bracket on both
-        # sides, so the sandwich start takes over; a predicted seed 300 grid
-        # steps off puts the first windows' extremum on their edge, so they
-        # solve the full grid after all
+        # sides, so the bracket widens; one 1.0 too high lies beyond the
+        # widest bracket's top, so the bracket starts clipped there; a
+        # predicted seed 300 grid steps off puts the first windows' extremum
+        # on their edge, so they solve the full grid after all
         c, tol, y = 5.0, 1e-5, FOLD_SIGNALS[name]
         want_minus, want_plus, _ = bisect_lambda_pm(c, y, tol)
-        move_prediction(monkeypatch, **({"lam": 0.02} if miss == "lambda" else {"seed": 300}))
+        move_prediction(monkeypatch, **{"lambda": {"lam": 0.02}, "far": {"lam": 1.0}, "seed": {"seed": 300}}[miss])
         lam_minus, lam_plus, meta = dynamics.estimate_lambda_pm(c, y, tol=tol)
         assert abs(lam_minus - want_minus) <= tol
         assert abs(lam_plus - want_plus) <= tol
         for side in ("lambda_minus", "lambda_plus"):
-            if miss == "lambda":
+            if miss != "seed":
                 assert not meta["prediction"][side]["straddled"]
             else:
                 assert meta["prediction"][side]["straddled"] and meta["full_grids"][side] >= 1
 
-    def test_sampled_input_starts_on_the_sandwich(self):
-        # no prediction: the padded sandwich's two ends solve the full grid,
-        # every brentq step a window
-        assert dynamics._averaged_fold(5.0, SAMPLED, "concave-linear", 1e-5) is None
-        _, _, meta = dynamics.estimate_lambda_pm(5.0, SAMPLED, tol=1e-5)
+    @pytest.mark.parametrize("c", [5.0, 8.0])
+    def test_sampled_input_is_predicted(self, c):
+        # the interpolant's series gives a prediction whose first bracket
+        # straddles, and every lambda solves a window
+        tol = 1e-5
+        lam_minus, lam_plus, meta = dynamics.estimate_lambda_pm(c, SAMPLED, tol=tol)
+        want_minus, want_plus, _ = bisect_lambda_pm(c, SAMPLED, tol)
+        assert abs(lam_minus - want_minus) <= tol
+        assert abs(lam_plus - want_plus) <= tol
         for side in ("lambda_minus", "lambda_plus"):
-            assert meta["prediction"][side] is None
-            assert meta["full_grids"][side] == 2
+            assert meta["prediction"][side]["straddled"]
+            assert meta["full_grids"][side] == 0
 
     @pytest.mark.parametrize("kind", ["concave-linear", "linear-convex"])
     def test_predicted_seed_is_the_grid_extremum(self, kind):
@@ -781,7 +786,7 @@ class TestAveragedFold:
         # moves the seed by 1 to 8 grid steps; the first window solves 8 on each side
         sign = 1.0 if kind == "concave-linear" else -1.0
         inputs = [FOLD_SIGNALS["trig"], FOLD_SIGNALS["cesaro"], averaging_cesaro(2.0)]
-        inputs += [averaging_trig(1.0), averaging_trig(4.0)]
+        inputs += [averaging_trig(1.0), averaging_trig(4.0), SAMPLED]
         for c in (4.5, 5.0, 8.0):
             for y in inputs:
                 lam, _, i = dynamics._averaged_fold(c, y, kind, 1e-5)

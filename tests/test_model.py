@@ -147,6 +147,11 @@ class TestDiagnostics:
         with pytest.raises(model.DomainError):
             model.diagnostics(0.0)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_diagnostics_rejects_non_finite_c(self, c):
+        with pytest.raises(model.DomainError, match="^diagnostics requires a finite c > 0, got c = "):
+            model.diagnostics(c)
+
 
 class TestRecentered:
     def test_zero_at_origin(self):

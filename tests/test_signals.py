@@ -197,6 +197,19 @@ class TestWeightedAverage:
         with pytest.raises(ValueError):
             signals.weighted_average(single(), 0.0, 0.0)
 
+    @pytest.mark.parametrize("dfrak", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_every_dfrak_check_rejects_non_finite_and_nonpositive(self, dfrak):
+        sampled = signals.SampledPeriodic(1.0, (0.0, 0.25, 0.5, 0.75), (0.0, 1.0, 0.0, -1.0))
+        calls = {
+            "weighted_average": lambda: signals.weighted_average(single(), dfrak, 0.0),
+            "weighted_bounds": lambda: signals.weighted_bounds(sampled, dfrak),
+            "series_bound": lambda: signals.series_bound([(0.1, 1.0)], dfrak),
+            "cesaro_bound": lambda: signals.cesaro_bound([0.1], [], dfrak, 5),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match=f"^{name} requires a finite dfrak > 0, got {dfrak}$"):
+                call()
+
 
 class TestWeightedBounds:
     def test_single_term(self):
