@@ -130,6 +130,8 @@ def cmd_bifurcation(args) -> None:
     for flag, value in (("--c", args.c), ("--lambda", args.lam)):
         if value is not None and not math.isfinite(value):
             raise ValidationError(f"bifurcation requires a finite {flag}, got {value}")
+    if not args.c > 0.0:
+        raise ValidationError(f"bifurcation requires c > 0, got c = {args.c}")
     lams = _parse_grid(args.grid) if args.grid else [args.lam]
     if any(v is None for v in lams):
         raise ValidationError("bifurcation requires --grid or --lambda")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
-from .model import C_BAND_MAX, DomainError, ScalarDiagnostics, diagnostics
+from .model import C_BAND_MAX, DomainError, ScalarDiagnostics, diagnostics, require_c_above_4
 from .signals import (
     SignalBounds,
     SignalSpec,
@@ -92,11 +92,6 @@ class RegimeCertificate:
         }
 
 
-def _require_supercritical(diag: ScalarDiagnostics, what: str) -> None:
-    if diag.lam1 is None or diag.c <= 4.0:
-        raise DomainError(f"{what} requires c > 4, got c = {diag.c}")
-
-
 def _inner_sandwich(diag: ScalarDiagnostics, b: SignalBounds, kind: str, basis: str) -> IntervalEstimate:
     """(lam1 - inf y, lam2 - sup y); empty when sup y - inf y >= h1."""
     lower, upper = diag.lam1 - b.inf, diag.lam2 - b.sup
@@ -105,13 +100,13 @@ def _inner_sandwich(diag: ScalarDiagnostics, b: SignalBounds, kind: str, basis: 
 
 def interval_I1(diag: ScalarDiagnostics, b: SignalBounds) -> IntervalEstimate:
     """The exact small-variation interval, (lam1 - inf y, lam2 - sup y)."""
-    _require_supercritical(diag, "interval_I1")
+    require_c_above_4(diag.c, "interval_I1")
     return _inner_sandwich(diag, b, "exact", RULE_INTERVAL_I1)
 
 
 def mu_bounds(diag: ScalarDiagnostics, w: WeightedBounds) -> MuBounds:
     """mu_minus = cshift - inf_w, mu_plus = cshift - sup_w (so mu_plus <= mu_minus)."""
-    _require_supercritical(diag, "mu_bounds")
+    require_c_above_4(diag.c, "mu_bounds")
     return MuBounds(mu_minus=diag.cshift - w.inf_w, mu_plus=diag.cshift - w.sup_w)
 
 
@@ -127,7 +122,7 @@ def check_thm_4_6(diag: ScalarDiagnostics, b: SignalBounds, w: WeightedBounds) -
     """Weighted-average criterion: sup_w - inf y < h2, sup y - inf_w < h3 and
     mu_minus >= -inf y together certify a bistability interval with the
     sandwich bounds above."""
-    _require_supercritical(diag, "check_thm_4_6")
+    require_c_above_4(diag.c, "check_thm_4_6")
     mu = mu_bounds(diag, w)
     slacks = {
         "h2_minus_weighted_variation": diag.h2 - (w.sup_w - b.inf),
@@ -154,7 +149,7 @@ def check_cor_4_7(diag: ScalarDiagnostics, b: SignalBounds) -> ConditionReport:
     """Small-variation criterion: sup y - inf y < h3 suffices (no weighted
     bounds needed); exactness of the certified interval is guaranteed when
     the quartic above is non-positive, i.e. for c in (4, 456]."""
-    _require_supercritical(diag, "check_cor_4_7")
+    require_c_above_4(diag.c, "check_cor_4_7")
     slacks = {"h3_minus_variation": diag.h3 - (b.sup - b.inf)}
     if slacks["h3_minus_variation"] <= 0.0:
         return ConditionReport(False, RULE_VARIATION_H3, slacks)

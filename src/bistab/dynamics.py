@@ -54,8 +54,10 @@ augmented solve, their multiplier integrand, the same floats as
 ``OdeSpec.rhs`` and ``rhs_state_deriv``.  A call on few states (at most
 _FLOAT_STATES, where the per-call timings cross) is evaluated state by
 state in Python floats, in one pass, since NumPy's fixed cost per
-operation would dominate it; a larger call, or one with a state on the
-cubic branch of gbar, is ``OdeSpec.rhs`` and ``rhs_state_deriv`` on arrays.
+operation would dominate it; a larger call is ``OdeSpec.rhs`` and
+``rhs_state_deriv`` on arrays.  A call takes one of the two by its size
+alone: both branches of gbar are + - * / expressions, which round alike in
+floats and in NumPy.
 """
 
 from __future__ import annotations
@@ -85,6 +87,7 @@ from .model import (
     mg_minus_deriv,
     mg_plus,
     mg_plus_deriv,
+    require_c_above_4,
     x1,
     x2,
 )
@@ -111,10 +114,6 @@ class FiniteEscapeError(RuntimeError):
 _FLOAT_STATES = 32
 
 
-class _CubicBranch(Exception):
-    """A state puts gbar's argument below 0: the call goes to ``OdeSpec.rhs``."""
-
-
 def _compile_kernels(spec):
     """(field, augmented): the right-hand side of ``spec`` as the solver
     calls it, fun(t, y).  ``field`` returns x' of the states y; ``augmented``
@@ -128,13 +127,11 @@ def _compile_kernels(spec):
     _FLOAT_STATES states evaluates them one by one in Python floats, with
     x' and the integrand from one pass; a larger call is ``OdeSpec.rhs``
     (and ``rhs_state_deriv``) itself.  The float path runs the + - * /
-    expressions of ``model.gbar_eval`` and ``model.gbar_deriv``, so a state
-    gets the same float on either path.  A state whose gbar argument is
-    below 0 sends the whole call to ``OdeSpec.rhs``: that cubic branch takes
-    a pow, which NumPy's SIMD loop and libm round differently in the last
-    bit for some inputs.  Per call in µs, full equation, trig input, best
-    of 9 x 3,000 calls on a shared 2-core x86-64 host; the plain paths cross
-    between 16 and 64 states, the augmented ones near 40:
+    expressions of ``model.gbar_eval`` and ``model.gbar_deriv`` on both
+    branches of gbar, so a state gets the same float on either path.  Per
+    call in µs, full equation, trig input, best of 9 x 3,000 calls on a
+    shared 2-core x86-64 host; the plain paths cross between 16 and 64
+    states, the augmented ones near 40:
 
         states           1     4    16    32    64   2048
         float, plain   3.1   4.6   9.2    15    27      -
@@ -147,10 +144,14 @@ def _compile_kernels(spec):
     concave = spec.rhs_kind == "concave-linear"
     shift, slope = cshift(c), dfrak(c)
 
-    def g(u):  # gbar on u >= 0
+    def g(u):  # gbar
+        if u < 0.0:
+            return a * u - u * u * u
         return -u - two_c * u / (1.0 + u * u)
 
-    def g_pair(u):  # gbar and gbar' on u >= 0
+    def g_pair(u):  # gbar and gbar'
+        if u < 0.0:
+            return a * u - u * u * u, a - 3.0 * u * u
         uu = u * u
         q = 1.0 + uu
         return -u - two_c * u / q, (a + b * u * u - uu * uu) / (q * q)
@@ -159,13 +160,9 @@ def _compile_kernels(spec):
     if spec.rhs_kind == "full":
 
         def value(drive, x):
-            if x < 0.0:
-                raise _CubicBranch
             return drive + g(x)
 
         def pair(drive, x):
-            if x < 0.0:
-                raise _CubicBranch
             gx, dx = g_pair(x)
             return drive + gx, dx
 
@@ -178,39 +175,27 @@ def _compile_kernels(spec):
             sx = slope * x
             if not on_half(x):
                 return drive - shift + sx + 0.0
-            u = x + SQRT3
-            if u < 0.0:
-                raise _CubicBranch
-            return drive - shift + sx + (g(u) + shift - sx)
+            return drive - shift + sx + (g(x + SQRT3) + shift - sx)
 
         def pair(drive, x):
             sx = slope * x
             if not on_half(x):
                 return drive - shift + sx + 0.0, slope + 0.0
-            u = x + SQRT3
-            if u < 0.0:
-                raise _CubicBranch
-            gu, du = g_pair(u)
+            gu, du = g_pair(x + SQRT3)
             return drive - shift + sx + (gu + shift - sx), slope + (du - slope)
 
     def field(t, y):
         if y.size <= _FLOAT_STATES:
             drive = lam + signal_at(float(t))
-            try:
-                return np.array([value(drive, x) for x in y.tolist()])
-            except _CubicBranch:
-                pass
+            return np.array([value(drive, x) for x in y.tolist()])
         return np.atleast_1d(spec.rhs(t, y))
 
     def augmented(t, y):
         x = y[: y.size // 2]
         if 0 < x.size <= _FLOAT_STATES:
             drive = lam + signal_at(float(t))
-            try:
-                values, derivs = zip(*[pair(drive, v) for v in x.tolist()])
-                return np.array(values + derivs)
-            except _CubicBranch:
-                pass
+            values, derivs = zip(*[pair(drive, v) for v in x.tolist()])
+            return np.array(values + derivs)
         return np.concatenate([np.atleast_1d(spec.rhs(t, x)), np.atleast_1d(spec.rhs_state_deriv(x))])
 
     return field, augmented
@@ -232,8 +217,10 @@ class OdeSpec:
             raise ValueError(f"OdeSpec requires finite c and lambda, got c = {self.c}, lambda = {self.lam}")
         if self.rhs_kind not in RHS_KINDS:
             raise ValueError(f"rhs_kind must be one of {RHS_KINDS}, got {self.rhs_kind!r}")
-        if self.rhs_kind != "full" and self.c <= 4.0:
-            raise DomainError(f"rhs_kind {self.rhs_kind!r} requires c > 4, got c = {self.c}")
+        if not self.c > 0.0:
+            raise DomainError(f"OdeSpec requires c > 0, got c = {self.c}")
+        if self.rhs_kind != "full":
+            require_c_above_4(self.c, f"rhs_kind {self.rhs_kind!r}")
         object.__setattr__(self, "_signal_at", sig.compile_signal(self.signal))
         object.__setattr__(self, "_kernels", _compile_kernels(self))
 
@@ -319,9 +306,12 @@ def solve_ivp(fun, t0, y0, t1, atol, rtol, *, t_eval, nodes, states) -> _Solutio
     step end where one has left |x| < ESCAPE_BOUND.  The result holds t0 and
     every step end (t_eval None), or only the times of t_eval (ordered from
     t0 to t1), each from the dense output of the step that reaches it.  A
-    step that shrinks to the spacing of the floats raises RuntimeError.
+    step that shrinks to the spacing of the floats raises RuntimeError, and
+    a span that is not finite and nonzero raises ValueError.
     """
     t, t1 = float(t0), float(t1)
+    if not (math.isfinite(t1 - t) and t1 != t):
+        raise ValueError(f"the span from t0 = {t} to t1 = {t1} must be finite and nonzero")
     # NumPy multiplies an array by a 0-d array faster than by a Python float
     atol, rtol = np.asarray(atol, dtype=float), np.asarray(rtol, dtype=float)
     if not np.isfinite(y0).all():
@@ -444,7 +434,9 @@ def integrate(spec: OdeSpec, t0: float, x0: float, t1: float, n_samples: int | N
     not merely to the integration tolerance.  A sampled input is integrated
     node to node, so its nodes are among the steps.
     """
-    t_eval = np.linspace(t0, t1, n_samples) if n_samples else None
+    if n_samples is not None and not n_samples >= 1:
+        raise ValueError(f"n_samples must be None or at least 1, got {n_samples}")
+    t_eval = None if n_samples is None else np.linspace(t0, t1, n_samples)
     times, ys = _solve(spec, t0, x0, t1, ABSTOL, RELTOL, augmented=True, t_eval=t_eval)
     values = ys[0]
     if t1 < t0:
@@ -639,7 +631,10 @@ def _brackets(specs, T: float, n: int, levels: int = 1):
     multiple of 2^(k-1)), each member's bracket lists of the k nested grids
     of every 2^(k-1)-th, ..., 2nd and every seed, coarsest first, from the
     same solve.  A one-member family is solved with its own kernel, so its
-    floats do not depend on the family path."""
+    floats do not depend on the family path.  A period T that is not finite
+    and positive raises ValueError."""
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError(f"a census requires a finite period T > 0, got T = {T}")
     intervals = [_scan_interval(spec) for spec in specs]
     out = [[[] for _ in range(levels)] if levels > 1 else [] for _ in specs]
     live = [k for k, interval in enumerate(intervals) if interval is not None]
@@ -726,14 +721,15 @@ def _refine_fixed_point(
 def find_periodic_solutions(spec: OdeSpec, T: float) -> list[PeriodicSolution]:
     """All T-periodic solutions found by the census over the scan interval.
 
-    Requires the input to be constant or T-periodic.  The census makes about
-    three solve batches: one nested scan (``_stable_brackets``), then one
-    lock-step refinement of all attractive crossings forward and one of all
-    repulsive crossings backward (``_refine_fixed_point``).  Each solution is
-    its fixed point, the multiplier measured by the map solve its refinement
-    converged with (a repulsive orbit is measured backward, as forward
-    integration falls off it before one period when the multiplier is
-    extreme), and its stability tag; no orbit is integrated again.
+    Requires a finite T > 0 and an input that is constant or T-periodic.
+    The census makes about three solve batches: one nested scan
+    (``_stable_brackets``), then one lock-step refinement of all attractive
+    crossings forward and one of all repulsive crossings backward
+    (``_refine_fixed_point``).  Each solution is its fixed point, the
+    multiplier measured by the map solve its refinement converged with (a
+    repulsive orbit is measured backward, as forward integration falls off
+    it before one period when the multiplier is extreme), and its stability
+    tag; no orbit is integrated again.
     """
     brackets = _stable_brackets(spec, T)
     if not brackets:
@@ -909,8 +905,7 @@ def estimate_lambda_pm(
     period-map condition is a surrogate of the shift-family definition
     (equivalent for periodic inputs).
     """
-    if c <= 4.0:
-        raise DomainError(f"estimate_lambda_pm requires c > 4, got c = {c}")
+    require_c_above_4(c, "estimate_lambda_pm")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"estimate_lambda_pm requires a finite tol > 0, got tol = {tol}")
     T = signal_period(signal)

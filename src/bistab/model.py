@@ -48,17 +48,18 @@ def g_derivs(c, x):
 def gbar_eval(c, x):
     """C^2 extension of g: equals g for x >= 0, -(1+2c)x - x^3 for x < 0.
 
-    The cubic (a libm ``pow`` per entry, the costly part) is evaluated only
-    on the entries where x < 0; scans and the full flow stay at x >= 0.
-    Scalars go through the same array arithmetic, so every entry is the same
-    float either way."""
+    The cubic is evaluated only on the entries where x < 0; scans and the
+    full flow stay at x >= 0.  It is written as products, without pow, whose
+    NumPy and libm forms round differently in the last bit for some inputs,
+    so a scalar, an array entry and the solver's float kernel all get the
+    same float."""
     x = np.asarray(x, dtype=float)
     xs = np.atleast_1d(x)
     out = -xs - 2.0 * c * xs / (1.0 + xs * xs)
     neg = xs < 0.0
     if neg.any():
         xn = xs[neg]
-        out[neg] = -(1.0 + 2.0 * c) * xn - xn ** 3
+        out[neg] = -(1.0 + 2.0 * c) * xn - xn * xn * xn
     return out.reshape(x.shape) if x.ndim else float(out[0])
 
 
@@ -94,14 +95,15 @@ def cshift(c) -> float:
     return SQRT3 * (c + 2.0) / 2.0
 
 
-def _require_c_above_4(c, what: str) -> None:
-    if c <= 4.0:
+def require_c_above_4(c, what: str) -> None:
+    """The domain of every supercritical quantity: a finite c > 4."""
+    if not (math.isfinite(c) and c > 4.0):
         raise DomainError(f"{what} requires c > 4, got c = {c}")
 
 
 def mg_eval(c, z):
     """Recentered nonlinearity mg(z) = gbar(z+sqrt3) + sqrt3*(c+2)/2 - dfrak*z."""
-    _require_c_above_4(c, "mg_eval")
+    require_c_above_4(c, "mg_eval")
     z = np.asarray(z, dtype=float)
     out = gbar_eval(c, z + SQRT3) + cshift(c) - dfrak(c) * z
     return out if np.ndim(out) else float(out)
@@ -112,7 +114,7 @@ def _mg_half(c, z, concave: bool, what: str):
     one pass: the state is clipped to the half, shifted by sqrt3 and put
     through gbar, and the linear part comes off in place.  Every entry is
     the float of the plain np.where form."""
-    _require_c_above_4(c, what)
+    require_c_above_4(c, what)
     z = np.asarray(z, dtype=float)
     zs = np.atleast_1d(z)
     clipped = np.maximum(zs, 0.0) if concave else np.minimum(zs, 0.0)
@@ -135,7 +137,7 @@ def mg_plus(c, z):
 
 def mg_minus_deriv(c, z):
     """Derivative of mg_minus (gbar'(z+sqrt3) - dfrak on z >= 0, else 0)."""
-    _require_c_above_4(c, "mg_minus_deriv")
+    require_c_above_4(c, "mg_minus_deriv")
     z = np.asarray(z, dtype=float)
     out = np.where(z >= 0.0, gbar_deriv(c, z + SQRT3) - dfrak(c), 0.0)
     return out if out.ndim else float(out)
@@ -143,7 +145,7 @@ def mg_minus_deriv(c, z):
 
 def mg_plus_deriv(c, z):
     """Derivative of mg_plus (gbar'(z+sqrt3) - dfrak on z <= 0, else 0)."""
-    _require_c_above_4(c, "mg_plus_deriv")
+    require_c_above_4(c, "mg_plus_deriv")
     z = np.asarray(z, dtype=float)
     out = np.where(z <= 0.0, gbar_deriv(c, z + SQRT3) - dfrak(c), 0.0)
     return out if out.ndim else float(out)

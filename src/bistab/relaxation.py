@@ -19,7 +19,7 @@ from scipy.optimize import brentq  # noqa: F401  perfbench/tracing.py wraps rela
 from scipy.spatial import cKDTree
 
 from . import dynamics
-from .model import DomainError, diagnostics, g_eval, gbar_deriv2, x1
+from .model import diagnostics, g_eval, gbar_deriv2, require_c_above_4, x1
 from .signals import TrigSum
 
 TWO_PI = 2.0 * math.pi
@@ -44,8 +44,7 @@ class RelaxationSpec:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.c, self.eps, self.r)):
             raise ValueError(f"RelaxationSpec requires finite c, eps and r, got {self}")
-        if self.c <= 4.0:
-            raise DomainError(f"RelaxationSpec requires c > 4, got c = {self.c}")
+        require_c_above_4(self.c, "RelaxationSpec")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
         if self.r <= 0.0:
@@ -131,8 +130,7 @@ def gamma_curve(c: float, n_points: int = 2048) -> GammaCurve:
     lam / (double root)^2.  The lower branch runs over x in [lam1/x2^2, x1]
     (lam1 -> lam2), the upper branch over [lam2/x1^2, x2] descending
     (lam2 -> lam1); n_points each, then the closing point."""
-    if c <= 4.0:
-        raise DomainError(f"gamma_curve requires c > 4, got c = {c}")
+    require_c_above_4(c, "gamma_curve")
     diag = diagnostics(c)
     lower = np.linspace(diag.lam1 / diag.x2 ** 2, diag.x1, n_points)
     upper = np.linspace(diag.lam2 / diag.x1 ** 2, diag.x2, n_points)
@@ -277,8 +275,7 @@ def r_star_estimate(c: float, eps: float) -> float:
     So u = eps^r is the positive root of u^2 = (eps^2 / k) (beta + u), and
     the estimate is ln u / ln eps.  It is asymptotic in eps, and lies above
     the census threshold (by 0.0004-0.0055 at c = 5, eps in [0.01, 0.05])."""
-    if not (math.isfinite(c) and c > 4.0):
-        raise DomainError(f"r_star_estimate requires c > 4, got c = {c}")
+    require_c_above_4(c, "r_star_estimate")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     a = eps * eps / abs(gbar_deriv2(c, x1(c)))

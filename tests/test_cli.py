@@ -181,6 +181,12 @@ class TestBifurcation:
         code, _ = run(capsys, ["bifurcation", "--c", "5"])
         assert code == 2
 
+    @pytest.mark.parametrize("c", ["0", "-1"])
+    def test_non_positive_c_exits_2(self, capsys, c):
+        assert cli.main(["bifurcation", "--c", c, "--lambda", "6.0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "bifurcation requires c > 0, got c = " in err
+
     @pytest.mark.parametrize("flag", ["--c", "--lambda"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_c_or_lambda_exits_2(self, capsys, flag, value):
@@ -216,6 +222,12 @@ class TestPoincare:
         code, doc = run_json(capsys, ["poincare", "--c", "3", "--lambda", "-2", "--signal", zero_signal])
         assert code == 0
         assert doc["result"] == []
+
+    @pytest.mark.parametrize("c", ["0", "-1"])
+    def test_non_positive_c_exits_2(self, capsys, zero_signal, c):
+        assert cli.main(["poincare", "--c", c, "--lambda", "6.0", "--signal", zero_signal]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "requires c > 0, got c = " in err
 
     def test_incommensurate_signal_exits_2(self, capsys, tmp_path):
         path = tmp_path / "incommensurate.json"

@@ -106,6 +106,45 @@ class TestOdeSpecValidation:
         with pytest.raises(ValueError, match="finite"):
             dynamics.OdeSpec(c, lam, ZERO)
 
+    @pytest.mark.parametrize("c", [0.0, -0.0, -1.0])
+    def test_rejects_non_positive_c(self, c):
+        # gbar needs c > 0, as diagnostics and classify do
+        with pytest.raises(model.DomainError, match=r"OdeSpec requires c > 0, got c = "):
+            dynamics.OdeSpec(c, 1.0, ZERO)
+
+
+class TestDegenerateSpans:
+    """A zero, non-finite or backward span, and a sample count below 1, are
+    rejected by name instead of dividing by zero or running backward."""
+
+    SPEC = dynamics.OdeSpec(5.0, 6.0, signals.TrigSum(0.0, ((0.03, 1.0, 0.4),)))
+
+    @pytest.mark.parametrize("t0,t1", [(1.0, 1.0), (0.0, math.inf), (0.0, math.nan), (-math.inf, 0.0)])
+    def test_integrate(self, t0, t1):
+        with pytest.raises(ValueError, match="must be finite and nonzero"):
+            dynamics.integrate(self.SPEC, t0, 2.0, t1)
+
+    def test_map_over_no_time(self):
+        with pytest.raises(ValueError, match="must be finite and nonzero"):
+            dynamics.poincare_map(self.SPEC, 0.0, 2.0)
+        with pytest.raises(ValueError, match="must be finite and nonzero"):
+            dynamics.integrate(dynamics.OdeSpec(5.0, 6.0, SAMPLED), 2.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize("T", [0.0, -2.0 * math.pi, math.inf, math.nan])
+    def test_census_needs_positive_period(self, T):
+        for census in (dynamics.find_periodic_solutions, dynamics.count_separated_solutions):
+            with pytest.raises(ValueError, match="a census requires a finite period T > 0"):
+                census(self.SPEC, T)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_no_samples(self, n):
+        with pytest.raises(ValueError, match="n_samples must be None or at least 1"):
+            dynamics.integrate(self.SPEC, 0.0, 2.0, 1.0, n_samples=n)
+
+    def test_one_sample_is_the_start(self):
+        traj = dynamics.integrate(self.SPEC, 0.0, 2.0, 1.0, n_samples=1)
+        assert traj.times.tolist() == [0.0] and traj.values.tolist() == [2.0]
+
 
 class TestPoincareMap:
     def test_autonomous_fixed_points(self):
@@ -456,6 +495,14 @@ class TestBifurcationEstimates:
     def test_rejects_subcritical(self):
         with pytest.raises(model.DomainError):
             dynamics.estimate_lambda_pm(4.0, ZERO)
+
+    @pytest.mark.parametrize("c", [math.inf, math.nan])
+    def test_rejects_non_finite_c_without_a_warning(self, c):
+        y = signals.TrigSum(0.0, ((0.03, 1.0, 0.4),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(model.DomainError, match=r"estimate_lambda_pm requires c > 4, got c = (inf|nan)$"):
+                dynamics.estimate_lambda_pm(c, y)
 
 
 INCOMMENSURATE = signals.TrigSum(0.0, ((0.02, 1.0, 0.0), (0.02, math.sqrt(2.0), 0.0)))
@@ -1183,14 +1230,29 @@ class TestSampledInputIsOneSolve:
 
 
 class TestCubicBranchMidSolve:
-    """A one-state solve runs its kernel in floats until the state falls below
-    0, where gbar is the cubic; those calls go to ``OdeSpec.rhs``."""
+    """A one-state solve runs its kernel in floats throughout, also after the
+    state falls below 0, where gbar is the cubic: the float path evaluates
+    that branch itself and never calls ``OdeSpec.rhs``."""
 
     def test_integrate_through_x_below_zero(self):
         lam, T = -3.0, SAMPLED.period  # x' < 0 at x = 0: the orbit settles near -0.27
         traj = dynamics.integrate(dynamics.OdeSpec(5.0, lam, SAMPLED), 0.0, 1.0, T)
         assert traj.values[0] == 1.0 and traj.values.min() < -0.2
         assert abs(traj.values[-1] - reference_flow(5.0, lam, 1.0, 0.0, T)) < 1e-8
+
+    def test_no_array_path_below_zero(self, monkeypatch):
+        lam, T = -3.0, SAMPLED.period
+        spec = dynamics.OdeSpec(5.0, lam, SAMPLED)
+        want = dynamics.integrate(spec, 0.0, 1.0, T)
+
+        def refuse(*args):
+            raise AssertionError("a one-state solve reached OdeSpec.rhs")
+
+        monkeypatch.setattr(dynamics.OdeSpec, "rhs", refuse)
+        monkeypatch.setattr(dynamics.OdeSpec, "rhs_state_deriv", refuse)
+        traj = dynamics.integrate(spec, 0.0, 1.0, T)
+        assert traj.values.min() < -0.2
+        assert np.array_equal(traj.times, want.times) and np.array_equal(traj.values, want.values)
 
 
 class TestEndStateKeepsNoSteps:

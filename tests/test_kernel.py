@@ -2,11 +2,12 @@
 
 The references below are the straightforward expressions: both branches of
 gbar on every entry, and every signal rebuilt from its spec on every call.
+gbar's cubic branch is defined by products, -(1+2c)x - x*x*x, never by pow.
 The package skips the cubic where x >= 0 and compiles the signal once; the
 results must be the same floats (compared with ==), of the same type.
 The solver's kernels (``OdeSpec._kernels``) must give the floats of
-``OdeSpec.rhs`` and ``rhs_state_deriv`` too, whether a call takes the float
-path, the array path or falls back from one to the other.
+``OdeSpec.rhs`` and ``rhs_state_deriv`` too, on the float path (few states)
+and on the array path alike; a call takes one of them by its size alone.
 """
 
 import math
@@ -24,7 +25,7 @@ C = 5.0
 
 def gbar_reference(c, x):
     x = np.asarray(x, dtype=float)
-    out = np.where(x >= 0.0, -x - 2.0 * c * x / (1.0 + x * x), -(1.0 + 2.0 * c) * x - x ** 3)
+    out = np.where(x >= 0.0, -x - 2.0 * c * x / (1.0 + x * x), -(1.0 + 2.0 * c) * x - x * x * x)
     return out if out.ndim else float(out)
 
 
@@ -99,7 +100,8 @@ STATES = [
     ("0d-pos", np.asarray(1.125)),
 ]
 # scalar libm pow and numpy's array pow can disagree in the last bit; the
-# scalar checks include the inputs where they do on this platform
+# scalar checks include the inputs where they do on this platform, so a pow
+# in any form of the cubic shows
 _CANDIDATES = RNG.uniform(-4.0, 0.0, 100_000)
 _POW_DIFFERS = _CANDIDATES[_CANDIDATES ** 3 != np.array([float(v) ** 3 for v in _CANDIDATES])]
 SCALARS = np.concatenate([RNG.uniform(-4.0, 6.0, 200), _POW_DIFFERS[:200]])
@@ -153,7 +155,7 @@ def test_signal_eval_bit_identical(name, signal):
 
 
 # the solver's kernels: every entry the float of OdeSpec.rhs and rhs_state_deriv,
-# on the float path (few states), the array path and the fallback between them
+# on the float path (few states) and the array path, on both branches of gbar
 KERNEL_STATES = STATES + [
     ("scalars", SCALARS),
     *[(f"scalars-{i}", chunk) for i, chunk in enumerate(np.array_split(SCALARS, 40))],
@@ -182,6 +184,29 @@ def test_kernel_bit_identical_to_rhs(kind, name, signal):
             assert same(integrand, np.atleast_1d(spec.rhs_state_deriv(x)))
 
 
+@pytest.mark.parametrize("kind", ["full", "linear-convex"])
+def test_few_states_never_reach_rhs(kind, monkeypatch):
+    # states below 0 (the cubic of the full equation) and below -sqrt3 (the
+    # cubic of the linear-convex one), the pow-sensitive ones among them:
+    # the float path evaluates them itself, plain and augmented
+    spec = dynamics.OdeSpec(C, 6.0, SIGNALS[1][1], kind)
+    cases = [
+        np.array([-0.731]),
+        np.array([-1.9, -model.SQRT3 - 1e-15, -3.0, 0.4, 2.0]),
+        _POW_DIFFERS[: dynamics._FLOAT_STATES],
+    ]
+    want = [(np.atleast_1d(spec.rhs(0.3, x)), np.atleast_1d(spec.rhs_state_deriv(x))) for x in cases]
+
+    def refuse(*args):
+        raise AssertionError("a few-state kernel call reached OdeSpec.rhs")
+
+    monkeypatch.setattr(dynamics.OdeSpec, "rhs", refuse)
+    monkeypatch.setattr(dynamics.OdeSpec, "rhs_state_deriv", refuse)
+    for x, (value, integrand) in zip(cases, want):
+        got = kernel_pair(spec, 0.3, x)
+        assert same(got[0], value) and same(got[1], integrand)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     kind=st.sampled_from(dynamics.RHS_KINDS),
@@ -191,8 +216,8 @@ def test_kernel_bit_identical_to_rhs(kind, name, signal):
 def test_float_and_array_paths_agree(kind, t, xs):
     spec = dynamics.OdeSpec(C, 6.0, SIGNALS[1][1], kind)
     x = np.array(xs)
-    # each state alone takes the float path (unless it needs the cubic), the
-    # states repeated past the crossover the array path
+    # each state alone takes the float path, the states repeated past the
+    # crossover the array path
     tiled = kernel_pair(spec, t, np.tile(x, dynamics._FLOAT_STATES // x.size + 1))
     whole = kernel_pair(spec, t, x)
     for i in range(x.size):
