@@ -39,6 +39,13 @@ the crossing's bracket); otherwise the plain contraction step is taken,
 stopped on |P(x) - x| < FP_TOL, with root bracketing, one crossing at a
 time, as the last resort.
 
+The bifurcation values are the folds of the two comparison equations.
+Each is a root of the fold system F(x, lam) = (P(x) - x, L(x)), with P the
+period map and L its log multiplier, found by Newton's method from the fold
+that second-order averaging predicts.  One solve of five scalar states (the
+state, its log multiplier and three sensitivities) gives F and its
+Jacobian, so a fold solve scans no seed grid.
+
 Every integration is one run of ``solve_ivp``, the module's own RK45 loop:
 scipy's Dormand-Prince 5(4) stepper, its floats reproduced bit for bit,
 whose steps through a sampled input each end at a node.  It returns the
@@ -57,7 +64,8 @@ state in Python floats, in one pass, since NumPy's fixed cost per
 operation would dominate it; a larger call is ``OdeSpec.rhs`` and
 ``rhs_state_deriv`` on arrays.  A call takes one of the two by its size
 alone: both branches of gbar are + - * / expressions, which round alike in
-floats and in NumPy.
+floats and in NumPy.  The fold system has a float kernel of its own, built
+with them.
 """
 
 from __future__ import annotations
@@ -98,7 +106,7 @@ ESCAPE_BOUND = 1e6
 FP_TOL = 1e-9
 DEDUP_TOL = 1e-6
 NONHYP_TOL = 1e-4  # |multiplier - 1| below this => non-hyperbolic
-CENSUS_SEEDS = 2048  # grid of the count-only census and of the fold solves
+CENSUS_SEEDS = 2048  # grid of the count-only census
 # the full census solves the first grid (its every 2nd and 4th seed are the
 # 1,025- and 513-seed grids) and doubles up to the second
 STABLE_SEEDS = (2049, 8193)
@@ -115,10 +123,14 @@ _FLOAT_STATES = 32
 
 
 def _compile_kernels(spec):
-    """(field, augmented): the right-hand side of ``spec`` as the solver
-    calls it, fun(t, y).  ``field`` returns x' of the states y; ``augmented``
-    takes the states followed by their log multipliers and returns x'
-    followed by the multiplier integrand d(rhs)/dx.  Every entry equals
+    """(field, augmented, fold): the right-hand side of ``spec`` as the
+    solver calls it, fun(t, y).  ``field`` returns x' of the states y;
+    ``augmented`` takes the states followed by their log multipliers and
+    returns x' followed by the multiplier integrand d(rhs)/dx.  ``fold``
+    (None for the full equation) takes one state x of a comparison equation
+    x' = lam + y(t) + f(x), its log multiplier l and the sensitivities x_lam,
+    M and N (``_fold_system``) and returns x', f', f' x_lam + 1, f'' e^l and
+    f'' x_lam.  Every entry of the first two equals
     ``OdeSpec.rhs`` and ``OdeSpec.rhs_state_deriv`` bit for bit, so the
     solver takes the steps it would take with them.
 
@@ -184,6 +196,18 @@ def _compile_kernels(spec):
             gu, du = g_pair(x + SQRT3)
             return drive - shift + sx + (gu + shift - sx), slope + (du - slope)
 
+    def g2(u):  # gbar''
+        if u < 0.0:
+            return -6.0 * u
+        q = 1.0 + u * u
+        return -4.0 * c * u * (u * u - 3.0) / (q * q * q)
+
+    def fold(t, y):  # a comparison equation's: f'' is gbar'' on the curved half, 0 on the linear one
+        x, log_mult, x_lam, _, _ = y.tolist()
+        dx, d1 = pair(lam + signal_at(float(t)), x)
+        d2 = g2(x + SQRT3) if on_half(x) else 0.0
+        return np.array([dx, d1, d1 * x_lam + 1.0, d2 * math.exp(log_mult), d2 * x_lam])
+
     def field(t, y):
         if y.size <= _FLOAT_STATES:
             drive = lam + signal_at(float(t))
@@ -198,7 +222,7 @@ def _compile_kernels(spec):
             return np.array(values + derivs)
         return np.concatenate([np.atleast_1d(spec.rhs(t, x)), np.atleast_1d(spec.rhs_state_deriv(x))])
 
-    return field, augmented
+    return field, augmented, (None if spec.rhs_kind == "full" else fold)
 
 
 @dataclass(frozen=True)
@@ -211,6 +235,8 @@ class OdeSpec:
     _signal_at: object = field(init=False, repr=False, compare=False)
     # (field, augmented): the solver's right-hand sides (_compile_kernels), built once here
     _kernels: tuple = field(init=False, repr=False, compare=False)
+    # the right-hand side of a fold solve (_fold_system), built with them
+    _fold_kernel: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.c) and math.isfinite(self.lam)):
@@ -222,7 +248,9 @@ class OdeSpec:
         if self.rhs_kind != "full":
             require_c_above_4(self.c, f"rhs_kind {self.rhs_kind!r}")
         object.__setattr__(self, "_signal_at", sig.compile_signal(self.signal))
-        object.__setattr__(self, "_kernels", _compile_kernels(self))
+        *kernels, fold = _compile_kernels(self)
+        object.__setattr__(self, "_kernels", tuple(kernels))
+        object.__setattr__(self, "_fold_kernel", fold)
 
     def __reduce__(self):
         # the kernels are closures; a copy rebuilds them from the fields
@@ -416,7 +444,8 @@ def _solve(spec: OdeSpec, t0, y0, t1, abstol, reltol, augmented=False, t_eval=No
     n = y.size
     if augmented:
         y = np.concatenate([y, np.zeros(n)])
-    nodes = spec._signal_at.kinks(t0, t1)
+    # the kinks of a span that is not finite are not asked for: solve_ivp rejects the span
+    nodes = spec._signal_at.kinks(t0, t1) if math.isfinite(t1 - t0) else []
     sol = solve_ivp(spec._kernels[augmented], t0, y, t1, abstol, reltol, t_eval=t_eval, nodes=nodes, states=n)
     return sol.t, sol.y
 
@@ -789,49 +818,10 @@ def signal_period(signal: sig.SignalSpec) -> float:
     raise ValueError("signal must be constant or periodic")
 
 
-def _extremal_seed(spec: OdeSpec, T: float, sign: float, near: tuple[int, int] | None = None):
-    """(i, e, states): the index i on the CENSUS_SEEDS grid of the scan
-    interval of the seed with the largest sign * displacement, that value e,
-    and the number of states solved for them.
-
-    With near = (i0, i1), two indices expected near the extremal one (the
-    extremal indices at two other lambda, or one index - 4 and + 4), only
-    the seeds from min(near) - 4 to max(near) + 4 and the grid's two end
-    seeds are solved.  The grid values are unimodal (d is concave for the
-    concave-linear equation, sign = 1, and convex for the linear-convex one,
-    sign = -1), so a largest value whose grid neighbours were solved too is
-    the grid's largest; otherwise the full grid is solved after all.  The
-    flow preserves order, so if any grid seed leaves |x| <= ESCAPE_BOUND an
-    end seed does too, and a window escapes exactly when the full grid
-    would.  An escape gives i = None and e = minus the length of the
-    interval: "no two solutions" on the scale of the grid.
-    """
-    n = CENSUS_SEEDS
-    xs = np.linspace(*_scan_interval(spec), n)
-    seeds = np.arange(n)
-    if near is not None:
-        inner = np.arange(min(near) - 4, max(near) + 5).clip(0, n - 1)
-        seeds = np.unique(np.r_[0, inner, n - 1])
-    states = 0
-    while True:
-        states += seeds.size
-        try:
-            d = sign * _displacement_grid([spec], T, xs[seeds])
-        except FiniteEscapeError:
-            return None, float(xs[0] - xs[-1]), states
-        k = int(np.argmax(d))
-        i = int(seeds[k])
-        if (i == 0 or seeds[k - 1] == i - 1) and (i == n - 1 or seeds[k + 1] == i + 1):
-            return i, float(d[k]), states
-        seeds = np.arange(n)  # the window's largest value lies on its edge
-
-
-def _averaged_fold(c: float, signal: sig.SignalSpec, rhs_kind: str, tol: float):
-    """(lam, w, i): the fold value of the comparison equation ``rhs_kind``
-    that second-order averaging predicts, the half-width w of the fold
-    solve's first bracket [lam - w, lam + w], and the index on the
-    CENSUS_SEEDS grid of the seed predicted to have the extremal
-    displacement there.
+def _averaged_fold(c: float, signal: sig.SignalSpec, rhs_kind: str) -> tuple[float, float]:
+    """(lam, x0): the fold of the comparison equation ``rhs_kind`` that
+    second-order averaging predicts, as its lambda and the state x0 at t = 0
+    of its fold orbit.
 
     With Y the zero-mean antiderivative of y - ybar, x = u + Y(t) turns
     x' = lam + y + gbar(x) into u' = lam + ybar + gbar(u + Y(t)), whose
@@ -845,11 +835,8 @@ def _averaged_fold(c: float, signal: sig.SignalSpec, rhs_kind: str, tol: float):
     terms) add as phasors (a/th) e^(i ph), and Var(Y) is half the sum of
     their squared moduli.  A sampled input enters as its interpolant's mean
     and as many harmonics as nodes (``sig._sampled_terms``; Y's terms fall
-    off as n^-3).  The displacement is extremal where u(0) sits at the fold, the
-    seed x_f - sqrt3 + Y(0) of the recentered state.  The half-width is 5%
-    of the shift, plus 10 tol, plus |gbar''(x_f)| h^2 / 8: the extremal seed
-    of the grid (spacing h) may lie h/2 off the extremum, which moves the
-    grid's fold by up to that much in lambda.
+    off as n^-3).  The fold orbit keeps u at the fold, so it starts at
+    x_f - sqrt3 + Y(0) in the recentered state.
     """
     a0, terms = sig._as_trig(signal) or sig._sampled_terms(signal, len(signal.times))
     phasors = {}
@@ -860,112 +847,115 @@ def _averaged_fold(c: float, signal: sig.SignalSpec, rhs_kind: str, tol: float):
     concave = rhs_kind == "concave-linear"
     x_f, center = (x2(c), lam1(c)) if concave else (x1(c), lam2(c))
     curvature = abs(gbar_deriv2(c, x_f))
-    shift = (curvature if concave else -curvature) * var / 2.0
-    lam = center - a0 + shift
-    lo, hi = _scan_interval(OdeSpec(c, lam, signal, rhs_kind))
-    h = (hi - lo) / (CENSUS_SEEDS - 1)
-    i = round((x_f - SQRT3 + y0 - lo) / h)
-    return lam, 0.05 * abs(shift) + curvature * h * h / 8.0 + 10.0 * tol, min(max(i, 0), CENSUS_SEEDS - 1)
+    return center - a0 + (curvature if concave else -curvature) * var / 2.0, x_f - SQRT3 + y0
+
+
+# the solves (its start and every trial step) a fold's Newton solve may make before it gives up
+FOLD_SOLVES = 40
+
+
+def _fold_system(c: float, lam: float, signal: sig.SignalSpec, rhs_kind: str, T: float, x: float):
+    """(F, J): the fold system F(x, lam) = (P(x) - x, L(x)) of the
+    comparison equation x' = lam + y(t) + f(x) of ``rhs_kind``, with P its
+    period map and L the log multiplier, the integral of f' along the orbit.
+
+    One solve over the period gives both F and its Jacobian: from
+    (x, 0, 0, 0, 0), x' = lam + y + f, l' = f', x_lam' = f' x_lam + 1,
+    M' = f'' e^l and N' = f'' x_lam (``OdeSpec._fold_kernel``), so e^L is
+    dP/dx, x_lam(T) is dP/dlam, and M and N are dL/dx and dL/dlam.  Then
+    J = [[e^L - 1, x_lam], [M, N]].  An orbit that escapes raises
+    FiniteEscapeError, and an l that overflows exp raises OverflowError.
+    """
+    spec = OdeSpec(c, lam, signal, rhs_kind)
+    y0 = np.array([x, 0.0, 0.0, 0.0, 0.0])
+    nodes = spec._signal_at.kinks(0.0, T)
+    sol = solve_ivp(spec._fold_kernel, 0.0, y0, T, ABSTOL, RELTOL, t_eval=[T], nodes=nodes, states=1)
+    xT, L, x_lam, M, N = sol.y[:, -1].tolist()
+    return (xT - x, L), ((math.exp(L) - 1.0, x_lam), (M, N))
+
+
+def _newton_fold(c: float, signal: sig.SignalSpec, rhs_kind: str, T: float, tol: float):
+    """(lam, figures): the fold value of the comparison equation
+    ``rhs_kind``, and the Newton steps and solves that found it, the last
+    step's |dlam| and the averaged fold's lambda, keyed as in the metadata of
+    ``estimate_lambda_pm``.  Newton's method on ``_fold_system`` (Kuznetsov,
+    Elements of Applied Bifurcation Theory, ch. 10; Govaerts, Numerical
+    Methods for Bifurcations of Dynamical Equilibria, SIAM 2000) starts at
+    the averaged fold's lambda and state.
+
+    A trial step t (1, then halved) is taken when its orbit stays bounded,
+    its l does not overflow exp, and it shrinks |F| by the factor 1 - t/2,
+    or when |F| is already at its rounding floor (the exact start of a
+    constant input).  A full step with |dlam| < tol ends the solve.  P is
+    concave (concave-linear) or convex (linear-convex), so it has at most
+    one fold; the root is taken when M = dL/dx has that sign (negative, or
+    positive).  RuntimeError, naming the side, when FOLD_SOLVES solves do
+    not converge, when the start fails or when M has the other sign.
+    """
+    predicted, x = _averaged_fold(c, signal, rhs_kind)
+    lam, sign = predicted, -1.0 if rhs_kind == "concave-linear" else 1.0
+    failed = RuntimeError(f"the Newton solve did not converge on the {rhs_kind} fold")
+    try:
+        F, J = _fold_system(c, lam, signal, rhs_kind, T, x)
+    except (FiniteEscapeError, OverflowError):
+        raise failed from None
+    steps, solves = 0, 1
+    while solves < FOLD_SOLVES:
+        (a, b), (m, n) = J
+        det = a * n - b * m
+        if det == 0.0:  # M = N = 0: the orbit never meets the curved half
+            raise failed
+        dx, dlam = (b * F[1] - n * F[0]) / det, (m * F[0] - a * F[1]) / det
+        if not (math.isfinite(dx) and math.isfinite(dlam)):
+            raise failed
+        size = math.hypot(*F)
+        floor = 64.0 * math.ulp(1.0) * (1.0 + abs(x) + abs(lam) * T)
+        t = 1.0
+        while solves < FOLD_SOLVES:
+            solves += 1
+            try:
+                F_t, J_t = _fold_system(c, lam + t * dlam, signal, rhs_kind, T, x + t * dx)
+            except (FiniteEscapeError, OverflowError):
+                t /= 2.0
+                continue
+            if math.hypot(*F_t) <= (1.0 - t / 2.0) * size or size <= floor:
+                break
+            t /= 2.0
+        else:
+            break
+        x, lam, F, J = x + t * dx, lam + t * dlam, F_t, J_t
+        steps += 1
+        if t == 1.0 and abs(dlam) < tol:
+            if not sign * J[1][0] > 0.0:
+                raise failed
+            return lam, {"newton_steps": steps, "solves": solves, "last_step": abs(dlam), "prediction": predicted}
+    raise failed
 
 
 def estimate_lambda_pm(
     c: float, signal: sig.SignalSpec, tol: float = 1e-5
 ) -> tuple[float, float, dict]:
     """Bifurcation values (lambda_minus, lambda_plus) of the comparison
-    equations, as roots in lambda of the extremum of the displacement.
+    equations: the fold of the concave-linear equation and of the
+    linear-convex one, each a root of the fold system by Newton's method
+    (``_newton_fold``) from the fold that second-order averaging predicts
+    (``_averaged_fold``), to a last step below tol.
 
-    The concave-linear rhs is concave in the state, so its period map P is
-    concave and d = P(x) - x has a single maximum; the linear-convex one is
-    the mirror case, d convex with a single minimum.  P increases in lambda,
-    so d.max() (concave-linear) and -d.min() (linear-convex), taken on the
-    census grid, are monotone in lambda and positive exactly where the
-    census finds two separated solutions: above lambda_minus and below
-    lambda_plus.  brentq solves each to xtol = tol.
-
-    brentq starts on the bracket [lam - w, lam + w] around the fold value
-    lam that second-order averaging predicts (``_averaged_fold``), clipped
-    to the widest bracket, the sandwich [center - sup y, center - inf y]
-    padded by the margin max(lam2 - lam1, 10 tol).  While the extremum has
-    one sign at both ends w grows eightfold, and a widest bracket that
-    still fails raises RuntimeError.  A trajectory that escapes counts as
-    "no two solutions".
-
-    Each lambda solves a window of the CENSUS_SEEDS grid and the grid's two
-    end seeds (``_extremal_seed``: exact by unimodality and order
-    preservation, with the full grid solved after all when the window's
-    extremum lies on its edge).  A lambda with a solved lambda below and
-    above, which is every brentq step, takes the window between their
-    extremal indices; one with a solved lambda on one side only takes 8
-    seeds on each side of that one's index; the first takes 8 seeds on each
-    side of the averaged fold's predicted seed.  The metadata reports per
-    value the grid scans (the widening included), the states they solved,
-    the full-grid solves among them (``full_grids``) and the averaged
-    fold's ``prediction`` (its lambda, half-width and whether its first
-    bracket straddled), and notes that for non-constant inputs the
-    period-map condition is a surrogate of the shift-family definition
-    (equivalent for periodic inputs).
+    The metadata reports per value the Newton steps (``newton_steps``), the
+    solves they made (``solves``), the last step's |dlam| (``last_step``)
+    and the averaged fold's lambda (``prediction``), and notes that for
+    non-constant inputs the period-map condition is a surrogate of the
+    shift-family definition (equivalent for periodic inputs).
     """
     require_c_above_4(c, "estimate_lambda_pm")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"estimate_lambda_pm requires a finite tol > 0, got tol = {tol}")
     T = signal_period(signal)
-    b = sig.bounds(signal)
-    h1 = lam2(c) - lam1(c)
-    margin = max(h1, 10.0 * tol)
-    scans, seeds, full, predicted = {}, {}, {}, {}
-
-    def fold(center: float, rhs_kind: str) -> float:
-        # the extremum of d, signed to be positive where two solutions exist
-        sign = 1.0 if rhs_kind == "concave-linear" else -1.0
-        values = {}  # the widening and brentq evaluate bracket ends again
-        peaks = {}  # the extremal grid index of every lambda whose grid was solved
-        seeds[rhs_kind] = full[rhs_kind] = 0
-        lam, w, guess = _averaged_fold(c, signal, rhs_kind, tol)
-        predicted[rhs_kind] = {"lambda": lam, "half_width": w}
-
-        def extremum(lam: float) -> float:
-            if lam not in values:
-                below = [v for v in peaks if v < lam]
-                above = [v for v in peaks if v > lam]
-                if below and above:
-                    near = (peaks[max(below)], peaks[min(above)])
-                else:  # 8 seeds on each side of the one solved neighbour's index, or of the predicted one
-                    i = peaks[max(below)] if below else peaks[min(above)] if above else guess
-                    near = (i - 4, i + 4)
-                i, values[lam], states = _extremal_seed(OdeSpec(c, lam, signal, rhs_kind), T, sign, near)
-                seeds[rhs_kind] += states
-                full[rhs_kind] += states >= CENSUS_SEEDS
-                if i is not None:
-                    peaks[lam] = i
-            return values[lam]
-
-        w_lo, w_hi = center - b.sup - margin, center - b.inf + margin  # the widest bracket
-        lam = min(max(lam, w_lo), w_hi)
-        while True:
-            lo, hi = max(w_lo, lam - w), min(w_hi, lam + w)
-            straddles = (extremum(lo) > 0.0) != (extremum(hi) > 0.0)
-            predicted[rhs_kind].setdefault("straddled", straddles)
-            if straddles or (lo, hi) == (w_lo, w_hi):
-                break
-            w *= 8.0
-        if not straddles:
-            raise RuntimeError(
-                f"bracket [{lo:.6g}, {hi:.6g}] does not straddle the {rhs_kind} bifurcation"
-            )
-        root = float(brentq(extremum, lo, hi, xtol=tol))
-        scans[rhs_kind] = len(values)
-        return root
-
-    lam_minus = fold(lam1(c), "concave-linear")
-    lam_plus = fold(lam2(c), "linear-convex")
-    meta = {
-        "tol": tol,
-        "period": T,
-        "scans": {"lambda_minus": scans["concave-linear"], "lambda_plus": scans["linear-convex"]},
-        "seeds": {"lambda_minus": seeds["concave-linear"], "lambda_plus": seeds["linear-convex"]},
-        "full_grids": {"lambda_minus": full["concave-linear"], "lambda_plus": full["linear-convex"]},
-        "prediction": {"lambda_minus": predicted["concave-linear"], "lambda_plus": predicted["linear-convex"]},
-        "note": "period-map condition is a surrogate of the shift-family "
-        "definition; exact for constant and periodic inputs",
-    }
+    lam_minus, minus = _newton_fold(c, signal, "concave-linear", T, tol)
+    lam_plus, plus = _newton_fold(c, signal, "linear-convex", T, tol)
+    meta = {"tol": tol, "period": T}
+    meta.update({key: {"lambda_minus": minus[key], "lambda_plus": plus[key]} for key in minus})
+    meta["note"] = (
+        "period-map condition is a surrogate of the shift-family definition; exact for constant and periodic inputs"
+    )
     return lam_minus, lam_plus, meta

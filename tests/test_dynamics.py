@@ -130,6 +130,14 @@ class TestDegenerateSpans:
         with pytest.raises(ValueError, match="must be finite and nonzero"):
             dynamics.integrate(dynamics.OdeSpec(5.0, 6.0, SAMPLED), 2.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize("t1", [math.inf, -math.inf, math.nan])
+    def test_sampled_input_over_a_non_finite_span(self, t1):
+        # the span is checked before the input lists its nodes on it, which
+        # an infinite span would overflow
+        spec = dynamics.OdeSpec(5.0, 6.0, signals.SampledPeriodic(5.0, (0.0, 1.0, 2.0, 3.0), (0.0, 0.1, 0.0, -0.1)))
+        with pytest.raises(ValueError, match="must be finite and nonzero"):
+            dynamics.integrate(spec, 0.0, 2.0, t1)
+
     @pytest.mark.parametrize("T", [0.0, -2.0 * math.pi, math.inf, math.nan])
     def test_census_needs_positive_period(self, T):
         for census in (dynamics.find_periodic_solutions, dynamics.count_separated_solutions):
@@ -533,10 +541,41 @@ class TestSignalPeriod:
             dynamics.estimate_lambda_pm(5.0, INCOMMENSURATE)
 
 
+def oracle_grid(spec, tol):
+    """The oracle's seeds for ``spec``: its scan interval on CENSUS_SEEDS
+    seeds or, where their grid bias |gbar''(x_f)| h^2 / 8 in lambda would
+    exceed tol / 2, on as many more as bring it below.  The linear-convex
+    interval is capped at x_c = max(0, (cshift - lam - inf y) / dfrak),
+    above which x' > 0 for ever: the cap drops no solution, and the seeds
+    that would escape at c = 12 are not solved.  One seed past x_c makes a
+    solution at x_c itself (a constant input's) a sign change too."""
+    c = spec.c
+    lo, hi = dynamics._scan_interval(spec)
+    x_f = model.x2(c) if spec.rhs_kind == "concave-linear" else model.x1(c)
+    x_c = math.inf
+    if spec.rhs_kind == "linear-convex":
+        inf_y = signals.bounds(spec.signal).inf
+        x_c = max(0.0, (model.cshift(c) - spec.lam - inf_y) / model.dfrak(c))
+    top = min(hi, x_c)
+    h = math.sqrt(4.0 * tol / abs(model.gbar_deriv2(c, x_f)))
+    xs = np.linspace(lo, top, max(dynamics.CENSUS_SEEDS, math.ceil((top - lo) / h) + 1))
+    return np.append(xs, top + (xs[1] - xs[0])) if x_c < hi else xs
+
+
+def oracle_displacement(spec, T, tol):
+    """(seeds, P(x) - x) on ``oracle_grid``; None where a seed escapes."""
+    xs = oracle_grid(spec, tol)
+    try:
+        return xs, dynamics._displacement_grid([spec], T, xs)
+    except dynamics.FiniteEscapeError:
+        return xs, None
+
+
 def bisect_lambda_pm(c, signal, tol):
     """Oracle: bisection on "the census finds >= 2 separated solutions" over
     the closed-form sandwich bracket (an escaping trajectory counts as
-    fewer).  Returns (lambda_minus, lambda_plus, census calls per side)."""
+    fewer), each census on ``oracle_grid``.  Returns (lambda_minus,
+    lambda_plus, census calls per side)."""
     T = dynamics.signal_period(signal)
     b = signals.bounds(signal)
     margin = max(model.lam2(c) - model.lam1(c), 10.0 * tol)
@@ -548,10 +587,8 @@ def bisect_lambda_pm(c, signal, tol):
 
         def predicate(lam):
             calls[rhs_kind] += 1
-            try:
-                return dynamics.count_separated_solutions(dynamics.OdeSpec(c, lam, signal, rhs_kind), T) >= 2
-            except dynamics.FiniteEscapeError:
-                return False
+            xs, d = oracle_displacement(dynamics.OdeSpec(c, lam, signal, rhs_kind), T, tol)
+            return d is not None and len(dynamics._sign_changes(xs, d)) >= 2
 
         if predicate(lo) == predicate(hi):
             raise RuntimeError(f"bracket [{lo:.6g}, {hi:.6g}] does not straddle the {rhs_kind} bifurcation")
@@ -573,22 +610,24 @@ FOLD_SIGNALS = {
     "trig": signals.TrigSum(0.0, ((0.03, 1.0, 0.4),)),
     "cesaro": signals.FourierCesaro(0.005, (0.02, -0.01), (0.015,), 6),
 }
+SIDES = (("lambda_minus", "concave-linear"), ("lambda_plus", "linear-convex"))
 
 
-def move_prediction(monkeypatch, lam=0.0, seed=0):
+def move_prediction(monkeypatch, lam=0.0, x=0.0):
     """Moves the averaged fold's predicted lambda by ``lam`` and its
-    predicted grid index by ``seed``, so its first bracket or its windows miss."""
+    predicted state by ``x`` into the curved half of each comparison
+    equation (up for the concave-linear one, down for the linear-convex one)."""
     predict = dynamics._averaged_fold
 
-    def moved(*args):
-        guess = predict(*args)
-        return guess[0] + lam, guess[1], guess[2] + seed
+    def moved(c, signal, rhs_kind):
+        guess_lam, guess_x = predict(c, signal, rhs_kind)
+        return guess_lam + lam, guess_x + (x if rhs_kind == "concave-linear" else -x)
 
     monkeypatch.setattr(dynamics, "_averaged_fold", moved)
 
 
 class TestFoldSolveAgainstBisection:
-    @pytest.mark.parametrize("c", [5.0, 8.0])
+    @pytest.mark.parametrize("c", [5.0, 8.0, 12.0])
     @pytest.mark.parametrize("name", list(FOLD_SIGNALS))
     def test_matches_bisection(self, c, name):
         tol = 1e-5
@@ -596,9 +635,9 @@ class TestFoldSolveAgainstBisection:
         want_minus, want_plus, calls = bisect_lambda_pm(c, FOLD_SIGNALS[name], tol)
         assert abs(lam_minus - want_minus) <= tol
         assert abs(lam_plus - want_plus) <= tol
-        # fewer period-map scans than the bisection needs
-        assert 2 <= meta["scans"]["lambda_minus"] < calls["concave-linear"]
-        assert 2 <= meta["scans"]["lambda_plus"] < calls["linear-convex"]
+        # fewer period-map solves than the bisection needs censuses
+        for side, kind in SIDES:
+            assert 2 <= meta["solves"][side] < calls[kind]
 
     def test_escaping_bracket_end(self):
         # slow forcing: at the upper end of the linear-convex bracket a seed
@@ -621,39 +660,66 @@ class TestFoldSolveAgainstBisection:
 
     @pytest.mark.parametrize("name", list(FOLD_SIGNALS))
     def test_sandwich_start_takes_fewer_scans(self, name):
-        # 9 scans per fold at c = 8 when brentq started on the sandwich padded by lam2 - lam1
+        # the averaged fold leaves Newton 1 or 2 steps: at most 5 solves per fold
         _, _, meta = dynamics.estimate_lambda_pm(8.0, FOLD_SIGNALS[name], tol=1e-5)
-        assert meta["scans"]["lambda_minus"] < 9 and meta["scans"]["lambda_plus"] < 9
+        assert meta["solves"]["lambda_minus"] <= 5 and meta["solves"]["lambda_plus"] <= 5
 
-    def test_bracket_widens_from_a_wrong_prediction(self, monkeypatch):
-        # an averaged fold 0.05 too low and a range reported 0.05 too high:
-        # the first bracket misses on both sides, and the eightfold widening
-        # still reaches both folds inside the moved widest bracket
-        c, tol, y = 5.0, 1e-5, FOLD_SIGNALS["trig"]
-        want_minus, want_plus, _ = bisect_lambda_pm(c, y, tol)
-        _, _, meta = dynamics.estimate_lambda_pm(c, y, tol=tol)
-        move_prediction(monkeypatch, lam=-0.05)
-        b = signals.bounds(y)
-        monkeypatch.setattr(dynamics.sig, "bounds", lambda s: signals.SignalBounds(b.sup + 0.05, b.inf + 0.05, False))
-        lam_minus, lam_plus, wide = dynamics.estimate_lambda_pm(c, y, tol=tol)
-        assert abs(lam_minus - want_minus) <= tol
-        assert abs(lam_plus - want_plus) <= tol
-        for side in ("lambda_minus", "lambda_plus"):
-            assert meta["prediction"][side]["straddled"] and not wide["prediction"][side]["straddled"]
-            assert wide["scans"][side] > meta["scans"][side]
+    def test_solves_no_displacement_grid(self, monkeypatch):
+        grid = RecordedGrid()
+        monkeypatch.setattr(dynamics, "_displacement_grid", grid)
+        for name in FOLD_SIGNALS:
+            dynamics.estimate_lambda_pm(8.0, FOLD_SIGNALS[name], tol=1e-5)
+        dynamics.estimate_lambda_pm(5.0, SAMPLED, tol=1e-5)
+        assert grid.sizes == []
 
-    def test_no_straddle_names_the_widest_bracket(self, monkeypatch):
-        # a range 10 too high: even the margin max(lam2 - lam1, 10 tol) misses
-        # the fold, and so does the averaged fold, read 10 too high in y as well
-        c, tol, y = 5.0, 1e-5, FOLD_SIGNALS["trig"]
-        move_prediction(monkeypatch, lam=-10.0)
-        b = signals.bounds(y)
-        monkeypatch.setattr(dynamics.sig, "bounds", lambda s: signals.SignalBounds(b.sup + 10.0, b.inf + 10.0, False))
-        margin = model.lam2(c) - model.lam1(c)
-        lo, hi = model.lam1(c) - (b.sup + 10.0) - margin, model.lam1(c) - (b.inf + 10.0) + margin
-        want = f"bracket [{lo:.6g}, {hi:.6g}] does not straddle the concave-linear bifurcation"
-        with pytest.raises(RuntimeError, match=f"^{re.escape(want)}$"):
-            dynamics.estimate_lambda_pm(c, y, tol=tol)
+    def test_unsolved_input_names_its_side(self):
+        # slow forcing at c = 8: neither the Newton solve nor a grid solve converges
+        y = signals.TrigSum(0.005, ((0.03, 0.15, 0.4),))
+        with pytest.raises(RuntimeError, match="^the Newton solve did not converge on the linear-convex fold$"):
+            dynamics.estimate_lambda_pm(8.0, y, tol=1e-6)
+
+    @pytest.mark.parametrize("kind", ["concave-linear", "linear-convex"])
+    def test_start_on_the_linear_half_names_its_side(self, monkeypatch, kind):
+        # a state 2 into the linear half starts an orbit that never leaves
+        # it, where f'' = 0: M = N = 0 and the Newton step is undefined
+        move_prediction(monkeypatch, x=-2.0)
+        y = FOLD_SIGNALS["trig"]
+        with pytest.raises(RuntimeError, match=f"^the Newton solve did not converge on the {kind} fold$"):
+            dynamics._newton_fold(5.0, y, kind, dynamics.signal_period(y), 1e-5)
+
+    @pytest.mark.parametrize("error", [dynamics.FiniteEscapeError, OverflowError])
+    def test_failed_trial_step_is_halved(self, monkeypatch, error):
+        # the first trial step escapes or overflows exp: it is halved, and
+        # the solve reaches the same fold with more solves
+        c, tol, y = 5.0, 1e-8, FOLD_SIGNALS["cesaro"]
+        want_minus, want_plus, meta = dynamics.estimate_lambda_pm(c, y, tol=tol)
+        system, count = dynamics._fold_system, {}
+
+        def failing(c, lam, signal, rhs_kind, T, x):
+            count[rhs_kind] = count.get(rhs_kind, 0) + 1
+            if count[rhs_kind] == 2:  # each side's first trial step
+                raise error("a failed trial")
+            return system(c, lam, signal, rhs_kind, T, x)
+
+        monkeypatch.setattr(dynamics, "_fold_system", failing)
+        lam_minus, lam_plus, halved = dynamics.estimate_lambda_pm(c, y, tol=tol)
+        assert abs(lam_minus - want_minus) <= tol and abs(lam_plus - want_plus) <= tol
+        for side, _ in SIDES:
+            assert halved["solves"][side] > meta["solves"][side]
+
+    @pytest.mark.parametrize("kind", ["concave-linear", "linear-convex"])
+    def test_root_with_the_wrong_curvature_is_refused(self, monkeypatch, kind):
+        # P is concave (M < 0 at the fold) or convex (M > 0); a root whose M
+        # has the other sign is not the fold
+        system = dynamics._fold_system
+
+        def flipped(c, lam, signal, rhs_kind, T, x):
+            F, ((a, b), (m, n)) = system(c, lam, signal, rhs_kind, T, x)
+            return F, ((a, b), (-m if rhs_kind == kind else m, n))
+
+        monkeypatch.setattr(dynamics, "_fold_system", flipped)
+        with pytest.raises(RuntimeError, match=f"^the Newton solve did not converge on the {kind} fold$"):
+            dynamics.estimate_lambda_pm(5.0, ZERO, tol=1e-5)
 
     @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-5, math.inf])
     def test_rejects_bad_tol(self, tol):
@@ -661,92 +727,79 @@ class TestFoldSolveAgainstBisection:
             dynamics.estimate_lambda_pm(5.0, ZERO, tol=tol)
 
 
+class TestClosedForms:
+    @pytest.mark.parametrize("c", [4.5, 5.0, 8.0, 12.0])
+    def test_constant_input_gives_the_shifted_fold_values(self, c):
+        # the averaged fold is exact here, so the solve ends at its start, and
+        # no seed grid adds its bias |gbar''(x_f)| h^2 / 8 (up to 5.6e-6)
+        a0 = 0.013
+        lam_minus, lam_plus, meta = dynamics.estimate_lambda_pm(c, signals.Constant(a0), tol=1e-5)
+        assert abs(lam_minus - (model.lam1(c) - a0)) <= 1e-9
+        assert abs(lam_plus - (model.lam2(c) - a0)) <= 1e-9
+        assert meta["newton_steps"] == {"lambda_minus": 1, "lambda_plus": 1}
+
+    def test_two_pi_periodic_input_at_c_12(self):
+        # over a period of 2 pi the linear half of the linear-convex equation
+        # (slope dfrak = 2) grows e^(4 pi)-fold, so every seed near the top of
+        # its scan interval escapes; the fold orbit does not
+        _, lam_plus, _ = dynamics.estimate_lambda_pm(12.0, averaging_trig(1.0), tol=1e-6)
+        assert lam_plus == pytest.approx(13.030346, abs=1e-5)
+
+
+class TestSlowForcing:
+    """c = 5 under a cos(theta t) with a = 0.03 and theta down to 0.09: slow
+    forcing, over whose long period the seeds of a grid near the fold escape."""
+
+    @pytest.mark.parametrize("theta,want", [(0.125, 6.1195048), (0.12, 6.1189544)])
+    def test_linear_convex_fold_is_the_multiple_shooting_one(self, theta, want):
+        c, a = 5.0, 0.03
+        _, lam_plus, _ = dynamics.estimate_lambda_pm(c, signals.TrigSum(0.0, ((a, theta, 0.0),)), tol=1e-6)
+        assert model.lam2(c) - a <= lam_plus <= model.lam2(c) + a
+        assert lam_plus == pytest.approx(want, abs=1e-6)
+
+    @pytest.mark.parametrize("theta", [0.1, 0.09])
+    def test_concave_linear_fold_solves(self, theta):
+        c, a = 5.0, 0.03
+        y = signals.TrigSum(0.0, ((a, theta, 0.0),))
+        lam_minus = dynamics._newton_fold(c, y, "concave-linear", dynamics.signal_period(y), 1e-6)[0]
+        assert model.lam1(c) - a <= lam_minus <= model.lam1(c) + a
+
+
 class RecordedGrid:
     """Stands in for ``dynamics._displacement_grid``: records the seed count
-    of every solve, and whether it escaped."""
+    of every solve."""
 
     def __init__(self):
-        self.fn, self.sizes, self.escaped = dynamics._displacement_grid, [], []
+        self.fn, self.sizes = dynamics._displacement_grid, []
 
     def __call__(self, spec, T, xs):
         self.sizes.append(xs.size)
-        try:
-            return self.fn(spec, T, xs)
-        except dynamics.FiniteEscapeError:
-            self.escaped.append(xs.size)
-            raise
+        return self.fn(spec, T, xs)
 
 
-FOLD_KINDS = [("concave-linear", model.lam1, 1.0), ("linear-convex", model.lam2, -1.0)]
-# the largest gap measured between a window's extremum and the full grid's
-# (different step sequences) was 7.9e-10, on the Cesaro input at c = 5
-WINDOW_GAP = 2e-9
+FOLD_KINDS = [("concave-linear", 1.0), ("linear-convex", -1.0)]
 
 
 class TestFoldWindow:
-    @pytest.mark.parametrize("kind,center,sign", FOLD_KINDS, ids=[k[0] for k in FOLD_KINDS])
+    """A window of lambda around the fold solve's value: the extremal
+    displacement on the oracle's grid changes sign inside it."""
+
+    @pytest.mark.parametrize("kind,sign", FOLD_KINDS, ids=[k[0] for k in FOLD_KINDS])
     @pytest.mark.parametrize("c", [5.0, 8.0])
     @pytest.mark.parametrize("name", list(FOLD_SIGNALS))
-    def test_window_finds_the_grid_extremum(self, name, c, kind, center, sign):
-        # five lambda across the sandwich widened by 0.01: each of the middle
-        # three (below, near and above the fold) is solved on the window of
-        # its two neighbours' extremal indices
-        y, T = FOLD_SIGNALS[name], dynamics.signal_period(FOLD_SIGNALS[name])
-        b = signals.bounds(y)
-        lams = np.linspace(center(c) - b.sup - 0.01, center(c) - b.inf + 0.01, 5)
-        full = [dynamics._extremal_seed(dynamics.OdeSpec(c, lam, y, kind), T, sign) for lam in lams]
-        assert all(states == dynamics.CENSUS_SEEDS for _, _, states in full)
-        for k in (1, 2, 3):
-            spec = dynamics.OdeSpec(c, lams[k], y, kind)
-            i, e, states = dynamics._extremal_seed(spec, T, sign, (full[k - 1][0], full[k + 1][0]))
-            assert i == full[k][0]
-            assert abs(e - full[k][1]) <= WINDOW_GAP
-            assert states < 100  # no fallback to the full grid
-
-    def test_window_edge_falls_back_to_the_full_grid(self, monkeypatch):
-        c, y = 5.0, FOLD_SIGNALS["trig"]
+    def test_window_finds_the_grid_extremum(self, name, c, kind, sign):
+        # sign * d has its largest value below 0 where the census finds one
+        # solution and above 0 where it finds two: below the fold and above
+        # it (concave-linear, sign 1), or the other way round (linear-convex)
+        tol, y = 1e-6, FOLD_SIGNALS[name]
         T = dynamics.signal_period(y)
-        spec = dynamics.OdeSpec(c, model.lam1(c), y, "concave-linear")
-        want = dynamics._extremal_seed(spec, T, 1.0)
-        grid = RecordedGrid()
-        monkeypatch.setattr(dynamics, "_displacement_grid", grid)
-        # a window 30 seeds below the extremum: its largest value lies on its upper edge
-        i = want[0] - 30
-        got = dynamics._extremal_seed(spec, T, 1.0, (i, i))
-        assert grid.sizes == [11, dynamics.CENSUS_SEEDS]
-        assert got == (want[0], want[1], 11 + dynamics.CENSUS_SEEDS)
-
-    def test_window_escapes_through_the_end_seeds(self, monkeypatch):
-        # test_escaping_bracket_end's input: at the top of the linear-convex
-        # bracket the top seed runs off to infinity within one period
-        c, y = 8.0, signals.TrigSum(0.0, ((0.03, 0.54, 0.0),))
-        T = dynamics.signal_period(y)
-        top = model.lam2(c) - signals.bounds(y).inf
-        i = dynamics._extremal_seed(dynamics.OdeSpec(c, top, y, "linear-convex"), T, -1.0)[0]
-        spec = dynamics.OdeSpec(c, top + (model.lam2(c) - model.lam1(c)), y, "linear-convex")
-        xs = np.linspace(*dynamics._scan_interval(spec), dynamics.CENSUS_SEEDS)
-        dynamics._displacement_grid([spec], T, xs[i - 4 : i + 5])  # the window's own seeds stay bounded
-        grid = RecordedGrid()
-        monkeypatch.setattr(dynamics, "_displacement_grid", grid)
-        assert dynamics._extremal_seed(spec, T, -1.0, (i, i)) == (None, -(xs[-1] - xs[0]), 11)
-        assert grid.escaped == [11]
-
-    def test_fold_solve_windows_every_brentq_step(self, monkeypatch):
-        # the bracket ends solve the window around the averaged fold's seed,
-        # every other lambda the window of its solved neighbours: no full grid,
-        # and every window small enough for the float kernel; a full-grid scan
-        # on every lambda solved scans * CENSUS_SEEDS states
-        n = dynamics.CENSUS_SEEDS
-        grid = RecordedGrid()
-        monkeypatch.setattr(dynamics, "_displacement_grid", grid)
-        _, _, meta = dynamics.estimate_lambda_pm(8.0, FOLD_SIGNALS["trig"], tol=1e-5)
-        assert grid.sizes.count(n) == 0
-        assert max(grid.sizes) <= dynamics._FLOAT_STATES
-        assert sum(grid.sizes) == meta["seeds"]["lambda_minus"] + meta["seeds"]["lambda_plus"]
-        for side in ("lambda_minus", "lambda_plus"):
-            assert meta["full_grids"][side] == 0
-            assert meta["seeds"][side] <= meta["scans"][side] * dynamics._FLOAT_STATES
-            assert meta["seeds"][side] < meta["scans"][side] * n
+        lam_minus, lam_plus, _ = dynamics.estimate_lambda_pm(c, y, tol=tol)
+        lam = lam_minus if kind == "concave-linear" else lam_plus
+        extremum = []
+        for window_end in (lam - sign * tol, lam + sign * tol):
+            _, d = oracle_displacement(dynamics.OdeSpec(c, window_end, y, kind), T, tol)
+            extremum.append(np.max(sign * d))
+        assert extremum[0] < 0.0 < extremum[1]
 
 
 def averaging_trig(theta):
@@ -761,84 +814,72 @@ def averaging_cesaro(theta):
     return signals.FourierCesaro(-0.005, tuple(a), tuple(b), 2 * k + 2)
 
 
-# At c = 12 the linear part of the linear-convex equation has slope
-# dfrak = 2, so over a period of 2 pi a seed near the top of the scan
-# interval grows past ESCAPE_BOUND: every lambda reads "escape" and the fold
-# solve raises.  The one-term input at theta = 2 and 4 has period pi or pi/2;
-# every Cesaro input has period 2 pi.
+# the one-term input at theta = 2 and 4 has period pi or pi/2; every
+# Cesaro input has period 2 pi, as has SAMPLED
 AVERAGING_CASES = [
-    (c, theta, name)
-    for c in (4.5, 5.0, 8.0, 12.0)
-    for theta in (1.0, 2.0, 4.0)
-    for name in ("trig", "cesaro")
-    if c < 12.0 or (name == "trig" and theta > 1.0)
-] + [(c, 1.0, "sampled") for c in (4.5, 5.0, 8.0)]  # SAMPLED has period 2 pi
+    (c, theta, name) for c in (4.5, 5.0, 8.0, 12.0) for theta in (1.0, 2.0, 4.0) for name in ("trig", "cesaro")
+] + [(c, 1.0, "sampled") for c in (4.5, 5.0, 8.0)]
 
 
 class TestAveragedFold:
     @pytest.mark.parametrize("c,theta,name", AVERAGING_CASES)
     def test_rule_matches_the_fold_solve(self, c, theta, name):
-        # the stated error is the rule's own half-width w: 5% of the shift,
-        # the grid's bias |gbar''(x_f)| h^2 / 8 and 10 tol.  The largest gap
-        # measured on these cases is 0.67 w (c = 8, theta = 4, Cesaro,
-        # lambda_plus, where the grid bias dominates), 0.14 w on the sampled
-        # input; the averaging error alone stays within 1.1% of the shift at
-        # theta = 1.  So the solved interval narrows by the predicted amount
-        # within the two half-widths
+        # the stated error is 5% of the shift plus 10 tol.  The largest gap
+        # measured on these cases is 2.3% of the shift (c = 12, theta = 1,
+        # lambda_plus); the averaging error stays within 1.2% of the shift at
+        # c <= 8.  So the solved interval narrows by the predicted amount
+        tol = 1e-8
         y = SAMPLED if name == "sampled" else (averaging_trig if name == "trig" else averaging_cesaro)(theta)
-        lam_minus, lam_plus, meta = dynamics.estimate_lambda_pm(c, y, tol=1e-8)
-        for side, lam in (("lambda_minus", lam_minus), ("lambda_plus", lam_plus)):
+        a0 = signals._sampled_terms(y, 1)[0] if name == "sampled" else y.a0
+        lam_minus, lam_plus, meta = dynamics.estimate_lambda_pm(c, y, tol=tol)
+        for (side, _), lam, center in zip(SIDES, (lam_minus, lam_plus), (model.lam1(c), model.lam2(c))):
             guess = meta["prediction"][side]
-            assert abs(lam - guess["lambda"]) <= guess["half_width"]
-            assert guess["straddled"]
-            assert meta["full_grids"][side] == 0
+            assert abs(lam - guess) <= 0.05 * abs(guess - (center - a0)) + 10.0 * tol
+            assert meta["newton_steps"][side] <= 4
 
     @pytest.mark.parametrize("name", ["trig", "cesaro"])
     @pytest.mark.parametrize("miss", ["lambda", "seed", "far"])
     def test_wrong_prediction_still_matches_bisection(self, monkeypatch, miss, name):
-        # a predicted lambda 0.02 too high misses the first bracket on both
-        # sides, so the bracket widens; one 1.0 too high lies beyond the
-        # widest bracket's top, so the bracket starts clipped there; a
-        # predicted seed 300 grid steps off puts the first windows' extremum
-        # on their edge, so they solve the full grid after all
+        # a predicted lambda 0.02 or 1.0 too high, or a predicted state 1.0
+        # (300 census grid steps) deeper into the curved half: Newton's
+        # backtracking still reaches the fold, with more solves
         c, tol, y = 5.0, 1e-5, FOLD_SIGNALS[name]
         want_minus, want_plus, _ = bisect_lambda_pm(c, y, tol)
-        move_prediction(monkeypatch, **{"lambda": {"lam": 0.02}, "far": {"lam": 1.0}, "seed": {"seed": 300}}[miss])
-        lam_minus, lam_plus, meta = dynamics.estimate_lambda_pm(c, y, tol=tol)
+        _, _, meta = dynamics.estimate_lambda_pm(c, y, tol=tol)
+        move_prediction(monkeypatch, **{"lambda": {"lam": 0.02}, "far": {"lam": 1.0}, "seed": {"x": 1.0}}[miss])
+        lam_minus, lam_plus, moved = dynamics.estimate_lambda_pm(c, y, tol=tol)
         assert abs(lam_minus - want_minus) <= tol
         assert abs(lam_plus - want_plus) <= tol
-        for side in ("lambda_minus", "lambda_plus"):
-            if miss != "seed":
-                assert not meta["prediction"][side]["straddled"]
-            else:
-                assert meta["prediction"][side]["straddled"] and meta["full_grids"][side] >= 1
+        for side, _ in SIDES:
+            assert moved["solves"][side] > meta["solves"][side]
 
     @pytest.mark.parametrize("c", [5.0, 8.0])
     def test_sampled_input_is_predicted(self, c):
-        # the interpolant's series gives a prediction whose first bracket
-        # straddles, and every lambda solves a window
+        # the interpolant's series gives a prediction from which Newton
+        # needs at most 3 steps
         tol = 1e-5
         lam_minus, lam_plus, meta = dynamics.estimate_lambda_pm(c, SAMPLED, tol=tol)
         want_minus, want_plus, _ = bisect_lambda_pm(c, SAMPLED, tol)
         assert abs(lam_minus - want_minus) <= tol
         assert abs(lam_plus - want_plus) <= tol
-        for side in ("lambda_minus", "lambda_plus"):
-            assert meta["prediction"][side]["straddled"]
-            assert meta["full_grids"][side] == 0
+        for side, _ in SIDES:
+            assert meta["newton_steps"][side] <= 3
 
     @pytest.mark.parametrize("kind", ["concave-linear", "linear-convex"])
     def test_predicted_seed_is_the_grid_extremum(self, kind):
-        # at the predicted fold the full grid's extremal seed is the predicted
-        # one or its neighbour (measured on these inputs), where Y(0) alone
-        # moves the seed by 1 to 8 grid steps; the first window solves 8 on each side
+        # at the predicted fold the census grid's extremal seed is the seed
+        # of the predicted state x_f - sqrt3 + Y(0) or its neighbour (measured
+        # on these inputs), where Y(0) alone moves it by 1 to 8 grid steps
         sign = 1.0 if kind == "concave-linear" else -1.0
         inputs = [FOLD_SIGNALS["trig"], FOLD_SIGNALS["cesaro"], averaging_cesaro(2.0)]
         inputs += [averaging_trig(1.0), averaging_trig(4.0), SAMPLED]
         for c in (4.5, 5.0, 8.0):
             for y in inputs:
-                lam, _, i = dynamics._averaged_fold(c, y, kind, 1e-5)
+                lam, x0 = dynamics._averaged_fold(c, y, kind)
                 spec = dynamics.OdeSpec(c, lam, y, kind)
-                assert abs(dynamics._extremal_seed(spec, dynamics.signal_period(y), sign)[0] - i) <= 1
+                xs = np.linspace(*dynamics._scan_interval(spec), dynamics.CENSUS_SEEDS)
+                d = dynamics._displacement_grid([spec], dynamics.signal_period(y), xs)
+                assert abs(np.argmax(sign * d) - round((x0 - xs[0]) / (xs[1] - xs[0]))) <= 1
 
 
 # 16 nodes of a noisy sine on one period 2*pi, as the census benchmark draws them

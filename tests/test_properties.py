@@ -291,8 +291,8 @@ def test_averaged_folds_narrow_the_interval_by_the_variance_of_y(c, y):
         J, T, m = np.sum(np.abs(slope_jumps(y))), y.period, len(y.times)
         mean_gap = J * (T / 4096) ** 2 / (8.0 * T)
         var_gap = 2.0 * J**2 * T**4 / ((2.0 * math.pi) ** 6 * 5.0 * m**5)
-    lam_minus = dynamics._averaged_fold(c, y, "concave-linear", 1e-5)[0]
-    lam_plus = dynamics._averaged_fold(c, y, "linear-convex", 1e-5)[0]
+    lam_minus = dynamics._averaged_fold(c, y, "concave-linear")[0]
+    lam_plus = dynamics._averaged_fold(c, y, "linear-convex")[0]
     k1, k2 = abs(model.gbar_deriv2(c, model.x1(c))), abs(model.gbar_deriv2(c, model.x2(c)))
     assert lam_minus == pytest.approx(
         model.lam1(c) - ybar + k2 * var / 2.0, rel=1e-12, abs=1e-12 + mean_gap + k2 * var_gap / 2.0
