@@ -16,7 +16,7 @@ falls off it long before the period ends, corrupting the multiplier integral.
 Every scan is a family scan (``_brackets``): it takes a sequence of
 OdeSpecs that share c, rhs_kind, the input's period and its kinks, stacks
 every member's seed grid into one solve and returns each member's
-brackets.  A one-member family is solved with its own kernel; the
+brackets.  A one-member family is solved with its own ``OdeSpec.rhs``; the
 threshold census of ``relaxation`` solves several exponents r as one
 family, each member driven by its own lam + y(t).
 
@@ -30,14 +30,12 @@ through the four scan seeds around it (the secant zero of its two
 displacement values at a grid end or where that zero leaves the bracket),
 so a crossing of a smooth displacement starts within a few 1e-9 of its
 fixed point (1e-11 to 7e-9 on the benchmark's census inputs).  It takes
-Newton steps on the period map (the shooting method), at no extra cost:
-the slope of the map is the multiplier that each map solve integrates
-anyway, and a Newton step whose correction is below FP_TOL ends the
-refinement, so such a crossing needs one map solve.  A Newton step is
-taken only where it is safe (the map contracts and the step stays inside
-the crossing's bracket); otherwise the plain contraction step is taken,
-stopped on |P(x) - x| < FP_TOL, with root bracketing, one crossing at a
-time, as the last resort.
+Newton steps on the period map (the shooting method), whose slope is the
+multiplier each map solve integrates anyway, inside its bracket, which
+each map solve shrinks to the side of the fixed point; otherwise it
+bisects the bracket (Press et al., Numerical Recipes, 9.4).  A Newton
+correction below FP_TOL ends the refinement, so such a crossing needs one
+map solve.
 
 The bifurcation values are the folds of the two comparison equations.
 Each is a root of the fold system F(x, lam) = (P(x) - x, L(x)), with P the
@@ -55,17 +53,14 @@ step history is kept for them.  The loop checks the escape bound on the
 states at each step end, and a FiniteEscapeError names the first step end
 beyond it.
 
-The solver's right-hand side is a kernel built once per ``OdeSpec``
-(``_compile_kernels``).  It returns the states' derivative and, for an
-augmented solve, their multiplier integrand, the same floats as
-``OdeSpec.rhs`` and ``rhs_state_deriv``.  A call on few states (at most
-_FLOAT_STATES, where the per-call timings cross) is evaluated state by
-state in Python floats, in one pass, since NumPy's fixed cost per
-operation would dominate it; a larger call is ``OdeSpec.rhs`` and
-``rhs_state_deriv`` on arrays.  A call takes one of the two by its size
-alone: both branches of gbar are + - * / expressions, which round alike in
-floats and in NumPy.  The fold system has a float kernel of its own, built
-with them.
+The solver's right-hand side is ``OdeSpec.rhs`` itself, or for an
+augmented solve a kernel built once per ``OdeSpec`` (``_compile_kernels``)
+that also returns the multiplier integrand, the floats of ``OdeSpec.rhs``
+and ``rhs_state_deriv``.  Its calls on at most _FLOAT_STATES states (where
+the per-call timings cross), a census's map solves among them, run in
+Python floats, since NumPy's fixed cost per operation would dominate them;
+gbar's + - * / expressions round alike in floats and in NumPy.  The fold
+system has a float kernel of its own, built with it.
 """
 
 from __future__ import annotations
@@ -123,30 +118,27 @@ _FLOAT_STATES = 32
 
 
 def _compile_kernels(spec):
-    """(field, augmented, fold): the right-hand side of ``spec`` as the
-    solver calls it, fun(t, y).  ``field`` returns x' of the states y;
-    ``augmented`` takes the states followed by their log multipliers and
-    returns x' followed by the multiplier integrand d(rhs)/dx.  ``fold``
-    (None for the full equation) takes one state x of a comparison equation
-    x' = lam + y(t) + f(x), its log multiplier l and the sensitivities x_lam,
-    M and N (``_fold_system``) and returns x', f', f' x_lam + 1, f'' e^l and
-    f'' x_lam.  Every entry of the first two equals
-    ``OdeSpec.rhs`` and ``OdeSpec.rhs_state_deriv`` bit for bit, so the
-    solver takes the steps it would take with them.
+    """(augmented, fold): right-hand sides of ``spec`` as the solver calls
+    them, fun(t, y).  ``augmented`` takes the states followed by their log
+    multipliers and returns x' followed by the multiplier integrand
+    d(rhs)/dx, every entry equal to ``OdeSpec.rhs`` and
+    ``OdeSpec.rhs_state_deriv`` bit for bit, so the solver takes the steps
+    it would take with them.  ``fold`` (None for the full equation) takes
+    one state x of a comparison equation x' = lam + y(t) + f(x), its log
+    multiplier l and the sensitivities x_lam, M and N (``_fold_system``) and
+    returns x', f', f' x_lam + 1, f'' e^l and f'' x_lam.
 
-    At one or two states NumPy's fixed cost per operation, not the
-    arithmetic, sets the price of a call.  So a call on at most
-    _FLOAT_STATES states evaluates them one by one in Python floats, with
-    x' and the integrand from one pass; a larger call is ``OdeSpec.rhs``
-    (and ``rhs_state_deriv``) itself.  The float path runs the + - * /
+    At a few states NumPy's fixed cost per operation, not the arithmetic,
+    sets the price of a call.  So a call on at most _FLOAT_STATES states
+    evaluates them one by one in Python floats, x' and the integrand in one
+    pass; a larger call is ``OdeSpec.rhs`` and ``rhs_state_deriv``
+    themselves.  The float path runs the + - * /
     expressions of ``model.gbar_eval`` and ``model.gbar_deriv`` on both
     branches of gbar, so a state gets the same float on either path.  Per
     call in µs, full equation, trig input, best of 9 x 3,000 calls on a
-    shared 2-core x86-64 host; the plain paths cross between 16 and 64
-    states, the augmented ones near 40:
+    shared 2-core x86-64 host; the two paths cross near 40 states:
 
         states           1     4    16    32    64   2048
-        float, plain   3.1   4.6   9.2    15    27      -
         float, augm.   4.4   7.7    17    30    57      -
         OdeSpec.rhs     15    15    15    15    15     25
           with deriv    38    38    37    37    38     72
@@ -156,11 +148,6 @@ def _compile_kernels(spec):
     concave = spec.rhs_kind == "concave-linear"
     shift, slope = cshift(c), dfrak(c)
 
-    def g(u):  # gbar
-        if u < 0.0:
-            return a * u - u * u * u
-        return -u - two_c * u / (1.0 + u * u)
-
     def g_pair(u):  # gbar and gbar'
         if u < 0.0:
             return a * u - u * u * u, a - 3.0 * u * u
@@ -168,11 +155,8 @@ def _compile_kernels(spec):
         q = 1.0 + uu
         return -u - two_c * u / q, (a + b * u * u - uu * uu) / (q * q)
 
-    # one state in floats: x' (value) or (x', integrand) (pair)
+    # one state in floats: (x', integrand)
     if spec.rhs_kind == "full":
-
-        def value(drive, x):
-            return drive + g(x)
 
         def pair(drive, x):
             gx, dx = g_pair(x)
@@ -182,12 +166,6 @@ def _compile_kernels(spec):
 
         def on_half(x):  # mg_minus (concave) or mg_plus is mg here and 0 elsewhere
             return x >= 0.0 if concave else x <= 0.0
-
-        def value(drive, x):
-            sx = slope * x
-            if not on_half(x):
-                return drive - shift + sx + 0.0
-            return drive - shift + sx + (g(x + SQRT3) + shift - sx)
 
         def pair(drive, x):
             sx = slope * x
@@ -208,12 +186,6 @@ def _compile_kernels(spec):
         d2 = g2(x + SQRT3) if on_half(x) else 0.0
         return np.array([dx, d1, d1 * x_lam + 1.0, d2 * math.exp(log_mult), d2 * x_lam])
 
-    def field(t, y):
-        if y.size <= _FLOAT_STATES:
-            drive = lam + signal_at(float(t))
-            return np.array([value(drive, x) for x in y.tolist()])
-        return np.atleast_1d(spec.rhs(t, y))
-
     def augmented(t, y):
         x = y[: y.size // 2]
         if 0 < x.size <= _FLOAT_STATES:
@@ -222,7 +194,7 @@ def _compile_kernels(spec):
             return np.array(values + derivs)
         return np.concatenate([np.atleast_1d(spec.rhs(t, x)), np.atleast_1d(spec.rhs_state_deriv(x))])
 
-    return field, augmented, (None if spec.rhs_kind == "full" else fold)
+    return augmented, (None if spec.rhs_kind == "full" else fold)
 
 
 @dataclass(frozen=True)
@@ -233,9 +205,9 @@ class OdeSpec:
     rhs_kind: str = "full"
     # the signal as a callable of t, compiled once here rather than on every rhs call
     _signal_at: object = field(init=False, repr=False, compare=False)
-    # (field, augmented): the solver's right-hand sides (_compile_kernels), built once here
-    _kernels: tuple = field(init=False, repr=False, compare=False)
-    # the right-hand side of a fold solve (_fold_system), built with them
+    # the right-hand side of an augmented solve (_compile_kernels), built once here
+    _augmented_kernel: object = field(init=False, repr=False, compare=False)
+    # the right-hand side of a fold solve (_fold_system), built with it
     _fold_kernel: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -248,8 +220,8 @@ class OdeSpec:
         if self.rhs_kind != "full":
             require_c_above_4(self.c, f"rhs_kind {self.rhs_kind!r}")
         object.__setattr__(self, "_signal_at", sig.compile_signal(self.signal))
-        *kernels, fold = _compile_kernels(self)
-        object.__setattr__(self, "_kernels", tuple(kernels))
+        augmented, fold = _compile_kernels(self)
+        object.__setattr__(self, "_augmented_kernel", augmented)
         object.__setattr__(self, "_fold_kernel", fold)
 
     def __reduce__(self):
@@ -446,7 +418,8 @@ def _solve(spec: OdeSpec, t0, y0, t1, abstol, reltol, augmented=False, t_eval=No
         y = np.concatenate([y, np.zeros(n)])
     # the kinks of a span that is not finite are not asked for: solve_ivp rejects the span
     nodes = spec._signal_at.kinks(t0, t1) if math.isfinite(t1 - t0) else []
-    sol = solve_ivp(spec._kernels[augmented], t0, y, t1, abstol, reltol, t_eval=t_eval, nodes=nodes, states=n)
+    fun = spec._augmented_kernel if augmented else spec.rhs
+    sol = solve_ivp(fun, t0, y, t1, abstol, reltol, t_eval=t_eval, nodes=nodes, states=n)
     return sol.t, sol.y
 
 
@@ -473,6 +446,12 @@ def integrate(spec: OdeSpec, t0: float, x0: float, t1: float, n_samples: int | N
     return Trajectory(times, values)
 
 
+def _require_period(T: float, what: str) -> None:
+    """ValueError naming ``what`` unless T is a finite period > 0."""
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError(f"{what} requires a finite period T > 0, got T = {T}")
+
+
 def poincare_map_log(spec: OdeSpec, T: float, x0: float | np.ndarray, backward: bool = False):
     """(x at the far end, log multiplier along the computed arc).
 
@@ -482,6 +461,7 @@ def poincare_map_log(spec: OdeSpec, T: float, x0: float | np.ndarray, backward: 
     A float x0 gives two floats; an array of states is mapped in one solve
     and gives two arrays.
     """
+    _require_period(T, "poincare_map_log")
     t0, t1 = (T, 0.0) if backward else (0.0, T)
     _, ys = _solve(spec, t0, x0, t1, ABSTOL, RELTOL, augmented=True, t_eval=[t1])
     xT, L = np.split(ys[:, -1], 2)
@@ -502,6 +482,7 @@ def _exp(L: float) -> float:
 
 def poincare_map(spec: OdeSpec, T: float, x0: float) -> tuple[float, float]:
     """(x(T; 0, x0), multiplier exp(integral of the state derivative))."""
+    _require_period(T, "poincare_map")
     xT, L = poincare_map_log(spec, T, x0)
     return xT, _exp(L)
 
@@ -520,6 +501,7 @@ def poincare_multiplier_fd(spec: OdeSpec, T: float, x0: float, backward_orbit: b
     (T, x0) — required for strongly repulsive orbits, which a forward solve
     falls off before the period ends.
     """
+    _require_period(T, "poincare_multiplier_fd")
     ts = np.linspace(0.0, T, 4097)
     if backward_orbit:
         xs = _solve(spec, T, [x0], 0.0, 1e-12, 1e-10, t_eval=ts[::-1])[1][0, ::-1]
@@ -575,16 +557,16 @@ def _family_field(specs, T: float):
     the family ``specs``, len(specs) equal blocks with the k-th under
     specs[k], and the kinks of the input on [0, T].
 
-    One member's field is its own kernel (``_compile_kernels``).  A larger
-    family drives each block with its member's lam + y(t) through
-    ``OdeSpec._rhs_driven`` on arrays, so every entry is the float of that
-    member's ``OdeSpec.rhs``.  The members must share c, rhs_kind, the
+    One member's field is its own ``OdeSpec.rhs``.  A larger family drives
+    each block with its member's lam + y(t) through ``OdeSpec._rhs_driven``
+    on arrays, so every entry is the float of that member's
+    ``OdeSpec.rhs``.  The members must share c, rhs_kind, the
     input's period and its kinks on [0, T]; ValueError otherwise.
     """
     first = specs[0]
     nodes = first._signal_at.kinks(0.0, T)
     if len(specs) == 1:
-        return first._kernels[0], nodes
+        return first.rhs, nodes
     period = sig.fundamental_period(first.signal)
     for spec in specs[1:]:
         if (
@@ -659,11 +641,10 @@ def _brackets(specs, T: float, n: int, levels: int = 1):
     grid stacked into one vectorized solve.  With levels = k > 1 (n - 1 a
     multiple of 2^(k-1)), each member's bracket lists of the k nested grids
     of every 2^(k-1)-th, ..., 2nd and every seed, coarsest first, from the
-    same solve.  A one-member family is solved with its own kernel, so its
-    floats do not depend on the family path.  A period T that is not finite
-    and positive raises ValueError."""
-    if not (math.isfinite(T) and T > 0.0):
-        raise ValueError(f"a census requires a finite period T > 0, got T = {T}")
+    same solve.  A one-member family is solved with its own ``OdeSpec.rhs``,
+    so its floats do not depend on the family path.  A period T that is not
+    finite and positive raises ValueError."""
+    _require_period(T, "a census")
     intervals = [_scan_interval(spec) for spec in specs]
     out = [[[] for _ in range(levels)] if levels > 1 else [] for _ in specs]
     live = [k for k, interval in enumerate(intervals) if interval is not None]
@@ -692,6 +673,12 @@ def _stable_brackets(spec: OdeSpec, T: float):
     return brk
 
 
+def _map_solve_limit(width: float) -> int:
+    """The most map solves ``_refine_fixed_point`` makes on a bracket this wide:
+    two per halving after the first, to below FP_TOL, and two for rounding."""
+    return 2 * math.ceil(math.log2(max(width, FP_TOL) / FP_TOL)) + 5
+
+
 def _refine_fixed_point(
     spec: OdeSpec, T: float, xa: np.ndarray, xb: np.ndarray, x: np.ndarray, attractive: bool
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -702,48 +689,47 @@ def _refine_fixed_point(
     step; a crossing leaves the batch once it converges.
 
     Attractive crossings iterate the forward map P, repulsive ones the
-    inverse (backward) map; both contract onto the orbit.  Each map solve
-    also returns the log multiplier L of each arc, so the slope s of the
-    iterated map at x is free: e^L forward, e^-L backward (the inverse map's
-    slope is the reciprocal of the forward one).  The step is Newton's on
-    P(x) - x (the shooting method for periodic orbits; Kuznetsov, Elements
-    of Applied Bifurcation Theory, ch. 10), written as a correction to the
-    contraction step, P(x) + (P(x) - x) s / (1 - s), so it is the plain
-    contraction step whenever s is below rounding.  The plain step is taken
-    instead when s >= 1 or when the Newton step would leave [xa, xb].
-
-    A crossing converges at the step that moves it by less than FP_TOL, and
-    its fixed point is where that step lands.  For a Newton step the move
-    counted is the correction (P(x) - x) s / (1 - s), which estimates the
-    distance of P(x) from the fixed point, so a weakly hyperbolic crossing
-    (s near 1) is not stopped by a small |P(x) - x| far from its fixed
-    point; for a plain step it is |P(x) - x|.  Root bracketing on the
-    forward displacement, one crossing at a time, is the fallback for a
-    crossing that 60 steps do not converge (multiplier near 1); its root's
-    L then comes from one more map call in the crossing's direction.
+    inverse (backward) map; both contract onto the orbit, so the iterated map
+    moves a state below its fixed point up, and each solve shrinks the
+    bracket to that side of x (a state the map fixes is its own bracket).
+    Its log multiplier gives the iterated map's slope s for free: e^L
+    forward, e^-L backward, clipped at 1.  The step is Newton's on P(x) - x
+    (the shooting method; Kuznetsov, Elements of Applied Bifurcation Theory,
+    ch. 10), P(x) + (P(x) - x) s / (1 - s), where s < 1 and it lies in the
+    shrunk bracket; it is the bracket's midpoint otherwise, and after a
+    Newton step whose solve did not halve the bracket (Press et al.,
+    Numerical Recipes, 9.4), so ``_map_solve_limit`` bounds the solves.  A
+    crossing converges at a Newton step whose correction, which estimates
+    its distance to the fixed point even for s near 1, is below FP_TOL, or
+    once its bracket is narrower than FP_TOL, at that step's point.
+    RuntimeError, naming the bracket, past the bound.
     """
-    xa, xb, x = (np.array(v, dtype=float) for v in (xa, xb, x))
-    fixed, logs = np.full(x.size, np.nan), np.full(x.size, np.nan)
-    live = np.arange(x.size)
-    for _ in range(60):
+    xa, xb = np.asarray(xa, dtype=float), np.asarray(xb, dtype=float)
+    lo, hi, x = xa.copy(), xb.copy(), np.array(x, dtype=float)
+    fixed, logs, live = np.full(x.size, np.nan), np.full(x.size, np.nan), np.arange(x.size)
+    # per crossing: whether x is a Newton point, and the bracket's width where it was taken
+    newton_at, width = np.zeros(x.size, dtype=bool), hi - lo
+    limit = _map_solve_limit(float(np.max(width, initial=0.0)))
+    for _ in range(limit):
         if not live.size:
-            return fixed, logs
+            break
         at = x[live]
         nxt, L = poincare_map_log(spec, T, at, backward=not attractive)
-        # the iterated map's slope, clipped at 1 (no Newton step there) so exp cannot overflow
+        a, b = np.where(nxt >= at, at, lo[live]), np.where(nxt <= at, at, hi[live])
+        trusted = ~newton_at[live] | (b - a <= 0.5 * width[live])
         s = np.exp(np.minimum(L if attractive else -L, 0.0))
         newton_ok = s < 1.0
         correction = (nxt - at) * s / np.where(newton_ok, 1.0 - s, 1.0)
         newton = nxt + correction
-        inside = newton_ok & (xa[live] <= newton) & (newton <= xb[live])
-        step = np.where(inside, newton, nxt)
-        done = np.abs(np.where(inside, correction, nxt - at)) < FP_TOL
+        take = trusted & newton_ok & (a <= newton) & (newton <= b)
+        step = np.where(take, newton, 0.5 * (a + b))
+        done = (take & (np.abs(correction) < FP_TOL)) | (b - a < FP_TOL)
         fixed[live[done]], logs[live[done]] = step[done], L[done]
-        x[live] = step
+        lo[live], hi[live], x[live], newton_at[live], width[live] = a, b, step, take, b - a
         live = live[~done]
-    for i in live:
-        root = float(brentq(lambda z: poincare_map_log(spec, T, z)[0] - z, xa[i], xb[i], xtol=FP_TOL))
-        fixed[i], logs[i] = root, poincare_map_log(spec, T, root, backward=not attractive)[1]
+    if live.size:
+        k = live[0]
+        raise RuntimeError(f"the crossing in [{xa[k]:.17g}, {xb[k]:.17g}] did not converge in {limit} map solves")
     return fixed, logs
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.optimize import brentq  # noqa: F401  perfbench/tracing.py wraps relaxation.brentq by name
@@ -129,8 +130,10 @@ def gamma_curve(c: float, n_points: int = 2048) -> GammaCurve:
     root, so by Vieta the third root, where the other branch ends, is
     lam / (double root)^2.  The lower branch runs over x in [lam1/x2^2, x1]
     (lam1 -> lam2), the upper branch over [lam2/x1^2, x2] descending
-    (lam2 -> lam1); n_points each, then the closing point."""
+    (lam2 -> lam1); n_points each (an integer >= 2), then the closing point."""
     require_c_above_4(c, "gamma_curve")
+    if isinstance(n_points, bool) or not isinstance(n_points, Integral) or n_points < 2:
+        raise ValueError(f"gamma_curve needs an integer n_points >= 2, got {n_points!r}")
     diag = diagnostics(c)
     lower = np.linspace(diag.lam1 / diag.x2 ** 2, diag.x1, n_points)
     upper = np.linspace(diag.lam2 / diag.x1 ** 2, diag.x2, n_points)
@@ -221,6 +224,7 @@ def run_analysis(spec: RelaxationSpec, n_loop: int = 4096, gamma_points: int = 2
     attractive one: its (forcing, state) polygon, area, and Hausdorff
     distance to the singular curve.  Raises RuntimeError when the integrated
     loop misses its start by more than CLOSURE_TOL."""
+    gamma = gamma_curve(spec.c, gamma_points)  # first, so a bad gamma_points costs no census
     ode = dynamics.OdeSpec(spec.c, 0.0, spec.signal())
     sols = tuple(dynamics.find_periodic_solutions(ode, spec.period))
     n = len(sols)
@@ -239,7 +243,6 @@ def run_analysis(spec: RelaxationSpec, n_loop: int = 4096, gamma_points: int = 2
         )
     loop = np.column_stack([y_eps(spec, traj.times), traj.values])
     loop[-1] = loop[0]  # close the polygon; the gap is reported, not hidden
-    gamma = gamma_curve(spec.c, gamma_points)
     return LoopResult(
         loop=loop,
         area=loop_area(loop),
@@ -368,10 +371,13 @@ def r_threshold(
 
 def power_law_fit(eps_values, deviations) -> tuple[float, float]:
     """Fit deviation = C * eps^s by least squares in log-log coordinates;
-    returns (C, s).  No reference values are asserted for the constants."""
+    returns (C, s).  No reference values are asserted for the constants.
+    ValueError unless the two are equally long, finite and positive."""
     eps_values = np.asarray(eps_values, dtype=float)
     deviations = np.asarray(deviations, dtype=float)
-    if np.any(eps_values <= 0.0) or np.any(deviations <= 0.0):
-        raise ValueError("power_law_fit needs positive eps values and deviations")
+    if eps_values.shape != deviations.shape:
+        raise ValueError(f"power_law_fit got {eps_values.size} eps values and {deviations.size} deviations")
+    if not np.all((0.0 < eps_values) & (eps_values < math.inf) & (0.0 < deviations) & (deviations < math.inf)):
+        raise ValueError("power_law_fit needs finite positive eps values and deviations")
     s, logc = np.polyfit(np.log(eps_values), np.log(deviations), 1)
     return float(math.exp(logc)), float(s)

@@ -18,6 +18,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Integral
 from typing import Sequence, Union
 
 import numpy as np
@@ -34,6 +35,13 @@ _MAX_LCM = 100_000  # larger common denominators of the frequency ratios count a
 def _require_finite(what: str, values) -> None:
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"{what} must be finite")
+
+
+def _require_n_terms(where: str, n_terms) -> None:
+    if isinstance(n_terms, bool) or not isinstance(n_terms, Integral):
+        raise ValueError(f"{where} needs an integer n_terms, got {n_terms!r}")
+    if n_terms < 2:
+        raise ValueError(f"{where} needs n_terms >= 2")
 
 
 def _require_dfrak(where: str, dfrak: float) -> None:
@@ -82,8 +90,7 @@ class FourierCesaro:
         object.__setattr__(self, "a_coeffs", tuple(float(v) for v in self.a_coeffs))
         object.__setattr__(self, "b_coeffs", tuple(float(v) for v in self.b_coeffs))
         _require_finite("FourierCesaro a0 and coefficients", (self.a0, *self.a_coeffs, *self.b_coeffs))
-        if self.n_terms < 2:
-            raise ValueError("FourierCesaro needs n_terms >= 2")
+        _require_n_terms("FourierCesaro", self.n_terms)
 
 
 @dataclass(frozen=True)
@@ -462,8 +469,7 @@ def cesaro_bound(a_coeffs: Sequence[float], b_coeffs: Sequence[float], dfrak: fl
     """N-th Cesaro bound (1/N) sum_{n=1}^{N-1} (N-n)(|a_n|+|b_n|)(1 + d/sqrt(d^2+n^2)):
     the series bound of the Cesaro-weighted cosine terms."""
     _require_dfrak("cesaro_bound", dfrak)
-    if n_terms < 2:
-        raise ValueError("cesaro_bound needs n_terms >= 2")
+    _require_n_terms("cesaro_bound", n_terms)
     terms = _cesaro_terms(FourierCesaro(0.0, tuple(a_coeffs), tuple(b_coeffs), n_terms))
     return series_bound([(a, th) for a, th, _ in terms], dfrak)
 

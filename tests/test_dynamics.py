@@ -4,11 +4,13 @@ import re
 import tracemalloc
 import warnings
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from bistab import dynamics, model, relaxation, signals
 
@@ -125,7 +127,7 @@ class TestDegenerateSpans:
             dynamics.integrate(self.SPEC, t0, 2.0, t1)
 
     def test_map_over_no_time(self):
-        with pytest.raises(ValueError, match="must be finite and nonzero"):
+        with pytest.raises(ValueError, match="poincare_map requires a finite period T > 0, got T = 0.0"):
             dynamics.poincare_map(self.SPEC, 0.0, 2.0)
         with pytest.raises(ValueError, match="must be finite and nonzero"):
             dynamics.integrate(dynamics.OdeSpec(5.0, 6.0, SAMPLED), 2.0, 1.0, 2.0)
@@ -143,6 +145,16 @@ class TestDegenerateSpans:
         for census in (dynamics.find_periodic_solutions, dynamics.count_separated_solutions):
             with pytest.raises(ValueError, match="a census requires a finite period T > 0"):
                 census(self.SPEC, T)
+
+    @pytest.mark.parametrize("T", [-2.0 * math.pi, 0.0, math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["poincare_map_log", "poincare_map", "poincare_multiplier_fd"])
+    def test_period_map_needs_positive_period(self, name, T):
+        # a negative period would integrate backward unannounced, and an
+        # infinite one would reach np.linspace's warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"{name} requires a finite period T > 0, got T = {T}")):
+                getattr(dynamics, name)(self.SPEC, T, 2.0)
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_no_samples(self, n):
@@ -910,8 +922,9 @@ def reference_flow(c, lam, x0, t0, t1):
 
 def contraction_fixed_point(spec, T, xa, xb, attractive):
     """Fixed point by plain contraction of the period map, forward for an
-    attractive crossing and backward for a repulsive one, with the stopping
-    test of ``_refine_fixed_point``: the refinement without Newton steps."""
+    attractive crossing and backward for a repulsive one, stopped on
+    |P(x) - x| < FP_TOL: an oracle that takes neither the Newton nor the
+    bisection steps of ``_refine_fixed_point``."""
     x = 0.5 * (xa + xb)
     for _ in range(200):
         nxt, _ = dynamics.poincare_map_log(spec, T, x, backward=not attractive)
@@ -919,6 +932,20 @@ def contraction_fixed_point(spec, T, xa, xb, attractive):
             return nxt
         x = nxt
     raise AssertionError("the contraction did not converge")
+
+
+def bisection_fixed_point(P, xa, xb, x):
+    """(fixed point, map calls) of plain bisection on the sign of P(x) - x
+    from the state x in [xa, xb], with the bracket and the stopping test of
+    ``_refine_fixed_point``: the refinement without Newton steps."""
+    calls = 0
+    while True:
+        nxt = P(x)
+        calls += 1
+        xa, xb = (x if nxt >= x else xa), (x if nxt <= x else xb)
+        if xb - xa < dynamics.FP_TOL:
+            return 0.5 * (xa + xb), calls
+        x = 0.5 * (xa + xb)
 
 
 class CountedMap:
@@ -1040,7 +1067,7 @@ class TestNewtonStep:
     """_refine_fixed_point on a linear stand-in for the iterated map,
     P(x) = X + 0.5 (x - X), with a reported log multiplier L that may be
     wrong: with the true slope one Newton step lands on X, and each guard
-    falls back to the plain contraction step."""
+    takes the bisection step instead."""
 
     X, XA, XB = 0.7, 0.0, 2.0
 
@@ -1066,20 +1093,18 @@ class TestNewtonStep:
     @pytest.mark.parametrize(
         "L", [0.5, 1e4, math.log1p(-2.0**-52)], ids=["slope above 1", "slope overflows", "step leaves bracket"]
     )
-    def test_guards_take_the_contraction_step(self, monkeypatch, L):
-        plain = self.linear_map(L)
-        monkeypatch.setattr(dynamics, "poincare_map_log", plain)
-        want = contraction_fixed_point(None, 1.0, self.XA, self.XB, True)
+    def test_guards_take_the_bisection_step(self, monkeypatch, L):
+        want, calls = bisection_fixed_point(lambda x: self.X + 0.5 * (x - self.X), self.XA, self.XB, 1.0)
         fake = self.linear_map(L)
         monkeypatch.setattr(dynamics, "poincare_map_log", fake)
         x, got_L = self.refine(True)
-        assert x == want and got_L == L
-        assert fake.calls == plain.calls > 20
+        assert x == want and got_L == L and abs(x - self.X) <= dynamics.FP_TOL
+        assert fake.calls == calls <= dynamics._map_solve_limit(self.XB - self.XA)
 
     @pytest.mark.parametrize("attractive", [True, False])
     def test_overflowing_slope_warns_nothing(self, monkeypatch, attractive):
         # e^L of the iterated map overflows a float: the vectorised step must
-        # neither warn nor divide by 1 - inf, and takes the contraction step
+        # neither warn nor divide by 1 - inf, and takes the bisection step
         L = 1e4 if attractive else -1e4
         fake = self.linear_map(L)
         monkeypatch.setattr(dynamics, "poincare_map_log", fake)
@@ -1089,29 +1114,73 @@ class TestNewtonStep:
         assert abs(x - self.X) <= dynamics.FP_TOL and got_L == L and fake.calls > 20
 
     @pytest.mark.parametrize("attractive", [True, False])
-    def test_brentq_root_takes_one_more_map_call(self, monkeypatch, attractive):
+    def test_slow_contraction_is_bisected(self, monkeypatch, attractive):
         # contraction 0.9999 and a reported slope above 1 (no Newton step):
-        # 60 steps do not converge, so brentq finds the root, and its L is
-        # that of one further map call in the crossing's direction
-        calls, Ls, at_root = [], [], []
+        # the bracket is bisected, every map call goes in the crossing's
+        # direction, the L reported is the last call's, and brentq is never called
+        calls, Ls = [], []
 
         def slow_map(spec, T, x, backward=False):
-            calls.append((x, backward))
+            calls.append(backward)
             Ls.append((-1.0 if backward else 1.0) * (0.25 + len(calls)))
             return self.X + 0.9999 * (x - self.X), np.full(np.shape(x), Ls[-1])
 
-        def recorded_brentq(*args, **kwargs):
-            root = brentq(*args, **kwargs)
-            at_root.append((root, len(calls)))
-            return root
+        def no_brentq(*args, **kwargs):
+            raise AssertionError("_refine_fixed_point called brentq")
 
         monkeypatch.setattr(dynamics, "poincare_map_log", slow_map)
-        monkeypatch.setattr(dynamics, "brentq", recorded_brentq)
+        monkeypatch.setattr(dynamics, "brentq", no_brentq)
         x, L = self.refine(attractive)
-        assert len(at_root) == 1 and x == at_root[0][0]
-        assert len(calls) == at_root[0][1] + 1
-        assert calls[-1] == (x, not attractive) and L == Ls[-1]
-        assert abs(x - self.X) <= dynamics.FP_TOL
+        want, n = bisection_fixed_point(lambda x: self.X + 0.9999 * (x - self.X), self.XA, self.XB, 1.0)
+        assert x == want and abs(x - self.X) <= dynamics.FP_TOL
+        assert calls == [not attractive] * n and L == Ls[-1]
+
+    def test_unconverged_crossing_names_its_bracket(self, monkeypatch):
+        # a map that never tells the side of the fixed point (NaN) keeps the
+        # bracket whole: the bound ends the loop, by name, not a fallback
+        fake = CountedMap(lambda spec, T, x, backward=False: (np.full(np.shape(x), np.nan), np.zeros(np.shape(x))))
+        monkeypatch.setattr(dynamics, "poincare_map_log", fake)
+        limit = dynamics._map_solve_limit(self.XB - self.XA)
+        with pytest.raises(RuntimeError, match=re.escape(f"the crossing in [0, 2] did not converge in {limit} map solves")):
+            self.refine(True)
+        assert fake.calls == limit == 67
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        X=st.floats(0.0, 2.0),
+        r=st.floats(1e-6, 0.999),
+        slope=st.sampled_from(["true", "half the true one", "above 1", "overflows", "one ulp below 1"]),
+        noisy=st.booleans(),
+        start=st.floats(0.0, 2.0),
+        attractive=st.booleans(),
+    )
+    def test_any_start_converges_within_the_bound(self, X, r, slope, noisy, start, attractive):
+        # P(x) = X + r (x - X), optionally with noise of up to 1e-12, whose
+        # fixed points then spread over delta = noise / (1 - r) around X.  A
+        # reported slope s = r/2 keeps the Newton steps inside the bracket but
+        # slow, so the halving rule must interleave bisection steps, and its
+        # correction underestimates the distance to X by up to 1 / (1 - r)
+        noise, rng = (1e-12 if noisy else 0.0), np.random.default_rng(0)
+        log_slope = {
+            "true": math.log(r),
+            "half the true one": math.log(r / 2.0),
+            "above 1": 0.5,
+            "overflows": 1e4,
+            "one ulp below 1": math.log1p(-(2.0**-52)),
+        }
+        L = log_slope[slope] if attractive else -log_slope[slope]
+
+        def stand_in(spec, T, x, backward=False):
+            return X + r * (x - X) + noise * rng.uniform(-1.0, 1.0, np.shape(x)), np.full(np.shape(x), L)
+
+        fake = CountedMap(stand_in)
+        with mock.patch.object(dynamics, "poincare_map_log", fake), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, got_L = dynamics._refine_fixed_point(None, 1.0, [self.XA], [self.XB], [start], attractive)
+        delta = (noise + 1e-15) / (1.0 - r)
+        tol = dynamics.FP_TOL / (1.0 - r) if slope == "half the true one" else dynamics.FP_TOL
+        assert self.XA <= x[0] <= self.XB and abs(x[0] - X) <= tol + delta
+        assert got_L[0] == L and fake.calls <= dynamics._map_solve_limit(self.XB - self.XA)
 
 
 CENSUS_SIGNALS = {
@@ -1139,14 +1208,38 @@ class TestLockStep:
             fd = dynamics.poincare_multiplier_fd(spec, T, s.fixed_point, backward_orbit=s.kind == "repulsive")
             assert fd == pytest.approx(s.log_multiplier, abs=1e-4)
 
+    @pytest.mark.parametrize("name", list(CENSUS_SIGNALS))
+    def test_scan_and_map_solves_keep_their_sizes(self, monkeypatch, name):
+        # the premise of the two right-hand sides: every OdeSpec.rhs call of
+        # a census is a scan's, on many states, and every augmented-kernel
+        # call a map solve's, on the few crossings its float path serves
+        y = CENSUS_SIGNALS[name]
+        spec = dynamics.OdeSpec(5.0, 0.5 * (model.lam1(5.0) + model.lam2(5.0)), y)
+        rhs_states, kernel_states = [], []
+        rhs, kernel = dynamics.OdeSpec.rhs, spec._augmented_kernel
+
+        def recorded_rhs(self, t, x):
+            rhs_states.append(np.size(x))
+            return rhs(self, t, x)
+
+        def recorded_kernel(t, y):
+            kernel_states.append(y.size // 2)
+            return kernel(t, y)
+
+        monkeypatch.setattr(dynamics.OdeSpec, "rhs", recorded_rhs)
+        object.__setattr__(spec, "_augmented_kernel", recorded_kernel)
+        assert len(dynamics.find_periodic_solutions(spec, dynamics.signal_period(y))) == 3
+        assert rhs_states and min(rhs_states) >= 512
+        assert kernel_states and max(kernel_states) <= 3
+
     # two crossings of a linear stand-in map, P(x) = X + r (x - X) on each
     XS, BRACKETS = (0.3, 2.6), ((0.0, 1.0), (2.0, 3.0))
 
     def refine(self, monkeypatch, rates, slopes, attractive):
-        """Runs the refinement on the two crossings; returns its result, the
-        stand-in's calls (x, P(x), L) and the brackets brentq was given.  The
-        reported log slope drifts by -1e-3 per call, so each call's L is its own."""
-        calls, fallbacks = [], []
+        """Runs the refinement on the two crossings; returns its result and
+        the stand-in's calls (x, P(x), L).  The reported log slope drifts by
+        -1e-3 per call, so each call's L is its own; brentq is never called."""
+        calls = []
 
         def linear_map(spec, T, x, backward=False):
             x = np.asarray(x, dtype=float)
@@ -1157,41 +1250,44 @@ class TestLockStep:
             calls.append((x, nxt, L))
             return (float(nxt), float(L)) if x.ndim == 0 else (nxt, L)
 
-        def recorded_brentq(f, a, b, **kwargs):
-            fallbacks.append((a, b))
-            return brentq(f, a, b, **kwargs)
+        def no_brentq(*args, **kwargs):
+            raise AssertionError("_refine_fixed_point called brentq")
 
         monkeypatch.setattr(dynamics, "poincare_map_log", linear_map)
-        monkeypatch.setattr(dynamics, "brentq", recorded_brentq)
+        monkeypatch.setattr(dynamics, "brentq", no_brentq)
         xa, xb = zip(*self.BRACKETS)
         start = [0.5 * (a + b) for a, b in self.BRACKETS]
-        return dynamics._refine_fixed_point(None, 1.0, xa, xb, start, attractive), calls, fallbacks
+        return dynamics._refine_fixed_point(None, 1.0, xa, xb, start, attractive), calls
+
+    def bisected(self, k, rate):
+        """``bisection_fixed_point`` of crossing k under the rate."""
+        (a, b), X = self.BRACKETS[k], self.XS[k]
+        return bisection_fixed_point(lambda x: X + rate * (x - X), a, b, 0.5 * (a + b))
 
     @pytest.mark.parametrize("attractive", [True, False])
     def test_converged_crossing_is_frozen(self, monkeypatch, attractive):
         # the first crossing contracts by 0.5 with about its true slope
         # reported, so Newton converges in a few steps; the second contracts
-        # by 0.9999 with a slope above 1 reported, so it takes the plain step
-        # and falls back (the slopes are those of the iterated map, forward
-        # or inverse, so the stand-in reports L = -log slope backward)
-        (x, L), calls, fallbacks = self.refine(monkeypatch, (0.5, 0.9999), (0.5, 1.5), attractive)
-        batched = [c for c in calls if c[0].ndim == 1]
-        sizes = [c[0].size for c in batched]
-        assert len(batched) == 60 and sizes[0] == 2 and sizes[-1] == 1
-        # the first solve in which the fast crossing's |P(x) - x| < FP_TOL
-        j = next(i for i, (at, nxt, _) in enumerate(batched) if abs(nxt[0] - at[0]) < dynamics.FP_TOL)
-        assert 1 <= j <= 4
-        assert x[0] == batched[j][1][0] and L[0] == batched[j][2][0]
-        assert sizes == [2] * (j + 1) + [1] * (59 - j)
-        assert all(np.all(c[0] > 1.5) for c in batched[j + 1 :])
-        # only the slow crossing falls back, on its own bracket
-        assert fallbacks == [self.BRACKETS[1]]
-        assert abs(x[1] - self.XS[1]) <= dynamics.FP_TOL and L[1] == calls[-1][2]
+        # by 0.9999 with a slope above 1 reported, so it is bisected (the
+        # slopes are those of the iterated map, forward or inverse, so the
+        # stand-in reports L = -log slope backward)
+        (x, L), calls = self.refine(monkeypatch, (0.5, 0.9999), (0.5, 1.5), attractive)
+        sizes = [c[0].size for c in calls]
+        want, n = self.bisected(1, 0.9999)
+        # the fast crossing's last solve, after which only the slow one is solved
+        j = sizes.count(2) - 1
+        assert 1 <= j <= 4 and sizes == [2] * (j + 1) + [1] * (n - j - 1)
+        assert abs(x[0] - self.XS[0]) <= dynamics.FP_TOL and L[0] == calls[j][2][0]
+        assert all(np.all(c[0] > 1.5) for c in calls[j + 1 :])
+        assert x[1] == want and abs(x[1] - self.XS[1]) <= dynamics.FP_TOL and L[1] == calls[-1][2]
 
     def test_fallback_fires_per_crossing(self, monkeypatch):
-        (x, L), calls, fallbacks = self.refine(monkeypatch, (0.9999, 0.9999), (1.5, 1.5), True)
-        assert [c[0].size for c in calls if c[0].ndim == 1] == [2] * 60
-        assert fallbacks == list(self.BRACKETS)
+        # no Newton step for either: each crossing is bisected on its own
+        # bracket, both in every solve until they converge together
+        (x, L), calls = self.refine(monkeypatch, (0.9999, 0.9999), (1.5, 1.5), True)
+        want = [self.bisected(k, 0.9999) for k in range(2)]
+        assert want[0][1] == want[1][1] and [c[0].size for c in calls] == [2] * want[0][1]
+        assert x.tolist() == [w[0] for w in want]
         assert np.all(np.abs(x - self.XS) <= dynamics.FP_TOL)
 
 
@@ -1215,7 +1311,7 @@ class TestSmoothInputIsOnePiece:
         loop = dynamics.solve_ivp
         for t_eval in (None, [t1], np.linspace(t0, t1, 9)):
             want = solve_ivp(
-                spec._kernels[1] if augmented else (lambda t, x: np.atleast_1d(spec.rhs(t, x))),
+                spec._augmented_kernel if augmented else (lambda t, x: np.atleast_1d(spec.rhs(t, x))),
                 (t0, t1),
                 y0,
                 method="RK45",
@@ -1342,14 +1438,14 @@ class TestEndStateKeepsNoSteps:
         # left for the collector
         made = []
         spec = dynamics.OdeSpec(5.0, 0.5 * (model.lam1(5.0) + model.lam2(5.0)), SAMPLED)
-        field, augmented = spec._kernels
+        augmented = spec._augmented_kernel
 
         def recorded(t, y):
             out = augmented(t, y)
             made.extend((weakref.ref(y), weakref.ref(out)))
             return out
 
-        object.__setattr__(spec, "_kernels", (field, recorded))
+        object.__setattr__(spec, "_augmented_kernel", recorded)
         xs = np.append(np.linspace(1.2, 2.6, 63), x0)  # bounded both ways, but for 1e4
         enabled = gc.isenabled()
         gc.collect()
@@ -1435,7 +1531,7 @@ class TestEscapeCheckMatchesEvent:
 
         escape.terminal = True
         return solve_ivp(
-            spec._kernels[augmented],
+            spec._augmented_kernel if augmented else spec.rhs,
             (t0, t1),
             np.concatenate([x0, np.zeros(n)]) if augmented else np.array(x0),
             method="RK45",

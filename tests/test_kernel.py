@@ -5,9 +5,10 @@ gbar on every entry, and every signal rebuilt from its spec on every call.
 gbar's cubic branch is defined by products, -(1+2c)x - x*x*x, never by pow.
 The package skips the cubic where x >= 0 and compiles the signal once; the
 results must be the same floats (compared with ==), of the same type.
-The solver's kernels (``OdeSpec._kernels``) must give the floats of
-``OdeSpec.rhs`` and ``rhs_state_deriv`` too, on the float path (few states)
-and on the array path alike; a call takes one of them by its size alone.
+The solver's augmented kernel (``OdeSpec._augmented_kernel``) must give the
+floats of ``OdeSpec.rhs`` and ``rhs_state_deriv`` too, on the float path (few
+states) and on the array path alike; a call takes one of them by its size
+alone.  The solver's plain right-hand side is ``OdeSpec.rhs`` itself.
 """
 
 import math
@@ -154,7 +155,7 @@ def test_signal_eval_bit_identical(name, signal):
         assert same(signals.eval(signal, t), signal_reference(signal, t))
 
 
-# the solver's kernels: every entry the float of OdeSpec.rhs and rhs_state_deriv,
+# the augmented kernel: every entry the float of OdeSpec.rhs and rhs_state_deriv,
 # on the float path (few states) and the array path, on both branches of gbar
 KERNEL_STATES = STATES + [
     ("scalars", SCALARS),
@@ -165,12 +166,12 @@ KERNEL_STATES = STATES + [
 
 
 def kernel_pair(spec, t, x):
-    """(x', integrand) of the states x from the plain and augmented kernels."""
+    """(x', integrand) of the states x from the augmented kernel, its x' the
+    solver's plain right-hand side, ``OdeSpec.rhs``."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    plain = spec._kernels[0](t, x)
-    augmented = spec._kernels[1](t, np.concatenate([x, np.zeros(x.size)]))
-    assert same(augmented[: x.size], plain)
-    return plain, augmented[x.size:]
+    augmented = spec._augmented_kernel(t, np.concatenate([x, np.zeros(x.size)]))
+    assert same(augmented[: x.size], np.atleast_1d(spec.rhs(t, x)))
+    return augmented[: x.size], augmented[x.size:]
 
 
 @pytest.mark.parametrize("kind", dynamics.RHS_KINDS)
@@ -188,7 +189,7 @@ def test_kernel_bit_identical_to_rhs(kind, name, signal):
 def test_few_states_never_reach_rhs(kind, monkeypatch):
     # states below 0 (the cubic of the full equation) and below -sqrt3 (the
     # cubic of the linear-convex one), the pow-sensitive ones among them:
-    # the float path evaluates them itself, plain and augmented
+    # the augmented kernel's float path evaluates them itself
     spec = dynamics.OdeSpec(C, 6.0, SIGNALS[1][1], kind)
     cases = [
         np.array([-0.731]),
@@ -203,8 +204,8 @@ def test_few_states_never_reach_rhs(kind, monkeypatch):
     monkeypatch.setattr(dynamics.OdeSpec, "rhs", refuse)
     monkeypatch.setattr(dynamics.OdeSpec, "rhs_state_deriv", refuse)
     for x, (value, integrand) in zip(cases, want):
-        got = kernel_pair(spec, 0.3, x)
-        assert same(got[0], value) and same(got[1], integrand)
+        got = spec._augmented_kernel(0.3, np.concatenate([x, np.zeros(x.size)]))
+        assert same(got[: x.size], value) and same(got[x.size :], integrand)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

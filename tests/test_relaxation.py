@@ -131,6 +131,20 @@ class TestGammaCurve:
         with pytest.raises(DomainError):
             relaxation.gamma_curve(3.0)
 
+    @pytest.mark.parametrize("n", [0, 1, -3, 2.5, 256.0, True, None])
+    def test_rejects_a_bad_point_count(self, n):
+        # fewer than two points per branch is no curve to measure a loop against
+        with pytest.raises(ValueError, match="n_points"):
+            relaxation.gamma_curve(5.0, n)
+
+    def test_run_analysis_checks_gamma_points_first(self, monkeypatch):
+        def no_census(*args):
+            raise AssertionError("run_analysis ran its census before checking gamma_points")
+
+        monkeypatch.setattr(relaxation.dynamics, "find_periodic_solutions", no_census)
+        with pytest.raises(ValueError, match="n_points"):
+            relaxation.run_analysis(relaxation.RelaxationSpec(5.0, 0.05, 0.6), n_loop=64, gamma_points=1)
+
 
 class TestGeometry:
     def test_unit_square_area(self):
@@ -182,6 +196,21 @@ class TestPowerLawFit:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             relaxation.power_law_fit([0.1, -0.2], [1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "eps,dev",
+        [([0.1, math.nan], [1.0, 2.0]), ([0.1, 0.2], [1.0, math.inf]), ([-math.inf, 0.2], [math.nan, 1.0])],
+    )
+    def test_rejects_non_finite(self, capfd, eps, dev):
+        # rejected before the fit: LAPACK prints "DLASCL ... illegal value"
+        # to stderr on a NaN, and an infinite deviation fits (nan, nan)
+        with pytest.raises(ValueError, match="finite"):
+            relaxation.power_law_fit(eps, dev)
+        assert capfd.readouterr().err == ""
+
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="got 3 eps values and 2 deviations"):
+            relaxation.power_law_fit([0.1, 0.2, 0.3], [1.0, 2.0])
 
 
 class TestRunAnalysis:

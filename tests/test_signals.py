@@ -60,6 +60,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             signals.FourierCesaro(0.0, (1.0,), (), 1)
 
+    @pytest.mark.parametrize("n_terms", [3.5, 2.5, 6.0, True, "6", None])
+    def test_cesaro_requires_an_integer_n_terms(self, n_terms):
+        # as signal_from_json does: a non-integral count would truncate
+        # silently or raise TypeError far from its cause
+        with pytest.raises(ValueError, match="n_terms"):
+            signals.FourierCesaro(0.0, (0.01, 0.02, 0.01), (0.01,), n_terms)
+        with pytest.raises(ValueError, match="n_terms"):
+            signals.cesaro_bound((0.01, 0.02, 0.01), (0.01,), 1.0, n_terms)
+
+    def test_cesaro_takes_a_numpy_integer(self):
+        y = signals.FourierCesaro(0.0, (0.01,), (), np.int64(6))
+        assert signals.bounds(y) == signals.bounds(signals.FourierCesaro(0.0, (0.01,), (), 6))
+
 
 class TestFiniteValidation:
     @pytest.mark.parametrize("a0", [math.nan, math.inf, -math.inf])

@@ -73,7 +73,7 @@ def test_solve_is_scipy_rk45_bit_for_bit(signal, window, xs, t0, length, backwar
     t0, t1 = (t0 + length, t0) if backward else (t0, t0 + length)
     x0 = np.array(xs)
     y0 = np.concatenate([x0, np.zeros(x0.size)]) if augmented else x0
-    fun = spec._kernels[augmented]
+    fun = spec._augmented_kernel if augmented else spec.rhs
     assume(first_step_inside_span(fun, t0, y0, t1))
     t_eval = {"steps": None, "end": [t1], "grid": np.linspace(t0, t1, n_eval)}[t_eval_form]
     want = solve_ivp(

@@ -51,14 +51,14 @@ def test_solve_count_is_the_kernel_calls(tracing):
     assert dynamics.solve_ivp is not scipy.integrate.solve_ivp
     assert not hasattr(dynamics, "_NodeRK45")
     spec = dynamics.OdeSpec(5.0, 6.04, signals.TrigSum(0.0, ((0.03, 1.0, 0.4),)))
-    field, augmented = spec._kernels
+    augmented = spec._augmented_kernel
     kernel_calls = [0]
 
     def counted(t, y):
         kernel_calls[0] += 1
         return augmented(t, y)
 
-    object.__setattr__(spec, "_kernels", (field, counted))
+    object.__setattr__(spec, "_augmented_kernel", counted)
     tracer = tracing.install()
     try:
         dynamics.poincare_map_log(spec, 2.0 * np.pi, np.array([1.8, 2.0, 2.2]))
