@@ -16,9 +16,12 @@ falls off it long before the period ends, corrupting the multiplier integral.
 Every scan is a family scan (``_brackets``): it takes a sequence of
 OdeSpecs that share c, rhs_kind, the input's period and its kinks, stacks
 every member's seed grid into one solve and returns each member's
-brackets.  A one-member family is solved with its own ``OdeSpec.rhs``; the
-threshold census of ``relaxation`` solves several exponents r as one
-family, each member driven by its own lam + y(t).
+brackets.  A one-member family is solved with its own ``OdeSpec.rhs``.
+The threshold census of ``relaxation`` counts the crossings of several
+exponents r as one family, each member driven by its own lam + y(t), on a
+certified grid (``_certified_counts``): a coarse scan, then only the cells
+that the monotone period map cannot clear of a hidden pair of fixed
+points are cut finer, every member's in one solve per round.
 
 A census is about three solve batches.  One scan on 2,049 seeds gives the
 crossing counts of the nested 513- and 1,025-seed grids too, so a finer
@@ -552,14 +555,15 @@ def _scan_interval(spec: OdeSpec) -> tuple[float, float] | None:
     return -SQRT3, float(rho) - SQRT3
 
 
-def _family_field(specs, T: float):
+def _family_field(specs, T: float, sizes=None):
     """(field, nodes): the solver's plain right-hand side for the states of
-    the family ``specs``, len(specs) equal blocks with the k-th under
-    specs[k], and the kinks of the input on [0, T].
+    the family ``specs``, one block per member with the k-th under
+    specs[k], and the kinks of the input on [0, T].  The blocks are
+    ``sizes`` long, or equal when it is None.
 
-    One member's field is its own ``OdeSpec.rhs``.  A larger family drives
-    each block with its member's lam + y(t) through ``OdeSpec._rhs_driven``
-    on arrays, so every entry is the float of that member's
+    One member's field is its own ``OdeSpec.rhs``.  A larger family repeats
+    each member's lam + y(t) over its block and drives the states through
+    ``OdeSpec._rhs_driven``, so every entry is the float of that member's
     ``OdeSpec.rhs``.  The members must share c, rhs_kind, the
     input's period and its kinks on [0, T]; ValueError otherwise.
     """
@@ -579,19 +583,20 @@ def _family_field(specs, T: float):
                 f"got {first!r} and {spec!r}"
             )
     members, m, driven = [(spec.lam, spec._signal_at) for spec in specs], len(specs), first._rhs_driven
+    repeats = None if sizes is None else np.asarray(sizes)
 
     def field(t, y):
         drive = np.array([lam + signal_at(t) for lam, signal_at in members])
-        return driven(drive[:, None], y.reshape(m, -1)).ravel()
+        return driven(np.repeat(drive, y.size // m if repeats is None else repeats), y)
 
     return field, nodes
 
 
-def _displacement_grid(specs, T: float, xs: np.ndarray) -> np.ndarray:
-    """T(x0) - x0 for all seeds at once (one vectorized solve).  xs is
-    len(specs) equal blocks of seeds, the k-th solved under specs[k]
-    (``_family_field``)."""
-    field, nodes = _family_field(specs, T)
+def _displacement_grid(specs, T: float, xs: np.ndarray, sizes=None) -> np.ndarray:
+    """T(x0) - x0 for all seeds at once (one vectorized solve).  xs is one
+    block of seeds per member, ``sizes`` long or equal, the k-th solved
+    under specs[k] (``_family_field``)."""
+    field, nodes = _family_field(specs, T, sizes)
     y = np.asarray(xs, dtype=float)
     return solve_ivp(field, 0.0, y, T, ABSTOL, RELTOL, t_eval=[T], nodes=nodes, states=y.size).y[:, -1] - xs
 
@@ -635,23 +640,31 @@ def _sign_changes(xs: np.ndarray, d: np.ndarray) -> list[tuple[float, float, boo
     return list(zip(xa, xb, np.where(z, db[i] < da[i], da[i] > 0.0), start))
 
 
+def _family_scan(specs, T: float, n: int):
+    """(live, xs, d): the indices of the members of ``specs`` whose scan
+    interval is not empty, and for each of them a row of n seeds over it and
+    the displacements there, every row from one vectorized solve.  A period
+    T that is not finite and positive raises ValueError."""
+    _require_period(T, "a census")
+    intervals = [_scan_interval(spec) for spec in specs]
+    live = [k for k, interval in enumerate(intervals) if interval is not None]
+    if not live:
+        return live, np.empty((0, n)), np.empty((0, n))
+    xs = np.array([np.linspace(*intervals[k], n) for k in live])
+    return live, xs, _displacement_grid([specs[k] for k in live], T, xs.ravel()).reshape(xs.shape)
+
+
 def _brackets(specs, T: float, n: int, levels: int = 1):
     """The family scan: for each member of ``specs``, the ``_sign_changes``
     of the displacement on n seeds over its scan interval, every member's
-    grid stacked into one vectorized solve.  With levels = k > 1 (n - 1 a
-    multiple of 2^(k-1)), each member's bracket lists of the k nested grids
-    of every 2^(k-1)-th, ..., 2nd and every seed, coarsest first, from the
-    same solve.  A one-member family is solved with its own ``OdeSpec.rhs``,
-    so its floats do not depend on the family path.  A period T that is not
-    finite and positive raises ValueError."""
-    _require_period(T, "a census")
-    intervals = [_scan_interval(spec) for spec in specs]
+    grid stacked into one vectorized solve (``_family_scan``).  With
+    levels = k > 1 (n - 1 a multiple of 2^(k-1)), each member's bracket
+    lists of the k nested grids of every 2^(k-1)-th, ..., 2nd and every
+    seed, coarsest first, from the same solve.  A one-member family is
+    solved with its own ``OdeSpec.rhs``, so its floats do not depend on the
+    family path."""
     out = [[[] for _ in range(levels)] if levels > 1 else [] for _ in specs]
-    live = [k for k, interval in enumerate(intervals) if interval is not None]
-    if not live:
-        return out
-    xs = np.array([np.linspace(*intervals[k], n) for k in live])
-    d = _displacement_grid([specs[k] for k in live], T, xs.ravel()).reshape(xs.shape)
+    live, xs, d = _family_scan(specs, T, n)
     for k, xk, dk in zip(live, xs, d):
         nested = [_sign_changes(xk[:: 2**j], dk[:: 2**j]) for j in reversed(range(levels))]
         out[k] = nested if levels > 1 else nested[0]
@@ -671,6 +684,62 @@ def _stable_brackets(spec: OdeSpec, T: float):
         brk = _brackets([spec], T, n)[0]
         counts.append(len(brk))
     return brk
+
+
+def _open_cells(xs: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Indices i of the cells [xs[i], xs[i + 1]], at least DEDUP_TOL wide,
+    whose displacements d = P(x) - x share a sign but which the monotone
+    period map does not clear.  P is increasing (the solutions of a scalar
+    equation do not cross), so a cell with d > 0 at both ends and
+    P(xs[i]) >= xs[i + 1] holds no fixed point: every z in it has
+    P(z) >= P(xs[i]) >= xs[i + 1] >= z.  Likewise with d < 0 and
+    P(xs[i + 1]) <= xs[i].  The inequality must hold by more than the
+    solve's tolerance, ABSTOL + RELTOL |x|."""
+    xa, xb, da, db = xs[:-1], xs[1:], d[:-1], d[1:]
+    margin = ABSTOL + RELTOL * np.maximum(np.abs(xa), np.abs(xb))
+    clear = np.where(da > 0.0, (xa + da) - xb > margin, xa - (xb + db) > margin)
+    return np.flatnonzero((da * db > 0.0) & ~clear & (xb - xa >= DEDUP_TOL))
+
+
+def _certified_counts(specs, T: float, n: int) -> tuple[list[int], int]:
+    """(counts, solves): for each member of ``specs``, the number of sign
+    changes of the displacement over its scan interval, and the family
+    solves made to count them.
+
+    One family scan solves n seeds per member.  Every cell whose two
+    displacements share a sign and which the period map does not clear
+    (``_open_cells``) may hide an even number of fixed points, so it is
+    cut into eighths: each round solves the 7 new seeds of every open cell
+    of every member in one family solve, with blocks of unequal size.  A
+    cell is done once it is cleared, or narrower than DEDUP_TOL, where it
+    is counted by its signs as on a fixed grid.  The count is that of
+    ``_sign_changes`` on the refined grid.  The cell next to a crossing
+    whose multiplier lies between 1/2 and 2 is never cleared, so the
+    certificate is cheap only where the map contracts or expands strongly,
+    as a slowly forced census's does; ``_stable_brackets`` keeps its fixed
+    nested grids.  A period T that is not finite and positive raises
+    ValueError."""
+    counts = [0] * len(specs)
+    live, xs, ds = _family_scan(specs, T, n)
+    if not live:
+        return counts, 0
+    xs, ds, solves, eighths = list(xs), list(ds), 1, np.arange(1, 8) / 8.0
+    while True:
+        cells = [_open_cells(x, d) for x, d in zip(xs, ds)]
+        members = [j for j, i in enumerate(cells) if i.size]
+        if not members:
+            break
+        new = [(xs[j][cells[j], None] + eighths * np.diff(xs[j])[cells[j], None]).ravel() for j in members]
+        sizes = [x.size for x in new]
+        d_new = _displacement_grid([specs[live[j]] for j in members], T, np.concatenate(new), sizes)
+        solves += 1
+        for j, x, d in zip(members, new, np.split(d_new, np.cumsum(sizes)[:-1])):
+            x, d = np.concatenate([xs[j], x]), np.concatenate([ds[j], d])
+            order = np.argsort(x, kind="stable")
+            xs[j], ds[j] = x[order], d[order]
+    for k, x, d in zip(live, xs, ds):
+        counts[k] = len(_sign_changes(x, d))
+    return counts, solves
 
 
 def _map_solve_limit(width: float) -> int:

@@ -6,7 +6,10 @@ The forcing is y(t) = alpha + (beta + eps^r) sin(eps t), whose range barely
 overhangs the saddle-node values [lam1, lam2] by eps^r on both sides.  For
 slow forcing the (input, state) loop of the attractive periodic solution
 tracks the singular curve Gamma: the stable autonomous branches between lam1
-and lam2 joined by vertical jumps at the two saddle-nodes.
+and lam2 joined by vertical jumps at the two saddle-nodes.  The threshold
+exponent is found by counting periodic solutions on a certified grid: a
+coarse scan whose cells the increasing period map clears, refined only
+where it cannot (``_census_count``).
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ _BLOCK = 256  # points per vectorised pass of the pruned Hausdorff search
 # 16 tol would need a third whenever its width rounds above tol.
 R_HALF_WIDTH_TOLS = 7.5
 R_HALF_WIDTH_EPS = 0.125
+# seeds per r of the threshold census's first scan.  At c = 5 the period map
+# clears every cell of it without a crossing, so a census is one solve; near
+# c = 4 a bistable census's close pair can share a cell, which is cut finer
+COUNT_SEEDS = 33
 
 
 @dataclass(frozen=True)
@@ -94,7 +101,7 @@ class ThresholdResult:
     regime_below: str
     regime_above: str
     censuses: int  # r values censused, the widening of the bracket included
-    solves: int  # family solves (_census_count calls) that censused them
+    solves: int  # family solves that censused them: each census's scan and its refinement rounds
 
 
 def y_eps(spec: RelaxationSpec, t):
@@ -254,18 +261,22 @@ def run_analysis(spec: RelaxationSpec, n_loop: int = 4096, gamma_points: int = 2
     )
 
 
-def _census_count(c: float, eps: float, rs) -> list[int]:
-    """Count-only regime probe at each exponent of rs: crossings of the
-    period map on a grid of 512 seeds, every r's grid from one family scan
-    (``dynamics._brackets``).  The r share the period 2 pi / eps, c and the
-    shape of the forcing; only its amplitude beta + eps^r differs.  Each
-    count is odd: y >= lam1 - eps^r >= 0 (``RelaxationSpec``), so the
-    displacement is positive at the floor 0 of the scan interval, and it is
-    negative at the ceiling.  A count of 5 or more is left to
-    ``r_threshold``, which rejects it as ambiguous."""
+def _census_count(c: float, eps: float, rs) -> tuple[list[int], int]:
+    """(counts, solves): count-only regime probe at each exponent of rs.
+    Each count is the crossings of the period map on a certified grid
+    (``dynamics._certified_counts``): COUNT_SEEDS seeds per r, every r's
+    grid from one family scan, and only the cells that the monotone period
+    map does not clear cut finer, all r's together in one family solve per
+    round.  ``solves`` is the family solves made, the scan's and every
+    round's.  The r share the period 2 pi / eps, c and the shape of the
+    forcing; only its amplitude beta + eps^r differs.  Each count is odd:
+    y >= lam1 - eps^r >= 0 (``RelaxationSpec``), so the displacement is
+    positive at the floor 0 of the scan interval, and it is negative at the
+    ceiling.  A count of 5 or more is left to ``r_threshold``, which
+    rejects it as ambiguous."""
     specs = [RelaxationSpec(c, eps, r) for r in rs]
     family = [dynamics.OdeSpec(c, 0.0, spec.signal()) for spec in specs]
-    return [len(b) for b in dynamics._brackets(family, specs[0].period, 512)]
+    return dynamics._certified_counts(family, specs[0].period, COUNT_SEEDS)
 
 
 def r_star_estimate(c: float, eps: float) -> float:
@@ -295,9 +306,11 @@ def r_threshold(
 
     The bracket starts at ``r_star_estimate`` +- max(R_HALF_WIDTH_TOLS * tol,
     R_HALF_WIDTH_EPS * eps), clipped into [r_lo, r_hi].  Each round is one
-    family census (``_census_count``) on a grid of five r: the first takes
-    the bracket's two ends and its three quarter points, a later one the
-    three quarter points of the quarter where the regime flipped.  While
+    family census (``_census_count``) on a grid of five r, one solve unless
+    its certificate cuts cells finer; ``solves`` counts every family solve
+    the censuses made.  The first round takes the bracket's two ends and
+    its three quarter points, a later one the three quarter points of the
+    quarter where the regime flipped.  While
     both ends show one regime the half-width grows eightfold; [r_lo, r_hi]
     is the widest bracket, and RuntimeError is raised when even it does not
     straddle, or when a grid's regimes flip more than once.  Requires a
@@ -318,8 +331,9 @@ def r_threshold(
         nonlocal solves
         new = [r for r in grid if r not in seen]
         if new:
-            solves += 1
-            for r, n in zip(new, _census_count(c, eps, new)):
+            counts, made = _census_count(c, eps, new)
+            solves += made
+            for r, n in zip(new, counts):
                 if n not in (1, 3):
                     raise RuntimeError(f"ambiguous census ({n} crossings) at r = {r:.6g}")
                 seen[r] = n == 3
@@ -372,12 +386,15 @@ def r_threshold(
 def power_law_fit(eps_values, deviations) -> tuple[float, float]:
     """Fit deviation = C * eps^s by least squares in log-log coordinates;
     returns (C, s).  No reference values are asserted for the constants.
-    ValueError unless the two are equally long, finite and positive."""
+    ValueError unless the two are equally long, finite and positive, with
+    at least two distinct eps values (fewer fix no slope)."""
     eps_values = np.asarray(eps_values, dtype=float)
     deviations = np.asarray(deviations, dtype=float)
     if eps_values.shape != deviations.shape:
         raise ValueError(f"power_law_fit got {eps_values.size} eps values and {deviations.size} deviations")
     if not np.all((0.0 < eps_values) & (eps_values < math.inf) & (0.0 < deviations) & (deviations < math.inf)):
         raise ValueError("power_law_fit needs finite positive eps values and deviations")
+    if np.unique(eps_values).size < 2:
+        raise ValueError(f"power_law_fit needs at least two distinct eps values, got {eps_values.tolist()}")
     s, logc = np.polyfit(np.log(eps_values), np.log(deviations), 1)
     return float(math.exp(logc)), float(s)

@@ -350,6 +350,25 @@ class TestInterface:
         assert cli.main(["--version"]) == 0
         capsys.readouterr()
 
+    def test_parser_is_built_once(self, capsys):
+        # one parser serves every main call of a process: commands in a row,
+        # --version and a bad argument print what a fresh parser prints
+        calls = [
+            ["diagnostics", "--c", "5"],
+            ["bifurcation", "--c", "5", "--lambda", "6.0"],  # its own default format, csv
+            ["diagnostics", "--c", "5"],
+            ["--version"],
+            ["diagnostics", "--c", "5", "--frobnicate"],
+        ]
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append((cli.main(argv), capsys.readouterr()))
+        reused = [(cli.main(argv), capsys.readouterr()) for argv in calls]
+        assert reused == fresh
+        assert [code for code, _ in reused] == [0, 0, 0, 0, 2]
+        assert cli._parser.cache_info().misses == 1
+
     def test_deterministic_output(self, capsys):
         _, out1 = run(capsys, ["diagnostics", "--c", "5.0"])
         _, out2 = run(capsys, ["diagnostics", "--c", "5.0"])

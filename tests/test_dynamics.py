@@ -430,6 +430,42 @@ class TestFamilyScan:
             for k, spec in enumerate(specs):
                 assert np.array_equal(got[k], spec.rhs(t, x[k]))
 
+    @pytest.mark.parametrize("kind", dynamics.RHS_KINDS)
+    def test_equal_blocks_keep_the_reshape_floats(self, kind):
+        # the drive repeated over each block gives the floats of the drive
+        # broadcast over the rows of the reshaped states, and so the same scan
+        specs = [
+            dynamics.OdeSpec(5.0, lam, signals.TrigSum(0.01, ((a, 1.0, 0.3),)), kind)
+            for lam, a in ((6.0, 0.02), (6.01, 0.03), (6.05, 0.04))
+        ]
+        T = 2.0 * math.pi
+
+        def reshaped(t, y):
+            drive = np.array([spec.lam + spec._signal_at(t) for spec in specs])
+            return specs[0]._rhs_driven(drive[:, None], y.reshape(len(specs), -1)).ravel()
+
+        field, _ = dynamics._family_field(specs, T)
+        rng = np.random.default_rng(2)
+        x = rng.uniform(-2.5, 3.0, 3 * 50)
+        for t in rng.uniform(0.0, T, 5).tolist():
+            assert np.array_equal(field(t, x), reshaped(t, x))
+        xs = np.concatenate([np.linspace(*dynamics._scan_interval(spec), 65) for spec in specs])
+        want = dynamics.solve_ivp(
+            reshaped, 0.0, xs, T, dynamics.ABSTOL, dynamics.RELTOL, t_eval=[T], nodes=[], states=xs.size
+        ).y[:, -1] - xs
+        assert np.array_equal(dynamics._displacement_grid(specs, T, xs), want)
+
+    def test_unequal_blocks_are_each_members_rhs(self):
+        specs = [dynamics.OdeSpec(5.0, lam, signals.TrigSum(0.01, ((0.03, 1.0, 0.3),))) for lam in (6.0, 6.01, 6.05)]
+        sizes = [7, 50, 21]
+        field, _ = dynamics._family_field(specs, 2.0 * math.pi, sizes)
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-2.5, 3.0, sum(sizes))
+        blocks = np.split(x, np.cumsum(sizes)[:-1])
+        for t in rng.uniform(0.0, 2.0 * math.pi, 5).tolist():
+            for spec, block, got in zip(specs, blocks, np.split(field(t, x), np.cumsum(sizes)[:-1])):
+                assert np.array_equal(got, spec.rhs(t, block))
+
     def test_one_member_is_scipy_rk45_bit_for_bit(self):
         # a one-member family solves with the member's own kernel, so its
         # displacements are scipy's RK45 on OdeSpec.rhs, float for float
@@ -473,6 +509,46 @@ class TestFamilyScan:
         with pytest.raises(ValueError, match="a family scan needs one c, rhs_kind"):
             dynamics._brackets([dynamics.OdeSpec(5.0, 6.0, self.TRIG), dynamics.OdeSpec(5.0, 6.0, SAMPLED)],
                                2.0 * math.pi, 65)
+
+
+class TestCertifiedCounts:
+    """``_certified_counts``: a coarse family scan, then the cells the
+    monotone period map cannot clear cut into eighths until they are
+    cleared or narrower than DEDUP_TOL."""
+
+    @pytest.mark.parametrize("fold, offset", [(model.lam1, 5e-7), (model.lam2, -5e-7)], ids=["lam1", "lam2"])
+    def test_close_pair_in_one_coarse_cell(self, fold, offset):
+        # autonomous, T = 1, lambda within 1e-6 of a fold: the close pair of
+        # equilibria (about 5e-3 apart) shares one cell of the 33-seed grid,
+        # whose plain count sees only the far equilibrium
+        c = 4.05
+        spec = dynamics.OdeSpec(c, fold(c) + offset, ZERO)
+        assert len(autonomous_equilibria(c, spec.lam)) == 3
+        assert len(dynamics._brackets([spec], 1.0, 33)[0]) == 1
+        counts, solves = dynamics._certified_counts([spec], 1.0, 33)
+        assert counts == [3]
+        # each round divides the open cells' width by 8, down to DEDUP_TOL
+        lo, hi = dynamics._scan_interval(spec)
+        assert 1 < solves <= 1 + math.ceil(math.log((hi - lo) / 32 / dynamics.DEDUP_TOL, 8))
+
+    def test_family_gives_each_member_its_solo_count(self):
+        # members that need 6 rounds and 1: each round solves only the open
+        # cells' seeds, in blocks of unequal size, until no member has one
+        c = 4.05
+        specs = [dynamics.OdeSpec(c, lam, ZERO) for lam in (model.lam1(c) + 5e-7, model.lam2(c) + 1.0)]
+        solo = [dynamics._certified_counts([spec], 1.0, 33) for spec in specs]
+        counts, solves = dynamics._certified_counts(specs, 1.0, 33)
+        assert counts == [n for (n,), _ in solo] == [3, 1]
+        assert solves == max(k for _, k in solo)
+
+    def test_empty_scan_interval_makes_no_solve(self):
+        # c <= 4 and lam + sup y <= -1: no solution is bounded above 0
+        assert dynamics._certified_counts([dynamics.OdeSpec(3.0, -2.0, ZERO)], 1.0, 33) == ([0], 0)
+
+    @pytest.mark.parametrize("T", [0.0, math.nan])
+    def test_needs_positive_period(self, T):
+        with pytest.raises(ValueError, match="a census requires a finite period T > 0"):
+            dynamics._certified_counts([dynamics.OdeSpec(5.0, 6.0, ZERO)], T, 33)
 
 
 class TestFiniteTimeExponent:

@@ -1,11 +1,12 @@
 import math
 import re
 import signal
+import warnings
 
 import numpy as np
 import pytest
 
-from bistab import relaxation, signals
+from bistab import dynamics, relaxation, signals
 from bistab.model import DomainError, diagnostics, g_eval
 
 
@@ -208,6 +209,17 @@ class TestPowerLawFit:
             relaxation.power_law_fit(eps, dev)
         assert capfd.readouterr().err == ""
 
+    @pytest.mark.parametrize(
+        "eps,dev", [([0.1], [1.0]), ([0.1, 0.1], [1.0, 2.0]), ([], [])], ids=["one", "equal", "empty"]
+    )
+    def test_rejects_fewer_than_two_distinct_eps(self, eps, dev):
+        # one eps value used to fit (1.0, 0.0), two equal ones a RankWarning,
+        # and none NumPy's TypeError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at least two distinct eps values"):
+                relaxation.power_law_fit(eps, dev)
+
     def test_rejects_unequal_lengths(self):
         with pytest.raises(ValueError, match="got 3 eps values and 2 deviations"):
             relaxation.power_law_fit([0.1, 0.2, 0.3], [1.0, 2.0])
@@ -258,8 +270,8 @@ class TestThreshold:
         assert res.regime_above == "bistable"
         assert 0.5 < res.r < 2.0
         # the two regimes really do hold just outside the tol bracket
-        assert relaxation._census_count(5.0, 0.05, [res.r - 2.0 * res.tol]) == [1]
-        assert relaxation._census_count(5.0, 0.05, [res.r + 2.0 * res.tol]) == [3]
+        assert relaxation._census_count(5.0, 0.05, [res.r - 2.0 * res.tol])[0] == [1]
+        assert relaxation._census_count(5.0, 0.05, [res.r + 2.0 * res.tol])[0] == [3]
 
     @pytest.mark.parametrize("eps", [0.045, 0.028])
     def test_family_counts_match_solo_counts(self, eps):
@@ -267,21 +279,21 @@ class TestThreshold:
         # family solve gives each r the count of its own solo census
         est, w = relaxation.r_star_estimate(5.0, eps), relaxation.R_HALF_WIDTH_TOLS * 1e-3
         rs = [est - w, est - 0.5 * w, est, est + 0.5 * w, est + w]
-        counts = relaxation._census_count(5.0, eps, rs)
-        assert counts == [relaxation._census_count(5.0, eps, [r])[0] for r in rs]
+        counts = relaxation._census_count(5.0, eps, rs)[0]
+        assert counts == [relaxation._census_count(5.0, eps, [r])[0][0] for r in rs]
         assert counts[0] == 1 and counts[-1] == 3
 
     def test_regimes_flipping_twice_raise(self, monkeypatch):
         # a grid whose regimes go relaxation, bistable, relaxation: no single
         # threshold, which a bisection of the two ends would not have seen
-        monkeypatch.setattr(relaxation, "_census_count", lambda c, eps, rs: [1, 3, 1, 3, 3][: len(rs)])
+        monkeypatch.setattr(relaxation, "_census_count", lambda c, eps, rs: ([1, 3, 1, 3, 3][: len(rs)], 1))
         lo = relaxation.r_star_estimate(5.0, 0.05) - relaxation.R_HALF_WIDTH_TOLS * 1e-3
         with pytest.raises(RuntimeError, match=r"^census regimes flip more than once across r = ") as flipped:
             relaxation.r_threshold(5.0, 0.05, tol=1e-3)
         assert f"{lo:.6g} (relaxation)" in str(flipped.value)
 
     def test_ambiguous_count_raises(self, monkeypatch):
-        monkeypatch.setattr(relaxation, "_census_count", lambda c, eps, rs: [1, 1, 5, 3, 3][: len(rs)])
+        monkeypatch.setattr(relaxation, "_census_count", lambda c, eps, rs: ([1, 1, 5, 3, 3][: len(rs)], 1))
         with pytest.raises(RuntimeError, match=r"^ambiguous census \(5 crossings\) at r = "):
             relaxation.r_threshold(5.0, 0.05, tol=1e-3)
 
@@ -292,7 +304,7 @@ class TestThreshold:
 
         def counts(c, eps, rs):
             solves.append(rs)
-            return [3 if r > flip else 1 for r in rs]
+            return [3 if r > flip else 1 for r in rs], 1
 
         def stuck(signum, frame):
             # once no quarter point is new, the loop makes no more solves to count
@@ -321,6 +333,33 @@ class TestThreshold:
             relaxation.r_threshold(5.0, 0.05, tol=1e-3, r_lo=1.8, r_hi=2.0)
 
 
+class RecordedGrid:
+    """Stands in for ``dynamics._displacement_grid``: records the seed count
+    of every solve."""
+
+    def __init__(self):
+        self.fn, self.sizes = dynamics._displacement_grid, []
+
+    def __call__(self, specs, T, xs, sizes=None):
+        self.sizes.append(len(xs))
+        return self.fn(specs, T, xs, sizes)
+
+
+def record_censuses(monkeypatch):
+    """(grids, rounds): a ``RecordedGrid`` in place of
+    ``dynamics._displacement_grid``, and the r of every ``_census_count``
+    call, each appended as it is made."""
+    grids, rounds, census_count = RecordedGrid(), [], relaxation._census_count
+
+    def counted(c, eps, rs):
+        rounds.append(rs)
+        return census_count(c, eps, rs)
+
+    monkeypatch.setattr(dynamics, "_displacement_grid", grids)
+    monkeypatch.setattr(relaxation, "_census_count", counted)
+    return grids, rounds
+
+
 def bisect_r_threshold(c, eps, tol, r_lo=0.5, r_hi=2.0):
     """Oracle: bisection of the census regime over the whole of [r_lo, r_hi],
     with no starting estimate.  Returns (r, regime below, regime above,
@@ -329,7 +368,7 @@ def bisect_r_threshold(c, eps, tol, r_lo=0.5, r_hi=2.0):
 
     def bistable(r):
         calls.append(r)
-        return relaxation._census_count(c, eps, [r]) == [3]
+        return relaxation._census_count(c, eps, [r])[0] == [3]
 
     lo_b, hi_b = bistable(r_lo), bistable(r_hi)
     assert lo_b != hi_b
@@ -376,6 +415,28 @@ class TestSlowPassageBracket:
         # the second the 3 quarter points of the flipped 3.75 tol; the whole
         # bracket's bisection takes 2 ends and 11 halvings, one census each
         assert (res.solves, res.censuses) == (2, 8) and calls == 13
+
+    def test_near_c4_threshold_matches_a_fine_grid(self, monkeypatch):
+        # near c = 4 the close pair of a bistable census can share a coarse
+        # cell; the certified census cuts it, and the threshold lies within
+        # tol of the one that 4,097-seed censuses of r -+ tol bracket (a
+        # fixed 512-seed grid gave 1.523917, where both censuses read 3)
+        c, eps, tol = 4.05, 0.02, 1e-4
+        grids, rounds = record_censuses(monkeypatch)
+        res = relaxation.r_threshold(c, eps, tol=tol)
+        # solves counts every family solve, the refinement rounds among them
+        assert res.solves == len(grids.sizes) > len(rounds)
+        family = [dynamics.OdeSpec(c, 0.0, relaxation.RelaxationSpec(c, eps, r).signal()) for r in (res.r - tol, res.r + tol)]
+        assert [len(b) for b in dynamics._brackets(family, relaxation.TWO_PI / eps, 4097)] == [1, 3]
+
+    @pytest.mark.parametrize("eps", [0.025, 0.032, 0.04, 0.05])
+    def test_each_census_is_one_solve_at_c5(self, monkeypatch, eps):
+        # the eps range of the fold-bisect benchmark: the period map clears
+        # every coarse cell without a crossing, so no census cuts one
+        grids, rounds = record_censuses(monkeypatch)
+        res = relaxation.r_threshold(5.0, eps, tol=1e-3)
+        assert res.solves == len(rounds) == 2
+        assert grids.sizes == [5 * relaxation.COUNT_SEEDS, 3 * relaxation.COUNT_SEEDS]
 
     @pytest.mark.parametrize("wrong", [0.5, 1.9])
     def test_wrong_estimate_widens_to_the_same_answer(self, monkeypatch, wrong):
