@@ -13,32 +13,33 @@ the inverse map (backward-time integration), for which they are attractive:
 a forward pass starting within roundoff of a strongly repulsive orbit still
 falls off it long before the period ends, corrupting the multiplier integral.
 
-Every scan is a family scan (``_brackets``): it takes a sequence of
+Every census reads one scan, ``_brackets``: it takes a sequence of
 OdeSpecs that share c, rhs_kind, the input's period and its kinks, stacks
-every member's seed grid into one solve and returns each member's
-brackets.  A one-member family is solved with its own ``OdeSpec.rhs``.
+every member's seed grid into one solve and returns each member's seeds
+and displacements.  A one-member family is solved with its own
+``OdeSpec.rhs``.  A period the input does not repeat after is rejected.
 The threshold census of ``relaxation`` counts the crossings of several
 exponents r as one family, each member driven by its own lam + y(t), on a
 certified grid (``_certified_counts``): a coarse scan, then only the cells
 that the monotone period map cannot clear of a hidden pair of fixed
 points are cut finer, every member's in one solve per round.
 
-A census is about three solve batches.  One scan on 2,049 seeds gives the
-crossing counts of the nested 513- and 1,025-seed grids too, so a finer
-grid is solved only when those counts differ.  Then all attractive
-crossings are refined in lock step by one multi-state forward map solve
-per step, and all repulsive ones by backward solves; a crossing leaves its
-batch once it converges.  Each starts at the zero of the inverse cubic
-through the four scan seeds around it (the secant zero of its two
-displacement values at a grid end or where that zero leaves the bracket),
-so a crossing of a smooth displacement starts within a few 1e-9 of its
-fixed point (1e-11 to 7e-9 on the benchmark's census inputs).  It takes
-Newton steps on the period map (the shooting method), whose slope is the
-multiplier each map solve integrates anyway, inside its bracket, which
-each map solve shrinks to the side of the fixed point; otherwise it
-bisects the bracket (Press et al., Numerical Recipes, 9.4).  A Newton
-correction below FP_TOL ends the refinement, so such a crossing needs one
-map solve.
+A census is about three solve batches.  One scan on CENSUS_SEEDS seeds
+gives the brackets.  Then all attractive crossings are refined in lock
+step by one multi-state forward map solve per step, and all repulsive ones
+by backward solves; a crossing leaves its batch once it converges.  Each
+starts at the zero of the inverse cubic through the four scan seeds
+around it (the secant zero of its two displacement values at a grid end
+or where that zero leaves the bracket), so a crossing of a smooth
+displacement starts within a few 1e-9 of its fixed point (1e-11 to 7e-9
+on the benchmark's census inputs).  It takes Newton steps on the period
+map (the shooting method), whose slope is the multiplier each map solve
+integrates anyway, inside its bracket, which each map solve shrinks to the
+side of the fixed point; otherwise it bisects the bracket (Press et al.,
+Numerical Recipes, 9.4).  A Newton correction below FP_TOL ends the
+refinement, so such a crossing needs one map solve.  The period map is
+increasing (Smith, Monotone Dynamical Systems, AMS 1995), so every fixed
+point stays inside the bracket its crossing came from.
 
 The bifurcation values are the folds of the two comparison equations.
 Each is a root of the fold system F(x, lam) = (P(x) - x, L(x)), with P the
@@ -70,7 +71,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -104,10 +104,7 @@ ESCAPE_BOUND = 1e6
 FP_TOL = 1e-9
 DEDUP_TOL = 1e-6
 NONHYP_TOL = 1e-4  # |multiplier - 1| below this => non-hyperbolic
-CENSUS_SEEDS = 2048  # grid of the count-only census
-# the full census solves the first grid (its every 2nd and 4th seed are the
-# 1,025- and 513-seed grids) and doubles up to the second
-STABLE_SEEDS = (2049, 8193)
+CENSUS_SEEDS = 2049  # seeds of the census scan
 
 RHS_KINDS = ("full", "concave-linear", "linear-convex")
 
@@ -640,50 +637,48 @@ def _sign_changes(xs: np.ndarray, d: np.ndarray) -> list[tuple[float, float, boo
     return list(zip(xa, xb, np.where(z, db[i] < da[i], da[i] > 0.0), start))
 
 
-def _family_scan(specs, T: float, n: int):
-    """(live, xs, d): the indices of the members of ``specs`` whose scan
-    interval is not empty, and for each of them a row of n seeds over it and
-    the displacements there, every row from one vectorized solve.  A period
-    T that is not finite and positive raises ValueError."""
+def _require_fitting_period(spec: OdeSpec, T: float) -> None:
+    """ValueError unless the input of ``spec`` repeats after T: T a positive
+    integer multiple of its fundamental period, within 1e-9 relative, or
+    any T for a constant-valued input.  Any other input is rejected as by
+    ``signal_period``."""
+    period = sig.fundamental_period(spec.signal)
+    if period is None:
+        signal_period(spec.signal)
+        return
+    k = round(T / period)
+    if k < 1 or abs(T - k * period) > 1e-9 * T:
+        raise ValueError(f"a census at T = {T} needs an input that repeats after T; its period is {period}")
+
+
+def _brackets(specs, T: float, n: int):
+    """The one census scan: for each member of ``specs``, (xs, d), the n
+    seeds over its scan interval and the displacements P(x) - x there, or
+    None where the interval is empty; every member's seeds are solved in
+    one vectorized solve (``_displacement_grid``).  A one-member family is
+    solved with its own ``OdeSpec.rhs``, so its floats do not depend on the
+    family path.  A period T that is not finite and positive, or that the
+    input of a member does not repeat after, raises ValueError."""
     _require_period(T, "a census")
+    for spec in specs:
+        _require_fitting_period(spec, T)
     intervals = [_scan_interval(spec) for spec in specs]
     live = [k for k, interval in enumerate(intervals) if interval is not None]
-    if not live:
-        return live, np.empty((0, n)), np.empty((0, n))
-    xs = np.array([np.linspace(*intervals[k], n) for k in live])
-    return live, xs, _displacement_grid([specs[k] for k in live], T, xs.ravel()).reshape(xs.shape)
-
-
-def _brackets(specs, T: float, n: int, levels: int = 1):
-    """The family scan: for each member of ``specs``, the ``_sign_changes``
-    of the displacement on n seeds over its scan interval, every member's
-    grid stacked into one vectorized solve (``_family_scan``).  With
-    levels = k > 1 (n - 1 a multiple of 2^(k-1)), each member's bracket
-    lists of the k nested grids of every 2^(k-1)-th, ..., 2nd and every
-    seed, coarsest first, from the same solve.  A one-member family is
-    solved with its own ``OdeSpec.rhs``, so its floats do not depend on the
-    family path."""
-    out = [[[] for _ in range(levels)] if levels > 1 else [] for _ in specs]
-    live, xs, d = _family_scan(specs, T, n)
-    for k, xk, dk in zip(live, xs, d):
-        nested = [_sign_changes(xk[:: 2**j], dk[:: 2**j]) for j in reversed(range(levels))]
-        out[k] = nested if levels > 1 else nested[0]
+    out = [None] * len(specs)
+    if live:
+        xs = np.array([np.linspace(*intervals[k], n) for k in live])
+        d = _displacement_grid([specs[k] for k in live], T, xs.ravel()).reshape(xs.shape)
+        for k, xk, dk in zip(live, xs, d):
+            out[k] = xk, dk
     return out
 
 
 def _stable_brackets(spec: OdeSpec, T: float):
-    """Brackets on grids of 2^k + 1 seeds, doubled until the crossing count
-    is the same on three grids in a row.  The grids nest, so the first solve
-    gives the counts of the grids of its every 4th and 2nd seed too; a finer
-    grid is solved only while the counts still differ."""
-    n, n_max = STABLE_SEEDS
-    *coarse, brk = _brackets([spec], T, n, levels=3)[0]
-    counts = [len(b) for b in coarse] + [len(brk)]
-    while len(set(counts[-3:])) > 1 and n < n_max:
-        n = 2 * n - 1
-        brk = _brackets([spec], T, n)[0]
-        counts.append(len(brk))
-    return brk
+    """The census's brackets: the ``_sign_changes`` of one ``_brackets``
+    scan on CENSUS_SEEDS seeds.  (The name is kept: the benchmark's tracer
+    wraps it.)"""
+    (scan,) = _brackets([spec], T, CENSUS_SEEDS)
+    return [] if scan is None else _sign_changes(*scan)
 
 
 def _open_cells(xs: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -706,9 +701,9 @@ def _certified_counts(specs, T: float, n: int) -> tuple[list[int], int]:
     changes of the displacement over its scan interval, and the family
     solves made to count them.
 
-    One family scan solves n seeds per member.  Every cell whose two
-    displacements share a sign and which the period map does not clear
-    (``_open_cells``) may hide an even number of fixed points, so it is
+    One family scan (``_brackets``) solves n seeds per member.  Every cell
+    whose two displacements share a sign and which the period map does not
+    clear (``_open_cells``) may hide an even number of fixed points, so it is
     cut into eighths: each round solves the 7 new seeds of every open cell
     of every member in one family solve, with blocks of unequal size.  A
     cell is done once it is cleared, or narrower than DEDUP_TOL, where it
@@ -716,14 +711,14 @@ def _certified_counts(specs, T: float, n: int) -> tuple[list[int], int]:
     ``_sign_changes`` on the refined grid.  The cell next to a crossing
     whose multiplier lies between 1/2 and 2 is never cleared, so the
     certificate is cheap only where the map contracts or expands strongly,
-    as a slowly forced census's does; ``_stable_brackets`` keeps its fixed
-    nested grids.  A period T that is not finite and positive raises
-    ValueError."""
-    counts = [0] * len(specs)
-    live, xs, ds = _family_scan(specs, T, n)
+    as a slowly forced census's does; a full census reads one fixed grid.
+    ValueError as for ``_brackets``."""
+    counts, scans = [0] * len(specs), _brackets(specs, T, n)
+    live = [k for k, scan in enumerate(scans) if scan is not None]
     if not live:
         return counts, 0
-    xs, ds, solves, eighths = list(xs), list(ds), 1, np.arange(1, 8) / 8.0
+    xs, ds = [scans[k][0] for k in live], [scans[k][1] for k in live]
+    solves, eighths = 1, np.arange(1, 8) / 8.0
     while True:
         cells = [_open_cells(x, d) for x, d in zip(xs, ds)]
         members = [j for j, i in enumerate(cells) if i.size]
@@ -805,15 +800,15 @@ def _refine_fixed_point(
 def find_periodic_solutions(spec: OdeSpec, T: float) -> list[PeriodicSolution]:
     """All T-periodic solutions found by the census over the scan interval.
 
-    Requires a finite T > 0 and an input that is constant or T-periodic.
-    The census makes about three solve batches: one nested scan
-    (``_stable_brackets``), then one lock-step refinement of all attractive
-    crossings forward and one of all repulsive crossings backward
-    (``_refine_fixed_point``).  Each solution is its fixed point, the
-    multiplier measured by the map solve its refinement converged with (a
-    repulsive orbit is measured backward, as forward integration falls off
-    it before one period when the multiplier is extreme), and its stability
-    tag; no orbit is integrated again.
+    Requires a finite T > 0 and an input that is constant or T-periodic
+    (ValueError otherwise, ``_brackets``).  The census makes about three
+    solve batches: one scan (``_stable_brackets``), then one lock-step
+    refinement of all attractive crossings forward and one of all
+    repulsive crossings backward (``_refine_fixed_point``).  Each solution
+    is its fixed point, the multiplier measured by the map solve its
+    refinement converged with (a repulsive orbit is measured backward, as
+    forward integration falls off it before one period when the multiplier
+    is extreme), and its stability tag; no orbit is integrated again.
     """
     brackets = _stable_brackets(spec, T)
     if not brackets:
@@ -825,14 +820,7 @@ def find_periodic_solutions(spec: OdeSpec, T: float) -> list[PeriodicSolution]:
         if batch.any():
             fixed[batch], logs[batch] = _refine_fixed_point(spec, T, xa[batch], xb[batch], start[batch], direction)
     solutions = []
-    for a, b, x0, L in zip(xa, xb, fixed.tolist(), logs.tolist()):
-        if any(abs(x0 - s.fixed_point) < DEDUP_TOL for s in solutions):
-            warnings.warn(
-                f"the crossing in [{a:.9g}, {b:.9g}] refined onto the fixed point {x0:.9g}, "
-                f"within {DEDUP_TOL:g} of one already found; possible non-hyperbolic pair near a saddle-node",
-                stacklevel=2,
-            )
-            continue
+    for x0, L in zip(fixed.tolist(), logs.tolist()):
         kind = "non-hyperbolic" if abs(L) < NONHYP_TOL else ("attractive" if L < 0.0 else "repulsive")
         solutions.append(
             PeriodicSolution(period=T, fixed_point=x0, multiplier=_exp(L), log_multiplier=L, kind=kind)
@@ -850,14 +838,14 @@ def finite_time_exponent(spec: OdeSpec, traj: Trajectory) -> float:
 
 
 def count_separated_solutions(spec: OdeSpec, T: float) -> int:
-    """Number of period-map crossings on the CENSUS_SEEDS grid.
+    """Number of period-map crossings of the census scan (``_stable_brackets``).
 
     Count-only fast path: no refinement or multipliers, one vectorized scan.
     Distinct crossings are separated: for c > 4 the scan interval is at
     least sqrt(3) long, so bracket midpoints lie at least 4e-4 apart; for
     c <= 4 gbar decreases, so the displacement does and crosses at most once.
     """
-    return len(_brackets([spec], T, CENSUS_SEEDS)[0])
+    return len(_stable_brackets(spec, T))
 
 
 def signal_period(signal: sig.SignalSpec) -> float:

@@ -16,6 +16,7 @@ from bistab import dynamics, model, relaxation, signals
 
 SQRT3 = math.sqrt(3.0)
 ZERO = signals.Constant(0.0)
+COSINE = signals.TrigSum(0.0, ((0.04, 1.0, 0.0),))
 
 
 def autonomous_equilibria(c, lam):
@@ -248,7 +249,7 @@ class TestCensus:
         monkeypatch.setattr(dynamics, "_displacement_grid", lambda spec, T, xs: d)
         spec = dynamics.OdeSpec(5.0, 6.0, ZERO)
         want = loop_brackets(np.linspace(*dynamics._scan_interval(spec), d.size), d)
-        got = dynamics._brackets([spec], 1.0, d.size)[0]
+        got = dynamics._sign_changes(*dynamics._brackets([spec], 1.0, d.size)[0])
         assert [tuple(map(type, b)) for b in got] == [tuple(map(type, b)) for b in want]
         assert got == want and any(d[:-1] == 0.0) and len(got) > 10
 
@@ -326,28 +327,11 @@ class TestCensus:
             monkeypatch.setattr(dynamics, name, fn)
         assert len(dynamics.find_periodic_solutions(spec, 2.0 * math.pi)) == 3
         assert solves.calls == scans.calls + maps.calls
-        # one nested scan, and two lock-step solves per direction
+        # one scan, and two lock-step solves per direction
         assert scans.calls == 1 and maps.calls <= 4
 
-    def test_merged_crossings_warn(self, monkeypatch):
-        # three crossings refined onto one fixed point: the census keeps it once
-        # and warns for each crossing it loses, naming that crossing's bracket
-        spec = dynamics.OdeSpec(5.0, 6.0, ZERO)
-        brackets = dynamics._stable_brackets(spec, 1.0)
-        monkeypatch.setattr(
-            dynamics,
-            "_refine_fixed_point",
-            lambda spec, T, xa, xb, x, attractive: (np.full(len(xa), 2.0), np.full(len(xa), 0.5)),
-        )
-        with pytest.warns(UserWarning, match="refined onto the fixed point 2,") as record:
-            sols = dynamics.find_periodic_solutions(spec, 1.0)
-        assert len(record) == 2
-        assert [s.fixed_point for s in sols] == [2.0]
-        for warning, (xa, xb, _, _) in zip(record, brackets[1:]):
-            assert f"the crossing in [{xa:.9g}, {xb:.9g}]" in str(warning.message)
-
     def test_stable_census_solves_one_grid(self, monkeypatch):
-        # the 513-, 1,025- and 2,049-seed counts all come from one solve
+        # the brackets all come from one scan solve
         grids = CountedMap(dynamics._displacement_grid)
         monkeypatch.setattr(dynamics, "_displacement_grid", grids)
         y = signals.TrigSum(0.0, ((0.04, 1.0, -math.pi / 2.0),))
@@ -355,22 +339,24 @@ class TestCensus:
         assert len(dynamics.find_periodic_solutions(spec, 2.0 * math.pi)) == 3
         assert grids.calls == 1
 
-    def test_close_crossings_double_the_grid(self, monkeypatch):
+    def test_close_crossings_in_one_scan(self, monkeypatch):
         # just above lam1 the two equilibria born at x2, 4.3e-3 apart, fall
-        # between two seeds of the 513-seed grid (spacing 1.04e-2) but not of
-        # the 2,049-seed one, so the counts differ and 4,097 seeds are solved
+        # between two seeds of a 513-seed grid (spacing 1.04e-2) but not of
+        # the 2,049-seed census grid, whose one scan brackets all three
         c = 5.0
         lam = model.lam1(c) + 1e-6
         spec = dynamics.OdeSpec(c, lam, ZERO)
         lo, hi = dynamics._scan_interval(spec)
         pair = [x for x in autonomous_equilibria(c, lam) if abs(x - model.x2(c)) < 0.01]
         assert len(pair) == 2 and (hi - lo) / 2048 < pair[1] - pair[0] < (hi - lo) / 512
-        *coarse, fine = dynamics._brackets([spec], 1.0, 2049, levels=3)[0]
-        assert [len(b) for b in coarse] == [1, 3] and len(fine) == 3
+        assert pair[1] - pair[0] == pytest.approx(4.3e-3, abs=1e-4)
+        ((xs, d),) = dynamics._brackets([spec], 1.0, dynamics.CENSUS_SEEDS)
+        assert len(dynamics._sign_changes(xs[::4], d[::4])) == 1
+        assert len(dynamics._sign_changes(xs, d)) == 3
         scans = CountedMap(dynamics._brackets)
         monkeypatch.setattr(dynamics, "_brackets", scans)
         sols = dynamics.find_periodic_solutions(spec, 1.0)
-        assert scans.calls == 2
+        assert scans.calls == 1
         assert [s.kind for s in sols] == ["attractive", "repulsive", "attractive"]
         assert [s.fixed_point for s in sols] == pytest.approx(autonomous_equilibria(c, lam), abs=1e-5)
 
@@ -404,6 +390,36 @@ class TestCensus:
             for lam in (5.0, 6.0, 7.0)
         ]
         assert counts == [1, 3, 1]
+
+    @pytest.mark.parametrize("T", [1.0, 3.0])
+    def test_rejects_a_period_the_input_does_not_repeat_after(self, T):
+        # the input has period 2 pi: a time-1 or time-3 map has fixed points,
+        # but they are no periodic solutions
+        spec = dynamics.OdeSpec(5.0, 0.5 * (model.lam1(5.0) + model.lam2(5.0)), COSINE)
+        censuses = (
+            dynamics.find_periodic_solutions,
+            dynamics.count_separated_solutions,
+            lambda spec, T: dynamics._certified_counts([spec], T, 33),
+        )
+        for census in censuses:
+            with pytest.raises(ValueError, match=f"a census at T = {T} needs an input that repeats after T"):
+                census(spec, T)
+
+    @pytest.mark.parametrize("T", [2.0 * math.pi, 4.0 * math.pi])
+    def test_accepts_a_multiple_of_the_period(self, T):
+        spec = dynamics.OdeSpec(5.0, 0.5 * (model.lam1(5.0) + model.lam2(5.0)), COSINE)
+        sols = dynamics.find_periodic_solutions(spec, T)
+        assert [s.kind for s in sols] == ["attractive", "repulsive", "attractive"]
+        assert dynamics.count_separated_solutions(spec, T) == 3
+
+    @pytest.mark.parametrize("T", [0.3, 1.0, math.e, 2.0 * math.pi])
+    def test_constant_input_accepts_any_period(self, T):
+        assert dynamics.count_separated_solutions(dynamics.OdeSpec(5.0, 6.0, ZERO), T) == 3
+
+    def test_rejects_an_input_that_is_not_periodic(self):
+        spec = dynamics.OdeSpec(5.0, 6.0, INCOMMENSURATE)
+        with pytest.raises(ValueError, match="constant or periodic"):
+            dynamics.count_separated_solutions(spec, 2.0 * math.pi)
 
 
 class TestFamilyScan:
@@ -477,17 +493,19 @@ class TestFamilyScan:
         )
         want = ref.y[:, -1] - xs
         assert np.array_equal(dynamics._displacement_grid([spec], T, xs), want)
-        assert dynamics._brackets([spec], T, 257) == [dynamics._sign_changes(xs, want)]
-        assert len(dynamics._brackets([spec], T, 257)[0]) == 3
+        ((got_xs, got_d),) = dynamics._brackets([spec], T, 257)
+        assert np.array_equal(got_xs, xs) and np.array_equal(got_d, want)
+        assert len(dynamics._sign_changes(got_xs, got_d)) == 3
 
     def test_members_get_their_own_grids_and_brackets(self):
         # lambda below, inside and above the fold window: one, three and one
         # crossings, each on the member's own scan interval
         lams = (model.lam1(5.0) - 0.2, 0.5 * (model.lam1(5.0) + model.lam2(5.0)), model.lam2(5.0) + 0.2)
         specs = [dynamics.OdeSpec(5.0, lam, self.TRIG) for lam in lams]
-        family = dynamics._brackets(specs, 2.0 * math.pi, 257, levels=2)
-        assert [[len(b) for b in levels] for levels in family] == [[1, 1], [3, 3], [1, 1]]
-        for spec, (_, brackets) in zip(specs, family):
+        family = dynamics._brackets(specs, 2.0 * math.pi, 257)
+        levels = [[dynamics._sign_changes(xs[::2], d[::2]), dynamics._sign_changes(xs, d)] for xs, d in family]
+        assert [[len(b) for b in nested] for nested in levels] == [[1, 1], [3, 3], [1, 1]]
+        for spec, (_, brackets) in zip(specs, levels):
             lo, hi = dynamics._scan_interval(spec)
             assert all(lo <= xa < xb <= hi for xa, xb, _, _ in brackets)
 
@@ -524,7 +542,7 @@ class TestCertifiedCounts:
         c = 4.05
         spec = dynamics.OdeSpec(c, fold(c) + offset, ZERO)
         assert len(autonomous_equilibria(c, spec.lam)) == 3
-        assert len(dynamics._brackets([spec], 1.0, 33)[0]) == 1
+        assert len(dynamics._sign_changes(*dynamics._brackets([spec], 1.0, 33)[0])) == 1
         counts, solves = dynamics._certified_counts([spec], 1.0, 33)
         assert counts == [3]
         # each round divides the open cells' width by 8, down to DEDUP_TOL
@@ -1283,6 +1301,26 @@ class TestLockStep:
         for s in sols:
             fd = dynamics.poincare_multiplier_fd(spec, T, s.fixed_point, backward_orbit=s.kind == "repulsive")
             assert fd == pytest.approx(s.log_multiplier, abs=1e-4)
+
+    @pytest.mark.parametrize("name", ["constant", *CENSUS_SIGNALS])
+    def test_solutions_stay_in_their_brackets(self, name):
+        # 1e-6 above the lam- fold: a close pair about 4.3e-3 apart whose log
+        # multipliers lie within 6e-3 of 0; the period map is increasing, so
+        # each fixed point lies in the bracket its crossing came from
+        c = 5.0
+        if name == "constant":
+            y, lam = ZERO, model.lam1(c)
+        else:
+            y = CENSUS_SIGNALS[name]
+            lam = dynamics.estimate_lambda_pm(c, y, tol=1e-10)[0]
+        spec = dynamics.OdeSpec(c, lam + 1e-6, y)
+        T = dynamics.signal_period(y)
+        brackets = dynamics._stable_brackets(spec, T)
+        sols = dynamics.find_periodic_solutions(spec, T)
+        assert [s.kind for s in sols] == ["attractive", "repulsive", "attractive"]
+        assert len(brackets) == 3 and sols[2].fixed_point - sols[1].fixed_point < 5e-3
+        for s, (xa, xb, attractive, _) in zip(sols, brackets):
+            assert xa <= s.fixed_point <= xb and (s.kind == "attractive") == attractive
 
     @pytest.mark.parametrize("name", list(CENSUS_SIGNALS))
     def test_scan_and_map_solves_keep_their_sizes(self, monkeypatch, name):

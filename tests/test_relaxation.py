@@ -427,7 +427,8 @@ class TestSlowPassageBracket:
         # solves counts every family solve, the refinement rounds among them
         assert res.solves == len(grids.sizes) > len(rounds)
         family = [dynamics.OdeSpec(c, 0.0, relaxation.RelaxationSpec(c, eps, r).signal()) for r in (res.r - tol, res.r + tol)]
-        assert [len(b) for b in dynamics._brackets(family, relaxation.TWO_PI / eps, 4097)] == [1, 3]
+        scans = dynamics._brackets(family, relaxation.TWO_PI / eps, 4097)
+        assert [len(dynamics._sign_changes(xs, d)) for xs, d in scans] == [1, 3]
 
     @pytest.mark.parametrize("eps", [0.025, 0.032, 0.04, 0.05])
     def test_each_census_is_one_solve_at_c5(self, monkeypatch, eps):
