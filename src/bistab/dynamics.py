@@ -57,14 +57,17 @@ step history is kept for them.  The loop checks the escape bound on the
 states at each step end, and a FiniteEscapeError names the first step end
 beyond it.
 
-The solver's right-hand side is ``OdeSpec.rhs`` itself, or for an
-augmented solve a kernel built once per ``OdeSpec`` (``_compile_kernels``)
-that also returns the multiplier integrand, the floats of ``OdeSpec.rhs``
-and ``rhs_state_deriv``.  Its calls on at most _FLOAT_STATES states (where
-the per-call timings cross), a census's map solves among them, run in
-Python floats, since NumPy's fixed cost per operation would dominate them;
-gbar's + - * / expressions round alike in floats and in NumPy.  The fold
-system has a float kernel of its own, built with it.
+An ``OdeSpec`` is the equation and its compiled input, nothing else.  A
+scan's right-hand side is ``OdeSpec.rhs`` itself.  Each sensitivity solve
+builds its own from one float statement of the field, ``_float_field``:
+``_solve`` builds the map solve's kernel (``_augmented_kernel``) on every
+call, which also returns the multiplier integrand, the floats of
+``OdeSpec.rhs`` and ``rhs_state_deriv``, and a fold trial builds its
+five-state kernel from the field and the compiled input, with no OdeSpec.
+A kernel call on at most _FLOAT_STATES states (where the per-call timings
+cross), a census's map solves among them, runs in Python floats, since
+NumPy's fixed cost per operation would dominate it; gbar's + - * /
+expressions round alike in floats and in NumPy.
 """
 
 from __future__ import annotations
@@ -117,35 +120,18 @@ class FiniteEscapeError(RuntimeError):
 _FLOAT_STATES = 32
 
 
-def _compile_kernels(spec):
-    """(augmented, fold): right-hand sides of ``spec`` as the solver calls
-    them, fun(t, y).  ``augmented`` takes the states followed by their log
-    multipliers and returns x' followed by the multiplier integrand
-    d(rhs)/dx, every entry equal to ``OdeSpec.rhs`` and
-    ``OdeSpec.rhs_state_deriv`` bit for bit, so the solver takes the steps
-    it would take with them.  ``fold`` (None for the full equation) takes
-    one state x of a comparison equation x' = lam + y(t) + f(x), its log
-    multiplier l and the sensitivities x_lam, M and N (``_fold_system``) and
-    returns x', f', f' x_lam + 1, f'' e^l and f'' x_lam.
-
-    At a few states NumPy's fixed cost per operation, not the arithmetic,
-    sets the price of a call.  So a call on at most _FLOAT_STATES states
-    evaluates them one by one in Python floats, x' and the integrand in one
-    pass; a larger call is ``OdeSpec.rhs`` and ``rhs_state_deriv``
-    themselves.  The float path runs the + - * /
-    expressions of ``model.gbar_eval`` and ``model.gbar_deriv`` on both
-    branches of gbar, so a state gets the same float on either path.  Per
-    call in µs, full equation, trig input, best of 9 x 3,000 calls on a
-    shared 2-core x86-64 host; the two paths cross near 40 states:
-
-        states           1     4    16    32    64   2048
-        float, augm.   4.4   7.7    17    30    57      -
-        OdeSpec.rhs     15    15    15    15    15     25
-          with deriv    38    38    37    37    38     72
-    """
-    c, lam, signal_at = float(spec.c), float(spec.lam), spec._signal_at
+def _float_field(c: float, rhs_kind: str):
+    """(pair, curvature): the field of x' = drive + f(x) of ``rhs_kind`` in
+    Python floats, one state at a time.  ``pair(drive, x)`` is (x', f'),
+    the floats of ``OdeSpec._rhs_driven`` and ``OdeSpec.rhs_state_deriv``:
+    it runs the + - * / expressions of ``model.gbar_eval`` and
+    ``model.gbar_deriv`` on both branches of gbar, which round alike in
+    floats and in NumPy.  ``curvature(x)`` is f'' of a comparison equation,
+    gbar'' on the curved half and 0 on the linear one; it is None for the
+    full equation.  Every sensitivity solve builds its right-hand side from
+    these two (``_augmented_kernel``, ``_fold_system``)."""
+    c, concave = float(c), rhs_kind == "concave-linear"
     two_c, a, b = 2.0 * c, -1.0 - 2.0 * c, 2.0 * (c - 1.0)
-    concave = spec.rhs_kind == "concave-linear"
     shift, slope = cshift(c), dfrak(c)
 
     def g_pair(u):  # gbar and gbar'
@@ -155,36 +141,58 @@ def _compile_kernels(spec):
         q = 1.0 + uu
         return -u - two_c * u / q, (a + b * u * u - uu * uu) / (q * q)
 
-    # one state in floats: (x', integrand)
-    if spec.rhs_kind == "full":
+    if rhs_kind == "full":
 
         def pair(drive, x):
             gx, dx = g_pair(x)
             return drive + gx, dx
 
-    else:
+        return pair, None
 
-        def on_half(x):  # mg_minus (concave) or mg_plus is mg here and 0 elsewhere
-            return x >= 0.0 if concave else x <= 0.0
+    def on_half(x):  # mg_minus (concave) or mg_plus is mg here and 0 elsewhere
+        return x >= 0.0 if concave else x <= 0.0
 
-        def pair(drive, x):
-            sx = slope * x
-            if not on_half(x):
-                return drive - shift + sx + 0.0, slope + 0.0
-            gu, du = g_pair(x + SQRT3)
-            return drive - shift + sx + (gu + shift - sx), slope + (du - slope)
+    def pair(drive, x):
+        sx = slope * x
+        if not on_half(x):
+            return drive - shift + sx + 0.0, slope + 0.0
+        gu, du = g_pair(x + SQRT3)
+        return drive - shift + sx + (gu + shift - sx), slope + (du - slope)
 
-    def g2(u):  # gbar''
-        if u < 0.0:
-            return -6.0 * u
+    def curvature(x):  # gbar'' at u = x + sqrt3 on the curved half
+        if not on_half(x):
+            return 0.0
+        u = x + SQRT3
         q = 1.0 + u * u
-        return -4.0 * c * u * (u * u - 3.0) / (q * q * q)
+        return -6.0 * u if u < 0.0 else -4.0 * c * u * (u * u - 3.0) / (q * q * q)
 
-    def fold(t, y):  # a comparison equation's: f'' is gbar'' on the curved half, 0 on the linear one
-        x, log_mult, x_lam, _, _ = y.tolist()
-        dx, d1 = pair(lam + signal_at(float(t)), x)
-        d2 = g2(x + SQRT3) if on_half(x) else 0.0
-        return np.array([dx, d1, d1 * x_lam + 1.0, d2 * math.exp(log_mult), d2 * x_lam])
+    return pair, curvature
+
+
+def _augmented_kernel(spec):
+    """The right-hand side of the map solve of ``spec`` as the solver calls
+    it, fun(t, y), built by ``_solve`` on each call.  It takes the states
+    followed by their log multipliers and returns x' followed by the
+    multiplier integrand d(rhs)/dx, every entry equal to ``OdeSpec.rhs``
+    and ``OdeSpec.rhs_state_deriv`` bit for bit, so the solver takes the
+    steps it would take with them.
+
+    At a few states NumPy's fixed cost per operation, not the arithmetic,
+    sets the price of a call.  So a call on at most _FLOAT_STATES states
+    evaluates them one by one in Python floats (``_float_field``), x' and
+    the integrand in one pass; a larger call is ``OdeSpec.rhs`` and
+    ``rhs_state_deriv`` themselves, so a state gets the same float on
+    either path.  Per call in µs, full equation, trig input, best of 9 x
+    3,000 calls on a shared 2-core x86-64 host; the two paths cross near
+    40 states:
+
+        states           1     4    16    32    64   2048
+        float, augm.   4.4   7.7    17    30    57      -
+        OdeSpec.rhs     15    15    15    15    15     25
+          with deriv    38    38    37    37    38     72
+    """
+    pair, _ = _float_field(spec.c, spec.rhs_kind)
+    lam, signal_at = float(spec.lam), spec._signal_at
 
     def augmented(t, y):
         x = y[: y.size // 2]
@@ -194,7 +202,7 @@ def _compile_kernels(spec):
             return np.array(values + derivs)
         return np.concatenate([np.atleast_1d(spec.rhs(t, x)), np.atleast_1d(spec.rhs_state_deriv(x))])
 
-    return augmented, (None if spec.rhs_kind == "full" else fold)
+    return augmented
 
 
 @dataclass(frozen=True)
@@ -205,10 +213,6 @@ class OdeSpec:
     rhs_kind: str = "full"
     # the signal as a callable of t, compiled once here rather than on every rhs call
     _signal_at: object = field(init=False, repr=False, compare=False)
-    # the right-hand side of an augmented solve (_compile_kernels), built once here
-    _augmented_kernel: object = field(init=False, repr=False, compare=False)
-    # the right-hand side of a fold solve (_fold_system), built with it
-    _fold_kernel: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.c) and math.isfinite(self.lam)):
@@ -220,13 +224,6 @@ class OdeSpec:
         if self.rhs_kind != "full":
             require_c_above_4(self.c, f"rhs_kind {self.rhs_kind!r}")
         object.__setattr__(self, "_signal_at", sig.compile_signal(self.signal))
-        augmented, fold = _compile_kernels(self)
-        object.__setattr__(self, "_augmented_kernel", augmented)
-        object.__setattr__(self, "_fold_kernel", fold)
-
-    def __reduce__(self):
-        # the kernels are closures; a copy rebuilds them from the fields
-        return OdeSpec, (self.c, self.lam, self.signal, self.rhs_kind)
 
     def rhs(self, t, x):
         """dx/dt; x may be an array of states advanced in parallel."""
@@ -314,6 +311,8 @@ def solve_ivp(fun, t0, y0, t1, atol, rtol, *, t_eval, nodes, states) -> _Solutio
         raise ValueError(f"the span from t0 = {t} to t1 = {t1} must be finite and nonzero")
     # NumPy multiplies an array by a 0-d array faster than by a Python float
     atol, rtol = np.asarray(atol, dtype=float), np.asarray(rtol, dtype=float)
+    if not y0.size:
+        raise ValueError("solve_ivp needs at least one state")
     if not np.isfinite(y0).all():
         raise ValueError("the initial states must be finite")
     y, f = y0, fun(t, y0)
@@ -398,28 +397,26 @@ def solve_ivp(fun, t0, y0, t1, atol, rtol, *, t_eval, nodes, states) -> _Solutio
     return _Solution(times, ys[0] if len(ys) == 1 else np.hstack(ys), nfev)
 
 
-def _solve(spec: OdeSpec, t0, y0, t1, abstol, reltol, augmented=False, t_eval=None):
+def _solve(spec: OdeSpec, t0, y0, t1, t_eval=None):
     """(times, states) of the states y0 solved from t0 to t1 (either
-    direction) in one ``solve_ivp`` run: the solver's steps, or only the
-    times of t_eval (ordered from t0 to t1).  An end-state caller passes
-    ``t_eval=[t1]``, so the solver keeps no step history.
+    direction) at ABSTOL and RELTOL in one ``solve_ivp`` run, each state's
+    log multiplier alongside (from 0, after the states): the solver's
+    steps, or only the times of t_eval (ordered from t0 to t1).  An
+    end-state caller passes ``t_eval=[t1]``, so the solver keeps no step
+    history.  The right-hand side is ``_augmented_kernel(spec)``, built here.
 
     A sampled input is piecewise linear.  Stepping across its nodes leaves
     the period map noisy at the level of the tolerance, so the solver steps
     through the node pieces with each step ending at a node strictly inside
     the span (Hairer, Norsett & Wanner, Solving ODE I, II.6).  A smooth
-    input has no nodes and takes the steps of plain RK45.  ``augmented``
-    integrates each state's log multiplier alongside (from 0), after the
-    states; the escape bound applies to the states alone.
+    input has no nodes and takes the steps of plain RK45.  The escape bound
+    applies to the states alone.
     """
-    y = np.atleast_1d(np.asarray(y0, dtype=float))
-    n = y.size
-    if augmented:
-        y = np.concatenate([y, np.zeros(n)])
+    x = np.atleast_1d(np.asarray(y0, dtype=float))
+    y = np.concatenate([x, np.zeros(x.size)])
     # the kinks of a span that is not finite are not asked for: solve_ivp rejects the span
     nodes = spec._signal_at.kinks(t0, t1) if math.isfinite(t1 - t0) else []
-    fun = spec._augmented_kernel if augmented else spec.rhs
-    sol = solve_ivp(fun, t0, y, t1, abstol, reltol, t_eval=t_eval, nodes=nodes, states=n)
+    sol = solve_ivp(_augmented_kernel(spec), t0, y, t1, ABSTOL, RELTOL, t_eval=t_eval, nodes=nodes, states=x.size)
     return sol.t, sol.y
 
 
@@ -439,7 +436,7 @@ def integrate(spec: OdeSpec, t0: float, x0: float, t1: float, n_samples: int | N
     if n_samples is not None and not n_samples >= 1:
         raise ValueError(f"n_samples must be None or at least 1, got {n_samples}")
     t_eval = None if n_samples is None else np.linspace(t0, t1, n_samples)
-    times, ys = _solve(spec, t0, x0, t1, ABSTOL, RELTOL, augmented=True, t_eval=t_eval)
+    times, ys = _solve(spec, t0, x0, t1, t_eval)
     values = ys[0]
     if t1 < t0:
         times, values = times[::-1], values[::-1]
@@ -463,7 +460,7 @@ def poincare_map_log(spec: OdeSpec, T: float, x0: float | np.ndarray, backward: 
     """
     _require_period(T, "poincare_map_log")
     t0, t1 = (T, 0.0) if backward else (0.0, T)
-    _, ys = _solve(spec, t0, x0, t1, ABSTOL, RELTOL, augmented=True, t_eval=[t1])
+    _, ys = _solve(spec, t0, x0, t1, [t1])
     xT, L = np.split(ys[:, -1], 2)
     if backward:
         L = -L
@@ -500,13 +497,18 @@ def poincare_multiplier_fd(spec: OdeSpec, T: float, x0: float, backward_orbit: b
     backward_orbit computes the anchor orbit by backward integration from
     (T, x0) — required for strongly repulsive orbits, which a forward solve
     falls off before the period ends.
+
+    Its flows are solves of ``OdeSpec.rhs`` alone, with no log multiplier,
+    at the tighter tolerances 1e-12 absolute and 1e-10 relative.
     """
     _require_period(T, "poincare_multiplier_fd")
+
+    def flow(t0, x, t1, t_eval):  # the states x from t0 to t1, at the times of t_eval
+        x, nodes = np.array(x, dtype=float), spec._signal_at.kinks(t0, t1)
+        return solve_ivp(spec.rhs, t0, x, t1, 1e-12, 1e-10, t_eval=t_eval, nodes=nodes, states=x.size).y
+
     ts = np.linspace(0.0, T, 4097)
-    if backward_orbit:
-        xs = _solve(spec, T, [x0], 0.0, 1e-12, 1e-10, t_eval=ts[::-1])[1][0, ::-1]
-    else:
-        xs = _solve(spec, 0.0, [x0], T, 1e-12, 1e-10, t_eval=ts)[1][0]
+    xs = flow(T, [x0], 0.0, ts[::-1])[0, ::-1] if backward_orbit else flow(0.0, [x0], T, ts)[0]
     fx = np.atleast_1d(spec.rhs_state_deriv(xs))
     Ls = np.concatenate([[0.0], np.cumsum(0.5 * (fx[1:] + fx[:-1]) * np.diff(ts))])
     cuts = [0]
@@ -518,7 +520,7 @@ def poincare_multiplier_fd(spec: OdeSpec, T: float, x0: float, backward_orbit: b
     h, total = 1e-5, 0.0
     for i0, i1 in zip(cuts, cuts[1:]):
         ta, tb, xa = ts[i0], ts[i1], xs[i0]
-        hi, lo = _solve(spec, ta, [xa + h, xa - h], tb, 1e-12, 1e-10, t_eval=[tb])[1][:, -1]
+        hi, lo = flow(ta, [xa + h, xa - h], tb, [tb])[:, -1]
         diff = float(hi - lo)
         if diff <= 0.0:
             raise RuntimeError(f"finite-difference segment [{ta:.4g}, {tb:.4g}] lost monotonicity")
@@ -904,15 +906,23 @@ def _fold_system(c: float, lam: float, signal: sig.SignalSpec, rhs_kind: str, T:
 
     One solve over the period gives both F and its Jacobian: from
     (x, 0, 0, 0, 0), x' = lam + y + f, l' = f', x_lam' = f' x_lam + 1,
-    M' = f'' e^l and N' = f'' x_lam (``OdeSpec._fold_kernel``), so e^L is
-    dP/dx, x_lam(T) is dP/dlam, and M and N are dL/dx and dL/dlam.  Then
-    J = [[e^L - 1, x_lam], [M, N]].  An orbit that escapes raises
+    M' = f'' e^l and N' = f'' x_lam, so e^L is dP/dx, x_lam(T) is dP/dlam,
+    and M and N are dL/dx and dL/dlam.  Then J = [[e^L - 1, x_lam], [M, N]].
+    The five-state kernel is built here from ``_float_field`` and the
+    compiled input, with no OdeSpec: f' and f'' are the floats of the
+    equation's ``pair`` and ``curvature``.  An orbit that escapes raises
     FiniteEscapeError, and an l that overflows exp raises OverflowError.
     """
-    spec = OdeSpec(c, lam, signal, rhs_kind)
+    (pair, curvature), signal_at = _float_field(c, rhs_kind), sig.compile_signal(signal)
+
+    def kernel(t, y):
+        x, log_mult, x_lam, _, _ = y.tolist()
+        dx, d1 = pair(lam + signal_at(float(t)), x)
+        d2 = curvature(x)
+        return np.array([dx, d1, d1 * x_lam + 1.0, d2 * math.exp(log_mult), d2 * x_lam])
+
     y0 = np.array([x, 0.0, 0.0, 0.0, 0.0])
-    nodes = spec._signal_at.kinks(0.0, T)
-    sol = solve_ivp(spec._fold_kernel, 0.0, y0, T, ABSTOL, RELTOL, t_eval=[T], nodes=nodes, states=1)
+    sol = solve_ivp(kernel, 0.0, y0, T, ABSTOL, RELTOL, t_eval=[T], nodes=signal_at.kinks(0.0, T), states=1)
     xT, L, x_lam, M, N = sol.y[:, -1].tolist()
     return (xT - x, L), ((math.exp(L) - 1.0, x_lam), (M, N))
 

@@ -348,20 +348,20 @@ def r_threshold(
 
     center = min(max(r_star_estimate(c, eps), r_lo), r_hi)
     w = max(R_HALF_WIDTH_TOLS * tol, R_HALF_WIDTH_EPS * eps)
+    lo, hi = max(r_lo, center - w), min(r_hi, center + w)
+    grid = quarters(lo, hi)
     while True:
-        lo, hi = max(r_lo, center - w), min(r_hi, center + w)
-        grid = quarters(lo, hi)
         regimes = bistable(grid)
-        if regimes[0] != regimes[-1] or (lo, hi) == (r_lo, r_hi):
-            break
-        w *= 8.0
-    lo_b, hi_b = regimes[0], regimes[-1]
-    if lo_b == hi_b:
-        raise RuntimeError(
-            f"bracket [{r_lo}, {r_hi}] does not straddle the regime change at c={c}, eps={eps}"
-        )
-    while True:
-        k = regimes.index(hi_b)  # the grid's one flip lies between k - 1 and k
+        if regimes[0] == regimes[-1]:  # no flip inside: widen eightfold
+            if (lo, hi) == (r_lo, r_hi):
+                raise RuntimeError(
+                    f"bracket [{r_lo}, {r_hi}] does not straddle the regime change at c={c}, eps={eps}"
+                )
+            w *= 8.0
+            lo, hi = max(r_lo, center - w), min(r_hi, center + w)
+            grid = quarters(lo, hi)
+            continue
+        k = regimes.index(regimes[-1])  # the grid's one flip lies between k - 1 and k
         lo, hi = grid[k - 1], grid[k]
         if hi - lo <= tol:
             break
@@ -371,13 +371,12 @@ def r_threshold(
                 f"tol = {tol:g} is below the float spacing of r: the regime flips in "
                 f"[{lo!r}, {hi!r}], whose quarter points are not new floats inside it"
             )
-        regimes = bistable(grid)
     regime = {True: "bistable", False: "relaxation"}
     return ThresholdResult(
         r=0.5 * (lo + hi),
         tol=tol,
-        regime_below=regime[lo_b],
-        regime_above=regime[hi_b],
+        regime_below=regime[seen[lo]],
+        regime_above=regime[seen[hi]],
         censuses=len(seen),
         solves=solves,
     )

@@ -398,12 +398,16 @@ def weighted_average(signal: SignalSpec, dfrak: float, r: float) -> float:
 
     For a trigonometric signal the closed form is the same sum with every
     harmonic damped by d/sqrt(d^2 + th^2) and phase-advanced by atan(th/d);
-    for a sampled one each linear segment integrates exactly.
+    for a sampled one each linear segment integrates exactly.  ValueError
+    unless dfrak is finite and positive and r is finite.
     """
     _require_dfrak("weighted_average", dfrak)
+    r = float(r)
+    if not math.isfinite(r):
+        raise ValueError(f"weighted_average requires a finite r, got {r}")
     if isinstance(signal, SampledPeriodic):
-        return _weighted_sampled_exact(signal, dfrak, float(r))
-    return compile_signal(_laplace_trig(signal, dfrak))(float(r))
+        return _weighted_sampled_exact(signal, dfrak, r)
+    return compile_signal(_laplace_trig(signal, dfrak))(r)
 
 
 def _weighted_quad(signal: SignalSpec, d: float, r: float) -> float:

@@ -157,6 +157,21 @@ class TestDegenerateSpans:
             with pytest.raises(ValueError, match=re.escape(f"{name} requires a finite period T > 0, got T = {T}")):
                 getattr(dynamics, name)(self.SPEC, T, 2.0)
 
+    @pytest.mark.parametrize("sampled", [False, True], ids=["trig", "sampled"])
+    def test_no_states(self, sampled):
+        # an empty state array divided by zero in the solver's error norm
+        y = signals.SampledPeriodic(5.0, (0.0, 1.0, 2.0, 3.0), (0.0, 0.1, 0.0, -0.1))
+        spec, none = (dynamics.OdeSpec(5.0, 6.0, y) if sampled else self.SPEC), np.array([])
+        calls = [
+            lambda: dynamics.poincare_map_log(spec, 5.0, none),
+            lambda: dynamics.poincare_map_log(spec, 5.0, none, backward=True),
+            lambda: dynamics.integrate(spec, 0.0, none, 1.0),
+            lambda: dynamics.integrate(spec, 0.0, none, 1.0, n_samples=5),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="^solve_ivp needs at least one state$"):
+                call()
+
     @pytest.mark.parametrize("n", [0, -3])
     def test_no_samples(self, n):
         with pytest.raises(ValueError, match="n_samples must be None or at least 1"):
@@ -832,6 +847,22 @@ class TestFoldSolveAgainstBisection:
         with pytest.raises(ValueError, match="finite tol > 0"):
             dynamics.estimate_lambda_pm(5.0, ZERO, tol=tol)
 
+    def test_fold_trial_builds_no_spec(self, monkeypatch):
+        # every trial builds its five-state kernel from the float field and
+        # the compiled input, so a fold solve makes no OdeSpec
+        built, post_init = [], dynamics.OdeSpec.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        y = FOLD_SIGNALS["trig"]
+        want = [dynamics._newton_fold(5.0, y, kind, dynamics.signal_period(y), 1e-5) for _, kind in SIDES]
+        monkeypatch.setattr(dynamics.OdeSpec, "__post_init__", counted)
+        got = [dynamics._newton_fold(5.0, y, kind, dynamics.signal_period(y), 1e-5) for _, kind in SIDES]
+        assert got == want and all(figures["solves"] >= 2 for _, figures in got)
+        assert built == []
+
 
 class TestClosedForms:
     @pytest.mark.parametrize("c", [4.5, 5.0, 8.0, 12.0])
@@ -1053,6 +1084,46 @@ class CountedMap:
         self.calls += 1
         self.last = self.fn(*args, **kwargs)
         return self.last
+
+
+def solve(spec, t0, x0, t1, augmented, t_eval=None):
+    """(times, states): ``dynamics._solve`` (augmented), or one run of the
+    package's RK45 loop on ``OdeSpec.rhs`` alone through the input's kinks
+    (plain, as the finite-difference oracle solves), both at the module's
+    tolerances."""
+    if augmented:
+        return dynamics._solve(spec, t0, x0, t1, t_eval)
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    sol = dynamics.solve_ivp(
+        spec.rhs,
+        t0,
+        x0,
+        t1,
+        dynamics.ABSTOL,
+        dynamics.RELTOL,
+        t_eval=t_eval,
+        nodes=spec._signal_at.kinks(t0, t1),
+        states=x0.size,
+    )
+    return sol.t, sol.y
+
+
+def recording_kernels(monkeypatch, record):
+    """Makes every map solve's kernel (``dynamics._augmented_kernel``) call
+    record(t, y, out) after each call."""
+    factory = dynamics._augmented_kernel
+
+    def recorded_factory(spec):
+        kernel = factory(spec)
+
+        def recorded(t, y):
+            out = kernel(t, y)
+            record(t, y, out)
+            return out
+
+        return recorded
+
+    monkeypatch.setattr(dynamics, "_augmented_kernel", recorded_factory)
 
 
 class TestSampledInput:
@@ -1330,18 +1401,14 @@ class TestLockStep:
         y = CENSUS_SIGNALS[name]
         spec = dynamics.OdeSpec(5.0, 0.5 * (model.lam1(5.0) + model.lam2(5.0)), y)
         rhs_states, kernel_states = [], []
-        rhs, kernel = dynamics.OdeSpec.rhs, spec._augmented_kernel
+        rhs = dynamics.OdeSpec.rhs
 
         def recorded_rhs(self, t, x):
             rhs_states.append(np.size(x))
             return rhs(self, t, x)
 
-        def recorded_kernel(t, y):
-            kernel_states.append(y.size // 2)
-            return kernel(t, y)
-
         monkeypatch.setattr(dynamics.OdeSpec, "rhs", recorded_rhs)
-        object.__setattr__(spec, "_augmented_kernel", recorded_kernel)
+        recording_kernels(monkeypatch, lambda t, y, out: kernel_states.append(y.size // 2))
         assert len(dynamics.find_periodic_solutions(spec, dynamics.signal_period(y))) == 3
         assert rhs_states and min(rhs_states) >= 512
         assert kernel_states and max(kernel_states) <= 3
@@ -1425,7 +1492,7 @@ class TestSmoothInputIsOnePiece:
         loop = dynamics.solve_ivp
         for t_eval in (None, [t1], np.linspace(t0, t1, 9)):
             want = solve_ivp(
-                spec._augmented_kernel if augmented else (lambda t, x: np.atleast_1d(spec.rhs(t, x))),
+                dynamics._augmented_kernel(spec) if augmented else (lambda t, x: np.atleast_1d(spec.rhs(t, x))),
                 (t0, t1),
                 y0,
                 method="RK45",
@@ -1437,7 +1504,7 @@ class TestSmoothInputIsOnePiece:
             )
             solves = CountedMap(loop)
             monkeypatch.setattr(dynamics, "solve_ivp", solves)
-            ts, ys = dynamics._solve(spec, t0, x0, t1, dynamics.ABSTOL, dynamics.RELTOL, augmented, t_eval)
+            ts, ys = solve(spec, t0, x0, t1, augmented, t_eval)
             assert want.status == 0 and solves.calls == 1 and solves.last.nfev == want.nfev
             assert np.array_equal(ts, want.t) and np.array_equal(ys, want.y)
 
@@ -1467,9 +1534,7 @@ class TestSampledInputIsOneSolve:
             for t_eval in (None, np.linspace(t0, t1, 7)):
                 solves = CountedMap(loop)
                 monkeypatch.setattr(dynamics, "solve_ivp", solves)
-                times, ys = dynamics._solve(
-                    spec, t0, self.X0, t1, dynamics.ABSTOL, dynamics.RELTOL, augmented, t_eval
-                )
+                times, ys = solve(spec, t0, self.X0, t1, augmented, t_eval)
                 assert solves.calls == 1
                 assert ys.shape[0] == (6 if augmented else 3)
                 assert np.allclose(ys[:3, -1], want, rtol=0.0, atol=1e-8)
@@ -1545,21 +1610,14 @@ class TestEndStateKeepsNoSteps:
         assert held < 2e5
 
     @pytest.mark.parametrize("x0,escapes", [(1e4, True), (2.0, False)], ids=["escaping", "finishing"])
-    def test_solver_freed_without_collector(self, x0, escapes):
+    def test_solver_freed_without_collector(self, monkeypatch, x0, escapes):
         # a solve stopped at an escape frees what it made by reference
         # counting, as a finished one does: every state array the loop handed
         # its kernel and every derivative the kernel returned, and no cycle is
         # left for the collector
         made = []
         spec = dynamics.OdeSpec(5.0, 0.5 * (model.lam1(5.0) + model.lam2(5.0)), SAMPLED)
-        augmented = spec._augmented_kernel
-
-        def recorded(t, y):
-            out = augmented(t, y)
-            made.extend((weakref.ref(y), weakref.ref(out)))
-            return out
-
-        object.__setattr__(spec, "_augmented_kernel", recorded)
+        recording_kernels(monkeypatch, lambda t, y, out: made.extend((weakref.ref(y), weakref.ref(out))))
         xs = np.append(np.linspace(1.2, 2.6, 63), x0)  # bounded both ways, but for 1e4
         enabled = gc.isenabled()
         gc.collect()
@@ -1645,7 +1703,7 @@ class TestEscapeCheckMatchesEvent:
 
         escape.terminal = True
         return solve_ivp(
-            spec._augmented_kernel if augmented else spec.rhs,
+            dynamics._augmented_kernel(spec) if augmented else spec.rhs,
             (t0, t1),
             np.concatenate([x0, np.zeros(n)]) if augmented else np.array(x0),
             method="RK45",
@@ -1663,7 +1721,7 @@ class TestEscapeCheckMatchesEvent:
         bound = dynamics.ESCAPE_BOUND
         with monkeypatch.context() as patched:
             patched.setattr(dynamics, "ESCAPE_BOUND", math.inf)
-            ts, ys = dynamics._solve(spec, t0, x0, t1, dynamics.ABSTOL, dynamics.RELTOL, augmented)
+            ts, ys = solve(spec, t0, x0, t1, augmented)
         beyond = np.flatnonzero(np.abs(ys[: len(x0)]).max(axis=0) >= bound)
         return float(ts[beyond[0]]) if beyond.size else None
 
@@ -1675,14 +1733,14 @@ class TestEscapeCheckMatchesEvent:
             want = self.first_step_end_beyond(monkeypatch, spec, t0, x0, t1, augmented)
             assert want is not None  # every sampled case escapes
             with pytest.raises(dynamics.FiniteEscapeError) as escaped:
-                dynamics._solve(spec, t0, x0, t1, dynamics.ABSTOL, dynamics.RELTOL, augmented, [t1])
+                solve(spec, t0, x0, t1, augmented, [t1])
             assert re.search(r"at t = (\S+)$", str(escaped.value)).group(1) == f"{want:.6g}"
             return
         want = self.reference(spec, t0, x0, t1, augmented)
         assert want.status in (0, 1)
         assert (want.status == 1) == (case != "bounded")
         try:
-            dynamics._solve(spec, t0, x0, t1, dynamics.ABSTOL, dynamics.RELTOL, augmented, [t1])
+            solve(spec, t0, x0, t1, augmented, [t1])
         except dynamics.FiniteEscapeError as escaped:
             t = float(re.search(r"at t = (\S+)$", str(escaped)).group(1))
             assert want.status == 1

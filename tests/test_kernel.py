@@ -5,10 +5,11 @@ gbar on every entry, and every signal rebuilt from its spec on every call.
 gbar's cubic branch is defined by products, -(1+2c)x - x*x*x, never by pow.
 The package skips the cubic where x >= 0 and compiles the signal once; the
 results must be the same floats (compared with ==), of the same type.
-The solver's augmented kernel (``OdeSpec._augmented_kernel``) must give the
-floats of ``OdeSpec.rhs`` and ``rhs_state_deriv`` too, on the float path (few
-states) and on the array path alike; a call takes one of them by its size
-alone.  The solver's plain right-hand side is ``OdeSpec.rhs`` itself.
+The map solve's kernel (``dynamics._augmented_kernel(spec)``, built per
+solve from the float field) must give the floats of ``OdeSpec.rhs`` and
+``rhs_state_deriv`` too, on the float path (few states) and on the array
+path alike; a call takes one of them by its size alone.  A scan's right-hand
+side is ``OdeSpec.rhs`` itself.
 """
 
 import math
@@ -169,7 +170,7 @@ def kernel_pair(spec, t, x):
     """(x', integrand) of the states x from the augmented kernel, its x' the
     solver's plain right-hand side, ``OdeSpec.rhs``."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    augmented = spec._augmented_kernel(t, np.concatenate([x, np.zeros(x.size)]))
+    augmented = dynamics._augmented_kernel(spec)(t, np.concatenate([x, np.zeros(x.size)]))
     assert same(augmented[: x.size], np.atleast_1d(spec.rhs(t, x)))
     return augmented[: x.size], augmented[x.size:]
 
@@ -197,6 +198,7 @@ def test_few_states_never_reach_rhs(kind, monkeypatch):
         _POW_DIFFERS[: dynamics._FLOAT_STATES],
     ]
     want = [(np.atleast_1d(spec.rhs(0.3, x)), np.atleast_1d(spec.rhs_state_deriv(x))) for x in cases]
+    kernel = dynamics._augmented_kernel(spec)
 
     def refuse(*args):
         raise AssertionError("a few-state kernel call reached OdeSpec.rhs")
@@ -204,7 +206,7 @@ def test_few_states_never_reach_rhs(kind, monkeypatch):
     monkeypatch.setattr(dynamics.OdeSpec, "rhs", refuse)
     monkeypatch.setattr(dynamics.OdeSpec, "rhs_state_deriv", refuse)
     for x, (value, integrand) in zip(cases, want):
-        got = spec._augmented_kernel(0.3, np.concatenate([x, np.zeros(x.size)]))
+        got = kernel(0.3, np.concatenate([x, np.zeros(x.size)]))
         assert same(got[: x.size], value) and same(got[x.size :], integrand)
 
 
@@ -228,10 +230,20 @@ def test_float_and_array_paths_agree(kind, t, xs):
 
 
 def test_spec_pickles_with_its_kernels():
-    spec = dynamics.OdeSpec(C, 6.0, SIGNALS[3][1], "linear-convex")
-    copy = pickle.loads(pickle.dumps(spec))
-    assert copy == spec
-    assert same(kernel_pair(copy, 0.3, MIXED)[1], kernel_pair(spec, 0.3, MIXED)[1])
+    # an OdeSpec stores no closure, so pickle needs no __reduce__ of its own:
+    # the copy is equal, its compiled signal gives the same floats, and the
+    # kernel a solve builds from it is the original's, on both paths
+    assert "__reduce__" not in vars(dynamics.OdeSpec)
+    ts = np.linspace(-7.0, 23.0, 301)
+    for signal in (SIGNALS[2][1], SIGNALS[3][1]):
+        spec = dynamics.OdeSpec(C, 6.0, signal, "linear-convex")
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and type(copy._signal_at) is type(spec._signal_at)
+        assert same(copy._signal_at(ts), spec._signal_at(ts))
+        assert all(copy._signal_at(t) == spec._signal_at(t) for t in ts.tolist())
+        for x in (MIXED, MIXED[:5]):
+            for got, want in zip(kernel_pair(copy, 0.3, x), kernel_pair(spec, 0.3, x)):
+                assert same(got, want)
 
 
 @st.composite

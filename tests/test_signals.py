@@ -224,6 +224,21 @@ class TestWeightedAverage:
                 call()
 
 
+    @pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_r(self, r):
+        # a sampled input at an infinite r gave nan with a RuntimeWarning, and
+        # a trig input at a nan r gave nan silently
+        inputs = [
+            signals.Constant(1.5),
+            single(),
+            signals.FourierCesaro(0.1, (0.2, -0.1), (0.05,), 4),
+            signals.SampledPeriodic(1.0, (0.0, 0.25, 0.5, 0.75), (0.0, 1.0, 0.0, -1.0)),
+        ]
+        for y in inputs:
+            with pytest.raises(ValueError, match=f"^weighted_average requires a finite r, got {r}$"):
+                signals.weighted_average(y, 1.0, r)
+
+
 class TestWeightedBounds:
     def test_single_term(self):
         w = signals.weighted_bounds(single(), 1.0)

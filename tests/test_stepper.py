@@ -1,10 +1,10 @@
 """The module's RK45 loop, ``dynamics.solve_ivp``, against scipy's RK45.
 
-``_solve`` must give the times and states of
+``_solve`` (augmented), and the loop on ``OdeSpec.rhs`` alone (plain, as
+the finite-difference oracle runs it), must give the times and states of
 ``scipy.integrate.solve_ivp(method="RK45")`` bit for bit (compared with
 ==), with the same number of right-hand-side calls, on random smooth
-inputs, lambdas, states, directions and ``t_eval`` forms, plain and
-augmented.  The states lie between the outer periodic orbits, so no solve
+inputs, lambdas, states, directions and ``t_eval`` forms.  The states lie between the outer periodic orbits, so no solve
 escapes either way.
 
 Precondition: scipy 1.10, the oldest scipy that ``pyproject.toml`` accepts,
@@ -73,7 +73,7 @@ def test_solve_is_scipy_rk45_bit_for_bit(signal, window, xs, t0, length, backwar
     t0, t1 = (t0 + length, t0) if backward else (t0, t0 + length)
     x0 = np.array(xs)
     y0 = np.concatenate([x0, np.zeros(x0.size)]) if augmented else x0
-    fun = spec._augmented_kernel if augmented else spec.rhs
+    fun = dynamics._augmented_kernel(spec) if augmented else spec.rhs
     assume(first_step_inside_span(fun, t0, y0, t1))
     t_eval = {"steps": None, "end": [t1], "grid": np.linspace(t0, t1, n_eval)}[t_eval_form]
     want = solve_ivp(
@@ -95,7 +95,13 @@ def test_solve_is_scipy_rk45_bit_for_bit(signal, window, xs, t0, length, backwar
 
     loop = dynamics.solve_ivp
     with mock.patch.object(dynamics, "solve_ivp", counted):
-        ts, ys = dynamics._solve(spec, t0, x0, t1, dynamics.ABSTOL, dynamics.RELTOL, augmented, t_eval)
+        if augmented:
+            ts, ys = dynamics._solve(spec, t0, x0, t1, t_eval)
+        else:
+            nodes = spec._signal_at.kinks(t0, t1)
+            ts, ys, _ = dynamics.solve_ivp(
+                spec.rhs, t0, x0, t1, dynamics.ABSTOL, dynamics.RELTOL, t_eval=t_eval, nodes=nodes, states=x0.size
+            )
     assert len(runs) == 1 and runs[0].nfev == want.nfev
     assert ts.shape == want.t.shape and np.array_equal(ts, want.t)
     assert ys.shape == want.y.shape and np.array_equal(ys, want.y)

@@ -44,21 +44,25 @@ def test_install_wraps_and_uninstall_restores(tracing):
             assert vars(module)[name] is value, f"{module.__name__}.{name} not restored"
 
 
-def test_solve_count_is_the_kernel_calls(tracing):
+def test_solve_count_is_the_kernel_calls(tracing, monkeypatch):
     # CI's solve budgets read the traced calls and nfev of dynamics.solve_ivp,
     # the module's own RK45 loop: one run per map call, and nfev the kernel
     # calls that run really made
     assert dynamics.solve_ivp is not scipy.integrate.solve_ivp
     assert not hasattr(dynamics, "_NodeRK45")
     spec = dynamics.OdeSpec(5.0, 6.04, signals.TrigSum(0.0, ((0.03, 1.0, 0.4),)))
-    augmented = spec._augmented_kernel
-    kernel_calls = [0]
+    factory, kernel_calls = dynamics._augmented_kernel, [0]
 
-    def counted(t, y):
-        kernel_calls[0] += 1
-        return augmented(t, y)
+    def counted_factory(spec):
+        augmented = factory(spec)
 
-    object.__setattr__(spec, "_augmented_kernel", counted)
+        def counted(t, y):
+            kernel_calls[0] += 1
+            return augmented(t, y)
+
+        return counted
+
+    monkeypatch.setattr(dynamics, "_augmented_kernel", counted_factory)
     tracer = tracing.install()
     try:
         dynamics.poincare_map_log(spec, 2.0 * np.pi, np.array([1.8, 2.0, 2.2]))
