@@ -5,6 +5,13 @@ with its multiplier, a fixed-point census over a scan interval, and numeric
 estimation of the bifurcation values of the concave-linear and linear-convex
 comparison equations.
 
+The scan interval (``_scan_interval``) is the band where x' = lam + y(t) +
+f(x) can vanish, widened by the drive margin MU: from the two bounds of y
+that the compiled input carries, x' >= MU for every t below it and
+x' <= -MU above it, so every periodic solution lies inside.  Its seeds
+keep away from the stiff states near x = 0, where gbar' = -(1 + 2c) would
+limit RK45's step by stability (Hairer, Norsett & Wanner, II.4).
+
 The multiplier of a periodic solution is exp of the integral of the state
 derivative of the right-hand side along one period; it is integrated as an
 augmented log state so that extremely attractive/repulsive orbits (long
@@ -528,30 +535,76 @@ def poincare_multiplier_fd(spec: OdeSpec, T: float, x0: float, backward_orbit: b
     return total
 
 
-def _scan_interval(spec: OdeSpec) -> tuple[float, float] | None:
-    """Scan interval for the fixed-point census, or None when it is empty.
+def _outer_root(h, breaks, ends, lowest: bool) -> float | None:
+    """The lowest (or highest) root of h, or None where it has none.  h is
+    continuous and monotone between consecutive ``breaks`` (ascending), and
+    its sign is ends[0] towards -inf and ends[1] towards +inf.  The root lies
+    on the first piece at whose far end h has left its sign at -inf; an
+    unbounded piece is brought in by doubling steps, and ``brentq`` solves it."""
+    if not lowest:  # the highest root of h is minus the lowest of h(-x)
+        x = _outer_root(lambda u: h(-u), [-b for b in reversed(breaks)], ends[::-1], True)
+        return None if x is None else -x
+    s = ends[0]
 
-    The ceiling rho satisfies gbar(rho) = -max(lam2, lam + hi) - 1, with hi
-    the compiled signal's upper bound of y (any hi >= sup y will do), so
-    every bounded solution in the analyzed regimes lies below it; for the
-    recentered comparison equations the interval is shifted by -sqrt(3).
-    gbar(x) <= -x on x >= 0 brackets rho in [lo_x, -target].  For c <= 4 and
-    lam + hi <= -1 there is no ceiling above 0: x' <= -1 on all of x >= 0,
-    so no solution there is bounded.
+    def out(x, step, inside):  # from x by doubling steps to where s h(x) > 0 is ``inside``
+        while True:
+            x += step
+            if (s * h(x) > 0.0) == inside:
+                return x
+            step *= 2.0
+
+    a = -math.inf
+    for b in [*breaks, math.inf]:
+        if s * (ends[1] if b == math.inf else h(b)) <= 0.0:
+            if a == -math.inf:
+                a = out(0.0 if b == math.inf else b, -1.0, True)
+            if b == math.inf:
+                b = out(a, 1.0, False)
+            return float(brentq(h, a, b, xtol=1e-12))
+        a = b
+    return None
+
+
+# the drive margin of the census interval: x' >= MU below it and x' <= -MU above it
+MU = 0.1
+
+
+def _scan_interval(spec: OdeSpec) -> tuple[float, float] | None:
+    """The census interval, where x' = lam + y(t) + f(x) can vanish, widened
+    by the drive margin MU; None when it is empty.  f is the field of
+    ``rhs_kind`` (``_float_field``), and lo <= y <= hi are the compiled
+    signal's bounds (any outer bounds will do).
+
+    Where f tends to +inf (below, for the full equation; on both sides for
+    the linear-convex valley) the edge is the outermost root of
+    lam + lo + f = MU, beyond which x' >= MU for every t; where it tends to
+    -inf (above, for the full equation; on both sides for the
+    concave-linear hill) it is the outermost root of lam + hi + f = -MU,
+    beyond which x' <= -MU.  A T-periodic solution has x' = 0 at its
+    maximum and at its minimum, so it lies strictly inside.  The roots come
+    from f's monotone pieces, which end at x1 and x2 for c > 4 (shifted by
+    -sqrt(3) for the recentered comparison equations); for c <= 4 gbar
+    decreases.  The floor is clipped at 0 for the full equation and at
+    -sqrt(3) for the comparison ones, and the interval is None where the
+    clipped floor is not below the ceiling (the full equation with
+    lam + hi <= -MU and c <= 4, say) or where the hill or the valley keeps
+    x' beyond -MU or MU everywhere.
     """
-    target = -(spec.lam + spec._signal_at.hi) - 1.0
-    if spec.c <= 4.0 and target >= 0.0:
+    pair, _ = _float_field(spec.c, spec.rhs_kind)
+    shift = 0.0 if spec.rhs_kind == "full" else SQRT3
+    breaks = [x1(spec.c) - shift, x2(spec.c) - shift] if spec.c > 4.0 else []
+    # the signs of f towards -inf and +inf
+    ends = {"full": (1.0, -1.0), "concave-linear": (-1.0, -1.0), "linear-convex": (1.0, 1.0)}[spec.rhs_kind]
+
+    def edge(sign, lowest):  # the outermost root of x' = sign MU under the drive that bounds x' on that side
+        drive = spec.lam + (spec._signal_at.lo if sign > 0.0 else spec._signal_at.hi)
+        return _outer_root(lambda x: pair(drive, x)[0] - sign * MU, breaks, ends, lowest)
+
+    floor, ceiling = edge(ends[0], True), edge(ends[1], False)
+    if floor is None or ceiling is None:
         return None
-    if spec.c > 4.0:
-        target = min(target, -lam2(spec.c) - 1.0)
-    # below: the smallest state the ceiling can exceed.  For c > 4 that is x2
-    # (the decreasing tail of gbar starts there); for c <= 4 gbar decreases on
-    # the whole half-line, so the root may sit anywhere above 0.
-    lo_x = 0.0 if spec.c <= 4.0 else x2(spec.c)
-    rho = brentq(lambda x: gbar_eval(spec.c, x) - target, lo_x, -target, xtol=1e-12)
-    if spec.rhs_kind == "full":
-        return 0.0, float(rho)
-    return -SQRT3, float(rho) - SQRT3
+    floor = max(floor, -SQRT3 if shift else 0.0)
+    return (floor, ceiling) if floor < ceiling else None
 
 
 def _family_field(specs, T: float, sizes=None):
@@ -843,9 +896,9 @@ def count_separated_solutions(spec: OdeSpec, T: float) -> int:
     """Number of period-map crossings of the census scan (``_stable_brackets``).
 
     Count-only fast path: no refinement or multipliers, one vectorized scan.
-    Distinct crossings are separated: for c > 4 the scan interval is at
-    least sqrt(3) long, so bracket midpoints lie at least 4e-4 apart; for
-    c <= 4 gbar decreases, so the displacement does and crosses at most once.
+    Distinct crossings lie in distinct cells of the one grid, so their
+    brackets do not overlap; for c <= 4 gbar decreases, so the displacement
+    does and crosses at most once.
     """
     return len(_stable_brackets(spec, T))
 
@@ -897,6 +950,11 @@ def _averaged_fold(c: float, signal: sig.SignalSpec, rhs_kind: str) -> tuple[flo
 
 # the solves (its start and every trial step) a fold's Newton solve may make before it gives up
 FOLD_SOLVES = 40
+# the smallest trial step, and the failed trials (an orbit that escapes or an l that
+# overflows exp), one Newton step may take: no fold solve that converges on the
+# benchmark's fold inputs or on both sides of 390 one-term inputs (c 4.5 to 12,
+# theta 0.09 to 2) takes more than 4 halvings or 2 failed trials in one step
+FOLD_STEP_FLOOR, FOLD_FAILED_TRIALS = 2.0**-4, 2
 
 
 def _fold_system(c: float, lam: float, signal: sig.SignalSpec, rhs_kind: str, T: float, x: float):
@@ -943,7 +1001,10 @@ def _newton_fold(c: float, signal: sig.SignalSpec, rhs_kind: str, T: float, tol:
     concave (concave-linear) or convex (linear-convex), so it has at most
     one fold; the root is taken when M = dL/dx has that sign (negative, or
     positive).  RuntimeError, naming the side, when FOLD_SOLVES solves do
-    not converge, when the start fails or when M has the other sign.
+    not converge, when a step's trial fails at t = FOLD_STEP_FLOOR or fails
+    for the (FOLD_FAILED_TRIALS + 1)-th time by escape or overflow (a
+    stalled solve stops there, not at the cap), when the start fails or
+    when M has the other sign.
     """
     predicted, x = _averaged_fold(c, signal, rhs_kind)
     lam, sign = predicted, -1.0 if rhs_kind == "concave-linear" else 1.0
@@ -963,16 +1024,18 @@ def _newton_fold(c: float, signal: sig.SignalSpec, rhs_kind: str, T: float, tol:
             raise failed
         size = math.hypot(*F)
         floor = 64.0 * math.ulp(1.0) * (1.0 + abs(x) + abs(lam) * T)
-        t = 1.0
+        t, failures = 1.0, 0
         while solves < FOLD_SOLVES:
             solves += 1
             try:
                 F_t, J_t = _fold_system(c, lam + t * dlam, signal, rhs_kind, T, x + t * dx)
             except (FiniteEscapeError, OverflowError):
-                t /= 2.0
-                continue
-            if math.hypot(*F_t) <= (1.0 - t / 2.0) * size or size <= floor:
-                break
+                failures += 1
+            else:
+                if math.hypot(*F_t) <= (1.0 - t / 2.0) * size or size <= floor:
+                    break
+            if t <= FOLD_STEP_FLOOR or failures > FOLD_FAILED_TRIALS:
+                raise failed
             t /= 2.0
         else:
             break

@@ -270,10 +270,11 @@ def _census_count(c: float, eps: float, rs) -> tuple[list[int], int]:
     round.  ``solves`` is the family solves made, the scan's and every
     round's.  The r share the period 2 pi / eps, c and the shape of the
     forcing; only its amplitude beta + eps^r differs.  Each count is odd:
-    y >= lam1 - eps^r >= 0 (``RelaxationSpec``), so the displacement is
-    positive at the floor 0 of the scan interval, and it is negative at the
-    ceiling.  A count of 5 or more is left to ``r_threshold``, which
-    rejects it as ambiguous."""
+    y >= lam1 - eps^r > 4 > ``dynamics.MU`` (lam1 > 3 sqrt3 for c > 4), so
+    the floor of the scan interval is not clipped at 0, and x' >= MU there
+    for every t: the displacement is positive at the floor, and negative at
+    the ceiling, where x' <= -MU.  A count of 5 or more is left to
+    ``r_threshold``, which rejects it as ambiguous."""
     specs = [RelaxationSpec(c, eps, r) for r in rs]
     family = [dynamics.OdeSpec(c, 0.0, spec.signal()) for spec in specs]
     return dynamics._certified_counts(family, specs[0].period, COUNT_SEEDS)

@@ -179,11 +179,12 @@ class _TrigEval:
     by term with math.cos in the array path's order, so both give the same
     float without the array overhead."""
 
-    __slots__ = ("a0", "terms", "hi")
+    __slots__ = ("a0", "terms", "hi", "lo")
 
     def __init__(self, a0: float, terms: tuple[tuple[float, float, float], ...]):
         self.a0, self.terms = a0, terms
-        self.hi = a0 + sum(abs(a) for a, _, _ in terms)  # an upper bound of y, exact for one term
+        total = sum(abs(a) for a, _, _ in terms)
+        self.hi, self.lo = a0 + total, a0 - total  # bounds of y, exact for one term
 
     def kinks(self, t0: float, t1: float) -> tuple:
         """Times between t0 and t1 where y is not smooth: none."""
@@ -211,13 +212,14 @@ class _SampledEval:
     rounding, so both give the same float.  The lists are built on the first
     float call; an evaluator compiled for one array call never needs them."""
 
-    __slots__ = ("period", "ts", "vs", "hi", "_xp", "_fp")
+    __slots__ = ("period", "ts", "vs", "hi", "lo", "_xp", "_fp")
 
     def __init__(self, signal: SampledPeriodic):
         self.period = signal.period
         self.ts = np.asarray(signal.times + (signal.times[0] + signal.period,))
         self.vs = np.asarray(signal.values + (signal.values[0],))
-        self.hi = max(signal.values)  # sup y: the interpolant peaks at a node
+        # sup y and inf y: the interpolant peaks and bottoms out at a node
+        self.hi, self.lo = max(signal.values), min(signal.values)
         self._xp = self._fp = None
 
     def kinks(self, t0: float, t1: float) -> np.ndarray:

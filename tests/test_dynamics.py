@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from bistab import dynamics, model, relaxation, signals
 
@@ -355,16 +356,17 @@ class TestCensus:
         assert grids.calls == 1
 
     def test_close_crossings_in_one_scan(self, monkeypatch):
-        # just above lam1 the two equilibria born at x2, 4.3e-3 apart, fall
-        # between two seeds of a 513-seed grid (spacing 1.04e-2) but not of
-        # the 2,049-seed census grid, whose one scan brackets all three
+        # just above lam1 the two equilibria born at x2, 1.37e-3 apart, fall
+        # between two seeds of a 513-seed grid (spacing 4.5e-3) but not of
+        # the 2,049-seed census grid (spacing 1.13e-3), whose one scan
+        # brackets all three
         c = 5.0
-        lam = model.lam1(c) + 1e-6
+        lam = model.lam1(c) + 1e-7
         spec = dynamics.OdeSpec(c, lam, ZERO)
         lo, hi = dynamics._scan_interval(spec)
         pair = [x for x in autonomous_equilibria(c, lam) if abs(x - model.x2(c)) < 0.01]
         assert len(pair) == 2 and (hi - lo) / 2048 < pair[1] - pair[0] < (hi - lo) / 512
-        assert pair[1] - pair[0] == pytest.approx(4.3e-3, abs=1e-4)
+        assert pair[1] - pair[0] == pytest.approx(1.37e-3, abs=1e-5)
         ((xs, d),) = dynamics._brackets([spec], 1.0, dynamics.CENSUS_SEEDS)
         assert len(dynamics._sign_changes(xs[::4], d[::4])) == 1
         assert len(dynamics._sign_changes(xs, d)) == 3
@@ -549,11 +551,13 @@ class TestCertifiedCounts:
     monotone period map cannot clear cut into eighths until they are
     cleared or narrower than DEDUP_TOL."""
 
-    @pytest.mark.parametrize("fold, offset", [(model.lam1, 5e-7), (model.lam2, -5e-7)], ids=["lam1", "lam2"])
+    @pytest.mark.parametrize("fold, offset", [(model.lam1, 5e-7), (model.lam2, -1e-10)], ids=["lam1", "lam2"])
     def test_close_pair_in_one_coarse_cell(self, fold, offset):
-        # autonomous, T = 1, lambda within 1e-6 of a fold: the close pair of
-        # equilibria (about 5e-3 apart) shares one cell of the 33-seed grid,
-        # whose plain count sees only the far equilibrium
+        # autonomous, T = 1, lambda near a fold: the close pair of equilibria
+        # (4.9e-3 apart at lam1 + 5e-7; 6e-5 apart at lam2 - 1e-10, around
+        # x1, which a seed of the grid lies 5.6e-5 above) shares one cell of
+        # the 33-seed grid (spacing 5e-2), whose plain count sees only the
+        # far equilibrium
         c = 4.05
         spec = dynamics.OdeSpec(c, fold(c) + offset, ZERO)
         assert len(autonomous_equilibria(c, spec.lam)) == 3
@@ -582,6 +586,109 @@ class TestCertifiedCounts:
     def test_needs_positive_period(self, T):
         with pytest.raises(ValueError, match="a census requires a finite period T > 0"):
             dynamics._certified_counts([dynamics.OdeSpec(5.0, 6.0, ZERO)], T, 33)
+
+
+# the signs of the field f towards -inf and +inf: the full equation's decline,
+# the concave-linear hill and the linear-convex valley
+FIELD_ENDS = {"full": (1.0, -1.0), "concave-linear": (-1.0, -1.0), "linear-convex": (1.0, 1.0)}
+
+
+@st.composite
+def band_inputs(draw):
+    """A small trig, Cesaro or sampled input of period 2 pi (or pi)."""
+    small, phase = st.floats(-0.05, 0.05), st.floats(0.0, 2.0 * math.pi)
+    kind = draw(st.sampled_from(["trig", "cesaro", "sampled"]))
+    a0 = draw(st.floats(-0.02, 0.02))
+    if kind == "trig":
+        ks = draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=1, max_size=2, unique=True))
+        return signals.TrigSum(a0, tuple((draw(small), k, draw(phase)) for k in ks))
+    if kind == "cesaro":
+        a = tuple(draw(st.lists(small, min_size=1, max_size=2)))
+        return signals.FourierCesaro(a0, a, tuple(draw(st.lists(small, max_size=2))), draw(st.integers(2, 6)))
+    values = tuple(draw(st.lists(small, min_size=4, max_size=12)))
+    n = len(values)
+    return signals.SampledPeriodic(2.0 * math.pi, tuple(2.0 * math.pi * k / n for k in range(n)), values)
+
+
+def wide_oracle(spec, T):
+    """(seeds, P(x) - x) of a census on ``wide_interval`` on 4,097 seeds, d
+    None where a seed escapes.  The linear-convex interval ends
+    one seed past x_c = max(0, (cshift - lam - inf y) / dfrak) instead of at
+    rho - sqrt3: above x_c, x' > 0 for ever, while rho - sqrt3 lies below the
+    repulsive orbit on the linear half at c = 4.05 and its top seeds escape
+    at c = 12."""
+    c = spec.c
+    lo, hi = wide_interval(spec)
+    if spec.rhs_kind == "linear-convex":
+        inf_y = signals.bounds(spec.signal).inf
+        x_c = max(0.0, (model.cshift(c) - spec.lam - inf_y) / model.dfrak(c))
+        hi = x_c + (x_c - lo) / 4095
+    xs = np.linspace(lo, hi, 4097)
+    try:
+        return xs, dynamics._displacement_grid([spec], T, xs)
+    except dynamics.FiniteEscapeError:
+        return xs, None
+
+
+class TestScanInterval:
+    """The census interval is the band where x' = lam + y(t) + f(x) can
+    vanish, widened by MU: every periodic solution lies inside it."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        y=band_inputs(),
+        c=st.sampled_from([4.05, 5.0, 8.0, 12.0]),
+        u=st.integers(0, 1000),
+        kind=st.sampled_from(dynamics.RHS_KINDS),
+    )
+    def test_band_keeps_every_crossing_of_the_wide_interval(self, y, c, u, kind):
+        # lambda from 0.2 below lam1 to 0.2 above lam2, in 1,000 steps
+        lam = model.lam1(c) - 0.2 + u / 1000.0 * (model.lam2(c) - model.lam1(c) + 0.4)
+        spec, T = dynamics.OdeSpec(c, lam, y, kind), dynamics.signal_period(y)
+        band = dynamics._scan_interval(spec)
+        xs, d = wide_oracle(spec, T)
+        oracle = None if d is None else dynamics._sign_changes(xs, d)
+        if band is None:
+            assert oracle in (None, [])
+            return
+        floor, ceiling = band
+        ((bx, bd),) = dynamics._brackets([spec], T, dynamics.CENSUS_SEEDS)
+        # x' >= MU or <= -MU beyond each edge, with the sign of f there; the
+        # floor clipped at 0 (or -sqrt3) is no such edge
+        below, above = FIELD_ENDS[kind]
+        if floor > (0.0 if kind == "full" else -SQRT3):
+            assert below * bd[0] > 0.0
+        assert above * bd[-1] > 0.0
+        if oracle is not None:
+            assert all(floor < start < ceiling for _, _, _, start in oracle)
+            assert len(dynamics._sign_changes(bx, bd)) == len(oracle)
+
+    def test_valley_reaches_the_repulsive_orbit_on_the_linear_half(self):
+        # c = 4.05: the linear-convex slope dfrak is 0.0125, so the repulsive
+        # equilibrium (cshift - lam) / dfrak on the linear half lies near 8.1,
+        # above the wide interval's top (2.8); the band's ceiling, above which
+        # x' >= MU for every t, lies MU / dfrak = 8 above the equilibrium
+        c = 4.05
+        spec = dynamics.OdeSpec(c, model.lam1(c) - 0.1, ZERO, "linear-convex")
+        z = (model.cshift(c) - spec.lam) / model.dfrak(c)
+        assert wide_interval(spec)[1] < 3.0 < 8.0 < z < dynamics._scan_interval(spec)[1]
+        sols = dynamics.find_periodic_solutions(spec, 1.0)
+        assert [s.kind for s in sols] == ["attractive", "repulsive"]
+        assert sols[1].fixed_point == pytest.approx(z, abs=1e-7)
+
+    @pytest.mark.parametrize("name,side", [("constant", "plus"), ("trig", "minus"), ("trig", "plus")])
+    def test_pair_1e7_inside_the_fold_is_resolved(self, name, side):
+        # 1e-7 inside the fold window (c = 5) the close pair, about 1.4e-3
+        # apart, straddles a seed of the census grid (spacing about 1.1e-3):
+        # all three solutions are found.  At 1e-8 (pair 4e-4 apart) the
+        # census still reads one
+        c, y = 5.0, (ZERO if name == "constant" else FOLD_SIGNALS["trig"])
+        lam_minus, lam_plus, _ = dynamics.estimate_lambda_pm(c, y, tol=1e-10)
+        lam = lam_minus + 1e-7 if side == "minus" else lam_plus - 1e-7
+        T = dynamics.signal_period(y)
+        sols = dynamics.find_periodic_solutions(dynamics.OdeSpec(c, lam, y), T)
+        assert [s.kind for s in sols] == ["attractive", "repulsive", "attractive"]
+        assert dynamics.count_separated_solutions(dynamics.OdeSpec(c, lam, y), T) == 3
 
 
 class TestFiniteTimeExponent:
@@ -662,30 +769,45 @@ class TestSignalPeriod:
             dynamics.estimate_lambda_pm(5.0, INCOMMENSURATE)
 
 
+def wide_interval(spec):
+    """The wide census interval: [0, rho] for the full equation, with
+    gbar(rho) = -max(lam2, lam + hi) - 1 (hi the compiled signal's upper
+    bound of y), so x' <= -1 above rho, and [-sqrt3, rho - sqrt3] for the
+    comparison equations; None for c <= 4 once lam + hi <= -1.  gbar(x) <= -x
+    on x >= 0 brackets rho in [x2 or 0, -target]."""
+    c = spec.c
+    target = -(spec.lam + spec._signal_at.hi) - 1.0
+    if c <= 4.0 and target >= 0.0:
+        return None
+    if c > 4.0:
+        target = min(target, -model.lam2(c) - 1.0)
+    rho = brentq(lambda x: model.gbar_eval(c, x) - target, 0.0 if c <= 4.0 else model.x2(c), -target, xtol=1e-12)
+    return (0.0, float(rho)) if spec.rhs_kind == "full" else (-SQRT3, float(rho) - SQRT3)
+
+
 def oracle_grid(spec, tol):
     """The oracle's seeds for ``spec``: its scan interval on CENSUS_SEEDS
     seeds or, where their grid bias |gbar''(x_f)| h^2 / 8 in lambda would
-    exceed tol / 2, on as many more as bring it below.  The linear-convex
-    interval is capped at x_c = max(0, (cshift - lam - inf y) / dfrak),
-    above which x' > 0 for ever: the cap drops no solution, and the seeds
-    that would escape at c = 12 are not solved.  One seed past x_c makes a
-    solution at x_c itself (a constant input's) a sign change too."""
-    c = spec.c
-    lo, hi = dynamics._scan_interval(spec)
-    x_f = model.x2(c) if spec.rhs_kind == "concave-linear" else model.x1(c)
-    x_c = math.inf
-    if spec.rhs_kind == "linear-convex":
-        inf_y = signals.bounds(spec.signal).inf
-        x_c = max(0.0, (model.cshift(c) - spec.lam - inf_y) / model.dfrak(c))
-    top = min(hi, x_c)
-    h = math.sqrt(4.0 * tol / abs(model.gbar_deriv2(c, x_f)))
-    xs = np.linspace(lo, top, max(dynamics.CENSUS_SEEDS, math.ceil((top - lo) / h) + 1))
-    return np.append(xs, top + (xs[1] - xs[0])) if x_c < hi else xs
+    exceed tol / 2, on as many more as bring it below; None where the
+    interval is empty.  The linear-convex interval ends MU / dfrak above
+    x_c = max(0, (cshift - lam - inf y) / dfrak), above which x' > 0 for
+    ever, so a solution at x_c itself (a constant input's) lies inside it,
+    and no seed escapes at c = 12."""
+    interval = dynamics._scan_interval(spec)
+    if interval is None:
+        return None
+    lo, hi = interval
+    x_f = model.x2(spec.c) if spec.rhs_kind == "concave-linear" else model.x1(spec.c)
+    h = math.sqrt(4.0 * tol / abs(model.gbar_deriv2(spec.c, x_f)))
+    return np.linspace(lo, hi, max(dynamics.CENSUS_SEEDS, math.ceil((hi - lo) / h) + 1))
 
 
 def oracle_displacement(spec, T, tol):
-    """(seeds, P(x) - x) on ``oracle_grid``; None where a seed escapes."""
+    """(seeds, P(x) - x) on ``oracle_grid``; d is None where the interval is
+    empty or a seed escapes."""
     xs = oracle_grid(spec, tol)
+    if xs is None:
+        return xs, None
     try:
         return xs, dynamics._displacement_grid([spec], T, xs)
     except dynamics.FiniteEscapeError:
@@ -762,13 +884,18 @@ class TestFoldSolveAgainstBisection:
 
     def test_escaping_bracket_end(self):
         # slow forcing: at the upper end of the linear-convex bracket a seed
-        # runs off to infinity within one period (11.6)
+        # at the top of the wide interval runs off to infinity within one
+        # period (11.6); x' >= MU for every state there, so the census
+        # interval is empty and the census reads 0 without a solve
         c, tol = 8.0, 1e-5
         y = signals.TrigSum(0.0, ((0.03, 0.54, 0.0),))
         T = dynamics.signal_period(y)
         hi = model.lam2(c) - signals.bounds(y).inf + (model.lam2(c) - model.lam1(c))
+        spec = dynamics.OdeSpec(c, hi, y, "linear-convex")
         with pytest.raises(dynamics.FiniteEscapeError):
-            dynamics.count_separated_solutions(dynamics.OdeSpec(c, hi, y, "linear-convex"), T)
+            dynamics._displacement_grid([spec], T, np.array(wide_interval(spec)[1:]))
+        assert dynamics._scan_interval(spec) is None
+        assert dynamics.count_separated_solutions(spec, T) == 0
         try:
             want = bisect_lambda_pm(c, y, tol)
         except RuntimeError as exc:
@@ -827,6 +954,36 @@ class TestFoldSolveAgainstBisection:
         assert abs(lam_minus - want_minus) <= tol and abs(lam_plus - want_plus) <= tol
         for side, _ in SIDES:
             assert halved["solves"][side] > meta["solves"][side]
+
+    def test_stalled_solve_stops_early(self, monkeypatch):
+        # the slow-forcing input of test_unsolved_input_names_its_side: the
+        # trials of each Newton step on the linear-convex side escape, and the third failed trial of its second
+        # step ends the solve after 7 of the FOLD_SOLVES = 40 solves
+        y = signals.TrigSum(0.005, ((0.03, 0.15, 0.4),))
+        system = CountedMap(dynamics._fold_system)
+        monkeypatch.setattr(dynamics, "_fold_system", system)
+        with pytest.raises(RuntimeError, match="^the Newton solve did not converge on the linear-convex fold$"):
+            dynamics._newton_fold(8.0, y, "linear-convex", dynamics.signal_period(y), 1e-6)
+        assert system.calls == 7
+
+    @pytest.mark.parametrize("failing", [False, True], ids=["no-decrease", "failed-trials"])
+    def test_step_gives_up_at_its_limit(self, monkeypatch, failing):
+        # a fold system whose |F| never shrinks: the trial at t = FOLD_STEP_FLOOR
+        # (after 4 halvings) ends the solve; one whose every trial escapes:
+        # the (FOLD_FAILED_TRIALS + 1)-th failed trial does
+        calls = []
+
+        def stalled(c, lam, signal, rhs_kind, T, x):
+            calls.append(lam)
+            if failing and len(calls) > 1:
+                raise dynamics.FiniteEscapeError("a failed trial")
+            return (1.0, 1.0), ((1.0, 0.0), (0.0, 1.0))
+
+        monkeypatch.setattr(dynamics, "_fold_system", stalled)
+        with pytest.raises(RuntimeError, match="^the Newton solve did not converge on the concave-linear fold$"):
+            dynamics._newton_fold(5.0, ZERO, "concave-linear", 1.0, 1e-5)
+        trials = dynamics.FOLD_FAILED_TRIALS + 1 if failing else 1 - round(math.log2(dynamics.FOLD_STEP_FLOOR))
+        assert len(calls) == 1 + trials == (4 if failing else 6)
 
     @pytest.mark.parametrize("kind", ["concave-linear", "linear-convex"])
     def test_root_with_the_wrong_curvature_is_refused(self, monkeypatch, kind):
@@ -1004,9 +1161,10 @@ class TestAveragedFold:
 
     @pytest.mark.parametrize("kind", ["concave-linear", "linear-convex"])
     def test_predicted_seed_is_the_grid_extremum(self, kind):
-        # at the predicted fold the census grid's extremal seed is the seed
-        # of the predicted state x_f - sqrt3 + Y(0) or its neighbour (measured
-        # on these inputs), where Y(0) alone moves it by 1 to 8 grid steps
+        # at the predicted fold the extremal seed of CENSUS_SEEDS seeds over
+        # the wide interval (spacing 2.4e-3 to 4e-3) is the seed of the
+        # predicted state x_f - sqrt3 + Y(0) or its neighbour (measured on
+        # these inputs), where Y(0) alone moves it by 1 to 8 grid steps
         sign = 1.0 if kind == "concave-linear" else -1.0
         inputs = [FOLD_SIGNALS["trig"], FOLD_SIGNALS["cesaro"], averaging_cesaro(2.0)]
         inputs += [averaging_trig(1.0), averaging_trig(4.0), SAMPLED]
@@ -1014,7 +1172,7 @@ class TestAveragedFold:
             for y in inputs:
                 lam, x0 = dynamics._averaged_fold(c, y, kind)
                 spec = dynamics.OdeSpec(c, lam, y, kind)
-                xs = np.linspace(*dynamics._scan_interval(spec), dynamics.CENSUS_SEEDS)
+                xs = np.linspace(*wide_interval(spec), dynamics.CENSUS_SEEDS)
                 d = dynamics._displacement_grid([spec], dynamics.signal_period(y), xs)
                 assert abs(np.argmax(sign * d) - round((x0 - xs[0]) / (xs[1] - xs[0]))) <= 1
 

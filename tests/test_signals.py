@@ -181,6 +181,41 @@ class TestBounds:
         assert signals.bounds(y) == signals.SignalBounds(2.0, -1.0, False)
 
 
+class TestCompiledBounds:
+    """The compiled signal's lo and hi bound y (the census interval reads
+    them): exactly for one cosine term and for a sampled input."""
+
+    SAMPLED = signals.SampledPeriodic(4.0, (0.0, 1.0, 2.5, 3.0), (0.1, 0.4, -0.3, 0.2))
+
+    @pytest.mark.parametrize(
+        "y",
+        [
+            signals.Constant(0.3),
+            signals.TrigSum(0.01, ((0.04, 1.0, 0.3), (-0.02, 3.0, 1.0))),
+            signals.FourierCesaro(0.005, (0.02, -0.01), (0.015,), 6),
+            SAMPLED,
+        ],
+        ids=["constant", "trig", "cesaro", "sampled"],
+    )
+    def test_bounds_enclose_dense_evaluation(self, y):
+        f = signals.compile_signal(y)
+        v = f(np.linspace(0.0, 4.0 * math.pi, 200_001))
+        assert f.lo <= v.min() and v.max() <= f.hi
+
+    def test_one_term_attains_both(self):
+        # y = a0 + a cos(2 t + 0.3) with a > 0 bottoms out at 2 t + 0.3 = pi
+        y = signals.TrigSum(0.01, ((0.04, 2.0, 0.3),))
+        f = signals.compile_signal(y)
+        assert f(float((math.pi - 0.3) / 2.0)) == f.lo == 0.01 - 0.04
+        assert f(float((2.0 * math.pi - 0.3) / 2.0)) == f.hi == 0.01 + 0.04
+        assert (f.hi, f.lo) == (signals.bounds(y).sup, signals.bounds(y).inf)
+
+    def test_sampled_attains_both_at_nodes(self):
+        f = signals.compile_signal(self.SAMPLED)
+        assert (f(2.5), f(1.0)) == (f.lo, f.hi) == (-0.3, 0.4)
+        assert (f.hi, f.lo) == (signals.bounds(self.SAMPLED).sup, signals.bounds(self.SAMPLED).inf)
+
+
 class TestWeightedAverage:
     def test_constant(self):
         for r in (0.0, 3.0, -7.0):
