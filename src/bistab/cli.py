@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__, criteria, dynamics, relaxation, signals
-from .model import diagnostics, gbar_deriv
+from .model import diagnostics, equilibria, gbar_deriv
 
 
 class ValidationError(ValueError, argparse.ArgumentTypeError):
@@ -110,14 +110,10 @@ def cmd_classify(args) -> None:
 
 
 def _autonomous_equilibria(c: float, lam: float) -> list[tuple[float, str]]:
-    """Nonnegative roots of lam = -g(x): the cubic x^3 - lam x^2 + (1+2c)x - lam."""
-    roots = np.roots([1.0, -lam, 1.0 + 2.0 * c, -lam])
-    # a saddle-node double root splits into a conjugate pair with imaginary
-    # part ~1e-8; treat those as one real root
-    xs = sorted(float(z.real) for z in roots if abs(z.imag) < 1e-6 and z.real >= -1e-12)
-    xs = [x for i, x in enumerate(xs) if i == 0 or x - xs[i - 1] > 1e-6]
+    """The nonnegative roots of lam + gbar(x) = 0 (``model.equilibria``),
+    each tagged by the sign of gbar' there."""
     out = []
-    for x in xs:
+    for x in (x for x in equilibria(c, lam) if x >= -1e-12):
         slope = gbar_deriv(c, max(x, 0.0))
         if abs(slope) < 1e-6:
             tag = "non-hyperbolic"

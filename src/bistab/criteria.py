@@ -151,7 +151,7 @@ def check_cor_4_7(diag: ScalarDiagnostics, b: SignalBounds) -> ConditionReport:
     the quartic above is non-positive, i.e. for c in (4, 456]."""
     require_c_above_4(diag.c, "check_cor_4_7")
     slacks = {"h3_minus_variation": diag.h3 - (b.sup - b.inf)}
-    if slacks["h3_minus_variation"] <= 0.0:
+    if not slacks["h3_minus_variation"] > 0.0:  # a NaN slack holds nothing
         return ConditionReport(False, RULE_VARIATION_H3, slacks)
     exact = variation_polynomial(diag.c) <= 0.0
     notes = (

@@ -8,7 +8,8 @@ comparison equations.
 The scan interval (``_scan_interval``) is the band where x' = lam + y(t) +
 f(x) can vanish, widened by the drive margin MU: from the two bounds of y
 that the compiled input carries, x' >= MU for every t below it and
-x' <= -MU above it, so every periodic solution lies inside.  Its seeds
+x' <= -MU above it, so every periodic solution lies inside.  Its edges
+are equilibria of the constant drives at those bounds, moved by MU.  Its seeds
 keep away from the stiff states near x = 0, where gbar' = -(1 + 2c) would
 limit RK45's step by stability (Hairer, Norsett & Wanner, II.4).
 
@@ -82,11 +83,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import asdict, dataclass, field
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import RK45
-from scipy.optimize import brentq
+from scipy.optimize import brentq  # noqa: F401  perfbench/tracing.py wraps dynamics.brentq by name
 
 from . import signals as sig
 from .model import (
@@ -94,6 +96,7 @@ from .model import (
     DomainError,
     cshift,
     dfrak,
+    equilibria,
     gbar_deriv,
     gbar_deriv2,
     gbar_eval,
@@ -433,15 +436,16 @@ def integrate(spec: OdeSpec, t0: float, x0: float, t1: float, n_samples: int | N
 
     The returned times are always strictly increasing (a backward run is
     reversed): the solver's steps, or only the n_samples equally spaced
-    times, which the solver interpolates without keeping its steps.
+    times (an integer >= 1), which the solver interpolates without keeping
+    its steps.
     The state is integrated together with the multiplier integrand, as in
     ``poincare_map_log``, so the solver takes the period map's steps: one
     period from a fixed point refined on that map returns to it to rounding,
     not merely to the integration tolerance.  A sampled input is integrated
     node to node, so its nodes are among the steps.
     """
-    if n_samples is not None and not n_samples >= 1:
-        raise ValueError(f"n_samples must be None or at least 1, got {n_samples}")
+    if n_samples is not None and (isinstance(n_samples, bool) or not isinstance(n_samples, Integral) or n_samples < 1):
+        raise ValueError(f"n_samples must be None or at least 1 (an integer), got {n_samples!r}")
     t_eval = None if n_samples is None else np.linspace(t0, t1, n_samples)
     times, ys = _solve(spec, t0, x0, t1, t_eval)
     values = ys[0]
@@ -535,36 +539,6 @@ def poincare_multiplier_fd(spec: OdeSpec, T: float, x0: float, backward_orbit: b
     return total
 
 
-def _outer_root(h, breaks, ends, lowest: bool) -> float | None:
-    """The lowest (or highest) root of h, or None where it has none.  h is
-    continuous and monotone between consecutive ``breaks`` (ascending), and
-    its sign is ends[0] towards -inf and ends[1] towards +inf.  The root lies
-    on the first piece at whose far end h has left its sign at -inf; an
-    unbounded piece is brought in by doubling steps, and ``brentq`` solves it."""
-    if not lowest:  # the highest root of h is minus the lowest of h(-x)
-        x = _outer_root(lambda u: h(-u), [-b for b in reversed(breaks)], ends[::-1], True)
-        return None if x is None else -x
-    s = ends[0]
-
-    def out(x, step, inside):  # from x by doubling steps to where s h(x) > 0 is ``inside``
-        while True:
-            x += step
-            if (s * h(x) > 0.0) == inside:
-                return x
-            step *= 2.0
-
-    a = -math.inf
-    for b in [*breaks, math.inf]:
-        if s * (ends[1] if b == math.inf else h(b)) <= 0.0:
-            if a == -math.inf:
-                a = out(0.0 if b == math.inf else b, -1.0, True)
-            if b == math.inf:
-                b = out(a, 1.0, False)
-            return float(brentq(h, a, b, xtol=1e-12))
-        a = b
-    return None
-
-
 # the drive margin of the census interval: x' >= MU below it and x' <= -MU above it
 MU = 0.1
 
@@ -572,38 +546,38 @@ MU = 0.1
 def _scan_interval(spec: OdeSpec) -> tuple[float, float] | None:
     """The census interval, where x' = lam + y(t) + f(x) can vanish, widened
     by the drive margin MU; None when it is empty.  f is the field of
-    ``rhs_kind`` (``_float_field``), and lo <= y <= hi are the compiled
-    signal's bounds (any outer bounds will do).
+    ``rhs_kind``, and lo <= y <= hi are the compiled signal's bounds (any
+    outer bounds will do).
 
-    Where f tends to +inf (below, for the full equation; on both sides for
-    the linear-convex valley) the edge is the outermost root of
-    lam + lo + f = MU, beyond which x' >= MU for every t; where it tends to
-    -inf (above, for the full equation; on both sides for the
-    concave-linear hill) it is the outermost root of lam + hi + f = -MU,
-    beyond which x' <= -MU.  A T-periodic solution has x' = 0 at its
-    maximum and at its minimum, so it lies strictly inside.  The roots come
-    from f's monotone pieces, which end at x1 and x2 for c > 4 (shifted by
-    -sqrt(3) for the recentered comparison equations); for c <= 4 gbar
-    decreases.  The floor is clipped at 0 for the full equation and at
-    -sqrt(3) for the comparison ones, and the interval is None where the
-    clipped floor is not below the ceiling (the full equation with
+    Its edges are equilibria of constant drives (``model.equilibria``): the
+    outermost roots of lam + lo - MU + f = 0 where f tends to +inf (below,
+    for the full equation; on both sides for the linear-convex valley),
+    beyond which x' >= MU for every t, and of lam + hi + MU + f = 0 where it
+    tends to -inf (above; on both sides for the concave-linear hill), beyond
+    which x' <= -MU.  A T-periodic solution has x' = 0 at its maximum and at
+    its minimum, so it lies strictly inside.  A comparison equation is
+    gbar(x + sqrt3) on its curved half and the line dfrak x - cshift on the
+    other, which holds a root under the drive k iff k >= cshift (the hill)
+    or k <= cshift (the valley), decided exactly; the curved half's roots
+    are the equilibria u of k above x1 (hill) or below x2 (valley), but for
+    the line's, shifted by -sqrt3.  The floor is clipped at 0 for the full
+    equation and at -sqrt3 for the comparison ones, and the interval is None
+    where the clipped floor is not below the ceiling (the full equation with
     lam + hi <= -MU and c <= 4, say) or where the hill or the valley keeps
     x' beyond -MU or MU everywhere.
     """
-    pair, _ = _float_field(spec.c, spec.rhs_kind)
-    shift = 0.0 if spec.rhs_kind == "full" else SQRT3
-    breaks = [x1(spec.c) - shift, x2(spec.c) - shift] if spec.c > 4.0 else []
-    # the signs of f towards -inf and +inf
-    ends = {"full": (1.0, -1.0), "concave-linear": (-1.0, -1.0), "linear-convex": (1.0, 1.0)}[spec.rhs_kind]
-
-    def edge(sign, lowest):  # the outermost root of x' = sign MU under the drive that bounds x' on that side
-        drive = spec.lam + (spec._signal_at.lo if sign > 0.0 else spec._signal_at.hi)
-        return _outer_root(lambda x: pair(drive, x)[0] - sign * MU, breaks, ends, lowest)
-
-    floor, ceiling = edge(ends[0], True), edge(ends[1], False)
-    if floor is None or ceiling is None:
+    c, lo, hi = spec.c, spec.lam + spec._signal_at.lo - MU, spec.lam + spec._signal_at.hi + MU
+    if spec.rhs_kind == "full":
+        edges = [max(equilibria(c, lo)[0], 0.0), equilibria(c, hi)[-1]]
+    elif spec.rhs_kind == "concave-linear":
+        roots = [u - SQRT3 for u in equilibria(c, hi) if u > x1(c)]
+        edges = [(cshift(c) - hi) / dfrak(c), roots[-1]] if hi >= cshift(c) else roots
+    else:
+        roots = [u - SQRT3 for u in equilibria(c, lo) if u < x2(c)]
+        edges = [roots[0], (cshift(c) - lo) / dfrak(c)] if lo <= cshift(c) else roots
+    if not edges:
         return None
-    floor = max(floor, -SQRT3 if shift else 0.0)
+    floor, ceiling = max(edges[0], -SQRT3), edges[-1]
     return (floor, ceiling) if floor < ceiling else None
 
 

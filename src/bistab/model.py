@@ -6,7 +6,8 @@ material constant ``c > 0``.  ``gbar`` extends it to ``x < 0`` by the cubic
 the recentered nonlinearity obtained by shifting the inflection point
 ``sqrt(3)`` to the origin and removing the linear part ``dfrak*z``.
 
-All functions are pure and accept scalars or numpy arrays.
+All functions are pure, and all but ``equilibria`` (the real roots of
+lam + gbar(x) = 0 for a scalar lam) accept scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -177,6 +178,20 @@ def lam2(c) -> float:
     if c < 4.0:
         raise DomainError(f"lam2 requires c >= 4, got c = {c}")
     return math.sqrt((c * c + 10.0 * c - 2.0 + math.sqrt(c * (c - 4.0) ** 3)) / 2.0)
+
+
+def equilibria(c, lam) -> list[float]:
+    """The real roots of lam + gbar(x) = 0 in ascending order, a double root
+    listed once.  For lam >= 0 they are the roots of the cubic
+    x^3 - lam x^2 + (1+2c) x - lam (lam = -g(x) cleared of its
+    denominator), all nonnegative; for lam < 0 the one real root of the
+    cubic branch, x^3 + (1+2c) x - lam.  A root counts as real when its
+    imaginary part is below 1e-6 (a saddle-node double root splits into a
+    conjugate pair about 1e-8 off the axis), and roots closer than 1e-6 are
+    one."""
+    coeffs = [1.0, -lam, 1.0 + 2.0 * c, -lam] if lam >= 0.0 else [1.0, 0.0, 1.0 + 2.0 * c, -lam]
+    xs = sorted(float(z.real) for z in np.roots(coeffs) if abs(z.imag) < 1e-6)
+    return [x for i, x in enumerate(xs) if i == 0 or x - xs[i - 1] > 1e-6]
 
 
 def lam3(c) -> float:

@@ -229,9 +229,12 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
 def run_analysis(spec: RelaxationSpec, n_loop: int = 4096, gamma_points: int = 2048) -> LoopResult:
     """Census of periodic solutions plus the hysteresis loop of the top
     attractive one: its (forcing, state) polygon, area, and Hausdorff
-    distance to the singular curve.  Raises RuntimeError when the integrated
-    loop misses its start by more than CLOSURE_TOL."""
-    gamma = gamma_curve(spec.c, gamma_points)  # first, so a bad gamma_points costs no census
+    distance to the singular curve, its n_loop + 1 samples (n_loop an
+    integer >= 1, checked with gamma_points before the census).  Raises
+    RuntimeError when the loop misses its start by more than CLOSURE_TOL."""
+    if isinstance(n_loop, bool) or not isinstance(n_loop, Integral) or n_loop < 1:
+        raise ValueError(f"run_analysis needs an integer n_loop >= 1, got {n_loop!r}")
+    gamma = gamma_curve(spec.c, gamma_points)
     ode = dynamics.OdeSpec(spec.c, 0.0, spec.signal())
     sols = tuple(dynamics.find_periodic_solutions(ode, spec.period))
     n = len(sols)
@@ -271,7 +274,8 @@ def _census_count(c: float, eps: float, rs) -> tuple[list[int], int]:
     round's.  The r share the period 2 pi / eps, c and the shape of the
     forcing; only its amplitude beta + eps^r differs.  Each count is odd:
     y >= lam1 - eps^r > 4 > ``dynamics.MU`` (lam1 > 3 sqrt3 for c > 4), so
-    the floor of the scan interval is not clipped at 0, and x' >= MU there
+    the floor of the scan interval, the lowest of ``model.equilibria`` at
+    the positive drive inf y - MU, is not clipped at 0, and x' >= MU there
     for every t: the displacement is positive at the floor, and negative at
     the ceiling, where x' <= -MU.  A count of 5 or more is left to
     ``r_threshold``, which rejects it as ambiguous."""

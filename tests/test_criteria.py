@@ -103,6 +103,24 @@ class TestVariationCriterion:
         assert criteria.variation_polynomial(457.0) > 0.0
 
 
+class TestNanBounds:
+    """A NaN bound makes every slack NaN, and a NaN slack certifies nothing."""
+
+    @pytest.mark.parametrize("field", ["sup", "inf"])
+    def test_signal_bound(self, field):
+        b = signals.SignalBounds(**{"sup": 0.0, "inf": 0.0, "exact": True, field: math.nan})
+        w = signals.WeightedBounds(0.0, 0.0, True)
+        assert not criteria.check_cor_4_7(diagnostics(5.0), b).holds
+        assert not criteria.check_thm_4_6(diagnostics(5.0), b, w).holds
+        assert not criteria.check_thm_6_1(diagnostics(4.8), b).holds
+
+    @pytest.mark.parametrize("field", ["sup_w", "inf_w"])
+    def test_weighted_bound(self, field):
+        b = signals.SignalBounds(0.0, 0.0, True)
+        w = signals.WeightedBounds(**{"sup_w": 0.0, "inf_w": 0.0, "exact": True, field: math.nan})
+        assert not criteria.check_thm_4_6(diagnostics(5.0), b, w).holds
+
+
 class TestBandCriterion:
     def test_zero_signal(self):
         diag = diagnostics(4.8)

@@ -173,7 +173,7 @@ class TestDegenerateSpans:
             with pytest.raises(ValueError, match="^solve_ivp needs at least one state$"):
                 call()
 
-    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("n", [0, -3, 2.5, 5.0, True, False])
     def test_no_samples(self, n):
         with pytest.raises(ValueError, match="n_samples must be None or at least 1"):
             dynamics.integrate(self.SPEC, 0.0, 2.0, 1.0, n_samples=n)
@@ -630,6 +630,19 @@ def wide_oracle(spec, T):
         return xs, None
 
 
+BAND_C = [0.5, 3.0, 4.0, 4.05, 5.0, 8.0, 12.0]
+
+
+def band_lambdas(c, lam_lo, lam_hi):
+    """lam over a range past both folds, and the lam that put a drive
+    lam + lam_lo or lam + lam_hi within 1e-14 of lam1, lam2 or cshift."""
+    lams = list(np.linspace(-3.0, 18.0, 43))
+    if c >= 4.0:
+        for k in (model.lam1(c), model.lam2(c), model.cshift(c)):
+            lams += [k + dk - shift for dk in (-1e-14, 0.0, 1e-14) for shift in (lam_lo, lam_hi)]
+    return lams
+
+
 class TestScanInterval:
     """The census interval is the band where x' = lam + y(t) + f(x) can
     vanish, widened by MU: every periodic solution lies inside it."""
@@ -662,6 +675,45 @@ class TestScanInterval:
         if oracle is not None:
             assert all(floor < start < ceiling for _, _, _, start in oracle)
             assert len(dynamics._sign_changes(bx, bd)) == len(oracle)
+
+    @pytest.mark.parametrize(
+        "c,kind",
+        [(c, "full") for c in BAND_C] + [(c, k) for c in BAND_C if c > 4.0 for k in dynamics.RHS_KINDS[1:]],
+    )
+    def test_band_edges_meet_their_definition(self, c, kind):
+        # the oracle is the band's definition: beyond each edge x' >= MU
+        # for every t where f tends to +inf there, and x' <= -MU where it
+        # tends to -inf; an edge that is not clipped is a root of its
+        # constant-drive equation.  Drives at a fold (lam1, lam2) or at the
+        # comparison equations' junction (cshift), give or take 1e-14, may
+        # take either edge or none, so only the definition is asserted
+        below, above = FIELD_ENDS[kind]
+        clip = 0.0 if kind == "full" else -SQRT3
+        for y in (ZERO, COSINE, signals.TrigSum(-0.03, ((0.2, 1.0, 0.7), (0.05, 3.0, 0.0)))):
+            at = dynamics.OdeSpec(c, 0.0, y, kind)._signal_at
+            lam_lo, lam_hi = at.lo - dynamics.MU, at.hi + dynamics.MU  # the drives are lam + these
+            for lam in band_lambdas(c, lam_lo, lam_hi):
+                spec = dynamics.OdeSpec(c, lam, y, kind)
+                band = dynamics._scan_interval(spec)
+
+                def beyond(xs, sign):  # where x' >= MU (sign 1) or <= -MU (-1) at every t
+                    drive = lam + (at.lo if sign > 0.0 else at.hi)
+                    margin = sign * spec._rhs_driven(drive, xs) - dynamics.MU
+                    return margin >= -1e-11 * (1.0 + abs(drive))
+
+                if band is None:
+                    xs = np.linspace(clip, clip + 40.0, 8001)
+                    assert np.all(beyond(xs, below) | beyond(xs, above)), (c, kind, lam)
+                    continue
+                floor, ceiling = band
+                assert clip <= floor < ceiling
+                if floor > clip:
+                    assert np.all(beyond(np.linspace(clip, floor, 2001)[:-1], below)), (c, kind, lam, band)
+                assert np.all(beyond(np.linspace(ceiling, ceiling + 40.0, 2001)[1:], above)), (c, kind, lam, band)
+                for edge, sign in ((floor, below), (ceiling, above)):
+                    if edge > clip:
+                        k = lam + (lam_lo if sign > 0.0 else lam_hi)
+                        assert abs(spec._rhs_driven(k, np.array([edge]))[0]) <= 1e-9, (c, kind, lam, edge)
 
     def test_valley_reaches_the_repulsive_orbit_on_the_linear_half(self):
         # c = 4.05: the linear-convex slope dfrak is 0.0125, so the repulsive

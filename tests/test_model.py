@@ -195,3 +195,48 @@ class TestRecentered:
         for f in (model.mg_eval, model.mg_minus, model.mg_plus):
             with pytest.raises(model.DomainError):
                 f(4.0, 1.0)
+
+
+EQ_C = [0.5, 3.0, 4.0, 4.05, 5.0, 8.0, 12.0]
+
+
+class TestEquilibria:
+    """``equilibria`` is the real roots of lam + gbar(x) = 0, ascending."""
+
+    @staticmethod
+    def lambdas(c):
+        lams = list(np.linspace(-2.0, 20.0, 89)) + [0.0, -1e-13, 1e-13]
+        return lams + ([model.lam1(c), model.lam2(c)] if c >= 4.0 else [])
+
+    @pytest.mark.parametrize("c", EQ_C)
+    def test_roots_meet_the_equation_in_ascending_order(self, c):
+        for lam in self.lambdas(c):
+            xs = model.equilibria(c, lam)
+            assert xs and xs == sorted(xs) and len(set(xs)) == len(xs)
+            for x in xs:
+                assert abs(lam + model.gbar_eval(c, x)) <= 1e-12 * (1.0 + abs(lam))
+
+    @pytest.mark.parametrize("c", EQ_C)
+    def test_three_roots_strictly_inside_the_fold_window(self, c):
+        if c <= 4.0:
+            assert all(len(model.equilibria(c, lam)) == 1 for lam in self.lambdas(c))
+            return
+        l1, l2 = model.lam1(c), model.lam2(c)
+        inside = l1 + (l2 - l1) * np.linspace(0.01, 0.99, 25)
+        outside = [l1 - 1.0, l1 - 1e-3 * (l2 - l1), l2 + 1e-3 * (l2 - l1), l2 + 1.0]
+        assert all(len(model.equilibria(c, lam)) == 3 for lam in inside)
+        assert all(len(model.equilibria(c, lam)) == 1 for lam in outside)
+
+    @pytest.mark.parametrize("c", [4.05, 4.5, 5.0, 6.0, 8.0, 10.0, 12.0])
+    def test_saddle_node_is_one_double_root(self, c):
+        low, double = model.equilibria(c, model.lam1(c))
+        assert abs(double - model.x2(c)) <= 1e-7 and low < model.x1(c)
+        double, high = model.equilibria(c, model.lam2(c))
+        assert abs(double - model.x1(c)) <= 1e-7 and high > model.x2(c)
+
+    @pytest.mark.parametrize("c", EQ_C)
+    @pytest.mark.parametrize("lam", [-1e-9, -0.5, -3.0, -40.0])
+    def test_one_negative_root_below_zero_drive(self, c, lam):
+        (x,) = model.equilibria(c, lam)
+        assert x < 0.0
+        assert abs(lam + model.gbar_eval(c, x)) <= 1e-12 * (1.0 + abs(lam))

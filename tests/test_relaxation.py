@@ -263,6 +263,16 @@ class TestRunAnalysis:
             relaxation.run_analysis(relaxation.RelaxationSpec(5.0, 0.05, 0.6), n_loop=256, gamma_points=64)
 
 
+    @pytest.mark.parametrize("n", [0, -3, 2.5, 64.0, True, None])
+    def test_rejects_a_bad_loop_count_before_the_census(self, monkeypatch, n):
+        def no_census(*args):
+            raise AssertionError("run_analysis ran its census before checking n_loop")
+
+        monkeypatch.setattr(relaxation.dynamics, "find_periodic_solutions", no_census)
+        with pytest.raises(ValueError, match="n_loop"):
+            relaxation.run_analysis(relaxation.RelaxationSpec(5.0, 0.05, 0.6), n_loop=n, gamma_points=64)
+
+
 class TestThreshold:
     def test_threshold_bracketing(self):
         res = relaxation.r_threshold(5.0, 0.05, tol=0.05)
