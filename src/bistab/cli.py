@@ -69,8 +69,13 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _emit(args, config: dict, rows: list[dict], fieldnames: list[str]) -> None:
-    """Write the result as CSV rows or as JSON with a config echo."""
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
+    """Write the result as CSV rows or as JSON with a config echo.  An
+    output file that cannot be opened is a ValidationError, as an unreadable
+    signal file is."""
+    try:
+        out = open(args.out, "w", newline="") if args.out else sys.stdout
+    except OSError as exc:
+        raise ValidationError(f"cannot write output file {args.out!r}: {exc}") from exc
     try:
         if args.format == "csv":
             writer = csv.DictWriter(out, fieldnames=fieldnames)
@@ -237,7 +242,8 @@ def cmd_sweep(args) -> None:
         raise ValidationError(f"sweep requires --jobs >= 1, got {args.jobs}")
     tasks = [(args.c, eps, r) for eps in args.eps for r in args.r]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool may start all its workers at once, so it gets no more than the cells
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             rows = list(pool.map(_sweep_cell, tasks))  # map preserves grid order
     else:
         rows = [_sweep_cell(t) for t in tasks]
@@ -284,7 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bifurcation", help="autonomous equilibria over a lambda grid")
     common(p)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--grid", default=None, help="lambda grid: 'lo:hi:n' or comma list")
+    p.add_argument(
+        "--grid",
+        default=None,
+        help="lambda grid: 'lo:hi:n' or comma list; a negative start needs the = form, --grid=-2:20:441",
+    )
     p.set_defaults(func=cmd_bifurcation, format="csv")
 
     p = sub.add_parser("poincare", help="periodic-solution census for a periodic signal")

@@ -22,7 +22,7 @@ a forward pass starting within roundoff of a strongly repulsive orbit still
 falls off it long before the period ends, corrupting the multiplier integral.
 
 Every census reads one scan, ``_brackets``: it takes a sequence of
-OdeSpecs that share c, rhs_kind, the input's period and its kinks, stacks
+OdeSpecs that share c, the input's period and its kinks, stacks
 every member's seed grid into one solve and returns each member's seeds
 and displacements.  A one-member family is solved with its own
 ``OdeSpec.rhs``.  A period the input does not repeat after is rejected.
@@ -49,8 +49,10 @@ refinement, so such a crossing needs one map solve.  The period map is
 increasing (Smith, Monotone Dynamical Systems, AMS 1995), so every fixed
 point stays inside the bracket its crossing came from.
 
-The bifurcation values are the folds of the two comparison equations.
-Each is a root of the fold system F(x, lam) = (P(x) - x, L(x)), with P the
+The bifurcation values are the folds of the two comparison equations, which
+exist only in the fold solve: its kernel is built from their float field
+(``_float_field``), and an OdeSpec is always the full equation.  Each fold
+is a root of the fold system F(x, lam) = (P(x) - x, L(x)), with P the
 period map and L its log multiplier, found by Newton's method from the fold
 that second-order averaging predicts.  One solve of five scalar states (the
 state, its log multiplier and three sensitivities) gives F and its
@@ -102,14 +104,11 @@ from .model import (
     gbar_eval,
     lam1,
     lam2,
-    mg_minus,
-    mg_minus_deriv,
-    mg_plus,
-    mg_plus_deriv,
     require_c_above_4,
     x1,
     x2,
 )
+from .model import mg_minus, mg_minus_deriv, mg_plus, mg_plus_deriv  # noqa: F401  perfbench/tracing.py wraps them
 
 ABSTOL = 1e-10
 RELTOL = 1e-8
@@ -118,8 +117,6 @@ FP_TOL = 1e-9
 DEDUP_TOL = 1e-6
 NONHYP_TOL = 1e-4  # |multiplier - 1| below this => non-hyperbolic
 CENSUS_SEEDS = 2049  # seeds of the census scan
-
-RHS_KINDS = ("full", "concave-linear", "linear-convex")
 
 
 class FiniteEscapeError(RuntimeError):
@@ -130,17 +127,19 @@ class FiniteEscapeError(RuntimeError):
 _FLOAT_STATES = 32
 
 
-def _float_field(c: float, rhs_kind: str):
-    """(pair, curvature): the field of x' = drive + f(x) of ``rhs_kind`` in
-    Python floats, one state at a time.  ``pair(drive, x)`` is (x', f'),
-    the floats of ``OdeSpec._rhs_driven`` and ``OdeSpec.rhs_state_deriv``:
-    it runs the + - * / expressions of ``model.gbar_eval`` and
-    ``model.gbar_deriv`` on both branches of gbar, which round alike in
-    floats and in NumPy.  ``curvature(x)`` is f'' of a comparison equation,
-    gbar'' on the curved half and 0 on the linear one; it is None for the
-    full equation.  Every sensitivity solve builds its right-hand side from
-    these two (``_augmented_kernel``, ``_fold_system``)."""
-    c, concave = float(c), rhs_kind == "concave-linear"
+def _float_field(c: float, kind: str):
+    """(pair, curvature): the field of x' = drive + f(x) in Python floats,
+    one state at a time, for the full equation (kind "full", f = gbar) or a
+    comparison equation ("concave-linear" or "linear-convex", f = dfrak x -
+    cshift + mg_minus or mg_plus), which exists only here.  ``pair(drive,
+    x)`` is (x', f'), the floats of ``model``'s closed forms: it runs the
+    + - * / expressions of ``model.gbar_eval`` and ``model.gbar_deriv`` on
+    both branches of gbar, which round alike in floats and in NumPy.
+    ``curvature(x)`` is f'' of a comparison equation, gbar'' on the curved
+    half and 0 on the linear one; it is None for the full equation.  Every
+    sensitivity solve builds its right-hand side from these two
+    (``_augmented_kernel``, ``_fold_system``)."""
+    c, concave = float(c), kind == "concave-linear"
     two_c, a, b = 2.0 * c, -1.0 - 2.0 * c, 2.0 * (c - 1.0)
     shift, slope = cshift(c), dfrak(c)
 
@@ -151,7 +150,7 @@ def _float_field(c: float, rhs_kind: str):
         q = 1.0 + uu
         return -u - two_c * u / q, (a + b * u * u - uu * uu) / (q * q)
 
-    if rhs_kind == "full":
+    if kind == "full":
 
         def pair(drive, x):
             gx, dx = g_pair(x)
@@ -201,7 +200,7 @@ def _augmented_kernel(spec):
         OdeSpec.rhs     15    15    15    15    15     25
           with deriv    38    38    37    37    38     72
     """
-    pair, _ = _float_field(spec.c, spec.rhs_kind)
+    pair, _ = _float_field(spec.c, "full")
     lam, signal_at = float(spec.lam), spec._signal_at
 
     def augmented(t, y):
@@ -217,22 +216,19 @@ def _augmented_kernel(spec):
 
 @dataclass(frozen=True)
 class OdeSpec:
+    """The equation x' = lam + y(t) + gbar(x) and its input y."""
+
     c: float
     lam: float
     signal: sig.SignalSpec
-    rhs_kind: str = "full"
     # the signal as a callable of t, compiled once here rather than on every rhs call
     _signal_at: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.c) and math.isfinite(self.lam)):
             raise ValueError(f"OdeSpec requires finite c and lambda, got c = {self.c}, lambda = {self.lam}")
-        if self.rhs_kind not in RHS_KINDS:
-            raise ValueError(f"rhs_kind must be one of {RHS_KINDS}, got {self.rhs_kind!r}")
         if not self.c > 0.0:
             raise DomainError(f"OdeSpec requires c > 0, got c = {self.c}")
-        if self.rhs_kind != "full":
-            require_c_above_4(self.c, f"rhs_kind {self.rhs_kind!r}")
         object.__setattr__(self, "_signal_at", sig.compile_signal(self.signal))
 
     def rhs(self, t, x):
@@ -243,17 +239,11 @@ class OdeSpec:
         """dx/dt of the states x under the drive lam + y(t).  drive
         broadcasts against x: a family scan drives each member's block of
         states with that member's drive."""
-        if self.rhs_kind == "full":
-            return drive + gbar_eval(self.c, x)
-        halved = mg_minus if self.rhs_kind == "concave-linear" else mg_plus
-        return drive - cshift(self.c) + dfrak(self.c) * x + halved(self.c, x)
+        return drive + gbar_eval(self.c, x)
 
     def rhs_state_deriv(self, x):
         """d(rhs)/dx, the multiplier integrand."""
-        if self.rhs_kind == "full":
-            return gbar_deriv(self.c, x)
-        halved = mg_minus_deriv if self.rhs_kind == "concave-linear" else mg_plus_deriv
-        return dfrak(self.c) + halved(self.c, x)
+        return gbar_deriv(self.c, x)
 
 
 @dataclass(frozen=True)
@@ -544,40 +534,20 @@ MU = 0.1
 
 
 def _scan_interval(spec: OdeSpec) -> tuple[float, float] | None:
-    """The census interval, where x' = lam + y(t) + f(x) can vanish, widened
-    by the drive margin MU; None when it is empty.  f is the field of
-    ``rhs_kind``, and lo <= y <= hi are the compiled signal's bounds (any
-    outer bounds will do).
+    """The census interval, where x' = lam + y(t) + gbar(x) can vanish,
+    widened by the drive margin MU; None when it is empty.  lo <= y <= hi
+    are the compiled signal's bounds (any outer bounds will do).
 
     Its edges are equilibria of constant drives (``model.equilibria``): the
-    outermost roots of lam + lo - MU + f = 0 where f tends to +inf (below,
-    for the full equation; on both sides for the linear-convex valley),
-    beyond which x' >= MU for every t, and of lam + hi + MU + f = 0 where it
-    tends to -inf (above; on both sides for the concave-linear hill), beyond
-    which x' <= -MU.  A T-periodic solution has x' = 0 at its maximum and at
-    its minimum, so it lies strictly inside.  A comparison equation is
-    gbar(x + sqrt3) on its curved half and the line dfrak x - cshift on the
-    other, which holds a root under the drive k iff k >= cshift (the hill)
-    or k <= cshift (the valley), decided exactly; the curved half's roots
-    are the equilibria u of k above x1 (hill) or below x2 (valley), but for
-    the line's, shifted by -sqrt3.  The floor is clipped at 0 for the full
-    equation and at -sqrt3 for the comparison ones, and the interval is None
-    where the clipped floor is not below the ceiling (the full equation with
-    lam + hi <= -MU and c <= 4, say) or where the hill or the valley keeps
-    x' beyond -MU or MU everywhere.
+    lowest root of lam + lo - MU + gbar = 0, below which x' >= MU for every
+    t, and the highest of lam + hi + MU + gbar = 0, above which x' <= -MU.
+    A T-periodic solution has x' = 0 at its maximum and at its minimum, so
+    it lies strictly inside.  The floor is clipped at 0, and the interval
+    is None where the clipped floor is not below the ceiling (lam + hi <=
+    -MU and c <= 4, say).
     """
     c, lo, hi = spec.c, spec.lam + spec._signal_at.lo - MU, spec.lam + spec._signal_at.hi + MU
-    if spec.rhs_kind == "full":
-        edges = [max(equilibria(c, lo)[0], 0.0), equilibria(c, hi)[-1]]
-    elif spec.rhs_kind == "concave-linear":
-        roots = [u - SQRT3 for u in equilibria(c, hi) if u > x1(c)]
-        edges = [(cshift(c) - hi) / dfrak(c), roots[-1]] if hi >= cshift(c) else roots
-    else:
-        roots = [u - SQRT3 for u in equilibria(c, lo) if u < x2(c)]
-        edges = [roots[0], (cshift(c) - lo) / dfrak(c)] if lo <= cshift(c) else roots
-    if not edges:
-        return None
-    floor, ceiling = max(edges[0], -SQRT3), edges[-1]
+    floor, ceiling = max(equilibria(c, lo)[0], 0.0), equilibria(c, hi)[-1]
     return (floor, ceiling) if floor < ceiling else None
 
 
@@ -590,8 +560,8 @@ def _family_field(specs, T: float, sizes=None):
     One member's field is its own ``OdeSpec.rhs``.  A larger family repeats
     each member's lam + y(t) over its block and drives the states through
     ``OdeSpec._rhs_driven``, so every entry is the float of that member's
-    ``OdeSpec.rhs``.  The members must share c, rhs_kind, the
-    input's period and its kinks on [0, T]; ValueError otherwise.
+    ``OdeSpec.rhs``.  The members must share c, the input's period and its
+    kinks on [0, T]; ValueError otherwise.
     """
     first = specs[0]
     nodes = first._signal_at.kinks(0.0, T)
@@ -600,12 +570,12 @@ def _family_field(specs, T: float, sizes=None):
     period = sig.fundamental_period(first.signal)
     for spec in specs[1:]:
         if (
-            (spec.c, spec.rhs_kind) != (first.c, first.rhs_kind)
+            spec.c != first.c
             or sig.fundamental_period(spec.signal) != period
             or not np.array_equal(spec._signal_at.kinks(0.0, T), nodes)
         ):
             raise ValueError(
-                "a family scan needs one c, rhs_kind, input period and set of kinks, "
+                "a family scan needs one c, input period and set of kinks, "
                 f"got {first!r} and {spec!r}"
             )
     members, m, driven = [(spec.lam, spec._signal_at) for spec in specs], len(specs), first._rhs_driven
@@ -890,8 +860,8 @@ def signal_period(signal: sig.SignalSpec) -> float:
     raise ValueError("signal must be constant or periodic")
 
 
-def _averaged_fold(c: float, signal: sig.SignalSpec, rhs_kind: str) -> tuple[float, float]:
-    """(lam, x0): the fold of the comparison equation ``rhs_kind`` that
+def _averaged_fold(c: float, signal: sig.SignalSpec, kind: str) -> tuple[float, float]:
+    """(lam, x0): the fold of the comparison equation ``kind`` that
     second-order averaging predicts, as its lambda and the state x0 at t = 0
     of its fold orbit.
 
@@ -916,7 +886,7 @@ def _averaged_fold(c: float, signal: sig.SignalSpec, rhs_kind: str) -> tuple[flo
         phasors[th] = phasors.get(th, 0j) + a / th * cmath.exp(1j * ph)
     var = sum(abs(p) ** 2 for p in phasors.values()) / 2.0
     y0 = sum(p.imag for p in phasors.values())
-    concave = rhs_kind == "concave-linear"
+    concave = kind == "concave-linear"
     x_f, center = (x2(c), lam1(c)) if concave else (x1(c), lam2(c))
     curvature = abs(gbar_deriv2(c, x_f))
     return center - a0 + (curvature if concave else -curvature) * var / 2.0, x_f - SQRT3 + y0
@@ -931,9 +901,9 @@ FOLD_SOLVES = 40
 FOLD_STEP_FLOOR, FOLD_FAILED_TRIALS = 2.0**-4, 2
 
 
-def _fold_system(c: float, lam: float, signal: sig.SignalSpec, rhs_kind: str, T: float, x: float):
+def _fold_system(c: float, lam: float, signal: sig.SignalSpec, kind: str, T: float, x: float):
     """(F, J): the fold system F(x, lam) = (P(x) - x, L(x)) of the
-    comparison equation x' = lam + y(t) + f(x) of ``rhs_kind``, with P its
+    comparison equation x' = lam + y(t) + f(x) of ``kind``, with P its
     period map and L the log multiplier, the integral of f' along the orbit.
 
     One solve over the period gives both F and its Jacobian: from
@@ -945,7 +915,7 @@ def _fold_system(c: float, lam: float, signal: sig.SignalSpec, rhs_kind: str, T:
     equation's ``pair`` and ``curvature``.  An orbit that escapes raises
     FiniteEscapeError, and an l that overflows exp raises OverflowError.
     """
-    (pair, curvature), signal_at = _float_field(c, rhs_kind), sig.compile_signal(signal)
+    (pair, curvature), signal_at = _float_field(c, kind), sig.compile_signal(signal)
 
     def kernel(t, y):
         x, log_mult, x_lam, _, _ = y.tolist()
@@ -959,9 +929,9 @@ def _fold_system(c: float, lam: float, signal: sig.SignalSpec, rhs_kind: str, T:
     return (xT - x, L), ((math.exp(L) - 1.0, x_lam), (M, N))
 
 
-def _newton_fold(c: float, signal: sig.SignalSpec, rhs_kind: str, T: float, tol: float):
+def _newton_fold(c: float, signal: sig.SignalSpec, kind: str, T: float, tol: float):
     """(lam, figures): the fold value of the comparison equation
-    ``rhs_kind``, and the Newton steps and solves that found it, the last
+    ``kind``, and the Newton steps and solves that found it, the last
     step's |dlam| and the averaged fold's lambda, keyed as in the metadata of
     ``estimate_lambda_pm``.  Newton's method on ``_fold_system`` (Kuznetsov,
     Elements of Applied Bifurcation Theory, ch. 10; Govaerts, Numerical
@@ -980,11 +950,11 @@ def _newton_fold(c: float, signal: sig.SignalSpec, rhs_kind: str, T: float, tol:
     stalled solve stops there, not at the cap), when the start fails or
     when M has the other sign.
     """
-    predicted, x = _averaged_fold(c, signal, rhs_kind)
-    lam, sign = predicted, -1.0 if rhs_kind == "concave-linear" else 1.0
-    failed = RuntimeError(f"the Newton solve did not converge on the {rhs_kind} fold")
+    predicted, x = _averaged_fold(c, signal, kind)
+    lam, sign = predicted, -1.0 if kind == "concave-linear" else 1.0
+    failed = RuntimeError(f"the Newton solve did not converge on the {kind} fold")
     try:
-        F, J = _fold_system(c, lam, signal, rhs_kind, T, x)
+        F, J = _fold_system(c, lam, signal, kind, T, x)
     except (FiniteEscapeError, OverflowError):
         raise failed from None
     steps, solves = 0, 1
@@ -1002,7 +972,7 @@ def _newton_fold(c: float, signal: sig.SignalSpec, rhs_kind: str, T: float, tol:
         while solves < FOLD_SOLVES:
             solves += 1
             try:
-                F_t, J_t = _fold_system(c, lam + t * dlam, signal, rhs_kind, T, x + t * dx)
+                F_t, J_t = _fold_system(c, lam + t * dlam, signal, kind, T, x + t * dx)
             except (FiniteEscapeError, OverflowError):
                 failures += 1
             else:

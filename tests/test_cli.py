@@ -93,6 +93,14 @@ class TestDiagnostics:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["result"][0]["c"] == 5.0
 
+    def test_unwritable_out_file_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "diag.json"
+        assert cli.main(["diagnostics", "--c", "5", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not target.exists()
+        assert captured.err.startswith(f"error: cannot write output file {str(target)!r}: ")
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestClassify:
     def test_bistable(self, capsys, zero_signal):
@@ -176,6 +184,14 @@ class TestBifurcation:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert {r["lambda"] for r in rows} == {"5.0", "6.0", "7.0"}
+
+    def test_negative_grid_start_takes_the_equals_form(self, capsys):
+        # argparse reads "-2:20:441" after a space as an option; "--grid=" passes
+        # it.  The 40 negative lambda have no nonnegative equilibrium, so no row
+        code, doc = run_json(capsys, ["bifurcation", "--c", "5", "--grid=-2:20:441", "--format", "json"])
+        assert code == 0
+        lams = [row["lambda"] for row in doc["result"]]
+        assert len(lams) == 409 and len(set(lams)) == 401 and min(lams) == 0.0
 
     def test_requires_lambda_or_grid(self, capsys):
         code, _ = run(capsys, ["bifurcation", "--c", "5"])
@@ -333,6 +349,32 @@ class TestSweep:
             assert code == 0
             rows[jobs] = doc["result"]
         assert rows["2"] == rows["1"]
+
+    def test_pool_gets_no_more_workers_than_cells(self, capsys, monkeypatch):
+        # a pool may start all its workers up front: --jobs 500 on a 2 x 2
+        # grid asks for 4.  The stand-in pool records its size and maps the
+        # cells in this process
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cli, "_sweep_cell", lambda task: dict(zip(("c", "eps", "r"), task)))
+        argv = ["sweep", "--c", "5", "--eps", "0.05,0.04", "--r", "0.6,1.6", "--jobs", "500", "--format", "json"]
+        code, doc = run_json(capsys, argv)
+        assert code == 0 and sizes == [4]
+        assert [(row["eps"], row["r"]) for row in doc["result"]] == [(0.05, 0.6), (0.05, 1.6), (0.04, 0.6), (0.04, 1.6)]
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_fewer_than_one_job_exits_2(self, capsys, jobs):

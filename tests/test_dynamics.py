@@ -8,10 +8,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from comparison import comparison_displacement, comparison_map, comparison_seeds, wide_top
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from bistab import dynamics, model, relaxation, signals
 
@@ -69,12 +69,10 @@ class TestIntegrate:
         # in the concave-linear equation z' = lam - cshift + dfrak z for z <= 0
         c = 5.0
         d, cs = model.dfrak(c), model.cshift(c)
-        spec = dynamics.OdeSpec(c, 0.0, ZERO, rhs_kind="concave-linear")
         z_star = (cs - 0.0) / d
         z0, t = -1.0, 2.0
         expected = z_star + (z0 - z_star) * math.exp(d * t)
-        traj = dynamics.integrate(spec, 0.0, z0, t)
-        assert traj.values[-1] == pytest.approx(expected, abs=1e-8)
+        assert comparison_map(c, 0.0, ZERO, "concave-linear", t, [z0])[0] == pytest.approx(expected, abs=1e-8)
 
     def test_positivity_invariance(self):
         spec = dynamics.OdeSpec(5.0, 1.0, signals.TrigSum(0.0, ((0.5, 1.0, 0.0),)))
@@ -82,10 +80,11 @@ class TestIntegrate:
         assert np.all(traj.values > -1e-12)
 
     def test_finite_escape(self):
-        # the concave-linear flow runs to -inf below its bifurcation value
-        spec = dynamics.OdeSpec(5.0, 0.0, ZERO, rhs_kind="concave-linear")
+        # backward in time the cubic branch of gbar runs to -inf in finite
+        # time, here about 0.11 before t = 1
+        spec = dynamics.OdeSpec(5.0, 0.0, ZERO)
         with pytest.raises(dynamics.FiniteEscapeError):
-            dynamics.integrate(spec, 0.0, -1.0, 100.0)
+            dynamics.integrate(spec, 1.0, -1.0, 0.0)
 
     def test_large_log_multiplier_is_not_an_escape(self, monkeypatch):
         # the multiplier integrand runs alongside x; only x may trigger the escape bound
@@ -97,14 +96,6 @@ class TestIntegrate:
 
 
 class TestOdeSpecValidation:
-    def test_bad_rhs_kind(self):
-        with pytest.raises(ValueError):
-            dynamics.OdeSpec(5.0, 1.0, ZERO, rhs_kind="convex-concave")
-
-    def test_recentered_kinds_need_supercritical_c(self):
-        with pytest.raises(model.DomainError):
-            dynamics.OdeSpec(4.0, 1.0, ZERO, rhs_kind="linear-convex")
-
     @pytest.mark.parametrize("c,lam", [(math.nan, 1.0), (5.0, math.inf), (-math.inf, 1.0), (5.0, math.nan)])
     def test_rejects_non_finite(self, c, lam):
         with pytest.raises(ValueError, match="finite"):
@@ -445,13 +436,12 @@ class TestFamilyScan:
 
     TRIG = signals.TrigSum(0.0, ((0.04, 1.0, -math.pi / 2.0),))
 
-    @pytest.mark.parametrize("kind", dynamics.RHS_KINDS)
-    def test_entries_are_each_members_rhs(self, kind):
-        # members with their own lambda and amplitude, states on both halves
-        # and on the cubic branch of gbar: every entry of the stacked field is
-        # that member's OdeSpec.rhs, bit for bit
+    def test_entries_are_each_members_rhs(self):
+        # members with their own lambda and amplitude, states on both
+        # branches of gbar: every entry of the stacked field is that member's
+        # OdeSpec.rhs, bit for bit
         specs = [
-            dynamics.OdeSpec(5.0, lam, signals.TrigSum(0.01, ((a, 1.0, 0.3),)), kind)
+            dynamics.OdeSpec(5.0, lam, signals.TrigSum(0.01, ((a, 1.0, 0.3),)))
             for lam, a in ((6.0, 0.02), (6.01, 0.03), (6.05, 0.04))
         ]
         field, nodes = dynamics._family_field(specs, 2.0 * math.pi)
@@ -463,12 +453,11 @@ class TestFamilyScan:
             for k, spec in enumerate(specs):
                 assert np.array_equal(got[k], spec.rhs(t, x[k]))
 
-    @pytest.mark.parametrize("kind", dynamics.RHS_KINDS)
-    def test_equal_blocks_keep_the_reshape_floats(self, kind):
+    def test_equal_blocks_keep_the_reshape_floats(self):
         # the drive repeated over each block gives the floats of the drive
         # broadcast over the rows of the reshaped states, and so the same scan
         specs = [
-            dynamics.OdeSpec(5.0, lam, signals.TrigSum(0.01, ((a, 1.0, 0.3),)), kind)
+            dynamics.OdeSpec(5.0, lam, signals.TrigSum(0.01, ((a, 1.0, 0.3),)))
             for lam, a in ((6.0, 0.02), (6.01, 0.03), (6.05, 0.04))
         ]
         T = 2.0 * math.pi
@@ -530,18 +519,17 @@ class TestFamilyScan:
         "other",
         [
             dynamics.OdeSpec(8.0, 6.0, TRIG),
-            dynamics.OdeSpec(5.0, 6.0, TRIG, "concave-linear"),
             dynamics.OdeSpec(5.0, 6.0, signals.TrigSum(0.0, ((0.04, 2.0, 0.0),))),
         ],
-        ids=["c", "rhs_kind", "period"],
+        ids=["c", "period"],
     )
     def test_rejects_a_mixed_family(self, other):
-        with pytest.raises(ValueError, match="a family scan needs one c, rhs_kind"):
+        with pytest.raises(ValueError, match="a family scan needs one c, input period"):
             dynamics._brackets([dynamics.OdeSpec(5.0, 6.0, self.TRIG), other], 2.0 * math.pi, 65)
 
     def test_rejects_members_with_other_kinks(self):
         # a sampled input of the same period: the solver's steps end at its nodes
-        with pytest.raises(ValueError, match="a family scan needs one c, rhs_kind"):
+        with pytest.raises(ValueError, match="a family scan needs one c, input period"):
             dynamics._brackets([dynamics.OdeSpec(5.0, 6.0, self.TRIG), dynamics.OdeSpec(5.0, 6.0, SAMPLED)],
                                2.0 * math.pi, 65)
 
@@ -588,11 +576,6 @@ class TestCertifiedCounts:
             dynamics._certified_counts([dynamics.OdeSpec(5.0, 6.0, ZERO)], T, 33)
 
 
-# the signs of the field f towards -inf and +inf: the full equation's decline,
-# the concave-linear hill and the linear-convex valley
-FIELD_ENDS = {"full": (1.0, -1.0), "concave-linear": (-1.0, -1.0), "linear-convex": (1.0, 1.0)}
-
-
 @st.composite
 def band_inputs(draw):
     """A small trig, Cesaro or sampled input of period 2 pi (or pi)."""
@@ -612,18 +595,8 @@ def band_inputs(draw):
 
 def wide_oracle(spec, T):
     """(seeds, P(x) - x) of a census on ``wide_interval`` on 4,097 seeds, d
-    None where a seed escapes.  The linear-convex interval ends
-    one seed past x_c = max(0, (cshift - lam - inf y) / dfrak) instead of at
-    rho - sqrt3: above x_c, x' > 0 for ever, while rho - sqrt3 lies below the
-    repulsive orbit on the linear half at c = 4.05 and its top seeds escape
-    at c = 12."""
-    c = spec.c
-    lo, hi = wide_interval(spec)
-    if spec.rhs_kind == "linear-convex":
-        inf_y = signals.bounds(spec.signal).inf
-        x_c = max(0.0, (model.cshift(c) - spec.lam - inf_y) / model.dfrak(c))
-        hi = x_c + (x_c - lo) / 4095
-    xs = np.linspace(lo, hi, 4097)
+    None where a seed escapes."""
+    xs = np.linspace(*wide_interval(spec), 4097)
     try:
         return xs, dynamics._displacement_grid([spec], T, xs)
     except dynamics.FiniteEscapeError:
@@ -644,7 +617,7 @@ def band_lambdas(c, lam_lo, lam_hi):
 
 
 class TestScanInterval:
-    """The census interval is the band where x' = lam + y(t) + f(x) can
+    """The census interval is the band where x' = lam + y(t) + gbar(x) can
     vanish, widened by MU: every periodic solution lies inside it."""
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -652,12 +625,11 @@ class TestScanInterval:
         y=band_inputs(),
         c=st.sampled_from([4.05, 5.0, 8.0, 12.0]),
         u=st.integers(0, 1000),
-        kind=st.sampled_from(dynamics.RHS_KINDS),
     )
-    def test_band_keeps_every_crossing_of_the_wide_interval(self, y, c, u, kind):
+    def test_band_keeps_every_crossing_of_the_wide_interval(self, y, c, u):
         # lambda from 0.2 below lam1 to 0.2 above lam2, in 1,000 steps
         lam = model.lam1(c) - 0.2 + u / 1000.0 * (model.lam2(c) - model.lam1(c) + 0.4)
-        spec, T = dynamics.OdeSpec(c, lam, y, kind), dynamics.signal_period(y)
+        spec, T = dynamics.OdeSpec(c, lam, y), dynamics.signal_period(y)
         band = dynamics._scan_interval(spec)
         xs, d = wide_oracle(spec, T)
         oracle = None if d is None else dynamics._sign_changes(xs, d)
@@ -666,34 +638,27 @@ class TestScanInterval:
             return
         floor, ceiling = band
         ((bx, bd),) = dynamics._brackets([spec], T, dynamics.CENSUS_SEEDS)
-        # x' >= MU or <= -MU beyond each edge, with the sign of f there; the
-        # floor clipped at 0 (or -sqrt3) is no such edge
-        below, above = FIELD_ENDS[kind]
-        if floor > (0.0 if kind == "full" else -SQRT3):
-            assert below * bd[0] > 0.0
-        assert above * bd[-1] > 0.0
+        # x' >= MU below the floor and <= -MU above the ceiling; the floor
+        # clipped at 0 is no such edge
+        if floor > 0.0:
+            assert bd[0] > 0.0
+        assert bd[-1] < 0.0
         if oracle is not None:
             assert all(floor < start < ceiling for _, _, _, start in oracle)
             assert len(dynamics._sign_changes(bx, bd)) == len(oracle)
 
-    @pytest.mark.parametrize(
-        "c,kind",
-        [(c, "full") for c in BAND_C] + [(c, k) for c in BAND_C if c > 4.0 for k in dynamics.RHS_KINDS[1:]],
-    )
-    def test_band_edges_meet_their_definition(self, c, kind):
-        # the oracle is the band's definition: beyond each edge x' >= MU
-        # for every t where f tends to +inf there, and x' <= -MU where it
-        # tends to -inf; an edge that is not clipped is a root of its
-        # constant-drive equation.  Drives at a fold (lam1, lam2) or at the
-        # comparison equations' junction (cshift), give or take 1e-14, may
-        # take either edge or none, so only the definition is asserted
-        below, above = FIELD_ENDS[kind]
-        clip = 0.0 if kind == "full" else -SQRT3
+    @pytest.mark.parametrize("c", BAND_C, ids=[f"{c}-full" for c in BAND_C])
+    def test_band_edges_meet_their_definition(self, c):
+        # the oracle is the band's definition: below the floor x' >= MU for
+        # every t, and above the ceiling x' <= -MU; an edge that is not
+        # clipped is a root of its constant-drive equation.  Drives at a
+        # fold (lam1, lam2), give or take 1e-14, may take either edge or
+        # none, so only the definition is asserted
         for y in (ZERO, COSINE, signals.TrigSum(-0.03, ((0.2, 1.0, 0.7), (0.05, 3.0, 0.0)))):
-            at = dynamics.OdeSpec(c, 0.0, y, kind)._signal_at
+            at = dynamics.OdeSpec(c, 0.0, y)._signal_at
             lam_lo, lam_hi = at.lo - dynamics.MU, at.hi + dynamics.MU  # the drives are lam + these
             for lam in band_lambdas(c, lam_lo, lam_hi):
-                spec = dynamics.OdeSpec(c, lam, y, kind)
+                spec = dynamics.OdeSpec(c, lam, y)
                 band = dynamics._scan_interval(spec)
 
                 def beyond(xs, sign):  # where x' >= MU (sign 1) or <= -MU (-1) at every t
@@ -702,31 +667,18 @@ class TestScanInterval:
                     return margin >= -1e-11 * (1.0 + abs(drive))
 
                 if band is None:
-                    xs = np.linspace(clip, clip + 40.0, 8001)
-                    assert np.all(beyond(xs, below) | beyond(xs, above)), (c, kind, lam)
+                    xs = np.linspace(0.0, 40.0, 8001)
+                    assert np.all(beyond(xs, 1.0) | beyond(xs, -1.0)), (c, lam)
                     continue
                 floor, ceiling = band
-                assert clip <= floor < ceiling
-                if floor > clip:
-                    assert np.all(beyond(np.linspace(clip, floor, 2001)[:-1], below)), (c, kind, lam, band)
-                assert np.all(beyond(np.linspace(ceiling, ceiling + 40.0, 2001)[1:], above)), (c, kind, lam, band)
-                for edge, sign in ((floor, below), (ceiling, above)):
-                    if edge > clip:
+                assert 0.0 <= floor < ceiling
+                if floor > 0.0:
+                    assert np.all(beyond(np.linspace(0.0, floor, 2001)[:-1], 1.0)), (c, lam, band)
+                assert np.all(beyond(np.linspace(ceiling, ceiling + 40.0, 2001)[1:], -1.0)), (c, lam, band)
+                for edge, sign in ((floor, 1.0), (ceiling, -1.0)):
+                    if edge > 0.0:
                         k = lam + (lam_lo if sign > 0.0 else lam_hi)
-                        assert abs(spec._rhs_driven(k, np.array([edge]))[0]) <= 1e-9, (c, kind, lam, edge)
-
-    def test_valley_reaches_the_repulsive_orbit_on_the_linear_half(self):
-        # c = 4.05: the linear-convex slope dfrak is 0.0125, so the repulsive
-        # equilibrium (cshift - lam) / dfrak on the linear half lies near 8.1,
-        # above the wide interval's top (2.8); the band's ceiling, above which
-        # x' >= MU for every t, lies MU / dfrak = 8 above the equilibrium
-        c = 4.05
-        spec = dynamics.OdeSpec(c, model.lam1(c) - 0.1, ZERO, "linear-convex")
-        z = (model.cshift(c) - spec.lam) / model.dfrak(c)
-        assert wide_interval(spec)[1] < 3.0 < 8.0 < z < dynamics._scan_interval(spec)[1]
-        sols = dynamics.find_periodic_solutions(spec, 1.0)
-        assert [s.kind for s in sols] == ["attractive", "repulsive"]
-        assert sols[1].fixed_point == pytest.approx(z, abs=1e-7)
+                        assert abs(spec._rhs_driven(k, np.array([edge]))[0]) <= 1e-9, (c, lam, edge)
 
     @pytest.mark.parametrize("name,side", [("constant", "plus"), ("trig", "minus"), ("trig", "plus")])
     def test_pair_1e7_inside_the_fold_is_resolved(self, name, side):
@@ -822,46 +774,32 @@ class TestSignalPeriod:
 
 
 def wide_interval(spec):
-    """The wide census interval: [0, rho] for the full equation, with
-    gbar(rho) = -max(lam2, lam + hi) - 1 (hi the compiled signal's upper
-    bound of y), so x' <= -1 above rho, and [-sqrt3, rho - sqrt3] for the
-    comparison equations; None for c <= 4 once lam + hi <= -1.  gbar(x) <= -x
-    on x >= 0 brackets rho in [x2 or 0, -target]."""
-    c = spec.c
-    target = -(spec.lam + spec._signal_at.hi) - 1.0
-    if c <= 4.0 and target >= 0.0:
-        return None
-    if c > 4.0:
-        target = min(target, -model.lam2(c) - 1.0)
-    rho = brentq(lambda x: model.gbar_eval(c, x) - target, 0.0 if c <= 4.0 else model.x2(c), -target, xtol=1e-12)
-    return (0.0, float(rho)) if spec.rhs_kind == "full" else (-SQRT3, float(rho) - SQRT3)
+    """The wide census interval [0, rho] of the full equation, with
+    gbar(rho) = -max(lam2, lam + hi) - 1 (``comparison.wide_top``); None
+    for c <= 4 once lam + hi <= -1."""
+    rho = wide_top(spec.c, spec.lam, spec.signal)
+    return None if rho is None else (0.0, rho)
 
 
-def oracle_grid(spec, tol):
-    """The oracle's seeds for ``spec``: its scan interval on CENSUS_SEEDS
-    seeds or, where their grid bias |gbar''(x_f)| h^2 / 8 in lambda would
-    exceed tol / 2, on as many more as bring it below; None where the
-    interval is empty.  The linear-convex interval ends MU / dfrak above
-    x_c = max(0, (cshift - lam - inf y) / dfrak), above which x' > 0 for
-    ever, so a solution at x_c itself (a constant input's) lies inside it,
-    and no seed escapes at c = 12."""
-    interval = dynamics._scan_interval(spec)
-    if interval is None:
-        return None
-    lo, hi = interval
-    x_f = model.x2(spec.c) if spec.rhs_kind == "concave-linear" else model.x1(spec.c)
-    h = math.sqrt(4.0 * tol / abs(model.gbar_deriv2(spec.c, x_f)))
-    return np.linspace(lo, hi, max(dynamics.CENSUS_SEEDS, math.ceil((hi - lo) / h) + 1))
+def oracle_grid(c, lam, signal, kind, tol):
+    """The oracle's seeds for the comparison equation ``kind``: its wide
+    interval (``comparison.comparison_seeds``) on CENSUS_SEEDS seeds or,
+    where their grid bias |gbar''(x_f)| h^2 / 8 in lambda would exceed
+    tol / 2, on as many more as bring it below."""
+    xs = comparison_seeds(c, lam, signal, kind, dynamics.CENSUS_SEEDS)
+    x_f = model.x2(c) if kind == "concave-linear" else model.x1(c)
+    h = math.sqrt(4.0 * tol / abs(model.gbar_deriv2(c, x_f)))
+    if xs[1] - xs[0] <= h:
+        return xs
+    return comparison_seeds(c, lam, signal, kind, math.ceil((xs[-1] - xs[0]) / h) + 2)
 
 
-def oracle_displacement(spec, T, tol):
-    """(seeds, P(x) - x) on ``oracle_grid``; d is None where the interval is
-    empty or a seed escapes."""
-    xs = oracle_grid(spec, tol)
-    if xs is None:
-        return xs, None
+def oracle_displacement(c, lam, signal, kind, T, tol):
+    """(seeds, P(x) - x) of the comparison equation ``kind`` on
+    ``oracle_grid``; d is None where a seed escapes."""
+    xs = oracle_grid(c, lam, signal, kind, tol)
     try:
-        return xs, dynamics._displacement_grid([spec], T, xs)
+        return xs, comparison_displacement(c, lam, signal, kind, T, xs)
     except dynamics.FiniteEscapeError:
         return xs, None
 
@@ -876,17 +814,17 @@ def bisect_lambda_pm(c, signal, tol):
     margin = max(model.lam2(c) - model.lam1(c), 10.0 * tol)
     calls = {}
 
-    def bisect(center, rhs_kind, two_above):
+    def bisect(center, kind, two_above):
         lo, hi = center - b.sup - margin, center - b.inf + margin
-        calls[rhs_kind] = 0
+        calls[kind] = 0
 
         def predicate(lam):
-            calls[rhs_kind] += 1
-            xs, d = oracle_displacement(dynamics.OdeSpec(c, lam, signal, rhs_kind), T, tol)
+            calls[kind] += 1
+            xs, d = oracle_displacement(c, lam, signal, kind, T, tol)
             return d is not None and len(dynamics._sign_changes(xs, d)) >= 2
 
         if predicate(lo) == predicate(hi):
-            raise RuntimeError(f"bracket [{lo:.6g}, {hi:.6g}] does not straddle the {rhs_kind} bifurcation")
+            raise RuntimeError(f"bracket [{lo:.6g}, {hi:.6g}] does not straddle the {kind} bifurcation")
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
             if predicate(mid) == two_above:
@@ -914,9 +852,9 @@ def move_prediction(monkeypatch, lam=0.0, x=0.0):
     equation (up for the concave-linear one, down for the linear-convex one)."""
     predict = dynamics._averaged_fold
 
-    def moved(c, signal, rhs_kind):
-        guess_lam, guess_x = predict(c, signal, rhs_kind)
-        return guess_lam + lam, guess_x + (x if rhs_kind == "concave-linear" else -x)
+    def moved(c, signal, kind):
+        guess_lam, guess_x = predict(c, signal, kind)
+        return guess_lam + lam, guess_x + (x if kind == "concave-linear" else -x)
 
     monkeypatch.setattr(dynamics, "_averaged_fold", moved)
 
@@ -936,18 +874,15 @@ class TestFoldSolveAgainstBisection:
 
     def test_escaping_bracket_end(self):
         # slow forcing: at the upper end of the linear-convex bracket a seed
-        # at the top of the wide interval runs off to infinity within one
-        # period (11.6); x' >= MU for every state there, so the census
-        # interval is empty and the census reads 0 without a solve
+        # at rho - sqrt3, the top of the uncapped wide interval, runs off to
+        # infinity within one period (11.6); the oracle's seeds end one seed
+        # past x_c instead
         c, tol = 8.0, 1e-5
         y = signals.TrigSum(0.0, ((0.03, 0.54, 0.0),))
         T = dynamics.signal_period(y)
         hi = model.lam2(c) - signals.bounds(y).inf + (model.lam2(c) - model.lam1(c))
-        spec = dynamics.OdeSpec(c, hi, y, "linear-convex")
         with pytest.raises(dynamics.FiniteEscapeError):
-            dynamics._displacement_grid([spec], T, np.array(wide_interval(spec)[1:]))
-        assert dynamics._scan_interval(spec) is None
-        assert dynamics.count_separated_solutions(spec, T) == 0
+            comparison_displacement(c, hi, y, "linear-convex", T, [wide_top(c, hi, y) - SQRT3])
         try:
             want = bisect_lambda_pm(c, y, tol)
         except RuntimeError as exc:
@@ -995,11 +930,11 @@ class TestFoldSolveAgainstBisection:
         want_minus, want_plus, meta = dynamics.estimate_lambda_pm(c, y, tol=tol)
         system, count = dynamics._fold_system, {}
 
-        def failing(c, lam, signal, rhs_kind, T, x):
-            count[rhs_kind] = count.get(rhs_kind, 0) + 1
-            if count[rhs_kind] == 2:  # each side's first trial step
+        def failing(c, lam, signal, kind, T, x):
+            count[kind] = count.get(kind, 0) + 1
+            if count[kind] == 2:  # each side's first trial step
                 raise error("a failed trial")
-            return system(c, lam, signal, rhs_kind, T, x)
+            return system(c, lam, signal, kind, T, x)
 
         monkeypatch.setattr(dynamics, "_fold_system", failing)
         lam_minus, lam_plus, halved = dynamics.estimate_lambda_pm(c, y, tol=tol)
@@ -1025,7 +960,7 @@ class TestFoldSolveAgainstBisection:
         # the (FOLD_FAILED_TRIALS + 1)-th failed trial does
         calls = []
 
-        def stalled(c, lam, signal, rhs_kind, T, x):
+        def stalled(c, lam, signal, kind, T, x):
             calls.append(lam)
             if failing and len(calls) > 1:
                 raise dynamics.FiniteEscapeError("a failed trial")
@@ -1043,9 +978,9 @@ class TestFoldSolveAgainstBisection:
         # has the other sign is not the fold
         system = dynamics._fold_system
 
-        def flipped(c, lam, signal, rhs_kind, T, x):
-            F, ((a, b), (m, n)) = system(c, lam, signal, rhs_kind, T, x)
-            return F, ((a, b), (-m if rhs_kind == kind else m, n))
+        def flipped(c, lam, signal, side, T, x):
+            F, ((a, b), (m, n)) = system(c, lam, signal, side, T, x)
+            return F, ((a, b), (-m if side == kind else m, n))
 
         monkeypatch.setattr(dynamics, "_fold_system", flipped)
         with pytest.raises(RuntimeError, match=f"^the Newton solve did not converge on the {kind} fold$"):
@@ -1143,7 +1078,7 @@ class TestFoldWindow:
         lam = lam_minus if kind == "concave-linear" else lam_plus
         extremum = []
         for window_end in (lam - sign * tol, lam + sign * tol):
-            _, d = oracle_displacement(dynamics.OdeSpec(c, window_end, y, kind), T, tol)
+            _, d = oracle_displacement(c, window_end, y, kind, T, tol)
             extremum.append(np.max(sign * d))
         assert extremum[0] < 0.0 < extremum[1]
 
@@ -1214,7 +1149,7 @@ class TestAveragedFold:
     @pytest.mark.parametrize("kind", ["concave-linear", "linear-convex"])
     def test_predicted_seed_is_the_grid_extremum(self, kind):
         # at the predicted fold the extremal seed of CENSUS_SEEDS seeds over
-        # the wide interval (spacing 2.4e-3 to 4e-3) is the seed of the
+        # [-sqrt3, rho - sqrt3] (spacing 2.4e-3 to 4e-3) is the seed of the
         # predicted state x_f - sqrt3 + Y(0) or its neighbour (measured on
         # these inputs), where Y(0) alone moves it by 1 to 8 grid steps
         sign = 1.0 if kind == "concave-linear" else -1.0
@@ -1223,9 +1158,8 @@ class TestAveragedFold:
         for c in (4.5, 5.0, 8.0):
             for y in inputs:
                 lam, x0 = dynamics._averaged_fold(c, y, kind)
-                spec = dynamics.OdeSpec(c, lam, y, kind)
-                xs = np.linspace(*wide_interval(spec), dynamics.CENSUS_SEEDS)
-                d = dynamics._displacement_grid([spec], dynamics.signal_period(y), xs)
+                xs = np.linspace(-SQRT3, wide_top(c, lam, y) - SQRT3, dynamics.CENSUS_SEEDS)
+                d = comparison_displacement(c, lam, y, kind, dynamics.signal_period(y), xs)
                 assert abs(np.argmax(sign * d) - round((x0 - xs[0]) / (xs[1] - xs[0]))) <= 1
 
 
@@ -1413,9 +1347,12 @@ class TestSampledInput:
         assert np.allclose(traj.values[i], steps.values[j], rtol=0.0, atol=1e-12)
 
     def test_escape_across_nodes(self):
-        spec = dynamics.OdeSpec(5.0, 0.0, SAMPLED, rhs_kind="concave-linear")
-        with pytest.raises(dynamics.FiniteEscapeError):
-            dynamics.integrate(spec, 0.0, -1.0, 100.0)
+        # backward in time the cubic branch of gbar runs to -inf in finite
+        # time: from -1e-3 at t = 1, past the nodes at pi / 4 and pi / 8
+        spec = dynamics.OdeSpec(5.0, 0.0, SAMPLED)
+        with pytest.raises(dynamics.FiniteEscapeError) as escaped:
+            dynamics.integrate(spec, 1.0, -1e-3, 0.0)
+        assert float(re.search(r"at t = (\S+)$", str(escaped.value)).group(1)) < math.pi / 8.0
 
     def test_backward_escape_across_nodes(self):
         # a repulsive map solve from T back to 0 that escapes after 11 nodes
@@ -1892,7 +1829,7 @@ class TestEscapeCheckMatchesEvent:
 
     LAM = 0.5 * (model.lam1(5.0) + model.lam2(5.0))
     CASES = {
-        "concave-linear-forward": (dynamics.OdeSpec(5.0, 0.0, ZERO, "concave-linear"), 0.0, [-1.0, 0.5], 100.0),
+        "cubic-backward": (dynamics.OdeSpec(5.0, 0.0, ZERO), 1.0, [-1.0, 0.5], 0.0),
         "full-backward": (
             dynamics.OdeSpec(5.0, LAM, TestSmoothInputIsOnePiece.Y),
             2.0 * math.pi,
@@ -1900,7 +1837,6 @@ class TestEscapeCheckMatchesEvent:
             0.0,
         ),
         "bounded": (dynamics.OdeSpec(5.0, 6.04, TestSmoothInputIsOnePiece.Y), 0.0, [1.8, 2.0, 2.2], 2.0 * math.pi),
-        "sampled-forward": (dynamics.OdeSpec(5.0, 0.0, SAMPLED, "concave-linear"), 0.0, [-1.0], 100.0),
         "sampled-backward": (dynamics.OdeSpec(5.0, LAM, SAMPLED), SAMPLED.period, [1.2, 1e4], 0.0),
     }
 

@@ -9,7 +9,9 @@ The map solve's kernel (``dynamics._augmented_kernel(spec)``, built per
 solve from the float field) must give the floats of ``OdeSpec.rhs`` and
 ``rhs_state_deriv`` too, on the float path (few states) and on the array
 path alike; a call takes one of them by its size alone.  A scan's right-hand
-side is ``OdeSpec.rhs`` itself.
+side is ``OdeSpec.rhs`` itself.  The comparison equations exist only in the
+fold solve's float field (``dynamics._float_field``), whose x' and f' must
+be the floats of the references and of ``model``'s closed forms.
 """
 
 import math
@@ -17,6 +19,7 @@ import pickle
 
 import numpy as np
 import pytest
+from comparison import comparison_deriv, comparison_rhs
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -76,12 +79,35 @@ def signal_reference(signal, t):
     return out if out.ndim else float(out)
 
 
-def rhs_reference(spec, t, x):
-    drive = spec.lam + signal_reference(spec.signal, t)
-    if spec.rhs_kind == "full":
-        return drive + gbar_reference(spec.c, x)
-    halved = mg_minus_reference if spec.rhs_kind == "concave-linear" else mg_plus_reference
-    return drive - model.cshift(spec.c) + model.dfrak(spec.c) * x + halved(spec.c, x)
+def rhs_reference(kind, lam, signal, t, x):
+    """x' of the full equation (kind "full") or of a comparison equation."""
+    drive = lam + signal_reference(signal, t)
+    if kind == "full":
+        return drive + gbar_reference(C, x)
+    halved = mg_minus_reference if kind == "concave-linear" else mg_plus_reference
+    return drive - model.cshift(C) + model.dfrak(C) * x + halved(C, x)
+
+
+def fold_field(kind, lam, signal):
+    """The comparison equation ``kind`` as the fold solve evaluates it:
+    field(t, x) is (x', f') of every state of x from the float field
+    (``dynamics._float_field``) under the drive lam + y(float(t)), with t
+    one time or one per state, each shaped like x (a float for a 0-d x)."""
+    pair, _ = dynamics._float_field(C, kind)
+    signal_at = signals.compile_signal(signal)
+
+    def field(t, x):
+        x = np.asarray(x, dtype=float)
+        ts = np.broadcast_to(np.asarray(t, dtype=float), x.shape)
+        values = [pair(lam + signal_at(u), v) for u, v in zip(ts.ravel().tolist(), x.ravel().tolist())]
+        if x.ndim == 0:
+            return values[0]
+        return tuple(np.array(column).reshape(x.shape) for column in zip(*values))
+
+    return field
+
+
+KINDS = ["full", "concave-linear", "linear-convex"]
 
 
 def same(got, want) -> bool:
@@ -137,17 +163,33 @@ def test_mg_halves_bit_identical(name, z):
         assert same(model.mg_plus(c, z), mg_plus_reference(c, z))
 
 
-@pytest.mark.parametrize("kind", dynamics.RHS_KINDS)
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("name,signal", SIGNALS, ids=[s[0] for s in SIGNALS])
 def test_rhs_bit_identical(kind, name, signal):
-    spec = dynamics.OdeSpec(C, 6.0, signal, kind)
+    # the full equation's OdeSpec.rhs, or a comparison equation's x' as the
+    # fold solve's float field gives it (Python floats, compared as arrays)
+    if kind == "full":
+        rhs = dynamics.OdeSpec(C, 6.0, signal).rhs
+
+        def reference(t, x):
+            return rhs_reference(kind, 6.0, signal, t, x)
+
+    else:
+        field = fold_field(kind, 6.0, signal)
+
+        def rhs(t, x):
+            return np.atleast_1d(field(t, x)[0])
+
+        def reference(t, x):
+            return np.atleast_1d(rhs_reference(kind, 6.0, signal, t, x))
+
     for _, x in STATES:
         for t in (0.0, 0.3, 17.2, np.float64(3.3), np.asarray(2.7), 4):
-            assert same(spec.rhs(t, x), rhs_reference(spec, t, x))
+            assert same(rhs(t, x), reference(t, x))
     # array-valued t, one time per state
     ts = np.linspace(-3.0, 40.0, MIXED.size)
-    assert same(spec.rhs(ts, MIXED), rhs_reference(spec, ts, MIXED))
-    assert same(spec.rhs(ts[:1], np.asarray([0.5])), rhs_reference(spec, ts[:1], np.asarray([0.5])))
+    assert same(rhs(ts, MIXED), reference(ts, MIXED))
+    assert same(rhs(ts[:1], np.asarray([0.5])), reference(ts[:1], np.asarray([0.5])))
 
 
 @pytest.mark.parametrize("name,signal", SIGNALS, ids=[s[0] for s in SIGNALS])
@@ -175,23 +217,30 @@ def kernel_pair(spec, t, x):
     return augmented[: x.size], augmented[x.size:]
 
 
-@pytest.mark.parametrize("kind", dynamics.RHS_KINDS)
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("name,signal", SIGNALS, ids=[s[0] for s in SIGNALS])
 def test_kernel_bit_identical_to_rhs(kind, name, signal):
-    spec = dynamics.OdeSpec(C, 6.0, signal, kind)
+    # the full equation's map-solve kernel against OdeSpec.rhs and
+    # rhs_state_deriv; a comparison equation's fold field against model's
+    # closed forms, drive - cshift + dfrak x + mg_minus(c, x) (or mg_plus)
+    # and dfrak + mg_minus_deriv(c, x) (or mg_plus_deriv)
+    if kind == "full":
+        spec = dynamics.OdeSpec(C, 6.0, signal)
+        rhs, deriv = spec.rhs, spec.rhs_state_deriv
+    else:
+        fold = fold_field(kind, 6.0, signal)
+        rhs, deriv = comparison_rhs(C, 6.0, signal, kind), comparison_deriv(C, kind)
     for _, x in KERNEL_STATES:
         for t in (0.0, 17.2, np.float64(3.3)):
-            value, integrand = kernel_pair(spec, t, x)
-            assert same(value, np.atleast_1d(spec.rhs(t, x)))
-            assert same(integrand, np.atleast_1d(spec.rhs_state_deriv(x)))
+            pair = kernel_pair(spec, t, x) if kind == "full" else fold(t, np.atleast_1d(x))
+            assert same(pair[0], np.atleast_1d(rhs(t, x)))
+            assert same(pair[1], np.atleast_1d(deriv(x)))
 
 
-@pytest.mark.parametrize("kind", ["full", "linear-convex"])
-def test_few_states_never_reach_rhs(kind, monkeypatch):
-    # states below 0 (the cubic of the full equation) and below -sqrt3 (the
-    # cubic of the linear-convex one), the pow-sensitive ones among them:
+def test_few_states_never_reach_rhs(monkeypatch):
+    # states below 0 (the cubic of gbar), the pow-sensitive ones among them:
     # the augmented kernel's float path evaluates them itself
-    spec = dynamics.OdeSpec(C, 6.0, SIGNALS[1][1], kind)
+    spec = dynamics.OdeSpec(C, 6.0, SIGNALS[1][1])
     cases = [
         np.array([-0.731]),
         np.array([-1.9, -model.SQRT3 - 1e-15, -3.0, 0.4, 2.0]),
@@ -212,12 +261,11 @@ def test_few_states_never_reach_rhs(kind, monkeypatch):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
-    kind=st.sampled_from(dynamics.RHS_KINDS),
     t=st.floats(-20.0, 20.0),
     xs=st.lists(st.floats(-6.0, 8.0), min_size=1, max_size=64),
 )
-def test_float_and_array_paths_agree(kind, t, xs):
-    spec = dynamics.OdeSpec(C, 6.0, SIGNALS[1][1], kind)
+def test_float_and_array_paths_agree(t, xs):
+    spec = dynamics.OdeSpec(C, 6.0, SIGNALS[1][1])
     x = np.array(xs)
     # each state alone takes the float path, the states repeated past the
     # crossover the array path
@@ -236,7 +284,7 @@ def test_spec_pickles_with_its_kernels():
     assert "__reduce__" not in vars(dynamics.OdeSpec)
     ts = np.linspace(-7.0, 23.0, 301)
     for signal in (SIGNALS[2][1], SIGNALS[3][1]):
-        spec = dynamics.OdeSpec(C, 6.0, signal, "linear-convex")
+        spec = dynamics.OdeSpec(C, 6.0, signal)
         copy = pickle.loads(pickle.dumps(spec))
         assert copy == spec and type(copy._signal_at) is type(spec._signal_at)
         assert same(copy._signal_at(ts), spec._signal_at(ts))

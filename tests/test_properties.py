@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from comparison import KINDS, comparison_displacement, comparison_map, comparison_seeds
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -196,24 +197,32 @@ def lambda_offsets(draw, n):
 
 
 @MONOTONE_BUDGET
-@given(st.sampled_from((5.0, 8.0)), one_term_sums, st.sampled_from(dynamics.RHS_KINDS), st.floats(0.0, 1.0), lambda_offsets(3))
+@given(
+    st.sampled_from((5.0, 8.0)), one_term_sums, st.sampled_from(("full", *KINDS)), st.floats(0.0, 1.0), lambda_offsets(3)
+)
 def test_period_map_is_nondecreasing_in_lambda(c, y, kind, u, offsets):
     # seeds on [0, 4] of the full equation, or [-sqrt 3, 4 - sqrt 3] recentered
     x = 4.0 * u - (0.0 if kind == "full" else math.sqrt(3.0))
     T = dynamics.signal_period(y)
-    ends = [dynamics.poincare_map_log(dynamics.OdeSpec(c, model.lam1(c) + o, y, kind), T, x)[0] for o in offsets]
+    if kind == "full":
+        ends = [dynamics.poincare_map_log(dynamics.OdeSpec(c, model.lam1(c) + o, y), T, x)[0] for o in offsets]
+    else:
+        ends = [comparison_map(c, model.lam1(c) + o, y, kind, T, [x])[0] for o in offsets]
     assert ends == sorted(ends)
 
 
 @MONOTONE_BUDGET
-@given(st.sampled_from((5.0, 8.0)), one_term_sums, st.sampled_from(("concave-linear", "linear-convex")), lambda_offsets(5))
+@given(st.sampled_from((5.0, 8.0)), one_term_sums, st.sampled_from(KINDS), lambda_offsets(5))
 def test_two_solutions_persist_away_from_the_fold(c, y, kind, offsets):
     # two solutions of the concave-linear equation exist above lambda_minus,
     # of the linear-convex one below lambda_plus: walking away from the fold,
-    # once the census finds two it keeps finding two
+    # once the census of its wide interval finds two it keeps finding two
     T = dynamics.signal_period(y)
     lams = [model.lam1(c) + o for o in offsets] if kind == "concave-linear" else [model.lam2(c) - o for o in offsets]
-    two = [dynamics.count_separated_solutions(dynamics.OdeSpec(c, lam, y, kind), T) >= 2 for lam in lams]
+    two = []
+    for lam in lams:
+        xs = comparison_seeds(c, lam, y, kind, dynamics.CENSUS_SEEDS)
+        two.append(len(dynamics._sign_changes(xs, comparison_displacement(c, lam, y, kind, T, xs))) >= 2)
     assert two == sorted(two)
 
 
