@@ -26,16 +26,19 @@ OdeSpecs that share c, the input's period and its kinks, stacks
 every member's seed grid into one solve and returns each member's seeds
 and displacements.  A one-member family is solved with its own
 ``OdeSpec.rhs``.  A period the input does not repeat after is rejected.
-The threshold census of ``relaxation`` counts the crossings of several
-exponents r as one family, each member driven by its own lam + y(t), on a
-certified grid (``_certified_counts``): a coarse scan, then only the cells
-that the monotone period map cannot clear of a hidden pair of fixed
-points are cut finer, every member's in one solve per round.
+The slow-forcing censuses of ``relaxation`` read a certified grid
+(``_certified_grids``) instead: a coarse scan, then only the cells that
+the monotone period map cannot clear of a hidden pair of fixed points are
+cut finer, every member's in one solve per round.  The threshold counts
+the crossings of several exponents r on it as one family, each member
+driven by its own lam + y(t), and ``relaxation.run_analysis`` refines the
+crossings of one member's grid.
 
 A census is about three solve batches.  One scan on CENSUS_SEEDS seeds
-gives the brackets.  Then all attractive crossings are refined in lock
-step by one multi-state forward map solve per step, and all repulsive ones
-by backward solves; a crossing leaves its batch once it converges.  Each
+(``find_periodic_solutions``), or a certified grid, gives the brackets.
+Then all attractive crossings are refined in lock step by one multi-state
+forward map solve per step, and all repulsive ones by backward solves
+(``_solutions``); a crossing leaves its batch once it converges.  Each
 starts at the zero of the inverse cubic through the four scan seeds
 around it (the secant zero of its two displacement values at a grid end
 or where that zero leaves the bracket), so a crossing of a smooth
@@ -43,11 +46,12 @@ displacement starts within a few 1e-9 of its fixed point (1e-11 to 7e-9
 on the benchmark's census inputs).  It takes Newton steps on the period
 map (the shooting method), whose slope is the multiplier each map solve
 integrates anyway, inside its bracket, which each map solve shrinks to the
-side of the fixed point; otherwise it bisects the bracket (Press et al.,
-Numerical Recipes, 9.4).  A Newton correction below FP_TOL ends the
-refinement, so such a crossing needs one map solve.  The period map is
-increasing (Smith, Monotone Dynamical Systems, AMS 1995), so every fixed
-point stays inside the bracket its crossing came from.
+side of the fixed point, while each is at most half the step before last;
+otherwise it bisects the bracket (``rtsafe``, Press et al., Numerical
+Recipes, 9.4).  A Newton correction below FP_TOL ends the refinement, so
+such a crossing needs one map solve.  The period map is increasing
+(Smith, Monotone Dynamical Systems, AMS 1995), so every fixed point stays
+inside the bracket its crossing came from.
 
 The bifurcation values are the folds of the two comparison equations, which
 exist only in the fold solve: its kernel is built from their float field
@@ -695,27 +699,28 @@ def _open_cells(xs: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.flatnonzero((da * db > 0.0) & ~clear & (xb - xa >= DEDUP_TOL))
 
 
-def _certified_counts(specs, T: float, n: int) -> tuple[list[int], int]:
-    """(counts, solves): for each member of ``specs``, the number of sign
-    changes of the displacement over its scan interval, and the family
-    solves made to count them.
+def _certified_grids(specs, T: float, n: int) -> tuple[list, int]:
+    """(grids, solves): for each member of ``specs``, its refined grid (xs,
+    d), the seeds over its scan interval and their displacements, or None
+    where the interval is empty, and the family solves made to refine them.
 
     One family scan (``_brackets``) solves n seeds per member.  Every cell
     whose two displacements share a sign and which the period map does not
     clear (``_open_cells``) may hide an even number of fixed points, so it is
     cut into eighths: each round solves the 7 new seeds of every open cell
     of every member in one family solve, with blocks of unequal size.  A
-    cell is done once it is cleared, or narrower than DEDUP_TOL, where it
-    is counted by its signs as on a fixed grid.  The count is that of
-    ``_sign_changes`` on the refined grid.  The cell next to a crossing
+    cell is done once it is cleared, or narrower than DEDUP_TOL, where its
+    signs are read as on a fixed grid.  A cell with a sign change is not
+    cut, so three fixed points in one read as one crossing of the refined
+    grid (``_sign_changes``).  The cell next to a crossing
     whose multiplier lies between 1/2 and 2 is never cleared, so the
     certificate is cheap only where the map contracts or expands strongly,
     as a slowly forced census's does; a full census reads one fixed grid.
     ValueError as for ``_brackets``."""
-    counts, scans = [0] * len(specs), _brackets(specs, T, n)
+    scans = _brackets(specs, T, n)
     live = [k for k, scan in enumerate(scans) if scan is not None]
     if not live:
-        return counts, 0
+        return scans, 0
     xs, ds = [scans[k][0] for k in live], [scans[k][1] for k in live]
     solves, eighths = 1, np.arange(1, 8) / 8.0
     while True:
@@ -732,8 +737,8 @@ def _certified_counts(specs, T: float, n: int) -> tuple[list[int], int]:
             order = np.argsort(x, kind="stable")
             xs[j], ds[j] = x[order], d[order]
     for k, x, d in zip(live, xs, ds):
-        counts[k] = len(_sign_changes(x, d))
-    return counts, solves
+        scans[k] = x, d
+    return scans, solves
 
 
 def _map_solve_limit(width: float) -> int:
@@ -758,37 +763,40 @@ def _refine_fixed_point(
     Its log multiplier gives the iterated map's slope s for free: e^L
     forward, e^-L backward, clipped at 1.  The step is Newton's on P(x) - x
     (the shooting method; Kuznetsov, Elements of Applied Bifurcation Theory,
-    ch. 10), P(x) + (P(x) - x) s / (1 - s), where s < 1 and it lies in the
-    shrunk bracket; it is the bracket's midpoint otherwise, and after a
-    Newton step whose solve did not halve the bracket (Press et al.,
-    Numerical Recipes, 9.4), so ``_map_solve_limit`` bounds the solves.  A
-    crossing converges at a Newton step whose correction, which estimates
-    its distance to the fixed point even for s near 1, is below FP_TOL, or
-    once its bracket is narrower than FP_TOL, at that step's point.
-    RuntimeError, naming the bracket, past the bound.
+    ch. 10), to P(x) + (P(x) - x) s / (1 - s), where s < 1, it lies in the
+    shrunk bracket and it is at most half the step before last; it is to
+    the bracket's midpoint otherwise (``rtsafe``, Press et al., Numerical
+    Recipes, 9.4).  So Newton steps that approach from one side go on as
+    long as they shrink, and ``_map_solve_limit`` bounds the solves.  A
+    crossing's first two steps are measured against twice its bracket, so
+    a Newton step inside the bracket is taken.  A crossing converges at a
+    Newton step whose correction, which estimates its distance to the
+    fixed point even for s near 1, is below FP_TOL, or once its bracket is
+    narrower than FP_TOL, at that step's point.  RuntimeError, naming the
+    bracket, past the bound.
     """
     xa, xb = np.asarray(xa, dtype=float), np.asarray(xb, dtype=float)
     lo, hi, x = xa.copy(), xb.copy(), np.array(x, dtype=float)
     fixed, logs, live = np.full(x.size, np.nan), np.full(x.size, np.nan), np.arange(x.size)
-    # per crossing: whether x is a Newton point, and the bracket's width where it was taken
-    newton_at, width = np.zeros(x.size, dtype=bool), hi - lo
-    limit = _map_solve_limit(float(np.max(width, initial=0.0)))
+    # per crossing: the sizes of its last step and of the step before
+    last, before = 2.0 * (hi - lo), 2.0 * (hi - lo)
+    limit = _map_solve_limit(float(np.max(hi - lo, initial=0.0)))
     for _ in range(limit):
         if not live.size:
             break
         at = x[live]
         nxt, L = poincare_map_log(spec, T, at, backward=not attractive)
         a, b = np.where(nxt >= at, at, lo[live]), np.where(nxt <= at, at, hi[live])
-        trusted = ~newton_at[live] | (b - a <= 0.5 * width[live])
         s = np.exp(np.minimum(L if attractive else -L, 0.0))
         newton_ok = s < 1.0
         correction = (nxt - at) * s / np.where(newton_ok, 1.0 - s, 1.0)
         newton = nxt + correction
-        take = trusted & newton_ok & (a <= newton) & (newton <= b)
+        take = newton_ok & (a <= newton) & (newton <= b) & (np.abs(newton - at) <= 0.5 * before[live])
         step = np.where(take, newton, 0.5 * (a + b))
         done = (take & (np.abs(correction) < FP_TOL)) | (b - a < FP_TOL)
         fixed[live[done]], logs[live[done]] = step[done], L[done]
-        lo[live], hi[live], x[live], newton_at[live], width[live] = a, b, step, take, b - a
+        lo[live], hi[live], x[live] = a, b, step
+        before[live], last[live] = last[live], np.abs(step - at)
         live = live[~done]
     if live.size:
         k = live[0]
@@ -801,15 +809,21 @@ def find_periodic_solutions(spec: OdeSpec, T: float) -> list[PeriodicSolution]:
 
     Requires a finite T > 0 and an input that is constant or T-periodic
     (ValueError otherwise, ``_brackets``).  The census makes about three
-    solve batches: one scan (``_stable_brackets``), then one lock-step
-    refinement of all attractive crossings forward and one of all
-    repulsive crossings backward (``_refine_fixed_point``).  Each solution
-    is its fixed point, the multiplier measured by the map solve its
-    refinement converged with (a repulsive orbit is measured backward, as
-    forward integration falls off it before one period when the multiplier
-    is extreme), and its stability tag; no orbit is integrated again.
+    solve batches: one scan (``_stable_brackets``), then the refinement of
+    its crossings (``_solutions``).
     """
-    brackets = _stable_brackets(spec, T)
+    return _solutions(spec, T, _stable_brackets(spec, T))
+
+
+def _solutions(spec: OdeSpec, T: float, brackets) -> list[PeriodicSolution]:
+    """The periodic solutions of the crossings ``brackets`` of a census
+    (``_sign_changes``), in increasing order: one lock-step refinement of
+    all attractive crossings forward and one of all repulsive crossings
+    backward (``_refine_fixed_point``).  Each solution is its fixed point,
+    the multiplier measured by the map solve its refinement converged with
+    (a repulsive orbit is measured backward, as forward integration falls
+    off it before one period when the multiplier is extreme), and its
+    stability tag; no orbit is integrated again."""
     if not brackets:
         return []
     xa, xb, attractive, start = map(np.array, zip(*brackets))

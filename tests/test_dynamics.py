@@ -407,7 +407,7 @@ class TestCensus:
         censuses = (
             dynamics.find_periodic_solutions,
             dynamics.count_separated_solutions,
-            lambda spec, T: dynamics._certified_counts([spec], T, 33),
+            lambda spec, T: dynamics._certified_grids([spec], T, 33),
         )
         for census in censuses:
             with pytest.raises(ValueError, match=f"a census at T = {T} needs an input that repeats after T"):
@@ -534,8 +534,15 @@ class TestFamilyScan:
                                2.0 * math.pi, 65)
 
 
+def certified_counts(specs, T, n):
+    """(counts, solves): the crossings of each member's grid from
+    ``_certified_grids``, and its solves."""
+    grids, solves = dynamics._certified_grids(specs, T, n)
+    return [len(dynamics._sign_changes(*grid)) for grid in grids], solves
+
+
 class TestCertifiedCounts:
-    """``_certified_counts``: a coarse family scan, then the cells the
+    """``_certified_grids``: a coarse family scan, then the cells the
     monotone period map cannot clear cut into eighths until they are
     cleared or narrower than DEDUP_TOL."""
 
@@ -550,7 +557,7 @@ class TestCertifiedCounts:
         spec = dynamics.OdeSpec(c, fold(c) + offset, ZERO)
         assert len(autonomous_equilibria(c, spec.lam)) == 3
         assert len(dynamics._sign_changes(*dynamics._brackets([spec], 1.0, 33)[0])) == 1
-        counts, solves = dynamics._certified_counts([spec], 1.0, 33)
+        counts, solves = certified_counts([spec], 1.0, 33)
         assert counts == [3]
         # each round divides the open cells' width by 8, down to DEDUP_TOL
         lo, hi = dynamics._scan_interval(spec)
@@ -561,19 +568,19 @@ class TestCertifiedCounts:
         # cells' seeds, in blocks of unequal size, until no member has one
         c = 4.05
         specs = [dynamics.OdeSpec(c, lam, ZERO) for lam in (model.lam1(c) + 5e-7, model.lam2(c) + 1.0)]
-        solo = [dynamics._certified_counts([spec], 1.0, 33) for spec in specs]
-        counts, solves = dynamics._certified_counts(specs, 1.0, 33)
+        solo = [certified_counts([spec], 1.0, 33) for spec in specs]
+        counts, solves = certified_counts(specs, 1.0, 33)
         assert counts == [n for (n,), _ in solo] == [3, 1]
         assert solves == max(k for _, k in solo)
 
     def test_empty_scan_interval_makes_no_solve(self):
         # c <= 4 and lam + sup y <= -1: no solution is bounded above 0
-        assert dynamics._certified_counts([dynamics.OdeSpec(3.0, -2.0, ZERO)], 1.0, 33) == ([0], 0)
+        assert dynamics._certified_grids([dynamics.OdeSpec(3.0, -2.0, ZERO)], 1.0, 33) == ([None], 0)
 
     @pytest.mark.parametrize("T", [0.0, math.nan])
     def test_needs_positive_period(self, T):
         with pytest.raises(ValueError, match="a census requires a finite period T > 0"):
-            dynamics._certified_counts([dynamics.OdeSpec(5.0, 6.0, ZERO)], T, 33)
+            dynamics._certified_grids([dynamics.OdeSpec(5.0, 6.0, ZERO)], T, 33)
 
 
 @st.composite
@@ -1470,7 +1477,7 @@ class TestNewtonStep:
         # P(x) = X + r (x - X), optionally with noise of up to 1e-12, whose
         # fixed points then spread over delta = noise / (1 - r) around X.  A
         # reported slope s = r/2 keeps the Newton steps inside the bracket but
-        # slow, so the halving rule must interleave bisection steps, and its
+        # slow, so the rtsafe rule must interleave bisection steps, and its
         # correction underestimates the distance to X by up to 1 / (1 - r)
         noise, rng = (1e-12 if noisy else 0.0), np.random.default_rng(0)
         log_slope = {

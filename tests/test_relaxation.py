@@ -142,7 +142,7 @@ class TestGammaCurve:
         def no_census(*args):
             raise AssertionError("run_analysis ran its census before checking gamma_points")
 
-        monkeypatch.setattr(relaxation.dynamics, "find_periodic_solutions", no_census)
+        monkeypatch.setattr(relaxation, "_census", no_census)
         with pytest.raises(ValueError, match="n_points"):
             relaxation.run_analysis(relaxation.RelaxationSpec(5.0, 0.05, 0.6), n_loop=64, gamma_points=1)
 
@@ -268,9 +268,81 @@ class TestRunAnalysis:
         def no_census(*args):
             raise AssertionError("run_analysis ran its census before checking n_loop")
 
-        monkeypatch.setattr(relaxation.dynamics, "find_periodic_solutions", no_census)
+        monkeypatch.setattr(relaxation, "_census", no_census)
         with pytest.raises(ValueError, match="n_loop"):
             relaxation.run_analysis(relaxation.RelaxationSpec(5.0, 0.05, 0.6), n_loop=n, gamma_points=64)
+
+
+def sweep_grid(n=48, seed=3):
+    """n seeded (eps, r) cells at c = 5: eps log-uniform over [0.01, 0.8]
+    and r uniform over [0.6, 2.0]."""
+    rng = np.random.default_rng(seed)
+    eps = np.exp(rng.uniform(math.log(0.01), math.log(0.8), n))
+    return list(zip(eps.tolist(), rng.uniform(0.6, 2.0, n).tolist()))
+
+
+def census_of(eps, r):
+    """(ode, T): the equation of the cell (5, eps, r) and its period."""
+    spec = relaxation.RelaxationSpec(5.0, eps, r)
+    return dynamics.OdeSpec(5.0, 0.0, spec.signal()), spec.period
+
+
+class TestSweepCensus:
+    """``run_analysis`` refines the crossings of the certified COUNT_SEEDS
+    grid that ``r_threshold`` counts on, not the CENSUS_SEEDS scan."""
+
+    def test_agrees_with_the_full_census(self):
+        # every cell of the wide grid: the same solutions, kind by kind, with
+        # fixed points 2.9e-9 apart at most (each is placed to about FP_TOL)
+        for eps, r in sweep_grid():
+            ode, T = census_of(eps, r)
+            got, want = relaxation._census(ode, T), dynamics.find_periodic_solutions(ode, T)
+            assert [s.kind for s in got] == [s.kind for s in want], (eps, r)
+            assert [s.fixed_point for s in got] == pytest.approx([s.fixed_point for s in want], rel=0.0, abs=1e-8)
+            assert len(got) in (1, 3)
+
+    def test_never_runs_the_full_scan(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("run_analysis ran the CENSUS_SEEDS scan")
+
+        monkeypatch.setattr(dynamics, "_stable_brackets", no_scan)
+        for r, regime in ((1.1, "relaxation"), (1.7, "bistable")):
+            res = relaxation.run_analysis(relaxation.RelaxationSpec(5.0, 0.03, r), n_loop=64, gamma_points=64)
+            assert res.regime == regime
+
+    @pytest.mark.parametrize("eps", [0.2, 0.35, 0.5, 0.65, 0.8])
+    def test_coarse_brackets_converge_in_few_map_solves(self, monkeypatch, eps):
+        # multipliers from e^-21 to e^-0.49 (e^0.54 repulsive) here, and each
+        # crossing starts up to a coarse cell away from its fixed point: the
+        # rtsafe rule takes every Newton step that shrinks, so each direction
+        # batch converges within 6 map solves (5 at most, at eps 0.5, r 2; the
+        # rule that trusted a Newton step only after a halving took up to 26 to 43)
+        batches, refine, map_log = [], dynamics._refine_fixed_point, dynamics.poincare_map_log
+
+        def counted_refine(*args):
+            batches.append(0)
+            return refine(*args)
+
+        def counted_map(*args, **kwargs):
+            batches[-1] += 1
+            return map_log(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_refine_fixed_point", counted_refine)
+        monkeypatch.setattr(dynamics, "poincare_map_log", counted_map)
+        for r in (0.6, 1.2, 2.0):
+            relaxation._census(*census_of(eps, r))
+        assert batches and max(batches) <= 6
+
+    @pytest.mark.parametrize("eps", [0.02, 0.03, 0.045])
+    def test_regimes_flip_at_the_threshold(self, eps):
+        # the sweep and the threshold read one count: just below the
+        # threshold run_analysis sees one solution, just above it three
+        res = relaxation.r_threshold(5.0, eps, tol=1e-7)
+        regimes = [
+            relaxation.run_analysis(relaxation.RelaxationSpec(5.0, eps, r), n_loop=64, gamma_points=64).regime
+            for r in (res.r - res.tol, res.r + res.tol)
+        ]
+        assert regimes == ["relaxation", "bistable"]
 
 
 class TestThreshold:
