@@ -22,12 +22,13 @@ a forward pass starting within roundoff of a strongly repulsive orbit still
 falls off it long before the period ends, corrupting the multiplier integral.
 
 Every census reads one scan, ``_brackets``: it takes a sequence of
-OdeSpecs that share c, the input's period and its kinks, stacks
-every member's seed grid into one solve and returns each member's seeds
-and displacements.  A one-member family is solved with its own
-``OdeSpec.rhs``.  A period the input does not repeat after is rejected.
-The slow-forcing censuses of ``relaxation`` read a certified grid
-(``_certified_grids``) instead: a coarse scan, then only the cells that
+OdeSpecs that share c and the input's kinks, stacks every member's seeds
+into one solve and returns each member's seeds and displacements, two
+empty arrays where its scan interval is empty.  A period the input does
+not repeat after is rejected.  A grid's crossings (``_sign_changes``) are
+four arrays, whose length is the count.  The slow-forcing censuses of
+``relaxation`` read the crossings of a certified grid
+(``_certified_crossings``) instead: a coarse scan, then only the cells that
 the monotone period map cannot clear of a hidden pair of fixed points are
 cut finer, every member's in one solve per round.  The threshold counts
 the crossings of several exponents r on it as one family, each member
@@ -35,7 +36,7 @@ driven by its own lam + y(t), and ``relaxation.run_analysis`` refines the
 crossings of one member's grid.
 
 A census is about three solve batches.  One scan on CENSUS_SEEDS seeds
-(``find_periodic_solutions``), or a certified grid, gives the brackets.
+(``find_periodic_solutions``), or a certified grid, gives the crossings.
 Then all attractive crossings are refined in lock step by one multi-state
 forward map solve per step, and all repulsive ones by backward solves
 (``_solutions``); a crossing leaves its batch once it converges.  Each
@@ -555,55 +556,50 @@ def _scan_interval(spec: OdeSpec) -> tuple[float, float] | None:
     return (floor, ceiling) if floor < ceiling else None
 
 
-def _family_field(specs, T: float, sizes=None):
+def _family_field(specs, T: float, sizes):
     """(field, nodes): the solver's plain right-hand side for the states of
-    the family ``specs``, one block per member with the k-th under
-    specs[k], and the kinks of the input on [0, T].  The blocks are
-    ``sizes`` long, or equal when it is None.
+    the family ``specs``, one block per member with the k-th, sizes[k]
+    long, under specs[k], and the kinks of the input on [0, T].
 
     One member's field is its own ``OdeSpec.rhs``.  A larger family repeats
     each member's lam + y(t) over its block and drives the states through
     ``OdeSpec._rhs_driven``, so every entry is the float of that member's
-    ``OdeSpec.rhs``.  The members must share c, the input's period and its
-    kinks on [0, T]; ValueError otherwise.
+    ``OdeSpec.rhs``.  The members must share c and the kinks of the input
+    on [0, T]; ValueError otherwise.
     """
     first = specs[0]
     nodes = first._signal_at.kinks(0.0, T)
     if len(specs) == 1:
         return first.rhs, nodes
-    period = sig.fundamental_period(first.signal)
     for spec in specs[1:]:
-        if (
-            spec.c != first.c
-            or sig.fundamental_period(spec.signal) != period
-            or not np.array_equal(spec._signal_at.kinks(0.0, T), nodes)
-        ):
-            raise ValueError(
-                "a family scan needs one c, input period and set of kinks, "
-                f"got {first!r} and {spec!r}"
-            )
-    members, m, driven = [(spec.lam, spec._signal_at) for spec in specs], len(specs), first._rhs_driven
-    repeats = None if sizes is None else np.asarray(sizes)
+        if spec.c != first.c or not np.array_equal(spec._signal_at.kinks(0.0, T), nodes):
+            raise ValueError(f"a family scan needs one c and set of kinks, got {first!r} and {spec!r}")
+    members, driven, repeats = [(spec.lam, spec._signal_at) for spec in specs], first._rhs_driven, np.asarray(sizes)
 
     def field(t, y):
         drive = np.array([lam + signal_at(t) for lam, signal_at in members])
-        return driven(np.repeat(drive, y.size // m if repeats is None else repeats), y)
+        return driven(np.repeat(drive, repeats), y)
 
     return field, nodes
 
 
-def _displacement_grid(specs, T: float, xs: np.ndarray, sizes=None) -> np.ndarray:
-    """T(x0) - x0 for all seeds at once (one vectorized solve).  xs is one
-    block of seeds per member, ``sizes`` long or equal, the k-th solved
-    under specs[k] (``_family_field``)."""
+def _displacement_grid(specs, T: float, xs) -> list[np.ndarray]:
+    """T(x0) - x0 for all seeds at once: xs holds one seed array per member,
+    the k-th solved under specs[k] (``_family_field``), all in one
+    vectorized solve, and the result one displacement array per member.
+    It makes no solve when every array is empty."""
+    sizes = [x.size for x in xs]
     field, nodes = _family_field(specs, T, sizes)
-    y = np.asarray(xs, dtype=float)
-    return solve_ivp(field, 0.0, y, T, ABSTOL, RELTOL, t_eval=[T], nodes=nodes, states=y.size).y[:, -1] - xs
+    d = x = np.concatenate(xs)
+    if x.size:
+        d = solve_ivp(field, 0.0, x, T, ABSTOL, RELTOL, t_eval=[T], nodes=nodes, states=x.size).y[:, -1] - x
+    return np.split(d, np.cumsum(sizes)[:-1])
 
 
-def _sign_changes(xs: np.ndarray, d: np.ndarray) -> list[tuple[float, float, bool, float]]:
-    """(xa, xb, attractive_crossing, start) for every sign change of the
-    displacement d on the seeds xs, in increasing order.  A seed where the
+def _sign_changes(xs: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(xa, xb, attractive, start): the bracket, direction and starting
+    point of every sign change of the displacement d on the seeds xs, in
+    increasing order, as four arrays (empty for no seeds).  A seed where the
     displacement is exactly zero gives the bracket of its two neighbours and
     starts at its midpoint.  Any other crossing, between seeds i and i + 1,
     starts at the zero of the inverse cubic through the four seeds i - 1 to
@@ -637,7 +633,7 @@ def _sign_changes(xs: np.ndarray, d: np.ndarray) -> list[tuple[float, float, boo
         cubic = x4[1] + cubic
         inside = (xa[inner] < cubic) & (cubic < xb[inner])
         start[inner[inside]] = cubic[inside]
-    return list(zip(xa, xb, np.where(z, db[i] < da[i], da[i] > 0.0), start))
+    return xa, xb, np.where(z, db[i] < da[i], da[i] > 0.0), start
 
 
 def _require_fitting_period(spec: OdeSpec, T: float) -> None:
@@ -654,34 +650,29 @@ def _require_fitting_period(spec: OdeSpec, T: float) -> None:
         raise ValueError(f"a census at T = {T} needs an input that repeats after T; its period is {period}")
 
 
-def _brackets(specs, T: float, n: int):
+def _brackets(specs, T: float, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """The one census scan: for each member of ``specs``, (xs, d), the n
     seeds over its scan interval and the displacements P(x) - x there, or
-    None where the interval is empty; every member's seeds are solved in
-    one vectorized solve (``_displacement_grid``).  A one-member family is
-    solved with its own ``OdeSpec.rhs``, so its floats do not depend on the
-    family path.  A period T that is not finite and positive, or that the
-    input of a member does not repeat after, raises ValueError."""
+    two empty arrays where the interval is empty; every member's seeds are
+    solved in one vectorized solve (``_displacement_grid``).  A one-member
+    family is solved with its own ``OdeSpec.rhs``, so its floats do not
+    depend on the family path.  A period T that is not finite and positive,
+    or that the input of a member does not repeat after, raises
+    ValueError."""
     _require_period(T, "a census")
     for spec in specs:
         _require_fitting_period(spec, T)
     intervals = [_scan_interval(spec) for spec in specs]
-    live = [k for k, interval in enumerate(intervals) if interval is not None]
-    out = [None] * len(specs)
-    if live:
-        xs = np.array([np.linspace(*intervals[k], n) for k in live])
-        d = _displacement_grid([specs[k] for k in live], T, xs.ravel()).reshape(xs.shape)
-        for k, xk, dk in zip(live, xs, d):
-            out[k] = xk, dk
-    return out
+    xs = [np.empty(0) if interval is None else np.linspace(*interval, n) for interval in intervals]
+    return list(zip(xs, _displacement_grid(specs, T, xs)))
 
 
 def _stable_brackets(spec: OdeSpec, T: float):
-    """The census's brackets: the ``_sign_changes`` of one ``_brackets``
+    """The census's crossings: the ``_sign_changes`` of one ``_brackets``
     scan on CENSUS_SEEDS seeds.  (The name is kept: the benchmark's tracer
     wraps it.)"""
     (scan,) = _brackets([spec], T, CENSUS_SEEDS)
-    return [] if scan is None else _sign_changes(*scan)
+    return _sign_changes(*scan)
 
 
 def _open_cells(xs: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -699,46 +690,37 @@ def _open_cells(xs: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.flatnonzero((da * db > 0.0) & ~clear & (xb - xa >= DEDUP_TOL))
 
 
-def _certified_grids(specs, T: float, n: int) -> tuple[list, int]:
-    """(grids, solves): for each member of ``specs``, its refined grid (xs,
-    d), the seeds over its scan interval and their displacements, or None
-    where the interval is empty, and the family solves made to refine them.
+def _certified_crossings(specs, T: float, n: int) -> tuple[list, int]:
+    """(crossings, solves): for each member of ``specs``, the crossings
+    (``_sign_changes``) of its refined grid over its scan interval, and the
+    family solves made for the grids.
 
     One family scan (``_brackets``) solves n seeds per member.  Every cell
     whose two displacements share a sign and which the period map does not
     clear (``_open_cells``) may hide an even number of fixed points, so it is
     cut into eighths: each round solves the 7 new seeds of every open cell
-    of every member in one family solve, with blocks of unequal size.  A
-    cell is done once it is cleared, or narrower than DEDUP_TOL, where its
-    signs are read as on a fixed grid.  A cell with a sign change is not
-    cut, so three fixed points in one read as one crossing of the refined
-    grid (``_sign_changes``).  The cell next to a crossing
-    whose multiplier lies between 1/2 and 2 is never cleared, so the
-    certificate is cheap only where the map contracts or expands strongly,
-    as a slowly forced census's does; a full census reads one fixed grid.
-    ValueError as for ``_brackets``."""
-    scans = _brackets(specs, T, n)
-    live = [k for k, scan in enumerate(scans) if scan is not None]
-    if not live:
-        return scans, 0
-    xs, ds = [scans[k][0] for k in live], [scans[k][1] for k in live]
-    solves, eighths = 1, np.arange(1, 8) / 8.0
+    of every member in one family solve, a member with no open cell as an
+    empty block.  A cell is done once it is cleared, or narrower than
+    DEDUP_TOL, where its signs are read as on a fixed grid.  A cell with a
+    sign change is not cut, so three fixed points in one read as one
+    crossing of the refined grid.  The cell next to a crossing whose
+    multiplier lies between 1/2 and 2 is never cleared, so the certificate
+    is cheap only where the map contracts or expands strongly, as a slowly
+    forced census's does; a full census reads one fixed grid.  ValueError
+    as for ``_brackets``."""
+    grids = _brackets(specs, T, n)
+    solves, eighths = int(any(xs.size for xs, _ in grids)), np.arange(1, 8) / 8.0
     while True:
-        cells = [_open_cells(x, d) for x, d in zip(xs, ds)]
-        members = [j for j, i in enumerate(cells) if i.size]
-        if not members:
+        cells = [_open_cells(xs, d) for xs, d in grids]
+        if not any(i.size for i in cells):
             break
-        new = [(xs[j][cells[j], None] + eighths * np.diff(xs[j])[cells[j], None]).ravel() for j in members]
-        sizes = [x.size for x in new]
-        d_new = _displacement_grid([specs[live[j]] for j in members], T, np.concatenate(new), sizes)
+        new = [(xs[i, None] + eighths * np.diff(xs)[i, None]).ravel() for (xs, _), i in zip(grids, cells)]
         solves += 1
-        for j, x, d in zip(members, new, np.split(d_new, np.cumsum(sizes)[:-1])):
-            x, d = np.concatenate([xs[j], x]), np.concatenate([ds[j], d])
-            order = np.argsort(x, kind="stable")
-            xs[j], ds[j] = x[order], d[order]
-    for k, x, d in zip(live, xs, ds):
-        scans[k] = x, d
-    return scans, solves
+        for k, ((xs, d), xs_new, d_new) in enumerate(zip(grids, new, _displacement_grid(specs, T, new))):
+            xs, d = np.concatenate([xs, xs_new]), np.concatenate([d, d_new])
+            order = np.argsort(xs, kind="stable")
+            grids[k] = xs[order], d[order]
+    return [_sign_changes(xs, d) for xs, d in grids], solves
 
 
 def _map_solve_limit(width: float) -> int:
@@ -815,19 +797,17 @@ def find_periodic_solutions(spec: OdeSpec, T: float) -> list[PeriodicSolution]:
     return _solutions(spec, T, _stable_brackets(spec, T))
 
 
-def _solutions(spec: OdeSpec, T: float, brackets) -> list[PeriodicSolution]:
-    """The periodic solutions of the crossings ``brackets`` of a census
-    (``_sign_changes``), in increasing order: one lock-step refinement of
-    all attractive crossings forward and one of all repulsive crossings
-    backward (``_refine_fixed_point``).  Each solution is its fixed point,
+def _solutions(spec: OdeSpec, T: float, crossings) -> list[PeriodicSolution]:
+    """The periodic solutions of the crossings (xa, xb, attractive, start)
+    of a census (``_sign_changes``), in increasing order: one lock-step
+    refinement of all attractive crossings forward and one of all repulsive
+    crossings backward (``_refine_fixed_point``).  Each solution is its fixed point,
     the multiplier measured by the map solve its refinement converged with
     (a repulsive orbit is measured backward, as forward integration falls
     off it before one period when the multiplier is extreme), and its
     stability tag; no orbit is integrated again."""
-    if not brackets:
-        return []
-    xa, xb, attractive, start = map(np.array, zip(*brackets))
-    fixed, logs = np.empty(len(brackets)), np.empty(len(brackets))
+    xa, xb, attractive, start = crossings
+    fixed, logs = np.empty(xa.size), np.empty(xa.size)
     for direction in (True, False):
         batch = attractive == direction
         if batch.any():
@@ -858,7 +838,7 @@ def count_separated_solutions(spec: OdeSpec, T: float) -> int:
     brackets do not overlap; for c <= 4 gbar decreases, so the displacement
     does and crosses at most once.
     """
-    return len(_stable_brackets(spec, T))
+    return _stable_brackets(spec, T)[0].size
 
 
 def signal_period(signal: sig.SignalSpec) -> float:

@@ -8,11 +8,12 @@ slow forcing the (input, state) loop of the attractive periodic solution
 tracks the singular curve Gamma: the stable autonomous branches between lam1
 and lam2 joined by vertical jumps at the two saddle-nodes.
 
-Every census here reads a certified grid (``dynamics._certified_grids``):
-a coarse scan on COUNT_SEEDS seeds whose cells the increasing period map
-clears, refined only where it cannot.  The threshold counts its crossings
-(``_census_count``) and ``run_analysis`` refines them (``_census``), so the
-sweep and the threshold share one count.  At eps 0.02 to 0.05 every
+Every census here reads the crossings of a certified grid
+(``dynamics._certified_crossings``): a coarse scan on COUNT_SEEDS seeds
+whose cells the increasing period map clears, refined only where it
+cannot.  The threshold counts them (``_census_count``) and
+``run_analysis`` refines them (``_census``), so the sweep and the
+threshold share one count.  At eps 0.02 to 0.05 every
 multiplier lies beyond e^-29 or e^19, so one map solve from anywhere in a
 coarse cell lands on the fixed point.  A crossing cell is not cut: three
 fixed points in one read as one.
@@ -236,8 +237,8 @@ def _census(ode: dynamics.OdeSpec, T: float) -> tuple[dynamics.PeriodicSolution,
     """The T-periodic solutions of a slowly forced equation: the crossings
     of its certified grid, the one ``_census_count`` counts on, each refined
     to its fixed point (``dynamics._solutions``)."""
-    (grid,), _ = dynamics._certified_grids([ode], T, COUNT_SEEDS)
-    return tuple(dynamics._solutions(ode, T, dynamics._sign_changes(*grid)))
+    (crossings,), _ = dynamics._certified_crossings([ode], T, COUNT_SEEDS)
+    return tuple(dynamics._solutions(ode, T, crossings))
 
 
 def run_analysis(spec: RelaxationSpec, n_loop: int = 4096, gamma_points: int = 2048) -> LoopResult:
@@ -281,7 +282,7 @@ def run_analysis(spec: RelaxationSpec, n_loop: int = 4096, gamma_points: int = 2
 def _census_count(c: float, eps: float, rs) -> tuple[list[int], int]:
     """(counts, solves): count-only regime probe at each exponent of rs.
     Each count is the crossings of the period map on a certified grid
-    (``dynamics._certified_grids``): COUNT_SEEDS seeds per r, every r's
+    (``dynamics._certified_crossings``): COUNT_SEEDS seeds per r, every r's
     grid from one family scan, and only the cells that the monotone period
     map does not clear cut finer, all r's together in one family solve per
     round.  ``solves`` is the family solves made, the scan's and every
@@ -295,8 +296,8 @@ def _census_count(c: float, eps: float, rs) -> tuple[list[int], int]:
     ``r_threshold``, which rejects it as ambiguous."""
     specs = [RelaxationSpec(c, eps, r) for r in rs]
     family = [dynamics.OdeSpec(c, 0.0, spec.signal()) for spec in specs]
-    grids, solves = dynamics._certified_grids(family, specs[0].period, COUNT_SEEDS)
-    return [len(dynamics._sign_changes(*grid)) for grid in grids], solves
+    crossings, solves = dynamics._certified_crossings(family, specs[0].period, COUNT_SEEDS)
+    return [xa.size for xa, *_ in crossings], solves
 
 
 def r_star_estimate(c: float, eps: float) -> float:

@@ -37,6 +37,13 @@ def _require_finite(what: str, values) -> None:
         raise ValueError(f"{what} must be finite")
 
 
+def _require_bounded(what: str, a0: float, amplitudes) -> None:
+    """ValueError unless the bound |a0| + sum |a_n| of y is a finite float:
+    finite terms can still sum past the largest float."""
+    if not math.isfinite(abs(a0) + sum(abs(a) for a in amplitudes)):
+        raise ValueError(f"{what}: the bound |a0| + sum |a_n| of y overflows a float")
+
+
 def _require_n_terms(where: str, n_terms) -> None:
     if isinstance(n_terms, bool) or not isinstance(n_terms, Integral):
         raise ValueError(f"{where} needs an integer n_terms, got {n_terms!r}")
@@ -74,6 +81,7 @@ class TrigSum:
         _require_finite("TrigSum a0 and terms", (self.a0, *(v for term in self.terms for v in term)))
         if any(th <= 0.0 for _, th, _ in self.terms):
             raise ValueError("TrigSum frequencies must be strictly positive")
+        _require_bounded("TrigSum", self.a0, (a for a, _, _ in self.terms))
 
 
 @dataclass(frozen=True)
@@ -91,6 +99,7 @@ class FourierCesaro:
         object.__setattr__(self, "b_coeffs", tuple(float(v) for v in self.b_coeffs))
         _require_finite("FourierCesaro a0 and coefficients", (self.a0, *self.a_coeffs, *self.b_coeffs))
         _require_n_terms("FourierCesaro", self.n_terms)
+        _require_bounded("FourierCesaro", self.a0, (a for a, _, _ in _cesaro_terms(self)))
 
 
 @dataclass(frozen=True)

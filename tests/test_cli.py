@@ -384,6 +384,25 @@ class TestSweep:
 
 
 class TestInterface:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--c", "5", "--lambda", "6"],
+            ["laplace", "--dfrak", "1"],
+            ["poincare", "--c", "5", "--lambda", "6"],
+        ],
+        ids=["classify", "laplace", "poincare"],
+    )
+    def test_signal_whose_bound_overflows_exits_2(self, capsys, tmp_path, argv):
+        # finite amplitudes whose sum is not: no certificate, extreme or census is made of it
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"type": "trig", "a0": 0, "terms": [[1e308, 1, 0], [1e308, 2, 0]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, "--signal", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "the bound |a0| + sum |a_n| of y overflows a float" in captured.err
+
     def test_unknown_flag_exits_2(self, capsys):
         assert cli.main(["diagnostics", "--c", "5", "--frobnicate"]) == 2
         capsys.readouterr()

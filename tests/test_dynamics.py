@@ -253,10 +253,10 @@ class TestCensus:
         # tuples, of the same types, in the same order as the loop
         d = np.random.default_rng(seed).choice([-2.0, -1.0, 0.0, 1.0, 3.0], size=64)
         d[0] = 0.0
-        monkeypatch.setattr(dynamics, "_displacement_grid", lambda spec, T, xs: d)
+        monkeypatch.setattr(dynamics, "_displacement_grid", lambda specs, T, xs: [d])
         spec = dynamics.OdeSpec(5.0, 6.0, ZERO)
         want = loop_brackets(np.linspace(*dynamics._scan_interval(spec), d.size), d)
-        got = dynamics._sign_changes(*dynamics._brackets([spec], 1.0, d.size)[0])
+        got = list(zip(*dynamics._sign_changes(*dynamics._brackets([spec], 1.0, d.size)[0])))
         assert [tuple(map(type, b)) for b in got] == [tuple(map(type, b)) for b in want]
         assert got == want and any(d[:-1] == 0.0) and len(got) > 10
 
@@ -269,7 +269,7 @@ class TestCensus:
         # no seed below or above the crossing's pair, or an inverse cubic whose
         # zero leaves the bracket: the secant zero of the pair's two values
         xs, d = np.arange(4.0), np.array(d)
-        ((xa, xb, attractive, start),) = dynamics._sign_changes(xs, d)
+        (xa,), (xb,), (attractive,), (start,) = dynamics._sign_changes(xs, d)
         i = int(xa)
         assert xb == i + 1 and not attractive
         assert start == xa - d[i] * (xb - xa) / (d[i + 1] - d[i])
@@ -278,7 +278,7 @@ class TestCensus:
 
     def test_start_is_the_inverse_cubic_zero(self):
         xs, d = np.arange(4.0), np.array([-10.0, -0.1, 0.2, 0.3])
-        ((xa, xb, _, start),) = dynamics._sign_changes(xs, d)
+        (xa,), (xb,), _, (start,) = dynamics._sign_changes(xs, d)
         assert start == inverse_cubic_zero(xs, d) and 1.0 < start < 1.01
         # the secant zero of the pair would be 1.333
         assert abs(start - (xa + 0.1 / 0.3)) > 0.3
@@ -359,8 +359,8 @@ class TestCensus:
         assert len(pair) == 2 and (hi - lo) / 2048 < pair[1] - pair[0] < (hi - lo) / 512
         assert pair[1] - pair[0] == pytest.approx(1.37e-3, abs=1e-5)
         ((xs, d),) = dynamics._brackets([spec], 1.0, dynamics.CENSUS_SEEDS)
-        assert len(dynamics._sign_changes(xs[::4], d[::4])) == 1
-        assert len(dynamics._sign_changes(xs, d)) == 3
+        assert dynamics._sign_changes(xs[::4], d[::4])[0].size == 1
+        assert dynamics._sign_changes(xs, d)[0].size == 3
         scans = CountedMap(dynamics._brackets)
         monkeypatch.setattr(dynamics, "_brackets", scans)
         sols = dynamics.find_periodic_solutions(spec, 1.0)
@@ -407,7 +407,7 @@ class TestCensus:
         censuses = (
             dynamics.find_periodic_solutions,
             dynamics.count_separated_solutions,
-            lambda spec, T: dynamics._certified_grids([spec], T, 33),
+            lambda spec, T: dynamics._certified_crossings([spec], T, 33),
         )
         for census in censuses:
             with pytest.raises(ValueError, match=f"a census at T = {T} needs an input that repeats after T"):
@@ -444,7 +444,7 @@ class TestFamilyScan:
             dynamics.OdeSpec(5.0, lam, signals.TrigSum(0.01, ((a, 1.0, 0.3),)))
             for lam, a in ((6.0, 0.02), (6.01, 0.03), (6.05, 0.04))
         ]
-        field, nodes = dynamics._family_field(specs, 2.0 * math.pi)
+        field, nodes = dynamics._family_field(specs, 2.0 * math.pi, [50] * 3)
         assert len(nodes) == 0
         rng = np.random.default_rng(1)
         x = rng.uniform(-2.5, 3.0, (3, 50))
@@ -466,16 +466,17 @@ class TestFamilyScan:
             drive = np.array([spec.lam + spec._signal_at(t) for spec in specs])
             return specs[0]._rhs_driven(drive[:, None], y.reshape(len(specs), -1)).ravel()
 
-        field, _ = dynamics._family_field(specs, T)
+        field, _ = dynamics._family_field(specs, T, [50] * 3)
         rng = np.random.default_rng(2)
         x = rng.uniform(-2.5, 3.0, 3 * 50)
         for t in rng.uniform(0.0, T, 5).tolist():
             assert np.array_equal(field(t, x), reshaped(t, x))
-        xs = np.concatenate([np.linspace(*dynamics._scan_interval(spec), 65) for spec in specs])
+        grids = [np.linspace(*dynamics._scan_interval(spec), 65) for spec in specs]
+        xs = np.concatenate(grids)
         want = dynamics.solve_ivp(
             reshaped, 0.0, xs, T, dynamics.ABSTOL, dynamics.RELTOL, t_eval=[T], nodes=[], states=xs.size
         ).y[:, -1] - xs
-        assert np.array_equal(dynamics._displacement_grid(specs, T, xs), want)
+        assert np.array_equal(np.concatenate(dynamics._displacement_grid(specs, T, grids)), want)
 
     def test_unequal_blocks_are_each_members_rhs(self):
         specs = [dynamics.OdeSpec(5.0, lam, signals.TrigSum(0.01, ((0.03, 1.0, 0.3),))) for lam in (6.0, 6.01, 6.05)]
@@ -498,10 +499,11 @@ class TestFamilyScan:
             t_eval=[T], max_step=T / 16.0,
         )
         want = ref.y[:, -1] - xs
-        assert np.array_equal(dynamics._displacement_grid([spec], T, xs), want)
+        (got,) = dynamics._displacement_grid([spec], T, [xs])
+        assert np.array_equal(got, want)
         ((got_xs, got_d),) = dynamics._brackets([spec], T, 257)
         assert np.array_equal(got_xs, xs) and np.array_equal(got_d, want)
-        assert len(dynamics._sign_changes(got_xs, got_d)) == 3
+        assert dynamics._sign_changes(got_xs, got_d)[0].size == 3
 
     def test_members_get_their_own_grids_and_brackets(self):
         # lambda below, inside and above the fold window: one, three and one
@@ -510,39 +512,42 @@ class TestFamilyScan:
         specs = [dynamics.OdeSpec(5.0, lam, self.TRIG) for lam in lams]
         family = dynamics._brackets(specs, 2.0 * math.pi, 257)
         levels = [[dynamics._sign_changes(xs[::2], d[::2]), dynamics._sign_changes(xs, d)] for xs, d in family]
-        assert [[len(b) for b in nested] for nested in levels] == [[1, 1], [3, 3], [1, 1]]
+        assert [[b[0].size for b in nested] for nested in levels] == [[1, 1], [3, 3], [1, 1]]
         for spec, (_, brackets) in zip(specs, levels):
             lo, hi = dynamics._scan_interval(spec)
-            assert all(lo <= xa < xb <= hi for xa, xb, _, _ in brackets)
+            assert all(lo <= xa < xb <= hi for xa, xb, _, _ in zip(*brackets))
 
-    @pytest.mark.parametrize(
-        "other",
-        [
-            dynamics.OdeSpec(8.0, 6.0, TRIG),
-            dynamics.OdeSpec(5.0, 6.0, signals.TrigSum(0.0, ((0.04, 2.0, 0.0),))),
-        ],
-        ids=["c", "period"],
-    )
+    @pytest.mark.parametrize("other", [dynamics.OdeSpec(8.0, 6.0, TRIG)], ids=["c"])
     def test_rejects_a_mixed_family(self, other):
-        with pytest.raises(ValueError, match="a family scan needs one c, input period"):
+        with pytest.raises(ValueError, match="a family scan needs one c and set of kinks"):
             dynamics._brackets([dynamics.OdeSpec(5.0, 6.0, self.TRIG), other], 2.0 * math.pi, 65)
+
+    def test_accepts_members_of_other_fundamental_periods(self):
+        # frequencies 1 and 2 both repeat after T = 2 pi: each member's count
+        # in the family is its solo count
+        lam = 0.5 * (model.lam1(5.0) + model.lam2(5.0))
+        specs = [dynamics.OdeSpec(5.0, lam, signals.TrigSum(0.0, ((0.04, k, 0.0),))) for k in (1.0, 2.0)]
+        family = dynamics._brackets(specs, 2.0 * math.pi, 257)
+        solo = [dynamics._brackets([spec], 2.0 * math.pi, 257)[0] for spec in specs]
+        counts = [dynamics._sign_changes(*grid)[0].size for grid in family]
+        assert counts == [dynamics._sign_changes(*grid)[0].size for grid in solo] == [3, 3]
 
     def test_rejects_members_with_other_kinks(self):
         # a sampled input of the same period: the solver's steps end at its nodes
-        with pytest.raises(ValueError, match="a family scan needs one c, input period"):
+        with pytest.raises(ValueError, match="a family scan needs one c and set of kinks"):
             dynamics._brackets([dynamics.OdeSpec(5.0, 6.0, self.TRIG), dynamics.OdeSpec(5.0, 6.0, SAMPLED)],
                                2.0 * math.pi, 65)
 
 
 def certified_counts(specs, T, n):
     """(counts, solves): the crossings of each member's grid from
-    ``_certified_grids``, and its solves."""
-    grids, solves = dynamics._certified_grids(specs, T, n)
-    return [len(dynamics._sign_changes(*grid)) for grid in grids], solves
+    ``_certified_crossings``, and its solves."""
+    crossings, solves = dynamics._certified_crossings(specs, T, n)
+    return [xa.size for xa, *_ in crossings], solves
 
 
 class TestCertifiedCounts:
-    """``_certified_grids``: a coarse family scan, then the cells the
+    """``_certified_crossings``: a coarse family scan, then the cells the
     monotone period map cannot clear cut into eighths until they are
     cleared or narrower than DEDUP_TOL."""
 
@@ -556,7 +561,7 @@ class TestCertifiedCounts:
         c = 4.05
         spec = dynamics.OdeSpec(c, fold(c) + offset, ZERO)
         assert len(autonomous_equilibria(c, spec.lam)) == 3
-        assert len(dynamics._sign_changes(*dynamics._brackets([spec], 1.0, 33)[0])) == 1
+        assert dynamics._sign_changes(*dynamics._brackets([spec], 1.0, 33)[0])[0].size == 1
         counts, solves = certified_counts([spec], 1.0, 33)
         assert counts == [3]
         # each round divides the open cells' width by 8, down to DEDUP_TOL
@@ -575,12 +580,46 @@ class TestCertifiedCounts:
 
     def test_empty_scan_interval_makes_no_solve(self):
         # c <= 4 and lam + sup y <= -1: no solution is bounded above 0
-        assert dynamics._certified_grids([dynamics.OdeSpec(3.0, -2.0, ZERO)], 1.0, 33) == ([None], 0)
+        (crossings,), solves = dynamics._certified_crossings([dynamics.OdeSpec(3.0, -2.0, ZERO)], 1.0, 33)
+        assert [a.size for a in crossings] == [0] * 4 and solves == 0
+
+    def test_empty_member_enters_as_empty_arrays(self, monkeypatch):
+        # lam = -2 leaves no scan interval: that member's grid and crossings
+        # are empty arrays, and the live members get the grids, crossings and
+        # solves of the live members alone, every certification round included
+        c = 4.05
+        live = [dynamics.OdeSpec(c, lam, ZERO) for lam in (model.lam1(c) + 5e-7, model.lam2(c) + 1.0)]
+        mixed = [live[0], dynamics.OdeSpec(c, -2.0, ZERO), live[1]]
+        solves = CountedMap(dynamics.solve_ivp)
+        monkeypatch.setattr(dynamics, "solve_ivp", solves)
+
+        def census(specs):
+            start = solves.calls
+            grids = dynamics._brackets(specs, 1.0, 33)
+            crossings, rounds = dynamics._certified_crossings(specs, 1.0, 33)
+            return grids, crossings, rounds, solves.calls - start
+
+        grids, crossings, rounds, made = census(live)
+        got_grids, got_crossings, got_rounds, got_made = census(mixed)
+        assert [a.size for a in got_grids[1] + got_crossings[1]] == [0] * 6
+        assert (got_rounds, got_made) == (rounds, made) and rounds > 2
+        for got, want in zip(got_grids[::2] + got_crossings[::2], grids + crossings):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_all_empty_family_makes_no_solve(self, monkeypatch):
+        solves = CountedMap(dynamics.solve_ivp)
+        monkeypatch.setattr(dynamics, "solve_ivp", solves)
+        specs = [dynamics.OdeSpec(5.0, lam, ZERO) for lam in (-2.0, -3.0)]
+        grids = dynamics._brackets(specs, 1.0, 33)
+        crossings, rounds = dynamics._certified_crossings(specs, 1.0, 33)
+        assert [a.size for grid in grids for a in grid] == [0] * 4
+        assert [a.size for member in crossings for a in member] == [0] * 8
+        assert rounds == 0 and solves.calls == 0
 
     @pytest.mark.parametrize("T", [0.0, math.nan])
     def test_needs_positive_period(self, T):
         with pytest.raises(ValueError, match="a census requires a finite period T > 0"):
-            dynamics._certified_grids([dynamics.OdeSpec(5.0, 6.0, ZERO)], T, 33)
+            dynamics._certified_crossings([dynamics.OdeSpec(5.0, 6.0, ZERO)], T, 33)
 
 
 @st.composite
@@ -605,7 +644,7 @@ def wide_oracle(spec, T):
     None where a seed escapes."""
     xs = np.linspace(*wide_interval(spec), 4097)
     try:
-        return xs, dynamics._displacement_grid([spec], T, xs)
+        return xs, dynamics._displacement_grid([spec], T, [xs])[0]
     except dynamics.FiniteEscapeError:
         return xs, None
 
@@ -641,7 +680,7 @@ class TestScanInterval:
         xs, d = wide_oracle(spec, T)
         oracle = None if d is None else dynamics._sign_changes(xs, d)
         if band is None:
-            assert oracle in (None, [])
+            assert oracle is None or oracle[0].size == 0
             return
         floor, ceiling = band
         ((bx, bd),) = dynamics._brackets([spec], T, dynamics.CENSUS_SEEDS)
@@ -651,8 +690,8 @@ class TestScanInterval:
             assert bd[0] > 0.0
         assert bd[-1] < 0.0
         if oracle is not None:
-            assert all(floor < start < ceiling for _, _, _, start in oracle)
-            assert len(dynamics._sign_changes(bx, bd)) == len(oracle)
+            assert all(floor < start < ceiling for start in oracle[3])
+            assert dynamics._sign_changes(bx, bd)[0].size == oracle[0].size
 
     @pytest.mark.parametrize("c", BAND_C, ids=[f"{c}-full" for c in BAND_C])
     def test_band_edges_meet_their_definition(self, c):
@@ -828,7 +867,7 @@ def bisect_lambda_pm(c, signal, tol):
         def predicate(lam):
             calls[kind] += 1
             xs, d = oracle_displacement(c, lam, signal, kind, T, tol)
-            return d is not None and len(dynamics._sign_changes(xs, d)) >= 2
+            return d is not None and dynamics._sign_changes(xs, d)[0].size >= 2
 
         if predicate(lo) == predicate(hi):
             raise RuntimeError(f"bracket [{lo:.6g}, {hi:.6g}] does not straddle the {kind} bifurcation")
@@ -1060,9 +1099,9 @@ class RecordedGrid:
     def __init__(self):
         self.fn, self.sizes = dynamics._displacement_grid, []
 
-    def __call__(self, spec, T, xs):
-        self.sizes.append(xs.size)
-        return self.fn(spec, T, xs)
+    def __call__(self, specs, T, xs):
+        self.sizes.append(sum(x.size for x in xs))
+        return self.fn(specs, T, xs)
 
 
 FOLD_KINDS = [("concave-linear", 1.0), ("linear-convex", -1.0)]
@@ -1300,14 +1339,15 @@ class TestSampledInput:
         spec = dynamics.OdeSpec(self.C, self.LAM, SAMPLED)
         T = SAMPLED.period
         brackets = dynamics._stable_brackets(spec, T)
-        assert len(brackets) == 3
+        assert brackets[0].size == 3
 
         def no_brentq(*args, **kwargs):
             raise AssertionError("_refine_fixed_point fell back to brentq")
 
         monkeypatch.setattr(dynamics, "brentq", no_brentq)
         for attractive in (True, False):
-            xa, xb, _, start = map(np.array, zip(*(b for b in brackets if b[2] == attractive)))
+            batch = brackets[2] == attractive
+            xa, xb, start = (a[batch] for a in (brackets[0], brackets[1], brackets[3]))
             x, _ = dynamics._refine_fixed_point(spec, T, xa, xb, start, attractive)
             assert np.all((xa <= x) & (x <= xb))
 
@@ -1318,7 +1358,7 @@ class TestSampledInput:
         spec = dynamics.OdeSpec(self.C, self.LAM, SAMPLED)
         T = SAMPLED.period
         brackets = dynamics._stable_brackets(spec, T)
-        want = [contraction_fixed_point(spec, T, *b[:3]) for b in brackets]
+        want = [contraction_fixed_point(spec, T, *b[:3]) for b in zip(*brackets)]
         counted = CountedMap(dynamics.poincare_map_log)
         monkeypatch.setattr(dynamics, "poincare_map_log", counted)
         sols = dynamics.find_periodic_solutions(spec, T)
@@ -1521,7 +1561,7 @@ class TestLockStep:
         brackets = dynamics._stable_brackets(spec, T)
         sols = dynamics.find_periodic_solutions(spec, T)
         assert [s.kind for s in sols] == ["attractive", "repulsive", "attractive"]
-        want = [contraction_fixed_point(spec, T, *b[:3]) for b in brackets]
+        want = [contraction_fixed_point(spec, T, *b[:3]) for b in zip(*brackets)]
         assert [s.fixed_point for s in sols] == pytest.approx(want, rel=0.0, abs=1e-8)
         for s in sols:
             fd = dynamics.poincare_multiplier_fd(spec, T, s.fixed_point, backward_orbit=s.kind == "repulsive")
@@ -1543,8 +1583,8 @@ class TestLockStep:
         brackets = dynamics._stable_brackets(spec, T)
         sols = dynamics.find_periodic_solutions(spec, T)
         assert [s.kind for s in sols] == ["attractive", "repulsive", "attractive"]
-        assert len(brackets) == 3 and sols[2].fixed_point - sols[1].fixed_point < 5e-3
-        for s, (xa, xb, attractive, _) in zip(sols, brackets):
+        assert brackets[0].size == 3 and sols[2].fixed_point - sols[1].fixed_point < 5e-3
+        for s, (xa, xb, attractive, _) in zip(sols, zip(*brackets)):
             assert xa <= s.fixed_point <= xb and (s.kind == "attractive") == attractive
 
     @pytest.mark.parametrize("name", list(CENSUS_SIGNALS))
@@ -1737,7 +1777,7 @@ class TestEndStateKeepsNoSteps:
         xs = np.linspace(*dynamics._scan_interval(ode), 2048)
         tracemalloc.start()
         try:
-            d = dynamics._displacement_grid([ode], spec.period, xs)
+            (d,) = dynamics._displacement_grid([ode], spec.period, [xs])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1754,7 +1794,7 @@ class TestEndStateKeepsNoSteps:
         gc.disable()
         tracemalloc.start()
         try:
-            d = dynamics._displacement_grid([spec], SAMPLED.period, xs)
+            (d,) = dynamics._displacement_grid([spec], SAMPLED.period, [xs])
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()

@@ -222,7 +222,7 @@ def test_two_solutions_persist_away_from_the_fold(c, y, kind, offsets):
     two = []
     for lam in lams:
         xs = comparison_seeds(c, lam, y, kind, dynamics.CENSUS_SEEDS)
-        two.append(len(dynamics._sign_changes(xs, comparison_displacement(c, lam, y, kind, T, xs))) >= 2)
+        two.append(dynamics._sign_changes(xs, comparison_displacement(c, lam, y, kind, T, xs))[0].size >= 2)
     assert two == sorted(two)
 
 

@@ -422,9 +422,9 @@ class RecordedGrid:
     def __init__(self):
         self.fn, self.sizes = dynamics._displacement_grid, []
 
-    def __call__(self, specs, T, xs, sizes=None):
-        self.sizes.append(len(xs))
-        return self.fn(specs, T, xs, sizes)
+    def __call__(self, specs, T, xs):
+        self.sizes.append(sum(x.size for x in xs))
+        return self.fn(specs, T, xs)
 
 
 def record_censuses(monkeypatch):
@@ -510,7 +510,7 @@ class TestSlowPassageBracket:
         assert res.solves == len(grids.sizes) > len(rounds)
         family = [dynamics.OdeSpec(c, 0.0, relaxation.RelaxationSpec(c, eps, r).signal()) for r in (res.r - tol, res.r + tol)]
         scans = dynamics._brackets(family, relaxation.TWO_PI / eps, 4097)
-        assert [len(dynamics._sign_changes(xs, d)) for xs, d in scans] == [1, 3]
+        assert [dynamics._sign_changes(xs, d)[0].size for xs, d in scans] == [1, 3]
 
     @pytest.mark.parametrize("eps", [0.025, 0.032, 0.04, 0.05])
     def test_each_census_is_one_solve_at_c5(self, monkeypatch, eps):

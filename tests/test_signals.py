@@ -94,6 +94,27 @@ class TestFiniteValidation:
             signals.FourierCesaro(a0, a, b, 4)
 
     @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: signals.TrigSum(0.0, ((1e308, 1.0, 0.0), (1e308, 2.0, 0.0))),
+            lambda: signals.TrigSum(-1e308, ((1e308, 1.0, 0.0),)),
+            # Cesaro weights 0.9, 0.8, 0.7: 2.4e308
+            lambda: signals.FourierCesaro(0.0, (1e308, 1e308), (1e308,), 10),
+        ],
+        ids=["trig", "trig-a0", "cesaro"],
+    )
+    def test_bound_that_overflows(self, make):
+        # every value is finite, but |a0| + sum |a_n| is not
+        with pytest.raises(ValueError, match=r"the bound \|a0\| \+ sum \|a_n\| of y overflows a float"):
+            make()
+
+    def test_bound_just_below_the_float_limit(self):
+        y = signals.TrigSum(8e307, ((4e307, 1.0, 0.0), (5e307, 2.0, 0.0)))
+        assert signals.compile_signal(y).hi == 1.7e308
+        # Cesaro weights 2/3 and 1/3: 1e308, though the coefficients sum to 2e308
+        signals.FourierCesaro(0.0, (1e308, 1e308), (), 3)
+
+    @pytest.mark.parametrize(
         "period,times,values", [(math.inf, (0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 0.0, -1.0)),
                                 (math.nan, (0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 0.0, -1.0)),
                                 (4.0, (0.0, 1.0, math.nan, 3.0), (0.0, 1.0, 0.0, -1.0)),
