@@ -25,7 +25,8 @@ Every census reads one scan, ``_brackets``: it takes a sequence of
 OdeSpecs that share c and the input's kinks, stacks every member's seeds
 into one solve and returns each member's seeds and displacements, two
 empty arrays where its scan interval is empty.  A period the input does
-not repeat after is rejected.  A grid's crossings (``_sign_changes``) are
+not repeat after is rejected, as is a scan interval that reaches the escape
+bound.  A grid's crossings (``_sign_changes``) are
 four arrays, whose length is the count.  The slow-forcing censuses of
 ``relaxation`` read the crossings of a certified grid
 (``_certified_crossings``) instead: a coarse scan, then only the cells that
@@ -70,7 +71,7 @@ states at the solver's steps or at requested times only; the scans, the map
 calls and the finite-difference segments ask for the end time alone, so no
 step history is kept for them.  The loop checks the escape bound on the
 states at each step end, and a FiniteEscapeError names the first step end
-beyond it.
+beyond it, or the time where the step size collapsed before the bound.
 
 An ``OdeSpec`` is the equation and its compiled input, nothing else.  A
 scan's right-hand side is ``OdeSpec.rhs`` itself.  Each sensitivity solve
@@ -125,7 +126,9 @@ CENSUS_SEEDS = 2049  # seeds of the census scan
 
 
 class FiniteEscapeError(RuntimeError):
-    """A trajectory left |x| <= 1e6 in finite time."""
+    """A trajectory left |x| < 1e6 in finite time: a state reached the bound
+    at a step end, or the step size fell below the float spacing first, as
+    it does near a blow-up far from t = 0."""
 
 
 # a kernel call on at most this many states is evaluated state by state in floats
@@ -297,8 +300,9 @@ def _norm(x: np.ndarray) -> float:
 def solve_ivp(fun, t0, y0, t1, atol, rtol, *, t_eval, nodes, states) -> _Solution:
     """The float states y0 solved by y' = fun(t, y) from t0 to t1 (either
     direction), with the floats of ``scipy.integrate.solve_ivp`` with RK45
-    and ``max_step = |t1 - t0|/16``: scipy's tableau, error norm, step-size
-    controller, initial-step rule and dense output, in one loop.
+    and its default (unbounded) ``max_step``: scipy's tableau, error norm,
+    step-size controller, initial-step rule and dense output, in one loop.
+    The error controller alone sets every step.
 
     No step crosses a node: while one of ``nodes`` (ordered from t0 to t1,
     strictly inside the span) lies ahead, each step ends at or before it, so
@@ -308,8 +312,10 @@ def solve_ivp(fun, t0, y0, t1, atol, rtol, *, t_eval, nodes, states) -> _Solutio
     step end where one has left |x| < ESCAPE_BOUND.  The result holds t0 and
     every step end (t_eval None), or only the times of t_eval (ordered from
     t0 to t1), each from the dense output of the step that reaches it.  A
-    step that shrinks to the spacing of the floats raises RuntimeError, and
-    a span that is not finite and nonzero raises ValueError.
+    step that shrinks to the spacing of the floats is an escape too (near a
+    blow-up on gbar's cubic branch the step collapses before the states
+    reach the bound when t is far from 0), so it raises FiniteEscapeError
+    at any t; a span that is not finite and nonzero raises ValueError.
     """
     t, t1 = float(t0), float(t1)
     if not (math.isfinite(t1 - t) and t1 != t):
@@ -322,14 +328,14 @@ def solve_ivp(fun, t0, y0, t1, atol, rtol, *, t_eval, nodes, states) -> _Solutio
         raise ValueError("the initial states must be finite")
     y, f = y0, fun(t, y0)
     direction, span = (1.0 if t1 >= t else -1.0), abs(t1 - t)
-    max_step, nodes, k = span / 16.0, [float(v) for v in nodes], 0
-    # the first step (Hairer, Norsett & Wanner, II.4), at most the span and max_step
+    nodes, k = [float(v) for v in nodes], 0
+    # the first step (Hairer, Norsett & Wanner, II.4), at most the span
     scale = atol + np.abs(y) * rtol
     d0, d1 = _norm(y / scale), _norm(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
     d2 = _norm((fun(t + h0 * direction, y + h0 * direction * f) - f) / scale) / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** -_EXPONENT
-    h_abs, nfev = min(100 * h0, h1, span, max_step), 2
+    h_abs, nfev = min(100 * h0, h1, span), 2
     K = np.empty((RK45.n_stages + 1, y.size))  # the stages, then the derivative at the step end
     stages = [(s, c, K[:s].T, a) for s, (c, a) in enumerate(_STAGES, start=1)]
     KT, K_B = K.T, K[:-1].T
@@ -343,15 +349,14 @@ def solve_ivp(fun, t0, y0, t1, atol, rtol, *, t_eval, nodes, states) -> _Solutio
         times, ys, ahead, i = t_eval, [], t_eval.tolist(), 0
     while True:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
-            h_abs = min_step
+        h_abs = max(h_abs, min_step)
         end = nodes[k] if k < len(nodes) else t1
         rejected = False
         while True:  # attempts, until a step meets the tolerance
             if not h_abs >= min_step:
-                raise RuntimeError(f"integration failed: the step size fell below the float spacing at t = {t:.17g}")
+                raise FiniteEscapeError(
+                    f"integration failed: the step size fell below the float spacing at t = {t:.17g}"
+                )
             t_new = t + h_abs * direction
             if direction * (t_new - end) > 0:
                 t_new = end
@@ -549,11 +554,18 @@ def _scan_interval(spec: OdeSpec) -> tuple[float, float] | None:
     A T-periodic solution has x' = 0 at its maximum and at its minimum, so
     it lies strictly inside.  The floor is clipped at 0, and the interval
     is None where the clipped floor is not below the ceiling (lam + hi <=
-    -MU and c <= 4, say).
+    -MU and c <= 4, say).  A ceiling at or past ESCAPE_BOUND raises
+    ValueError: the solve would count its top seeds as escapes.
     """
     c, lo, hi = spec.c, spec.lam + spec._signal_at.lo - MU, spec.lam + spec._signal_at.hi + MU
     floor, ceiling = max(equilibria(c, lo)[0], 0.0), equilibria(c, hi)[-1]
-    return (floor, ceiling) if floor < ceiling else None
+    if floor >= ceiling:
+        return None
+    if ceiling >= ESCAPE_BOUND:
+        raise ValueError(
+            f"the census interval [{floor:.6g}, {ceiling:.6g}] reaches past the escape bound |x| = {ESCAPE_BOUND:g}"
+        )
+    return floor, ceiling
 
 
 def _family_field(specs, T: float, sizes):
@@ -658,7 +670,8 @@ def _brackets(specs, T: float, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     family is solved with its own ``OdeSpec.rhs``, so its floats do not
     depend on the family path.  A period T that is not finite and positive,
     or that the input of a member does not repeat after, raises
-    ValueError."""
+    ValueError, as does a member's scan interval that reaches
+    ESCAPE_BOUND; either is raised before any solve."""
     _require_period(T, "a census")
     for spec in specs:
         _require_fitting_period(spec, T)
@@ -940,9 +953,9 @@ def _newton_fold(c: float, signal: sig.SignalSpec, kind: str, T: float, tol: flo
     one fold; the root is taken when M = dL/dx has that sign (negative, or
     positive).  RuntimeError, naming the side, when FOLD_SOLVES solves do
     not converge, when a step's trial fails at t = FOLD_STEP_FLOOR or fails
-    for the (FOLD_FAILED_TRIALS + 1)-th time by escape or overflow (a
-    stalled solve stops there, not at the cap), when the start fails or
-    when M has the other sign.
+    for the (FOLD_FAILED_TRIALS + 1)-th time by escape (a collapsing step
+    included) or overflow (a stalled solve stops there, not at the cap),
+    when the start fails or when M has the other sign.
     """
     predicted, x = _averaged_fold(c, signal, kind)
     lam, sign = predicted, -1.0 if kind == "concave-linear" else 1.0

@@ -252,6 +252,17 @@ class TestPoincare:
         assert code == 2
         assert "constant or periodic" in capsys.readouterr().err
 
+    def test_census_past_the_escape_bound_exits_2(self, capsys, tmp_path):
+        # a finite but huge bound puts the scan interval's ceiling near 1.7e308:
+        # it is rejected before any solve, so no seed overflows gbar
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"type": "trig", "a0": 8e307, "terms": [[4e307, 1, 0], [5e307, 2, 0]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["poincare", "--c", "5", "--lambda", "6", "--signal", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "reaches past the escape bound |x| = 1e+06" in captured.err
+
 
 class TestLaplace:
     def test_weighted_extremes(self, capsys, two_harmonic_signal):

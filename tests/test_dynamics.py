@@ -86,6 +86,22 @@ class TestIntegrate:
         with pytest.raises(dynamics.FiniteEscapeError):
             dynamics.integrate(spec, 1.0, -1.0, 0.0)
 
+    def test_finite_escape_far_from_zero(self):
+        # the same blow-up about 0.11 before t = 100: near it RK45's step
+        # falls below the float spacing of t before |x| reaches the bound,
+        # and that collapse is the same escape
+        spec = dynamics.OdeSpec(5.0, 0.0, ZERO)
+        with pytest.raises(dynamics.FiniteEscapeError, match=r"^integration failed: the step size fell below"):
+            dynamics.integrate(spec, 100.0, -1.0, 0.0)
+
+    def test_error_controller_alone_sets_the_steps(self):
+        # from an equilibrium of a constant input the error estimate stays
+        # tiny, and the error controller alone sets the steps: each grows
+        # tenfold, so [0, 1] takes a handful
+        spec = dynamics.OdeSpec(5.0, 6.0, ZERO)
+        for x in model.equilibria(5.0, 6.0):
+            assert len(dynamics.integrate(spec, 0.0, x, 1.0).times) < 17
+
     def test_large_log_multiplier_is_not_an_escape(self, monkeypatch):
         # the multiplier integrand runs alongside x; only x may trigger the escape bound
         monkeypatch.setattr(dynamics, "ESCAPE_BOUND", 50.0)
@@ -494,10 +510,7 @@ class TestFamilyScan:
         # displacements are scipy's RK45 on OdeSpec.rhs, float for float
         spec = dynamics.OdeSpec(5.0, 0.5 * (model.lam1(5.0) + model.lam2(5.0)), self.TRIG)
         T, xs = 2.0 * math.pi, np.linspace(*dynamics._scan_interval(spec), 257)
-        ref = solve_ivp(
-            spec.rhs, (0.0, T), xs, method="RK45", atol=dynamics.ABSTOL, rtol=dynamics.RELTOL,
-            t_eval=[T], max_step=T / 16.0,
-        )
+        ref = solve_ivp(spec.rhs, (0.0, T), xs, method="RK45", atol=dynamics.ABSTOL, rtol=dynamics.RELTOL, t_eval=[T])
         want = ref.y[:, -1] - xs
         (got,) = dynamics._displacement_grid([spec], T, [xs])
         assert np.array_equal(got, want)
@@ -725,6 +738,17 @@ class TestScanInterval:
                     if edge > 0.0:
                         k = lam + (lam_lo if sign > 0.0 else lam_hi)
                         assert abs(spec._rhs_driven(k, np.array([edge]))[0]) <= 1e-9, (c, lam, edge)
+
+    def test_band_past_the_escape_bound_is_rejected_before_any_solve(self, monkeypatch):
+        # a drive near 1e6 puts the ceiling past ESCAPE_BOUND, whose seeds
+        # would escape; one such member rejects the family before its solve
+        solves = CountedMap(dynamics.solve_ivp)
+        monkeypatch.setattr(dynamics, "solve_ivp", solves)
+        specs = [dynamics.OdeSpec(5.0, 6.0, ZERO), dynamics.OdeSpec(5.0, dynamics.ESCAPE_BOUND, ZERO)]
+        assert dynamics._scan_interval(specs[0])[1] < 4.0
+        with pytest.raises(ValueError, match=r"^the census interval \[.*\] reaches past the escape bound \|x\| = 1e\+06$"):
+            dynamics._brackets(specs, 1.0, 33)
+        assert solves.calls == 0
 
     @pytest.mark.parametrize("name,side", [("constant", "plus"), ("trig", "minus"), ("trig", "plus")])
     def test_pair_1e7_inside_the_fold_is_resolved(self, name, side):
@@ -1694,7 +1718,6 @@ class TestSmoothInputIsOnePiece:
                 rtol=dynamics.RELTOL,
                 t_eval=t_eval,
                 events=escape,
-                max_step=abs(t1 - t0) / 16.0,
             )
             solves = CountedMap(loop)
             monkeypatch.setattr(dynamics, "solve_ivp", solves)
@@ -1904,7 +1927,6 @@ class TestEscapeCheckMatchesEvent:
             rtol=dynamics.RELTOL,
             t_eval=[t1],
             events=escape,
-            max_step=abs(t1 - t0) / 16.0,
         )
 
     def first_step_end_beyond(self, monkeypatch, spec, t0, x0, t1, augmented):
