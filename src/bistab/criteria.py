@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
-from .model import C_BAND_MAX, DomainError, ScalarDiagnostics, diagnostics, require_c_above_4
+from .model import C_BAND_MAX, DomainError, ScalarDiagnostics, diagnostics, require_c_above_4, require_finite_drive
 from .signals import (
     SignalBounds,
     SignalSpec,
@@ -203,6 +203,7 @@ def classify(
     if c <= 0.0:
         raise DomainError(f"classify requires c > 0, got c = {c}")
     b = bounds(signal)
+    require_finite_drive(lam, b.inf, b.sup)
     if lam < -b.inf:
         raise ValueError(f"classify requires lambda >= -inf y = {-b.inf}, got lambda = {lam}")
 

@@ -21,39 +21,41 @@ the inverse map (backward-time integration), for which they are attractive:
 a forward pass starting within roundoff of a strongly repulsive orbit still
 falls off it long before the period ends, corrupting the multiplier integral.
 
-Every census reads one scan, ``_brackets``: it takes a sequence of
-OdeSpecs that share c and the input's kinks, stacks every member's seeds
-into one solve and returns each member's seeds and displacements, two
-empty arrays where its scan interval is empty.  A period the input does
-not repeat after is rejected, as is a scan interval that reaches the escape
-bound.  A grid's crossings (``_sign_changes``) are
-four arrays, whose length is the count.  The slow-forcing censuses of
-``relaxation`` read the crossings of a certified grid
-(``_certified_crossings``) instead: a coarse scan, then only the cells that
-the monotone period map cannot clear of a hidden pair of fixed points are
-cut finer, every member's in one solve per round.  The threshold counts
-the crossings of several exponents r on it as one family, each member
-driven by its own lam + y(t), and ``relaxation.run_analysis`` refines the
-crossings of one member's grid.
+Every census reads the crossings of a certified grid
+(``_certified_crossings``).  Its first scan, ``_brackets``, takes a
+sequence of OdeSpecs that share c and the input's kinks, stacks every
+member's seeds into one solve and returns each member's seeds and
+displacements, two empty arrays where its scan interval is empty.  A period
+the input does not repeat after is rejected, as is a scan interval that
+reaches the escape bound.  A grid's crossings (``_sign_changes``) are four
+arrays, whose length is the count.  Then only the cells that the monotone
+period map cannot clear of a hidden pair of fixed points are cut finer,
+every member's in one solve per round, and only in a grid that shows fewer
+than three crossings: three is the bistable count a census decides.  A
+full census (``find_periodic_solutions``) certifies a grid on CENSUS_SEEDS
+seeds.  The threshold of ``relaxation`` counts the crossings of several
+exponents r as one family, each member driven by its own lam + y(t), and
+``relaxation.run_analysis`` refines the crossings of one member's grid.
 
-A census is about three solve batches.  One scan on CENSUS_SEEDS seeds
-(``find_periodic_solutions``), or a certified grid, gives the crossings.
-Then all attractive crossings are refined in lock step by one multi-state
-forward map solve per step, and all repulsive ones by backward solves
-(``_solutions``); a crossing leaves its batch once it converges.  Each
-starts at the zero of the inverse cubic through the four scan seeds
-around it (the secant zero of its two displacement values at a grid end
-or where that zero leaves the bracket), so a crossing of a smooth
-displacement starts within a few 1e-9 of its fixed point (1e-11 to 7e-9
-on the benchmark's census inputs).  It takes Newton steps on the period
-map (the shooting method), whose slope is the multiplier each map solve
-integrates anyway, inside its bracket, which each map solve shrinks to the
-side of the fixed point, while each is at most half the step before last;
-otherwise it bisects the bracket (``rtsafe``, Press et al., Numerical
-Recipes, 9.4).  A Newton correction below FP_TOL ends the refinement, so
-such a crossing needs one map solve.  The period map is increasing
-(Smith, Monotone Dynamical Systems, AMS 1995), so every fixed point stays
-inside the bracket its crossing came from.
+A census is about three solve batches.  The certified grid gives the
+crossings, in one scan wherever the grid shows three crossings or the
+period map clears every cell.  Then all attractive crossings are refined
+in lock step by one multi-state forward map solve per step, and all
+repulsive ones by backward solves (``_solutions``); a crossing leaves its
+batch once it converges.  Each starts at the zero of the inverse cubic
+through the four scan seeds around it (the secant zero of its two
+displacement values at a grid end or where that zero leaves the bracket),
+so a crossing of a smooth displacement starts within a few 1e-9 of its
+fixed point (1e-11 to 7e-9 on the benchmark's census inputs).  It takes
+Newton steps on the period map (the shooting method), whose slope is the
+multiplier each map solve integrates anyway, inside its bracket, which
+each map solve shrinks to the side of the fixed point, while each is at
+most half the step before last; otherwise it bisects the bracket
+(``rtsafe``, Press et al., Numerical Recipes, 9.4).  A Newton correction
+below FP_TOL ends the refinement, so such a crossing needs one map solve.
+The period map is increasing (Smith, Monotone Dynamical Systems, AMS
+1995), so every fixed point stays inside the bracket its crossing came
+from.
 
 The bifurcation values are the folds of the two comparison equations, which
 exist only in the fold solve: its kernel is built from their float field
@@ -111,6 +113,7 @@ from .model import (
     lam1,
     lam2,
     require_c_above_4,
+    require_finite_drive,
     x1,
     x2,
 )
@@ -224,7 +227,9 @@ def _augmented_kernel(spec):
 
 @dataclass(frozen=True)
 class OdeSpec:
-    """The equation x' = lam + y(t) + gbar(x) and its input y."""
+    """The equation x' = lam + y(t) + gbar(x) and its input y: finite c > 0
+    and lam, and a drive lam + y that is a finite float at both bounds of
+    the compiled input (``model.require_finite_drive``)."""
 
     c: float
     lam: float
@@ -238,6 +243,7 @@ class OdeSpec:
         if not self.c > 0.0:
             raise DomainError(f"OdeSpec requires c > 0, got c = {self.c}")
         object.__setattr__(self, "_signal_at", sig.compile_signal(self.signal))
+        require_finite_drive(self.lam, self._signal_at.lo, self._signal_at.hi)
 
     def rhs(self, t, x):
         """dx/dt; x may be an array of states advanced in parallel."""
@@ -681,11 +687,10 @@ def _brackets(specs, T: float, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _stable_brackets(spec: OdeSpec, T: float):
-    """The census's crossings: the ``_sign_changes`` of one ``_brackets``
-    scan on CENSUS_SEEDS seeds.  (The name is kept: the benchmark's tracer
-    wraps it.)"""
-    (scan,) = _brackets([spec], T, CENSUS_SEEDS)
-    return _sign_changes(*scan)
+    """The census's crossings: those of the certified grid
+    (``_certified_crossings``) on CENSUS_SEEDS seeds.  (The name is kept:
+    the benchmark's tracer wraps it.)"""
+    return _certified_crossings([spec], T, CENSUS_SEEDS)[0][0]
 
 
 def _open_cells(xs: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -714,26 +719,32 @@ def _certified_crossings(specs, T: float, n: int) -> tuple[list, int]:
     cut into eighths: each round solves the 7 new seeds of every open cell
     of every member in one family solve, a member with no open cell as an
     empty block.  A cell is done once it is cleared, or narrower than
-    DEDUP_TOL, where its signs are read as on a fixed grid.  A cell with a
-    sign change is not cut, so three fixed points in one read as one
-    crossing of the refined grid.  The cell next to a crossing whose
-    multiplier lies between 1/2 and 2 is never cleared, so the certificate
-    is cheap only where the map contracts or expands strongly, as a slowly
-    forced census's does; a full census reads one fixed grid.  ValueError
+    DEDUP_TOL, where its signs are read as on a fixed grid.
+
+    Each round reads every grid's crossings once, and only a grid that
+    shows fewer than three is cut.  Three is the count the census decides:
+    one attractive solution is uniform stability, and the
+    attractive-repulsive-attractive triple is bistability.  A hidden pair
+    changes that verdict only while a grid shows fewer than three, so a
+    grid that shows three or more is not searched for further pairs, as a
+    fixed grid never is.  A cell with a sign change is not cut, so three
+    fixed points in one read as one crossing.  The cell next to a crossing
+    whose multiplier lies between 1/2 and 2 is never cleared, so a
+    single-crossing census near a fold takes several rounds.  ValueError
     as for ``_brackets``."""
     grids = _brackets(specs, T, n)
-    solves, eighths = int(any(xs.size for xs, _ in grids)), np.arange(1, 8) / 8.0
+    solves, eighths, uncut = int(any(xs.size for xs, _ in grids)), np.arange(1, 8) / 8.0, np.empty(0, int)
     while True:
-        cells = [_open_cells(xs, d) for xs, d in grids]
+        crossings = [_sign_changes(xs, d) for xs, d in grids]
+        cells = [_open_cells(xs, d) if xa.size < 3 else uncut for (xs, d), (xa, *_) in zip(grids, crossings)]
         if not any(i.size for i in cells):
-            break
+            return crossings, solves
         new = [(xs[i, None] + eighths * np.diff(xs)[i, None]).ravel() for (xs, _), i in zip(grids, cells)]
         solves += 1
         for k, ((xs, d), xs_new, d_new) in enumerate(zip(grids, new, _displacement_grid(specs, T, new))):
             xs, d = np.concatenate([xs, xs_new]), np.concatenate([d, d_new])
             order = np.argsort(xs, kind="stable")
             grids[k] = xs[order], d[order]
-    return [_sign_changes(xs, d) for xs, d in grids], solves
 
 
 def _map_solve_limit(width: float) -> int:
@@ -803,9 +814,11 @@ def find_periodic_solutions(spec: OdeSpec, T: float) -> list[PeriodicSolution]:
     """All T-periodic solutions found by the census over the scan interval.
 
     Requires a finite T > 0 and an input that is constant or T-periodic
-    (ValueError otherwise, ``_brackets``).  The census makes about three
-    solve batches: one scan (``_stable_brackets``), then the refinement of
-    its crossings (``_solutions``).
+    (ValueError otherwise, ``_brackets``).  The census reads the crossings
+    of the certified grid on CENSUS_SEEDS seeds (``_stable_brackets``), then
+    refines them (``_solutions``): about three solve batches.  Every pair of
+    fixed points wider than DEDUP_TOL is found while the grid shows fewer
+    than three crossings.
     """
     return _solutions(spec, T, _stable_brackets(spec, T))
 
@@ -844,12 +857,13 @@ def finite_time_exponent(spec: OdeSpec, traj: Trajectory) -> float:
 
 
 def count_separated_solutions(spec: OdeSpec, T: float) -> int:
-    """Number of period-map crossings of the census scan (``_stable_brackets``).
+    """Number of period-map crossings of the census's certified grid
+    (``_stable_brackets``).
 
-    Count-only fast path: no refinement or multipliers, one vectorized scan.
-    Distinct crossings lie in distinct cells of the one grid, so their
-    brackets do not overlap; for c <= 4 gbar decreases, so the displacement
-    does and crosses at most once.
+    Count-only fast path: no refinement or multipliers.  Distinct crossings
+    lie in distinct cells of the grid, so their brackets do not overlap;
+    for c <= 4 gbar decreases, so the displacement does and crosses at most
+    once.
     """
     return _stable_brackets(spec, T)[0].size
 

@@ -102,6 +102,15 @@ def require_c_above_4(c, what: str) -> None:
         raise DomainError(f"{what} requires c > 4, got c = {c}")
 
 
+def require_finite_drive(lam, inf_y, sup_y) -> None:
+    """The domain of every analysis of a drive lam + y(t) with inf y <= y <=
+    sup y: both extreme drives finite floats, so no equilibrium or slack of
+    them is formed from an overflow.  ValueError naming the drive otherwise."""
+    for bound, y in (("inf", inf_y), ("sup", sup_y)):
+        if not math.isfinite(lam + y):
+            raise ValueError(f"the drive lambda + {bound} y = {lam!r} + {y!r} overflows a float")
+
+
 def mg_eval(c, z):
     """Recentered nonlinearity mg(z) = gbar(z+sqrt3) + sqrt3*(c+2)/2 - dfrak*z."""
     require_c_above_4(c, "mg_eval")

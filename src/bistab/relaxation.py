@@ -8,12 +8,13 @@ slow forcing the (input, state) loop of the attractive periodic solution
 tracks the singular curve Gamma: the stable autonomous branches between lam1
 and lam2 joined by vertical jumps at the two saddle-nodes.
 
-Every census here reads the crossings of a certified grid
-(``dynamics._certified_crossings``): a coarse scan on COUNT_SEEDS seeds
-whose cells the increasing period map clears, refined only where it
-cannot.  The threshold counts them (``_census_count``) and
-``run_analysis`` refines them (``_census``), so the sweep and the
-threshold share one count.  At eps 0.02 to 0.05 every
+Every census reads the crossings of a certified grid
+(``dynamics._certified_crossings``), here a coarse scan on COUNT_SEEDS
+seeds rather than the full census's CENSUS_SEEDS: the increasing period
+map clears its cells, and only where it cannot, in a grid that shows fewer
+than three crossings, is a cell cut finer.  The threshold counts them
+(``_census_count``) and ``run_analysis`` refines them (``_census``), so the
+sweep and the threshold share one count.  At eps 0.02 to 0.05 every
 multiplier lies beyond e^-29 or e^19, so one map solve from anywhere in a
 coarse cell lands on the fixed point.  A crossing cell is not cut: three
 fixed points in one read as one.

@@ -252,6 +252,13 @@ class TestPoincare:
         assert code == 2
         assert "constant or periodic" in capsys.readouterr().err
 
+    def test_near_fold_pair_is_found(self, capsys, zero_signal):
+        # 1e-8 below lam2 the pair born at x1 shares a cell of the 2,049-seed
+        # grid; the census's certified grid cuts that cell and finds it
+        lam = diagnostics(5.0).lam2 - 1e-8
+        code, doc = run_json(capsys, ["poincare", "--c", "5", "--lambda", repr(lam), "--signal", zero_signal])
+        assert code == 0 and len(doc["result"]) == 3
+
     def test_census_past_the_escape_bound_exits_2(self, capsys, tmp_path):
         # a finite but huge bound puts the scan interval's ceiling near 1.7e308:
         # it is rejected before any solve, so no seed overflows gbar
@@ -413,6 +420,28 @@ class TestInterface:
             assert cli.main([*argv, "--signal", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "the bound |a0| + sum |a_n| of y overflows a float" in captured.err
+
+    @pytest.mark.parametrize("command", ["classify", "poincare"])
+    @pytest.mark.parametrize(
+        "lam, doc, drive",
+        [
+            ("1e308", {"type": "constant", "a0": 1e308}, "lambda + inf y = 1e+308 + 1e+308"),
+            ("-1e308", {"type": "constant", "a0": -1e308}, "lambda + inf y = -1e+308 + -1e+308"),
+            ("5e307", {"type": "trig", "a0": 1e308, "terms": [[5e307, 1, 0]]}, "lambda + sup y = 5e+307 + 1.5e+308"),
+        ],
+        ids=["both drives", "negative", "sup drive"],
+    )
+    def test_overflowed_drive_exits_2(self, capsys, tmp_path, command, lam, doc, drive):
+        # a drive lambda + y that overflows is rejected before an equilibrium
+        # or a slack is formed of it: one line naming it, no NumPy message
+        # and no Infinity in the output
+        path = tmp_path / "drive.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main([command, "--c", "5", f"--lambda={lam}", "--signal", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: the drive {drive} overflows a float\n"
 
     def test_unknown_flag_exits_2(self, capsys):
         assert cli.main(["diagnostics", "--c", "5", "--frobnicate"]) == 2

@@ -190,6 +190,12 @@ class TestClassify:
         with pytest.raises(ValueError, match="finite"):
             criteria.classify(c, lam, signals.Constant(0.0))
 
+    @pytest.mark.parametrize("c", [3.0, 5.0])
+    def test_rejects_an_overflowed_drive(self, c):
+        # no slack, not even the subcritical one, is formed of an infinite drive
+        with pytest.raises(ValueError, match=r"the drive lambda \+ inf y = 1e\+308 \+ 1e\+308 overflows a float"):
+            criteria.classify(c, 1e308, signals.Constant(1e308))
+
     def test_monotone_in_lambda_inside_interval(self):
         diag = diagnostics(5.0)
         y = sine(0.04)

@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import re
@@ -122,6 +123,13 @@ class TestOdeSpecValidation:
         # gbar needs c > 0, as diagnostics and classify do
         with pytest.raises(model.DomainError, match=r"OdeSpec requires c > 0, got c = "):
             dynamics.OdeSpec(c, 1.0, ZERO)
+
+    @pytest.mark.parametrize("lam, y", [(1e308, 1e308), (-1e308, -1e308)])
+    def test_rejects_an_overflowed_drive(self, lam, y):
+        # finite lambda and input whose sum is not: no census interval or
+        # solve is formed of it
+        with pytest.raises(ValueError, match=r"the drive lambda \+ inf y = .* overflows a float"):
+            dynamics.OdeSpec(5.0, lam, signals.Constant(y))
 
 
 class TestDegenerateSpans:
@@ -633,6 +641,85 @@ class TestCertifiedCounts:
     def test_needs_positive_period(self, T):
         with pytest.raises(ValueError, match="a census requires a finite period T > 0"):
             dynamics._certified_crossings([dynamics.OdeSpec(5.0, 6.0, ZERO)], T, 33)
+
+
+# the defect-16 inputs at c = 5: a constant, a one-term and a two-term trig
+# input, a Cesaro input and a 16-node sampled input (the last three drawn as
+# the benchmark's census inputs are, from random.Random(5))
+NEAR_FOLD_INPUTS = {
+    "constant": ZERO,
+    "trig": signals.TrigSum(0.0, ((0.03, 1.0, 0.4),)),
+    "two-term trig": signals.TrigSum(
+        0.007428094894485643,
+        ((-0.02142888141391579, 1.0, 0.451960424964584), (0.011900488488254046, 2.0, 0.011151788113234074)),
+    ),
+    "cesaro": signals.FourierCesaro(
+        0.002458033897794039, (0.009671479570429176, 0.011807742622627865), (0.017698011351082014,), 6
+    ),
+    "sampled": signals.SampledPeriodic(
+        2.0 * math.pi,
+        tuple(2.0 * math.pi * k / 16 for k in range(16)),
+        (
+            -0.022838037792319008, -0.0260122636274663, -0.01893519557678526, -0.008796000661083027,
+            -0.0008407903074616943, 0.010087363387350055, 0.014586872448543791, 0.02228902103298277,
+            0.02368252693874524, 0.023876094065064024, 0.019133014788316312, 0.008578355194019109,
+            0.00016931207546555874, -0.009185449098541387, -0.014439115766235324, -0.02111504853592624,
+        ),
+    ),
+}
+
+
+@functools.cache
+def near_fold_lambdas(name):
+    """(lambda_minus, lambda_plus) of the input at c = 5: lam1 and lam2 for
+    the constant, the fold solve's to 1e-12 otherwise."""
+    if name == "constant":
+        return model.lam1(5.0), model.lam2(5.0)
+    return dynamics.estimate_lambda_pm(5.0, NEAR_FOLD_INPUTS[name], tol=1e-12)[:2]
+
+
+class TestCertifiedCensus:
+    """Every census reads the certified grid (``_certified_crossings``),
+    which cuts only a grid that shows fewer than three crossings."""
+
+    @pytest.mark.parametrize("name", list(NEAR_FOLD_INPUTS))
+    @pytest.mark.parametrize(
+        "fold, offset, count",
+        [(0, -1e-8, 1), (0, 1e-8, 3), (1, -1e-8, 3), (1, 1e-8, 1)],
+        ids=["below lambda-", "above lambda-", "below lambda+", "above lambda+"],
+    )
+    def test_near_fold_pair_is_found(self, name, fold, offset, count):
+        # 1e-8 inside a fold the close pair shares a cell of the 2,049-seed
+        # grid, whose plain scan reads one solution (at lambda+ for every
+        # input, at lambda- for the constant and the trig inputs); the
+        # certified grid finds it, and 1e-8 outside the window it finds none
+        lam = near_fold_lambdas(name)[fold] + offset
+        spec = dynamics.OdeSpec(5.0, lam, NEAR_FOLD_INPUTS[name])
+        T = dynamics.signal_period(spec.signal)
+        sols = dynamics.find_periodic_solutions(spec, T)
+        assert len(sols) == count == dynamics.count_separated_solutions(spec, T)
+        # the pair's multipliers lie within NONHYP_TOL of 1 at some inputs,
+        # so their signs, not their tags, alternate
+        assert [s.log_multiplier < 0.0 for s in sols] == [True, False, True][:count]
+
+    def test_three_crossings_are_not_cut(self, monkeypatch):
+        # mid-window the 2,049-seed grid shows three crossings and leaves 16
+        # cells open next to them: the census is its one scan, no round
+        spec = dynamics.OdeSpec(5.0, 0.5 * (model.lam1(5.0) + model.lam2(5.0)), ZERO)
+        ((xs, d),) = dynamics._brackets([spec], 1.0, dynamics.CENSUS_SEEDS)
+        assert dynamics._sign_changes(xs, d)[0].size == 3 and dynamics._open_cells(xs, d).size > 0
+        grids = CountedMap(dynamics._displacement_grid)
+        monkeypatch.setattr(dynamics, "_displacement_grid", grids)
+        assert len(dynamics.find_periodic_solutions(spec, 1.0)) == 3
+        assert grids.calls == 1
+
+    def test_single_crossing_near_a_fold_is_certified(self, monkeypatch):
+        # 1e-8 above lam2 the one crossing's neighbours are not cleared, so
+        # the census cuts them in further rounds before it reads one solution
+        grids = CountedMap(dynamics._displacement_grid)
+        monkeypatch.setattr(dynamics, "_displacement_grid", grids)
+        assert len(dynamics.find_periodic_solutions(dynamics.OdeSpec(5.0, model.lam2(5.0) + 1e-8, ZERO), 1.0)) == 1
+        assert grids.calls > 1
 
 
 @st.composite
