@@ -76,8 +76,11 @@ states at each step end, and a FiniteEscapeError names the first step end
 beyond it, or the time where the step size collapsed before the bound.
 
 An ``OdeSpec`` is the equation and its compiled input, nothing else.  A
-scan's right-hand side is ``OdeSpec.rhs`` itself.  Each sensitivity solve
-builds its own from one float statement of the field, ``_float_field``:
+scan's right-hand side is its family's field (``_family_field``): gbar of
+every state through ``model``'s in-place array kernel, plus each member's
+drive, the floats of ``OdeSpec.rhs`` at a fraction of its fixed NumPy cost
+per call.  Each sensitivity solve builds its own from one float statement
+of the field, ``_float_field``:
 ``_solve`` builds the map solve's kernel (``_augmented_kernel``) on every
 call, which also returns the multiplier integrand, the floats of
 ``OdeSpec.rhs`` and ``rhs_state_deriv``, and a fold trial builds its
@@ -104,6 +107,7 @@ from . import signals as sig
 from .model import (
     SQRT3,
     DomainError,
+    _gbar_array,
     cshift,
     dfrak,
     equilibria,
@@ -143,9 +147,9 @@ def _float_field(c: float, kind: str):
     one state at a time, for the full equation (kind "full", f = gbar) or a
     comparison equation ("concave-linear" or "linear-convex", f = dfrak x -
     cshift + mg_minus or mg_plus), which exists only here.  ``pair(drive,
-    x)`` is (x', f'), the floats of ``model``'s closed forms: it runs the
-    + - * / expressions of ``model.gbar_eval`` and ``model.gbar_deriv`` on
-    both branches of gbar, which round alike in floats and in NumPy.
+    x)`` is (x', f'), the floats of ``model``'s closed forms: it runs
+    + - * / expressions that round as those of ``model.gbar_eval`` and
+    ``model.gbar_deriv`` do on both branches of gbar, in floats as in NumPy.
     ``curvature(x)`` is f'' of a comparison equation, gbar'' on the curved
     half and 0 on the linear one; it is None for the full equation.  Every
     sensitivity solve builds its right-hand side from these two
@@ -203,13 +207,13 @@ def _augmented_kernel(spec):
     the integrand in one pass; a larger call is ``OdeSpec.rhs`` and
     ``rhs_state_deriv`` themselves, so a state gets the same float on
     either path.  Per call in µs, full equation, trig input, best of 9 x
-    3,000 calls on a shared 2-core x86-64 host; the two paths cross near
-    40 states:
+    3,000 calls on a shared 2-core x86-64 host, all rows in one run; the
+    two paths cross near 30 states:
 
         states           1     4    16    32    64   2048
-        float, augm.   4.4   7.7    17    30    57      -
-        OdeSpec.rhs     15    15    15    15    15     25
-          with deriv    38    38    37    37    38     72
+        float, augm.   2.2   3.8   8.8    16     -      -
+        OdeSpec.rhs    8.2   5.9   5.7   5.5   5.5     10
+          with deriv    18    14    14    14    16     36
     """
     pair, _ = _float_field(spec.c, "full")
     lam, signal_at = float(spec.lam), spec._signal_at
@@ -250,9 +254,8 @@ class OdeSpec:
         return self._rhs_driven(self.lam + self._signal_at(t), x)
 
     def _rhs_driven(self, drive, x):
-        """dx/dt of the states x under the drive lam + y(t).  drive
-        broadcasts against x: a family scan drives each member's block of
-        states with that member's drive."""
+        """dx/dt of the states x under the drive lam + y(t); drive
+        broadcasts against x."""
         return drive + gbar_eval(self.c, x)
 
     def rhs_state_deriv(self, x):
@@ -579,24 +582,27 @@ def _family_field(specs, T: float, sizes):
     the family ``specs``, one block per member with the k-th, sizes[k]
     long, under specs[k], and the kinks of the input on [0, T].
 
-    One member's field is its own ``OdeSpec.rhs``.  A larger family repeats
-    each member's lam + y(t) over its block and drives the states through
-    ``OdeSpec._rhs_driven``, so every entry is the float of that member's
-    ``OdeSpec.rhs``.  The members must share c and the kinks of the input
-    on [0, T]; ValueError otherwise.
+    The field evaluates gbar on all states at once (``model._gbar_array``)
+    and adds each member's lam + y(t) in place: one float for a one-member
+    family, else the members' drives gathered over their blocks by an index
+    built here.  So every entry is the float of that member's
+    ``OdeSpec.rhs``, at a fraction of its fixed NumPy cost per call.  The
+    members must share c and the kinks of the input on [0, T]; ValueError
+    otherwise.
     """
     first = specs[0]
     nodes = first._signal_at.kinks(0.0, T)
-    if len(specs) == 1:
-        return first.rhs, nodes
     for spec in specs[1:]:
         if spec.c != first.c or not np.array_equal(spec._signal_at.kinks(0.0, T), nodes):
             raise ValueError(f"a family scan needs one c and set of kinks, got {first!r} and {spec!r}")
-    members, driven, repeats = [(spec.lam, spec._signal_at) for spec in specs], first._rhs_driven, np.asarray(sizes)
+    c, members = first.c, [(spec.lam, spec._signal_at) for spec in specs]
+    block = np.repeat(np.arange(len(specs)), sizes) if len(specs) > 1 else None
 
     def field(t, y):
-        drive = np.array([lam + signal_at(t) for lam, signal_at in members])
-        return driven(np.repeat(drive, repeats), y)
+        out = _gbar_array(c, y)
+        drives = [lam + signal_at(t) for lam, signal_at in members]
+        out += drives[0] if block is None else np.array(drives)[block]
+        return out
 
     return field, nodes
 
@@ -672,12 +678,12 @@ def _brackets(specs, T: float, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """The one census scan: for each member of ``specs``, (xs, d), the n
     seeds over its scan interval and the displacements P(x) - x there, or
     two empty arrays where the interval is empty; every member's seeds are
-    solved in one vectorized solve (``_displacement_grid``).  A one-member
-    family is solved with its own ``OdeSpec.rhs``, so its floats do not
-    depend on the family path.  A period T that is not finite and positive,
-    or that the input of a member does not repeat after, raises
-    ValueError, as does a member's scan interval that reaches
-    ESCAPE_BOUND; either is raised before any solve."""
+    solved in one vectorized solve (``_displacement_grid``).  Its field
+    gives every state the float of its member's ``OdeSpec.rhs``, so a
+    one-member scan is the solve of ``OdeSpec.rhs`` float for float.  A
+    period T that is not finite and positive, or that the input of a member
+    does not repeat after, raises ValueError, as does a member's scan
+    interval that reaches ESCAPE_BOUND; either is raised before any solve."""
     _require_period(T, "a census")
     for spec in specs:
         _require_fitting_period(spec, T)

@@ -46,21 +46,32 @@ def g_derivs(c, x):
     return float(d1), float(d2), float(d3)
 
 
-def gbar_eval(c, x):
-    """C^2 extension of g: equals g for x >= 0, -(1+2c)x - x^3 for x < 0.
-
-    The cubic is evaluated only on the entries where x < 0; scans and the
-    full flow stay at x >= 0.  It is written as products, without pow, whose
-    NumPy and libm forms round differently in the last bit for some inputs,
-    so a scalar, an array entry and the solver's float kernel all get the
-    same float."""
-    x = np.asarray(x, dtype=float)
-    xs = np.atleast_1d(x)
-    out = -xs - 2.0 * c * xs / (1.0 + xs * xs)
-    neg = xs < 0.0
-    if neg.any():
+def _gbar_array(c, xs):
+    """gbar on a 1-D float array, as a new array: the rational branch in
+    place, -(x + 2c x/(1 + x^2)), which rounds as -x - 2c x/(1 + x^2) does,
+    then the cubic on the entries where x < 0.  The cubic is skipped only
+    when the least entry is >= 0, so a NaN does not hide a negative entry;
+    scans and the full flow stay at x >= 0.  The cubic is written as
+    products, without pow, whose NumPy and libm forms round differently in
+    the last bit for some inputs, so a scalar, an array entry and the
+    solver's float kernel all get the same float."""
+    out = xs * xs
+    out += 1.0
+    np.divide(xs * (2.0 * c), out, out=out)
+    out += xs
+    np.negative(out, out=out)
+    if not xs.min(initial=0.0) >= 0.0:
+        neg = xs < 0.0
         xn = xs[neg]
         out[neg] = -(1.0 + 2.0 * c) * xn - xn * xn * xn
+    return out
+
+
+def gbar_eval(c, x):
+    """C^2 extension of g: equals g for x >= 0, -(1+2c)x - x^3 for x < 0
+    (``_gbar_array`` on any shape; a float for a scalar)."""
+    x = np.asarray(x, dtype=float)
+    out = _gbar_array(c, x.ravel())
     return out.reshape(x.shape) if x.ndim else float(out[0])
 
 
@@ -161,32 +172,40 @@ def mg_plus_deriv(c, z):
     return out if out.ndim else float(out)
 
 
+def _fold_form(c, what: str, form) -> float:
+    """form(), a closed form of the fold at a c >= 4 (DomainError naming
+    ``what`` below), as a finite float.  DomainError naming c where it
+    cannot be formed as one: a term overflows (c*(c-4)**3 from c ~ 1.2e77)
+    or the root of a negative float is asked for."""
+    if c < 4.0:
+        raise DomainError(f"{what} requires c >= 4, got c = {c}")
+    try:
+        value = form()
+    except (OverflowError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise DomainError(f"{what} cannot be formed as a finite float at c = {c}")
+    return value
+
+
 def x1(c) -> float:
     """Lower critical point of gbar, sqrt(c - 1 - sqrt(c*(c-4)))."""
-    if c < 4.0:
-        raise DomainError(f"x1 requires c >= 4, got c = {c}")
-    return math.sqrt(c - 1.0 - math.sqrt(c * (c - 4.0)))
+    return _fold_form(c, "x1", lambda: math.sqrt(c - 1.0 - math.sqrt(c * (c - 4.0))))
 
 
 def x2(c) -> float:
     """Upper critical point of gbar, sqrt(c - 1 + sqrt(c*(c-4)))."""
-    if c < 4.0:
-        raise DomainError(f"x2 requires c >= 4, got c = {c}")
-    return math.sqrt(c - 1.0 + math.sqrt(c * (c - 4.0)))
+    return _fold_form(c, "x2", lambda: math.sqrt(c - 1.0 + math.sqrt(c * (c - 4.0))))
 
 
 def lam1(c) -> float:
     """Saddle-node value -gbar(x2(c))."""
-    if c < 4.0:
-        raise DomainError(f"lam1 requires c >= 4, got c = {c}")
-    return math.sqrt((c * c + 10.0 * c - 2.0 - math.sqrt(c * (c - 4.0) ** 3)) / 2.0)
+    return _fold_form(c, "lam1", lambda: math.sqrt((c * c + 10.0 * c - 2.0 - math.sqrt(c * (c - 4.0) ** 3)) / 2.0))
 
 
 def lam2(c) -> float:
     """Saddle-node value -gbar(x1(c))."""
-    if c < 4.0:
-        raise DomainError(f"lam2 requires c >= 4, got c = {c}")
-    return math.sqrt((c * c + 10.0 * c - 2.0 + math.sqrt(c * (c - 4.0) ** 3)) / 2.0)
+    return _fold_form(c, "lam2", lambda: math.sqrt((c * c + 10.0 * c - 2.0 + math.sqrt(c * (c - 4.0) ** 3)) / 2.0))
 
 
 def equilibria(c, lam) -> list[float]:

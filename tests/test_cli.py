@@ -80,6 +80,15 @@ class TestDiagnostics:
         captured = capsys.readouterr()
         assert captured.out == "" and "requires a finite c > 0" in captured.err
 
+    @pytest.mark.parametrize("c", ["1e80", "1e200"])
+    def test_c_past_the_fold_forms_exits_2(self, capsys, c):
+        # c*(c-4)**3 overflows from c ~ 1.2e77 (raising OverflowError from
+        # c ~ 5.6e102): one line naming c, no traceback
+        assert cli.main(["diagnostics", "--c", c]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ") and f"c = {float(c)}" in captured.err
+
     def test_csv(self, capsys):
         code, out = run(capsys, ["diagnostics", "--c", "5.0", "--format", "csv"])
         assert code == 0
@@ -131,6 +140,13 @@ class TestClassify:
         )
         assert code == 0
         assert doc["result"][0]["regime"] == "uniform-stability"
+
+    @pytest.mark.parametrize("c", ["1e80", "1e200"])
+    def test_c_past_the_fold_forms_exits_2(self, capsys, zero_signal, c):
+        assert cli.main(["classify", "--c", c, "--lambda", "6.0", "--signal", zero_signal]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ") and f"c = {float(c)}" in captured.err
 
     def test_invalid_lambda_exits_2(self, capsys, zero_signal):
         code, _ = run(capsys, ["classify", "--c", "5", "--lambda", "-1.0", "--signal", zero_signal])

@@ -513,9 +513,26 @@ class TestFamilyScan:
             for spec, block, got in zip(specs, blocks, np.split(field(t, x), np.cumsum(sizes)[:-1])):
                 assert np.array_equal(got, spec.rhs(t, block))
 
+    @pytest.mark.parametrize("name", ["constant", "trig", "cesaro", "sampled"])
+    def test_one_member_is_its_rhs(self, name):
+        # the drive of a one-member family is one float added in place: every
+        # entry is the member's OdeSpec.rhs, bit for bit, on both branches
+        y = {
+            "constant": signals.Constant(0.3),
+            "trig": signals.TrigSum(0.01, ((0.03, 1.0, 0.3),)),
+            "cesaro": signals.FourierCesaro(0.005, (0.02, -0.01), (0.015,), 6),
+            "sampled": SAMPLED,
+        }[name]
+        spec = dynamics.OdeSpec(5.0, 6.0, y)
+        field, _ = dynamics._family_field([spec], 2.0 * math.pi, [165])
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-2.5, 3.0, 165)
+        for t in rng.uniform(0.0, 2.0 * math.pi, 5).tolist() + [0.0, 2.0 * math.pi]:
+            assert np.array_equal(field(t, x), spec.rhs(t, x))
+
     def test_one_member_is_scipy_rk45_bit_for_bit(self):
-        # a one-member family solves with the member's own kernel, so its
-        # displacements are scipy's RK45 on OdeSpec.rhs, float for float
+        # a one-member family's field is the member's OdeSpec.rhs float for
+        # float, so its displacements are scipy's RK45 on OdeSpec.rhs
         spec = dynamics.OdeSpec(5.0, 0.5 * (model.lam1(5.0) + model.lam2(5.0)), self.TRIG)
         T, xs = 2.0 * math.pi, np.linspace(*dynamics._scan_interval(spec), 257)
         ref = solve_ivp(spec.rhs, (0.0, T), xs, method="RK45", atol=dynamics.ABSTOL, rtol=dynamics.RELTOL, t_eval=[T])
@@ -1700,22 +1717,32 @@ class TestLockStep:
 
     @pytest.mark.parametrize("name", list(CENSUS_SIGNALS))
     def test_scan_and_map_solves_keep_their_sizes(self, monkeypatch, name):
-        # the premise of the two right-hand sides: every OdeSpec.rhs call of
-        # a census is a scan's, on many states, and every augmented-kernel
-        # call a map solve's, on the few crossings its float path serves
+        # the premise of the two right-hand sides: every call of a scan's
+        # field (``_family_field``) is on many states, every augmented-kernel
+        # call a map solve's, on the few crossings its float path serves, and
+        # no solve of a census falls back onto OdeSpec.rhs
         y = CENSUS_SIGNALS[name]
         spec = dynamics.OdeSpec(5.0, 0.5 * (model.lam1(5.0) + model.lam2(5.0)), y)
-        rhs_states, kernel_states = [], []
-        rhs = dynamics.OdeSpec.rhs
+        scan_states, kernel_states = [], []
+        family_field = dynamics._family_field
 
-        def recorded_rhs(self, t, x):
-            rhs_states.append(np.size(x))
-            return rhs(self, t, x)
+        def recorded_family_field(specs, T, sizes):
+            field, nodes = family_field(specs, T, sizes)
 
-        monkeypatch.setattr(dynamics.OdeSpec, "rhs", recorded_rhs)
+            def recorded(t, x):
+                scan_states.append(x.size)
+                return field(t, x)
+
+            return recorded, nodes
+
+        def no_rhs(self, t, x):
+            raise AssertionError("a census called OdeSpec.rhs")
+
+        monkeypatch.setattr(dynamics, "_family_field", recorded_family_field)
+        monkeypatch.setattr(dynamics.OdeSpec, "rhs", no_rhs)
         recording_kernels(monkeypatch, lambda t, y, out: kernel_states.append(y.size // 2))
         assert len(dynamics.find_periodic_solutions(spec, dynamics.signal_period(y))) == 3
-        assert rhs_states and min(rhs_states) >= 512
+        assert scan_states and min(scan_states) >= 512
         assert kernel_states and max(kernel_states) <= 3
 
     # two crossings of a linear stand-in map, P(x) = X + r (x - X) on each

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,87 @@ class TestGbar:
         vals = model.gbar_eval(5.0, xs)
         assert vals.shape == xs.shape
         assert vals[2] == 0.0
+
+
+def literal_gbar(c, x):
+    """gbar written out as the plain NumPy expression of each branch."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        out = -x - 2.0 * c * x / (1.0 + x * x)
+        xn = x[x < 0.0]
+        out[x < 0.0] = -(1.0 + 2.0 * c) * xn - xn * xn * xn
+    return out
+
+
+class TestGbarKernel:
+    """The in-place array kernel and its wrapper give the floats of the
+    literal expression, bit for bit, on both branches."""
+
+    STATES = np.concatenate([
+        np.random.default_rng(11).uniform(-3.0, 8.0, 2000),
+        [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300, -1e-300],
+        [1e6, -1e6, math.nextafter(1e6, 0.0), -math.nextafter(1e6, 0.0), 9.99e5, -9.99e5],
+    ])
+
+    @pytest.mark.parametrize("c", [0.5, 4.0, 5.0, 8.0, 12.5])
+    def test_array_kernel_is_the_literal_expression(self, c):
+        want = literal_gbar(c, self.STATES)
+        got = model._gbar_array(c, self.STATES)
+        assert np.array_equal(got, want)
+        # the sign of a zero too
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(model.gbar_eval(c, self.STATES), want)
+        assert np.array_equal(model.gbar_eval(c, self.STATES.reshape(2, -1)), want.reshape(2, -1))
+
+    def test_kernel_leaves_its_input_alone(self):
+        xs = self.STATES.copy()
+        model._gbar_array(5.0, xs)
+        assert np.array_equal(xs, self.STATES)
+
+    def test_nan_does_not_hide_negative_entries(self):
+        # a NaN makes the least entry NaN, and the cubic still runs
+        xs = np.array([math.nan, -1.0, 2.0, -0.25])
+        got = model._gbar_array(5.0, xs)
+        assert np.array_equal(got, literal_gbar(5.0, xs), equal_nan=True)
+        assert got[1] == 12.0
+
+    def test_one_branch_arrays_and_empty(self):
+        for xs in (np.linspace(0.0, 7.0, 33), np.linspace(-3.0, -0.1, 33)):
+            assert np.array_equal(model._gbar_array(5.0, xs), literal_gbar(5.0, xs))
+        assert model._gbar_array(5.0, np.empty(0)).size == 0
+
+    @pytest.mark.parametrize("x", [-2.5, -1e-300, -0.0, 0.0, 5e-324, 0.7, 3.0, 1e6])
+    def test_scalars_and_0d_arrays(self, x):
+        want = float(literal_gbar(5.0, np.array([x]))[0])
+        for arg in (x, np.float64(x), np.array(x)):
+            got = model.gbar_eval(5.0, arg)
+            assert type(got) is float and got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+class TestFoldForms:
+    """x1, x2, lam1 and lam2 keep their closed forms' floats wherever those
+    are finite, and raise DomainError naming c where they are not."""
+
+    @pytest.mark.parametrize("c", [4.0, 4.5, 5.0, 8.0, 1e3, 1e8, 1e15, 1e50, 1e76])
+    def test_floats_of_the_closed_forms(self, c):
+        r2, r3 = math.sqrt(c * (c - 4.0)), math.sqrt(c * (c - 4.0) ** 3)
+        assert model.x1(c) == math.sqrt(c - 1.0 - r2)
+        assert model.x2(c) == math.sqrt(c - 1.0 + r2)
+        assert model.lam1(c) == math.sqrt((c * c + 10.0 * c - 2.0 - r3) / 2.0)
+        assert model.lam2(c) == math.sqrt((c * c + 10.0 * c - 2.0 + r3) / 2.0)
+
+    @pytest.mark.parametrize("c", [1.2e77, 1e80, 5.6e102, 1e200, 1.7e308])
+    def test_unformable_c_raises_domain_error(self, c):
+        with pytest.raises(model.DomainError, match=re.escape(f"c = {c}")):
+            model.diagnostics(c)
+        for fold in (model.lam1, model.lam2):
+            with pytest.raises(model.DomainError, match="cannot be formed as a finite float"):
+                fold(c)
+
+    def test_below_four_keeps_its_message(self):
+        for fold in (model.x1, model.x2, model.lam1, model.lam2):
+            with pytest.raises(model.DomainError, match="requires c >= 4, got c = 3.5"):
+                fold(3.5)
 
 
 class TestDiagnostics:
