@@ -36,6 +36,9 @@ full census (``find_periodic_solutions``) certifies a grid on CENSUS_SEEDS
 seeds.  The threshold of ``relaxation`` counts the crossings of several
 exponents r as one family, each member driven by its own lam + y(t), and
 ``relaxation.run_analysis`` refines the crossings of one member's grid.
+A family of cosine-sum inputs evaluates its drives as one array
+expression, one cosine per distinct (theta, phi) per call, so a member
+more costs a few entries of that expression rather than a Python call.
 
 A census is about three solve batches.  The certified grid gives the
 crossings, in one scan wherever the grid shows three crossings or the
@@ -78,8 +81,9 @@ beyond it, or the time where the step size collapsed before the bound.
 An ``OdeSpec`` is the equation and its compiled input, nothing else.  A
 scan's right-hand side is its family's field (``_family_field``): gbar of
 every state through ``model``'s in-place array kernel, plus each member's
-drive, the floats of ``OdeSpec.rhs`` at a fraction of its fixed NumPy cost
-per call.  Each sensitivity solve builds its own from one float statement
+drive (one float for one member, one array expression for a family of
+cosine sums), the floats of ``OdeSpec.rhs`` at a fraction of its fixed
+NumPy cost per call.  Each sensitivity solve builds its own from one float statement
 of the field, ``_float_field``:
 ``_solve`` builds the map solve's kernel (``_augmented_kernel``) on every
 call, which also returns the multiplier integrand, the floats of
@@ -584,11 +588,13 @@ def _family_field(specs, T: float, sizes):
 
     The field evaluates gbar on all states at once (``model._gbar_array``)
     and adds each member's lam + y(t) in place: one float for a one-member
-    family, else the members' drives gathered over their blocks by an index
-    built here.  So every entry is the float of that member's
-    ``OdeSpec.rhs``, at a fraction of its fixed NumPy cost per call.  The
-    members must share c and the kinks of the input on [0, T]; ValueError
-    otherwise.
+    family; for a family of cosine sums one array expression over the
+    states (``signals._TrigStack``), which costs one math.cos per distinct
+    (theta, phi); else, with a sampled member, one drive per member,
+    gathered over the blocks by an index built here.  So every entry is the
+    float of that member's ``OdeSpec.rhs``, at a fraction of its fixed
+    NumPy cost per call.  The members must share c and the kinks of the
+    input on [0, T]; ValueError otherwise.
     """
     first = specs[0]
     nodes = first._signal_at.kinks(0.0, T)
@@ -596,12 +602,18 @@ def _family_field(specs, T: float, sizes):
         if spec.c != first.c or not np.array_equal(spec._signal_at.kinks(0.0, T), nodes):
             raise ValueError(f"a family scan needs one c and set of kinks, got {first!r} and {spec!r}")
     c, members = first.c, [(spec.lam, spec._signal_at) for spec in specs]
-    block = np.repeat(np.arange(len(specs)), sizes) if len(specs) > 1 else None
+    if len(specs) == 1:
+        ((lam, signal_at),) = members
+        drive = lambda t: lam + signal_at(t)
+    elif all(isinstance(y, sig._TrigEval) for _, y in members):
+        drive = sig._TrigStack(*zip(*members), sizes)
+    else:
+        block = np.repeat(np.arange(len(specs)), sizes)
+        drive = lambda t: np.array([lam + y(t) for lam, y in members])[block]
 
     def field(t, y):
         out = _gbar_array(c, y)
-        drives = [lam + signal_at(t) for lam, signal_at in members]
-        out += drives[0] if block is None else np.array(drives)[block]
+        out += drive(t)
         return out
 
     return field, nodes

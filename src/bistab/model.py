@@ -48,19 +48,20 @@ def g_derivs(c, x):
 
 def _gbar_array(c, xs):
     """gbar on a 1-D float array, as a new array: the rational branch in
-    place, -(x + 2c x/(1 + x^2)), which rounds as -x - 2c x/(1 + x^2) does,
-    then the cubic on the entries where x < 0.  The cubic is skipped only
-    when the least entry is >= 0, so a NaN does not hide a negative entry;
-    scans and the full flow stay at x >= 0.  The cubic is written as
-    products, without pow, whose NumPy and libm forms round differently in
-    the last bit for some inputs, so a scalar, an array entry and the
-    solver's float kernel all get the same float."""
+    five array operations, (-2c x)/(1 + x^2) - x, which rounds as
+    -x - 2c x/(1 + x^2) does (rounding is odd, so RN(-2c x)/d = -RN(2c x/d),
+    and (-q) - x = -(x + q)), then the cubic on the entries where x < 0.
+    The cubic is skipped only when the least entry (``np.minimum.reduce``,
+    without ``ndarray.min``'s Python wrapper) is >= 0, so a NaN does not
+    hide a negative entry; scans and the full flow stay at x >= 0.  The
+    cubic is written as products, without pow, whose NumPy and libm forms
+    round differently in the last bit for some inputs, so a scalar, an
+    array entry and the solver's float kernel all get the same float."""
     out = xs * xs
     out += 1.0
-    np.divide(xs * (2.0 * c), out, out=out)
-    out += xs
-    np.negative(out, out=out)
-    if not xs.min(initial=0.0) >= 0.0:
+    np.divide(xs * (-2.0 * c), out, out=out)
+    out -= xs
+    if not np.minimum.reduce(xs, initial=0.0) >= 0.0:
         neg = xs < 0.0
         xn = xs[neg]
         out[neg] = -(1.0 + 2.0 * c) * xn - xn * xn * xn

@@ -41,10 +41,13 @@ _BLOCK = 256  # points per vectorised pass of the pruned Hausdorff search
 # of r_star_estimate.  The estimate overshoots the census threshold by
 # 0.0004-0.0055, about eps/9, at c = 5 and eps in [0.01, 0.05], and by less
 # at c = 8 and 12; near c = 4 it overshoots more and the bracket widens.
-# A bracket of 15 tol ends within tol after two quarterings; one of exactly
-# 16 tol would need a third whenever its width rounds above tol.
+# A bracket of 15 tol is cut into R_CELLS cells of 15/16 tol, so it ends
+# within tol after one round; one of exactly 16 tol would need a second
+# whenever its cells' width rounds above tol.
 R_HALF_WIDTH_TOLS = 7.5
 R_HALF_WIDTH_EPS = 0.125
+# cells per round of r_threshold, each round one family census of R_CELLS + 1 r
+R_CELLS = 16
 # seeds per r of the threshold census's first scan.  At c = 5 the period map
 # clears every cell of it without a crossing, so a census is one solve; near
 # c = 4 a bistable census's close pair can share a cell, which is cut finer
@@ -286,8 +289,10 @@ def _census_count(c: float, eps: float, rs) -> tuple[list[int], int]:
     (``dynamics._certified_crossings``): COUNT_SEEDS seeds per r, every r's
     grid from one family scan, and only the cells that the monotone period
     map does not clear cut finer, all r's together in one family solve per
-    round.  ``solves`` is the family solves made, the scan's and every
-    round's.  The r share the period 2 pi / eps, c and the shape of the
+    round.  The members' forcings share one cosine, so their drives are one
+    array expression (``dynamics._family_field``): a member more adds array
+    entries, not a Python call.  ``solves`` is the family solves made, the
+    scan's and every round's.  The r share the period 2 pi / eps, c and the shape of the
     forcing; only its amplitude beta + eps^r differs.  Each count is odd:
     y >= lam1 - eps^r > 4 > ``dynamics.MU`` (lam1 > 3 sqrt3 for c > 4), so
     the floor of the scan interval, the lowest of ``model.equilibria`` at
@@ -322,23 +327,25 @@ def r_star_estimate(c: float, eps: float) -> float:
 def r_threshold(
     c: float, eps: float, tol: float = 1e-4, r_lo: float = 0.5, r_hi: float = 2.0
 ) -> ThresholdResult:
-    """Quadrisect the exponent r on the regime predicate (3 vs 1 periodic
-    solutions) until the bracket is below tol; reports which regime was
-    observed on each side rather than asserting it a priori.
+    """Section the exponent r on the regime predicate (3 vs 1 periodic
+    solutions), R_CELLS cells per round, until the bracket is below tol;
+    reports which regime was observed on each side rather than asserting
+    it a priori.
 
     The bracket starts at ``r_star_estimate`` +- max(R_HALF_WIDTH_TOLS * tol,
     R_HALF_WIDTH_EPS * eps), clipped into [r_lo, r_hi].  Each round is one
-    family census (``_census_count``) on a grid of five r, one solve unless
-    its certificate cuts cells finer; ``solves`` counts every family solve
-    the censuses made.  The first round takes the bracket's two ends and
-    its three quarter points, a later one the three quarter points of the
-    quarter where the regime flipped.  While
-    both ends show one regime the half-width grows eightfold; [r_lo, r_hi]
-    is the widest bracket, and RuntimeError is raised when even it does not
+    family census (``_census_count``) on a grid of R_CELLS + 1 r, one solve
+    unless its certificate cuts cells finer; ``solves`` counts every family
+    solve the censuses made.  The first round takes the bracket's two ends
+    and its R_CELLS - 1 cut points, a later one the cut points of the cell
+    where the regime flipped; a starting bracket of 15 tol ends after one.
+    While both ends show one regime the half-width grows eightfold, and the
+    widened bracket is cut into R_CELLS cells too; [r_lo, r_hi] is the
+    widest bracket, and RuntimeError is raised when even it does not
     straddle, or when a grid's regimes flip more than once.  Requires a
     finite tol > 0 and finite r_lo < r_hi; a tol below the float spacing of
     r near the threshold raises ValueError, naming the bracket reached, once
-    its quarter points round onto its ends."""
+    its first or last cut point rounds onto its ends."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"r_threshold requires a finite tol > 0, got tol = {tol}")
     if not (math.isfinite(r_lo) and math.isfinite(r_hi) and r_lo < r_hi):
@@ -365,13 +372,13 @@ def r_threshold(
             raise RuntimeError(f"census regimes flip more than once across r = {cells}")
         return regimes
 
-    def quarters(lo: float, hi: float) -> list[float]:
-        return [lo, lo + 0.25 * (hi - lo), lo + 0.5 * (hi - lo), lo + 0.75 * (hi - lo), hi]
+    def cells(lo: float, hi: float) -> list[float]:
+        return [lo] + [lo + (k / R_CELLS) * (hi - lo) for k in range(1, R_CELLS)] + [hi]
 
     center = min(max(r_star_estimate(c, eps), r_lo), r_hi)
     w = max(R_HALF_WIDTH_TOLS * tol, R_HALF_WIDTH_EPS * eps)
     lo, hi = max(r_lo, center - w), min(r_hi, center + w)
-    grid = quarters(lo, hi)
+    grid = cells(lo, hi)
     while True:
         regimes = bistable(grid)
         if regimes[0] == regimes[-1]:  # no flip inside: widen eightfold
@@ -381,17 +388,17 @@ def r_threshold(
                 )
             w *= 8.0
             lo, hi = max(r_lo, center - w), min(r_hi, center + w)
-            grid = quarters(lo, hi)
+            grid = cells(lo, hi)
             continue
         k = regimes.index(regimes[-1])  # the grid's one flip lies between k - 1 and k
         lo, hi = grid[k - 1], grid[k]
         if hi - lo <= tol:
             break
-        grid = quarters(lo, hi)
-        if not lo < grid[1] <= grid[3] < hi:
+        grid = cells(lo, hi)
+        if not lo < grid[1] <= grid[-2] < hi:
             raise ValueError(
                 f"tol = {tol:g} is below the float spacing of r: the regime flips in "
-                f"[{lo!r}, {hi!r}], whose quarter points are not new floats inside it"
+                f"[{lo!r}, {hi!r}], whose cut points are not new floats inside it"
             )
     regime = {True: "bistable", False: "relaxation"}
     return ThresholdResult(

@@ -186,7 +186,9 @@ def _sampled_terms(signal: SampledPeriodic, m: int) -> tuple[float, tuple[tuple[
 class _TrigEval:
     """a0 + sum a cos(th t + ph) over fixed terms.  A float t is summed term
     by term with math.cos in the array path's order, so both give the same
-    float without the array overhead."""
+    float without the array overhead.  A family of them is stacked into one
+    array expression by ``_TrigStack``, which sums each member's terms in
+    this order too, so its entries are the floats of lam + this."""
 
     __slots__ = ("a0", "terms", "hi", "lo")
 
@@ -210,6 +212,39 @@ class _TrigEval:
         for a, th, ph in self.terms:
             out = out + a * np.cos(th * t + ph)
         return out if out.ndim else float(out)
+
+
+class _TrigStack:
+    """The drives lam_k + y_k(t) of a family of cosine sums (``_TrigEval``)
+    as one array, the k-th over a block of sizes[k] entries.  A float t
+    costs one math.cos per distinct (th, ph) of the family; then each term
+    slot adds its amplitudes times their cosines, in every member's term
+    order.  A member's terms are padded to the longest list with
+    -0.0 cos(0 t + 0), which adds -0.0 and so leaves any float as it is.
+    Every entry then rounds as lam + _TrigEval(t) does."""
+
+    __slots__ = ("pairs", "lam", "a0", "slots")
+
+    def __init__(self, lams, evals, sizes):
+        width = max(len(e.terms) for e in evals)
+        rows = [e.terms + ((-0.0, 0.0, 0.0),) * (width - len(e.terms)) for e in evals]
+        self.pairs = list(dict.fromkeys((th, ph) for row in rows for _, th, ph in row))
+        index = {pair: i for i, pair in enumerate(self.pairs)}
+        per_state = lambda values: np.repeat(np.asarray(values, dtype=float), sizes)
+        self.lam, self.a0 = per_state(lams), per_state([e.a0 for e in evals])
+        # a slot's pair is one index where every member has the same, else one per entry
+        self.slots = []
+        for j in range(width):
+            pair = [index[row[j][1:]] for row in rows]
+            pair = pair[0] if len(set(pair)) == 1 else np.repeat(pair, sizes)
+            self.slots.append((per_state([row[j][0] for row in rows]), pair))
+
+    def __call__(self, t: float) -> np.ndarray:
+        cos = [math.cos(th * t + ph) for th, ph in self.pairs]
+        acc = self.a0
+        for amps, pair in self.slots:
+            acc = acc + amps * (cos[pair] if isinstance(pair, int) else np.array(cos)[pair])
+        return self.lam + acc
 
 
 class _SampledEval:

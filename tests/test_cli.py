@@ -352,11 +352,11 @@ class TestThreshold:
         # censuses counts the r values censused, solves the family solves that censused them
         res = relaxation.r_threshold(5.0, 0.05, tol=1e-3)
         row = doc["result"][0]
-        assert (row["censuses"], row["solves"]) == (res.censuses, res.solves) == (8, 2)
+        assert (row["censuses"], row["solves"]) == (res.censuses, res.solves) == (17, 1)
         code, out = run(capsys, ["threshold", "--c", "5", "--eps", "0.05", "--tol", "1e-3", "--format", "csv"])
         assert code == 0
         (cells,) = list(csv.DictReader(io.StringIO(out)))
-        assert (cells["censuses"], cells["solves"]) == ("8", "2")
+        assert (cells["censuses"], cells["solves"]) == ("17", "1")
 
     @pytest.mark.parametrize("tol", ["nan", "0", "-1e-3", "inf"])
     def test_bad_tol_exits_2(self, capsys, tol):

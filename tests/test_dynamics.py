@@ -513,6 +513,47 @@ class TestFamilyScan:
             for spec, block, got in zip(specs, blocks, np.split(field(t, x), np.cumsum(sizes)[:-1])):
                 assert np.array_equal(got, spec.rhs(t, block))
 
+    @staticmethod
+    def assert_members_rhs(specs, sizes, T, seed):
+        # every entry of the family field is its member's OdeSpec.rhs, bit
+        # for bit and sign bit for sign bit, on states of both branches of
+        # gbar and at +-0
+        field, _ = dynamics._family_field(specs, T, sizes)
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-2.5, 3.0, sum(sizes))
+        x[::5], x[1::7] = 0.0, -0.0
+        cuts = np.cumsum(sizes)[:-1]
+        for t in rng.uniform(0.0, T, 5).tolist() + [0.0, T]:
+            for spec, block, got in zip(specs, np.split(x, cuts), np.split(field(t, x), cuts)):
+                want = spec.rhs(t, block)
+                assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("eps", [0.025, 0.05])
+    def test_threshold_family_is_each_members_rhs(self, eps):
+        # the family of one round of r_threshold: 17 exponents r, whose drives
+        # share the one cosine and differ in their amplitude
+        rs = np.linspace(1.40, 1.46, 17).tolist()
+        specs = [dynamics.OdeSpec(5.0, 0.0, relaxation.RelaxationSpec(5.0, eps, r).signal()) for r in rs]
+        self.assert_members_rhs(specs, [relaxation.COUNT_SEEDS] * len(specs), relaxation.TWO_PI / eps, 5)
+
+    def test_mixed_cosine_sums_are_each_members_rhs(self):
+        # term lists of 0, 1, 2 and 3 terms, some (theta, phi) shared, padded
+        # to the longest; unequal blocks, one of them empty.  The constant
+        # member's drive is -0.0, which its padding leaves -0.0
+        specs = [
+            dynamics.OdeSpec(5.0, -0.0, signals.Constant(-0.0)),
+            dynamics.OdeSpec(5.0, 6.0, signals.TrigSum(0.01, ((0.03, 1.0, 0.0),))),
+            dynamics.OdeSpec(5.0, 6.02, signals.TrigSum(0.0, ((0.04, 1.0, 0.3),))),
+            dynamics.OdeSpec(5.0, 6.01, signals.TrigSum(-0.02, ((0.02, 1.0, 0.3), (0.015, 2.0, -1.1)))),
+            dynamics.OdeSpec(5.0, 6.05, signals.FourierCesaro(0.005, (0.02, -0.01), (0.015,), 6)),
+        ]
+        self.assert_members_rhs(specs, [23, 9, 0, 40, 17], 2.0 * math.pi, 6)
+
+    def test_sampled_members_are_each_members_rhs(self):
+        # a family with a sampled input keeps one drive per member
+        specs = [dynamics.OdeSpec(5.0, lam, SAMPLED) for lam in (6.0, 6.01, 6.05)]
+        self.assert_members_rhs(specs, [11, 30, 4], SAMPLED.period, 7)
+
     @pytest.mark.parametrize("name", ["constant", "trig", "cesaro", "sampled"])
     def test_one_member_is_its_rhs(self, name):
         # the drive of a one-member family is one float added in place: every

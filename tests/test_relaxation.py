@@ -357,8 +357,8 @@ class TestThreshold:
 
     @pytest.mark.parametrize("eps", [0.045, 0.028])
     def test_family_counts_match_solo_counts(self, eps):
-        # the first grid of r_threshold at tol 1e-3, five r straddling r*: one
-        # family solve gives each r the count of its own solo census
+        # five r of the first grid of r_threshold at tol 1e-3, straddling r*:
+        # one family solve gives each r the count of its own solo census
         est, w = relaxation.r_star_estimate(5.0, eps), relaxation.R_HALF_WIDTH_TOLS * 1e-3
         rs = [est - w, est - 0.5 * w, est, est + 0.5 * w, est + w]
         counts = relaxation._census_count(5.0, eps, rs)[0]
@@ -368,7 +368,8 @@ class TestThreshold:
     def test_regimes_flipping_twice_raise(self, monkeypatch):
         # a grid whose regimes go relaxation, bistable, relaxation: no single
         # threshold, which a bisection of the two ends would not have seen
-        monkeypatch.setattr(relaxation, "_census_count", lambda c, eps, rs: ([1, 3, 1, 3, 3][: len(rs)], 1))
+        flips = [1] + [3] * 8 + [1] * 8
+        monkeypatch.setattr(relaxation, "_census_count", lambda c, eps, rs: (flips[: len(rs)], 1))
         lo = relaxation.r_star_estimate(5.0, 0.05) - relaxation.R_HALF_WIDTH_TOLS * 1e-3
         with pytest.raises(RuntimeError, match=r"^census regimes flip more than once across r = ") as flipped:
             relaxation.r_threshold(5.0, 0.05, tol=1e-3)
@@ -480,10 +481,10 @@ class TestSlowPassageBracket:
         over = relaxation.r_star_estimate(5.0, eps) - res.r
         assert 0.0 < over < relaxation.R_HALF_WIDTH_EPS * eps
         w = max(relaxation.R_HALF_WIDTH_TOLS * 1e-4, relaxation.R_HALF_WIDTH_EPS * eps)
-        # the first grid of five r, then three quarter points per quartering
-        # from 2 w down to tol
-        quarterings = math.ceil(math.log(2.0 * w / 1e-4, 4))
-        assert res.solves == quarterings and res.censuses == 5 + 3 * (quarterings - 1)
+        # the first grid of 17 r, then 15 cut points per round from 2 w
+        # down to tol
+        rounds = math.ceil(math.log(2.0 * w / 1e-4, relaxation.R_CELLS))
+        assert res.solves == rounds and res.censuses == 17 + 15 * (rounds - 1)
 
     @pytest.mark.parametrize("eps", [0.025, 0.032, 0.04, 0.05])
     def test_agrees_with_full_bracket_bisection(self, eps):
@@ -493,10 +494,10 @@ class TestSlowPassageBracket:
         r, below, above, calls = bisect_r_threshold(5.0, eps, tol)
         assert abs(res.r - r) <= tol
         assert (res.regime_below, res.regime_above) == (below, above) == ("relaxation", "bistable")
-        # the first solve censuses the 2 ends and 3 quarter points of 15 tol,
-        # the second the 3 quarter points of the flipped 3.75 tol; the whole
-        # bracket's bisection takes 2 ends and 11 halvings, one census each
-        assert (res.solves, res.censuses) == (2, 8) and calls == 13
+        # the one solve censuses the 2 ends and 15 cut points of 15 tol, whose
+        # cells are 15/16 tol wide; the whole bracket's bisection takes 2 ends
+        # and 11 halvings, one census each
+        assert (res.solves, res.censuses) == (1, 17) and calls == 13
 
     def test_near_c4_threshold_matches_a_fine_grid(self, monkeypatch):
         # near c = 4 the close pair of a bistable census can share a coarse
@@ -518,8 +519,8 @@ class TestSlowPassageBracket:
         # every coarse cell without a crossing, so no census cuts one
         grids, rounds = record_censuses(monkeypatch)
         res = relaxation.r_threshold(5.0, eps, tol=1e-3)
-        assert res.solves == len(rounds) == 2
-        assert grids.sizes == [5 * relaxation.COUNT_SEEDS, 3 * relaxation.COUNT_SEEDS]
+        assert res.solves == len(rounds) == 1
+        assert grids.sizes == [17 * relaxation.COUNT_SEEDS]
 
     @pytest.mark.parametrize("wrong", [0.5, 1.9])
     def test_wrong_estimate_widens_to_the_same_answer(self, monkeypatch, wrong):
